@@ -8,15 +8,18 @@ Three production mechanisms plus plumbing:
                  basis {+-M e_j} for inputs with ||x||_1 <= L
   dp_hypercube   eps-differentially-private two-level channel on the
                  sign cube; the k = 0 closed form, valid eps < eps_star(d)
-  dp_linf_sampler  the sampler view of the same two-level channel
+  dp_linf_sampler  the sampler view of the same two-level channel (an
+                 alias: TWO_LEVEL_KINDS names both)
   dp_l2_sampler  eps-DP hemisphere sampler on the radius-B sphere
   identity       no privacy; passes x through (baseline / diagnostics)
   biased_demo    deliberately biased perturbation for the failure demo
 
-All samplers take an explicit rng and an optional size for batched
-draws.  Finite-support kinds expose exact conditional pmfs through
-channel_pmf, which is what the exact mutual-information and DP-ratio
-certification in the information module consumes.
+All samplers take an explicit rng and an optional size for repeated
+draws at one input; Channel.sample of the kinds in BATCH_KINDS also takes
+a batch of inputs, one draw per row.  Finite-support kinds expose exact
+conditional pmfs through channel_pmf, which is what the exact
+mutual-information and DP-ratio certification in the information module
+consumes.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ import numpy as np
 from .geometry import NormBall
 
 __all__ = [
+    "BATCH_KINDS",
     "CHANNEL_KINDS",
+    "TWO_LEVEL_KINDS",
     "Channel",
     "PrivacyCertificate",
     "SupportPmf",
@@ -47,7 +52,7 @@ __all__ = [
     "dp_linf_sampler",
     "dp_l2_sampler",
     "biased_demo_sample",
-    "eps_star_float",
+    "eps_star",
     "l1_gamma",
     "two_level_constants",
 ]
@@ -62,7 +67,9 @@ CHANNEL_KINDS = (
     "biased_demo",
 )
 
-_DP_KINDS = ("dp_hypercube", "dp_linf_sampler", "dp_l2_sampler")
+# the two-level hypercube channel under both of its names
+TWO_LEVEL_KINDS = ("dp_hypercube", "dp_linf_sampler")
+_DP_KINDS = TWO_LEVEL_KINDS + ("dp_l2_sampler",)
 
 
 class SupportPmf(NamedTuple):
@@ -131,8 +138,11 @@ def _mean_coeff(d: int) -> int:
     return math.comb(d - 1, math.ceil(d / 2) - 1)
 
 
-def eps_star_float(d: int) -> float:
-    """Threshold below which the k = 0 two-level channel is LP-optimal."""
+def eps_star(d: int) -> float:
+    """Threshold below which the k = 0 two-level channel is LP-optimal;
+    infinite at d = 1, where the two-level family never changes shape."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
     C = _upper_count(d)
     K = d * _mean_coeff(d)
     if K == C:
@@ -142,8 +152,8 @@ def eps_star_float(d: int) -> float:
 
 def two_level_constants(d: int, eps: float) -> dict:
     """All derived constants of the k = 0 optimally-DP hypercube channel."""
-    if not 0.0 < eps < eps_star_float(d):
-        raise ValueError(f"need 0 < eps < eps_star({d}) = {eps_star_float(d):.6g}")
+    if not 0.0 < eps < eps_star(d):
+        raise ValueError(f"need 0 < eps < eps_star({d}) = {eps_star(d):.6g}")
     C = _upper_count(d)
     N = _mean_coeff(d)
     e = math.exp(eps)
@@ -158,7 +168,7 @@ def two_level_constants(d: int, eps: float) -> dict:
         "q_minus": q_minus,
         "t": t,
         "coin": C * q_plus,
-        "eps_star": eps_star_float(d),
+        "eps_star": eps_star(d),
     }
 
 
@@ -193,6 +203,22 @@ def _require_ball(x: np.ndarray, p: float, L: float) -> None:
         raise ValueError(f"input l{p} norm {nrm:.6g} exceeds source radius {L:.6g}")
 
 
+def _checked_rows(x, d: int, L: float) -> np.ndarray:
+    """x as one input (d,) or a batch (R, d), every row finite and in the
+    sup-norm ball of radius L; one reduction checks both, as NaN survives
+    the max."""
+    x = np.asarray(x, dtype=float)
+    x = x.reshape(1) if x.ndim == 0 else x
+    if x.ndim > 2 or x.shape[-1] != d:
+        raise ValueError(f"expected a vector or rows of dimension {d}, got shape {x.shape}")
+    top = np.abs(x).max()
+    if not top <= L * (1.0 + _BALL_TOL) + _BALL_TOL:
+        if not np.isfinite(top):
+            raise ValueError("non-finite input")
+        raise ValueError(f"input linf norm {top:.6g} exceeds source radius {L:.6g}")
+    return x
+
+
 def _rademacher(rng, shape) -> np.ndarray:
     return np.where(rng.random(shape) < 0.5, -1.0, 1.0)
 
@@ -203,15 +229,12 @@ def linf_maxent_sample(x, L: float, M: float, rng, size=None) -> np.ndarray:
     Requires ||x||_inf <= L <= M.  Output lies in {-M, +M}^d with
     independent coordinates and E[Z | x] = x exactly.
     """
-    x = _as_input(x)
-    if M < L:
-        raise ValueError("need M >= L")
-    _require_ball(x, np.inf, L)
-    rng = np.random.default_rng(rng)
-    n = 1 if size is None else int(size)
-    p = 0.5 + x / (2.0 * M)
-    z = np.where(rng.random((n, x.size)) < p, M, -M)
-    return z[0] if size is None else z
+    return make_channel("linf_maxent", np.size(x), L=L, M=M).sample(x, rng=rng, size=size)
+
+
+def _linf_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
+    M = ch.calibration["B"]
+    return np.where(rng.random((n, ch.d)) < 0.5 + x / (2.0 * M), M, -M)
 
 
 def _l1_atom_matrix(d: int) -> np.ndarray:
@@ -289,14 +312,12 @@ def dp_hypercube_sample(x, eps: float, rng, L: float = 1.0, size=None) -> np.nda
     the complement otherwise.  Every conditional pmf takes exactly two
     values with ratio e^eps; E[Z | x] = x with B = L/t.
     """
-    x = _as_input(x)
-    _require_ball(x, np.inf, L)
-    d = x.size
-    cal = two_level_constants(d, eps)
-    B = L / cal["t"]
-    rng = np.random.default_rng(rng)
-    n = 1 if size is None else int(size)
-    T = np.where(rng.random((n, d)) < 0.5 * (1.0 + x / L), 1.0, -1.0)
+    return make_channel("dp_hypercube", np.size(x), L=L, eps=eps).sample(x, rng=rng, size=size)
+
+
+def _two_level_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
+    d, cal = ch.d, ch.calibration
+    T = np.where(rng.random((n, d)) < 0.5 * (1.0 + x / ch.source.radius), 1.0, -1.0)
     up = rng.random(n) < cal["coin"]
     W = np.empty((n, d))
     n_up = int(up.sum())
@@ -304,8 +325,7 @@ def dp_hypercube_sample(x, eps: float, rng, L: float = 1.0, size=None) -> np.nda
         W[up] = _uniform_halfcube(d, n_up, rng, upper=True)
     if n_up < n:
         W[~up] = _uniform_halfcube(d, n - n_up, rng, upper=False)
-    z = B * W * T
-    return z[0] if size is None else z
+    return cal["B"] * W * T
 
 
 def dp_linf_sampler(g, L: float, eps: float, rng, size=None) -> np.ndarray:
@@ -399,19 +419,29 @@ class Channel:
         return self._stream
 
     def sample(self, x, rng=None, size=None) -> np.ndarray:
+        """Draw Z given x: shape (d,), or (size, d) for size draws at x.
+
+        The BATCH_KINDS also take X of shape (R, d): one draw per row, in
+        the rng order of sample(x, size=R), after checking that every row
+        is finite and in the source ball.  size with a batch, or a batch
+        for any other kind, raises ValueError.
+        """
         gen = self.rng() if rng is None else np.random.default_rng(rng)
         L = self.source.radius
-        if self.kind == "linf_maxent":
-            return linf_maxent_sample(x, L, self.calibration["B"], gen, size=size)
+        draw = _BATCH_DRAWS.get(self.kind)
+        if draw is not None:
+            x = _checked_rows(x, self.d, L)
+            if x.ndim == 1:
+                z = draw(self, x, 1 if size is None else int(size), gen)
+                return z[0] if size is None else z
+            if size is not None:
+                raise ValueError("pass a batch of inputs or size, not both")
+            return draw(self, x, len(x), gen)
+        # the other kinds take one input vector; their samplers reject rows
         if self.kind == "l1_maxent":
             return l1_maxent_sample(x, L, self.calibration["B"], gen, size=size)
-        if self.kind in ("dp_hypercube", "dp_linf_sampler"):
-            return dp_hypercube_sample(x, self.privacy_param, gen, L=L, size=size)
         if self.kind == "dp_l2_sampler":
             return dp_l2_sampler(x, L, self.privacy_param, gen, size=size)
-        if self.kind == "identity":
-            x = _as_input(x, self.d)
-            return x.copy() if size is None else np.tile(x, (int(size), 1))
         bias = np.asarray(self.calibration["bias"], dtype=float)
         return biased_demo_sample(
             x, bias, gen, size=size, noise=self.calibration["noise"]
@@ -419,6 +449,17 @@ class Channel:
 
     def pmf(self, x) -> SupportPmf:
         return channel_pmf(self, x)
+
+
+# draws from the calibrated constants for the kinds that take a batch:
+# (channel, x, n, rng) -> (n, d), for n draws at one input x (d,) or one
+# draw per row of x (n, d)
+_BATCH_DRAWS = {
+    "linf_maxent": _linf_draw,
+    "identity": lambda ch, x, n, rng: np.broadcast_to(x, (n, ch.d)).copy(),
+    **dict.fromkeys(TWO_LEVEL_KINDS, _two_level_draw),
+}
+BATCH_KINDS = tuple(_BATCH_DRAWS)
 
 
 def make_channel(
@@ -461,7 +502,7 @@ def make_channel(
         }
         return Channel(kind, d, NormBall(1, L), NormBall(1, float(M)),
                        float(M), cal, seed)
-    if kind in ("dp_hypercube", "dp_linf_sampler"):
+    if kind in TWO_LEVEL_KINDS:
         if eps is None:
             raise ValueError(f"{kind} needs eps")
         cal = dict(two_level_constants(d, eps))
@@ -525,7 +566,7 @@ def channel_pmf(ch: Channel, x) -> SupportPmf:
         return SupportPmf(
             ch.calibration["B"] * _l1_atom_matrix(d), _l1_output_pmf(x, L, ch.calibration["B"])
         )
-    if ch.kind in ("dp_hypercube", "dp_linf_sampler"):
+    if ch.kind in TWO_LEVEL_KINDS:
         corners = _corner_matrix(d) if d <= _PRODUCT_GUARD_D else None
         if corners is None:
             raise ValueError("support too large to enumerate")
@@ -558,7 +599,7 @@ def dp_ratio_max(ch: Channel, inputs=None) -> float:
     Defaults to all 2^d corner inputs (the extreme points, where the sup
     is attained).  Only meaningful for the finite-support dp kinds.
     """
-    if ch.kind not in ("dp_hypercube", "dp_linf_sampler"):
+    if ch.kind not in TWO_LEVEL_KINDS:
         raise ValueError("dp_ratio_max applies to the finite-support dp kinds")
     L = ch.source.radius
     if inputs is None:
@@ -579,16 +620,15 @@ def dp_ratio_max(ch: Channel, inputs=None) -> float:
 
 
 def channel_to_json(ch: Channel) -> str:
-    if ch.kind in ("linf_maxent", "l1_maxent"):
-        m_or_eps = ch.calibration["B"]
-    elif ch.kind in _DP_KINDS:
-        m_or_eps = ch.privacy_param
-    elif ch.kind == "biased_demo":
-        m_or_eps = ch.calibration["bias"][0]
-    else:
-        m_or_eps = None
     doc = {"kind": ch.kind, "d": ch.d, "L": ch.source.radius,
-           "M_or_eps": m_or_eps, "seed": ch.seed}
+           "M_or_eps": None, "seed": ch.seed}
+    if ch.kind in ("linf_maxent", "l1_maxent"):
+        doc["M_or_eps"] = ch.calibration["B"]
+    elif ch.kind in _DP_KINDS:
+        doc["M_or_eps"] = ch.privacy_param
+    elif ch.kind == "biased_demo":
+        doc["bias"] = list(ch.calibration["bias"])
+        doc["noise"] = ch.calibration["noise"]
     return json.dumps(doc, sort_keys=True)
 
 
@@ -606,5 +646,7 @@ def channel_from_json(doc) -> Channel:
     if kind in _DP_KINDS:
         return make_channel(kind, d, L=L, eps=float(raw), seed=seed)
     if kind == "biased_demo":
-        return make_channel(kind, d, L=L, bias=float(raw or 0.0), seed=seed)
+        # documents without a bias vector carry one scalar bias in M_or_eps
+        return make_channel(kind, d, L=L, bias=doc.get("bias", raw),
+                            noise=doc.get("noise"), seed=seed)
     return make_channel(kind, d, L=L, seed=seed)

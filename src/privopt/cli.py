@@ -15,13 +15,7 @@ import sys
 
 import numpy as np
 
-from .channels import (
-    _uniform_halfcube,
-    channel_to_json,
-    eps_star_float,
-    make_channel,
-    two_level_constants,
-)
+from .channels import channel_to_json, eps_star, make_channel
 from .geometry import NormBall
 from .information import certificate_for, certify_channel, mi_closed_form, nats_to_bits
 from .losses import DataDist, RiskSpec, make_loss, risk_minimizer, risk_value
@@ -34,7 +28,8 @@ from .minimax import (
     t5_middle_term,
     upper_bound,
 )
-from .optimizers import OptimizerConfig, sgd_l2
+from .optimizers import OptimizerConfig, mirror_descent_l1, sgd_l2
+from .protocol import PrivateGradStream, as_grad_oracle
 
 __all__ = ["main", "cmd_certify", "cmd_tradeoff", "cmd_bounds", "cmd_bias_demo"]
 
@@ -164,72 +159,23 @@ def _certify_selfcheck(seed: int) -> tuple:
 # tradeoff
 
 
-def _vec_dp_hypercube(g, L, B, coin, rng):
-    reps, d = g.shape
-    T = np.where(rng.random((reps, d)) < 0.5 * (1.0 + g / L), 1.0, -1.0)
-    up = rng.random(reps) < coin
-    n_up = int(up.sum())
-    V = np.empty((reps, d))
-    if n_up:
-        V[up] = _uniform_halfcube(d, n_up, rng, True)
-    if reps - n_up:
-        V[~up] = _uniform_halfcube(d, reps - n_up, rng, False)
-    return B * V * T
-
-
-def _batched_mirror_descent(kind, d, steps, budget, reps, delta, L, r, rng,
-                            private=True):
-    """All replicate chains stepped together; identical update algebra to
-    optimizers.mirror_descent_l1 (uniform lift init, average includes the
-    init and excludes the post-last-gradient point)."""
-    if not private:
-        gbound = L
-    elif kind == "dp_hypercube":
-        cal = two_level_constants(d, budget)
-        B, coin = L / cal["t"], cal["coin"]
-        gbound = B
-    elif kind == "linf_maxent":
-        B = float(budget)
-        gbound = B
-    else:
-        raise UsageError(f"tradeoff supports dp_hypercube or linf_maxent, not {kind!r}")
-    eta = math.sqrt(2.0 * math.log(2 * d)) / (r * gbound * math.sqrt(steps))
-    lw = np.full((reps, 2 * d), -math.log(2 * d))
-    theta = np.zeros((reps, d))
-    total = np.zeros((reps, d))
-    nu = np.zeros(d)
-    nu[0] = 1.0
-    p_x = 0.5 * (1.0 + delta * nu)  # data law tilted along the hard direction
-    for _ in range(steps):
-        total += theta
-        X = np.where(rng.random((reps, d)) < p_x, 1.0, -1.0)
-        g = L * np.sign(theta - r * X)
-        if not private:
-            z = g
-        elif kind == "linf_maxent":
-            z = np.where(rng.random((reps, d)) < 0.5 + g / (2.0 * B), B, -B)
-        else:
-            z = _vec_dp_hypercube(g, L, B, coin, rng)
-        lw[:, :d] -= eta * r * z
-        lw[:, d:] += eta * r * z
-        lw -= lw.max(axis=1, keepdims=True)
-        w = np.exp(lw)
-        w /= w.sum(axis=1, keepdims=True)
-        np.log(w, out=lw)
-        theta = r * (w[:, :d] - w[:, d:])
-    return total / steps
-
-
-def _median_gap_fn(d, delta, L, r):
+def _median_spec(d, delta, L, r) -> RiskSpec:
     # one-hot hard direction: the corner r*e_1 sits on the l1 sphere, so the
     # minimizer is feasible for the mirror-descent domain at every d
-    spec = RiskSpec(
+    return RiskSpec(
         loss=make_loss("median", L=L, r=r),
         data=DataDist("cube_bernoulli", d, delta, (1,) + (0,) * (d - 1)),
         domain=NormBall(1, r),
     )
-    best = risk_minimizer(spec).value
-    return lambda theta: risk_value(spec, theta) - best
+
+
+def _averaged_chains(spec: RiskSpec, channel, steps, reps, rng) -> np.ndarray:
+    """reps mirror-descent chains over a population stream through channel,
+    stepped together on one rng; returns their (reps, d) averaged iterates."""
+    stream = PrivateGradStream.from_population(spec.data, spec.loss, channel, rng=rng)
+    cfg = OptimizerConfig("mirror_descent_l1", spec.domain, channel.d, steps,
+                          grad_bound=channel.target.radius)
+    return mirror_descent_l1(as_grad_oracle(stream), cfg, rng, chains=reps).averaged
 
 
 _TRADEOFF_COLUMNS = (
@@ -252,6 +198,8 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
     if not (d_grid and n_grid and budget_grid):
         raise UsageError("grids must be non-empty")
     reps = int(cfg.get("reps", 50))
+    if reps < 1:
+        raise UsageError("reps must be >= 1")
     delta = float(cfg.get("delta", 0.5))
     L = float(cfg.get("L", 1.0))
     r = float(cfg.get("r", 1.0))
@@ -263,13 +211,14 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
     rows = []
     idx = 0
     for d in d_grid:
-        gap_fn = _median_gap_fn(d, delta, L, r)
-        start_gap = gap_fn(np.zeros(d))
+        spec = _median_spec(d, delta, L, r)
+        best = risk_minimizer(spec).value
+        start_gap = risk_value(spec, np.zeros(d)) - best
         for n in n_grid:
             for budget in budget_grid:
                 rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
                 idx += 1
-                es = eps_star_float(d) if is_dp else math.inf
+                es = eps_star(d) if is_dp else math.inf
                 if is_dp and budget >= es:
                     rows.append(dict(d=d, n=n, budget=budget, eps_star=es,
                                      status="eps_over_star", risk_mean=math.nan,
@@ -277,17 +226,19 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
                                      upper=math.nan, effective_n=math.nan,
                                      np_mean=math.nan, start_gap=start_gap))
                     continue
-                avg = _batched_mirror_descent(kind, d, n, budget, reps, delta, L, r, rng)
-                gaps = np.array([gap_fn(avg[i]) for i in range(reps)])
+                ch = (make_channel(kind, d, L=L, eps=budget) if is_dp
+                      else make_channel(kind, d, L=L, M=budget))
+                avg = _averaged_chains(spec, ch, n, reps, rng)
+                gaps = np.array([risk_value(spec, a) - best for a in avg])
                 if is_dp:
                     eff = max(1, int(n * budget**2 / d))
                 else:
                     eff = max(1, int(n * mi_closed_form(kind, d, L, budget).exact / d))
                 np_mean = math.nan
                 if baseline:
-                    np_avg = _batched_mirror_descent(kind, d, eff, budget, reps,
-                                                     delta, L, r, rng, private=False)
-                    np_mean = float(np.mean([gap_fn(np_avg[i]) for i in range(reps)]))
+                    np_avg = _averaged_chains(spec, make_channel("identity", d, L=L),
+                                              eff, reps, rng)
+                    np_mean = float(np.mean([risk_value(spec, a) - best for a in np_avg]))
                 try:
                     if is_dp:
                         bs = BoundSpec("T3", d=d, n=n, L=L, r=r, eps=budget)

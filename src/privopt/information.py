@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import (
+    TWO_LEVEL_KINDS,
     Channel,
     PrivacyCertificate,
     channel_pmf,
@@ -372,7 +373,7 @@ def certify_channel(ch: Channel, rng=None, n_mc: int = 10**5,
     if ch.kind in ("linf_maxent", "l1_maxent"):
         closed = mi_closed_form(ch.kind, ch.d, ch.source.radius, ch.calibration["B"]).exact
     ratio = None
-    if ch.kind in ("dp_hypercube", "dp_linf_sampler") and ch.d <= 10:
+    if ch.kind in TWO_LEVEL_KINDS and ch.d <= 10:
         ratio = dp_ratio_max(ch)
     residual = _unbiasedness_residual(ch, rng, n_mc)
     return InfoReport(mi_exact, closed, mc, ratio, residual)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -102,9 +103,12 @@ def subgrad(loss: LossFn, x, theta) -> np.ndarray:
 
     Kink selections are fixed so tests are deterministic: the median loss
     uses sign(0) = 0, and the hinge at margin exactly 0 returns the
-    active-side gradient -L x.
+    active-side gradient -L x.  The median loss also takes paired (R, d)
+    arrays, one subgradient per row; the other losses take vectors only.
     """
     x, theta = _pair(loss, x, theta)
+    if x.ndim > 1 and loss.kind != "median":
+        raise ValueError(f"{loss.kind} subgradients take one (x, theta) pair, not rows")
     L = loss.lipschitz_L
     if loss.kind == "median":
         return L * np.sign(theta - loss.r * x)
@@ -153,14 +157,18 @@ class DataDist:
             raise ValueError("nu must be a length-d vector with entries in {-1,0,1}")
         object.__setattr__(self, "nu", nu)
 
+    @cached_property
+    def p_plus(self) -> np.ndarray:
+        """cube_bernoulli coordinate law P(X_j = 1), computed once."""
+        return 0.5 * (1.0 + self.delta * self.nu)
+
 
 def sample_datum(dist: DataDist, rng, size=None) -> np.ndarray:
     """Draw X ~ dist; shape (d,) or (size, d)."""
     rng = np.random.default_rng(rng)
     n = 1 if size is None else int(size)
     if dist.kind == "cube_bernoulli":
-        p = 0.5 * (1.0 + dist.delta * dist.nu)
-        out = np.where(rng.random((n, dist.d)) < p, 1.0, -1.0)
+        out = np.where(rng.random((n, dist.d)) < dist.p_plus, 1.0, -1.0)
     elif dist.kind == "coord_basis":
         j = rng.integers(0, dist.d, size=n)
         p_plus = 0.5 * (1.0 + dist.delta * dist.nu[j])
@@ -191,8 +199,7 @@ def dist_support(dist: DataDist):
         if dist.d > 20:
             raise ValueError("cube support too large to enumerate")
         pts = np.array(list(itertools.product((-1.0, 1.0), repeat=dist.d)))
-        p_plus = 0.5 * (1.0 + dist.delta * dist.nu)
-        probs = np.prod(np.where(pts > 0, p_plus, 1.0 - p_plus), axis=1)
+        probs = np.prod(np.where(pts > 0, dist.p_plus, 1.0 - dist.p_plus), axis=1)
         return pts, probs
     pts = np.array(dist.samples, dtype=float)
     probs = np.full(len(dist.samples), 1.0 / len(dist.samples))
@@ -227,7 +234,7 @@ def risk_value(spec: RiskSpec, theta) -> float:
         if loss.kind == "linear":
             return L * data.delta * float(data.nu @ theta)
         if loss.kind == "median":
-            p_plus = 0.5 * (1.0 + data.delta * data.nu)
+            p_plus = data.p_plus
             r = loss.r
             return L * float(
                 np.sum(p_plus * np.abs(theta - r) + (1.0 - p_plus) * np.abs(theta + r))

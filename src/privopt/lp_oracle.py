@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Tuple
 import mpmath
 import numpy as np
 
-from .channels import _corner_matrix
+from .channels import _corner_matrix, eps_star
 
 __all__ = ["MAX_LP_DIM", "DpLpInstance", "DpLpSolution", "solve_dp_lp", "eps_star"]
 
@@ -244,18 +244,3 @@ def solve_dp_lp(inst: DpLpInstance, x: Optional[Sequence[float]] = None) -> DpLp
         x=tuple(float(s) for s in x_arr),
     )
 
-
-def eps_star(d: int) -> float:
-    """Budget at which the balanced two-level split stops being optimal.
-
-    Exact integer arithmetic inside the log; infinite for d = 1, where
-    the two-level family never changes shape.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    half = (d + 1) // 2
-    C = sum(math.comb(d, i) for i in range(half))
-    K = d * math.comb(d - 1, half - 1)
-    if K == C:
-        return math.inf
-    return math.log(Fraction(K + 2**d - C, K - C))

@@ -87,40 +87,49 @@ def _prepare(config: OptimizerConfig, rng, expected_p) -> tuple:
 
 
 def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
-                      risk_gap_fn=None, record_iterates: bool = False) -> OptimizerRun:
+                      risk_gap_fn=None, record_iterates: bool = False,
+                      chains: int | None = None) -> OptimizerRun:
     """Entropic mirror descent over the l1 ball of radius r.
 
     PARAMETERS
-      grad_oracle : callable(theta, rng) -> array (dim,)
+      grad_oracle : callable(theta, rng) -> array shaped like theta
       config      : method must be mirror_descent_l1; grad_bound is M_inf
       rng         : integer seed or np.random.Generator
       risk_gap_fn : optional callable(theta_avg) -> excess risk
+      chains      : None steps one chain with theta of shape (dim,); an
+                    integer R steps R independent chains at once, with
+                    theta and the average of shape (R, dim) and each row
+                    updated exactly as a single chain.  The oracle then
+                    answers one gradient per row of theta.
 
     RETURNS OptimizerRun with the uniform average of the n visited
     iterates (the init counts; the point produced by the last gradient
-    does not).
+    does not), of shape (dim,) or (R, dim).
     """
     gen, seed = _prepare(config, rng, 1)
     d, n, r = config.dim, config.steps, config.domain.radius
+    if chains is not None and chains < 1:
+        raise ValueError("chains must be >= 1")
     eta = config.step_size_scale * step_size_for(
         "mirror_descent_l1", config.domain, config.grad_bound, n, d
     )
-    lw = np.full(2 * d, -math.log(2 * d))  # log-weights on the lift, uniform
-    theta = np.zeros(d)
-    total = np.zeros(d)
-    trace = np.empty((n, d)) if record_iterates else None
+    rows = () if chains is None else (int(chains),)
+    lw = np.full(rows + (2 * d,), -math.log(2 * d))  # log-weights on the lift, uniform
+    theta = np.zeros(rows + (d,))
+    total = np.zeros(rows + (d,))
+    trace = np.empty((n,) + theta.shape) if record_iterates else None
     for t in range(n):
         if record_iterates:
             trace[t] = theta
         total += theta
         g = np.asarray(grad_oracle(theta, gen), dtype=float)
-        lw[:d] -= eta * r * g
-        lw[d:] += eta * r * g
-        lw -= lw.max()
+        lw[..., :d] -= eta * r * g
+        lw[..., d:] += eta * r * g
+        lw -= lw.max(axis=-1, keepdims=True)
         w = np.exp(lw)
-        w /= w.sum()
+        w /= w.sum(axis=-1, keepdims=True)
         np.log(w, out=lw)
-        theta = r * (w[:d] - w[d:])
+        theta = r * (w[..., :d] - w[..., d:])
     averaged = total / n
     gap = float(risk_gap_fn(averaged)) if risk_gap_fn is not None else math.nan
     return OptimizerRun(averaged, gap, seed, trace)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import Channel, dp_ratio_max
+from .channels import TWO_LEVEL_KINDS, Channel, dp_ratio_max
 from .information import certificate_for
 from .losses import DataDist, LossFn, sample_datum, subgrad
 
@@ -98,10 +98,12 @@ class PrivateGradStream:
 
 
 def query(stream: PrivateGradStream, theta) -> np.ndarray:
-    """One protocol round: route theta to the next owner, return its Z."""
+    """One protocol round: route theta to the next owner, return its Z.
+    A population stream answers theta of shape (R, d) with R queries."""
     theta = np.asarray(theta, dtype=float)
     if stream.population is not None:
-        x = sample_datum(stream.population, stream.rng)
+        x = sample_datum(stream.population, stream.rng,
+                         size=len(theta) if theta.ndim == 2 else None)
         g = subgrad(stream.loss, x, theta)
         return stream.channel.sample(g, rng=stream.rng)
     if stream.mode == "single_pass":
@@ -130,7 +132,7 @@ def _channel_entry(ch: Channel) -> dict:
         "certificate": "none (non-private)" if math.isinf(cert.level)
         else {"kind": cert.kind, "level": cert.level},
     }
-    if ch.kind in ("dp_hypercube", "dp_linf_sampler") and ch.d <= 10:
+    if ch.kind in TWO_LEVEL_KINDS and ch.d <= 10:
         ratio = dp_ratio_max(ch)
         entry["dp_ratio_max"] = ratio
         entry["dp_ratio_verified"] = bool(

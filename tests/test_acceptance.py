@@ -16,13 +16,13 @@ import pytest
 from privopt import cli
 from privopt.channels import (
     channel_pmf,
-    eps_star_float,
+    eps_star,
     l1_gamma,
     make_channel,
     two_level_constants,
     _corner_matrix,
 )
-from privopt.geometry import Packing
+from privopt.geometry import NormBall, Packing
 from privopt.information import (
     DiscreteDist,
     mi_closed_form,
@@ -30,6 +30,7 @@ from privopt.information import (
     mutual_information_exact,
     nats_to_bits,
 )
+from privopt.losses import DataDist, RiskSpec, make_loss, risk_minimizer, risk_value
 from privopt.lp_oracle import DpLpInstance, solve_dp_lp
 from privopt.minimax import (
     THEOREMS,
@@ -42,6 +43,8 @@ from privopt.minimax import (
     mi_lemma_value,
     upper_bound,
 )
+from privopt.optimizers import OptimizerConfig, mirror_descent_l1
+from privopt.protocol import PrivateGradStream, as_grad_oracle
 
 PERTURBING = ("linf_maxent", "l1_maxent", "dp_hypercube", "dp_linf_sampler",
               "dp_l2_sampler")
@@ -188,7 +191,7 @@ def test_criterion_04_lp_matches_family(criterion_recorder):
     worst_t = 0.0
     worst_ratio = 0.0
     for d in range(1, 6):
-        star = eps_star_float(d)
+        star = eps_star(d)
         eps_grid = ((0.25, 0.5, 1.0, 2.0, 3.0) if math.isinf(star)
                     else tuple(f * star for f in (0.15, 0.35, 0.55, 0.75, 0.95)))
         corners = np.asarray(_corner_matrix(d))
@@ -311,30 +314,47 @@ def test_criterion_05_lemma_bounds(criterion_recorder):
 # 6. convergence-rate slopes
 
 
+def _median_gap(d, delta):
+    # median loss over cube_bernoulli tilted along e_1; the l1 ball of
+    # radius 1 contains the corner minimizer e_1
+    spec = RiskSpec(make_loss("median", L=1.0, r=1.0),
+                    DataDist("cube_bernoulli", d, delta, (1,) + (0,) * (d - 1)),
+                    NormBall(1, 1.0))
+    best = risk_minimizer(spec).value
+    return spec, lambda theta: risk_value(spec, theta) - best
+
+
+def _averaged_chains(spec, channel, steps, reps, rng):
+    # reps mirror-descent chains on one population stream, stepped together
+    stream = PrivateGradStream.from_population(spec.data, spec.loss, channel, rng=rng)
+    cfg = OptimizerConfig("mirror_descent_l1", spec.domain, channel.d, steps,
+                          grad_bound=channel.target.radius)
+    return mirror_descent_l1(as_grad_oracle(stream), cfg, rng, chains=reps).averaged
+
+
 def test_criterion_06_rate_slopes(criterion_recorder):
     reps, master = 50, 0
 
     # excess risk vs n at fixed budget: private mirror descent pays the
     # usual root-n rate
-    gap4 = cli._median_gap_fn(4, 0.8, 1.0, 1.0)
+    spec4, gap4 = _median_gap(4, 0.8)
     ns = [2**k for k in range(8, 17)]
     means_n = []
     for i, n in enumerate(ns):
         rng = np.random.default_rng(np.random.SeedSequence([master, i]))
-        avg = cli._batched_mirror_descent("linf_maxent", 4, n, 2.0, reps,
-                                          0.8, 1.0, 1.0, rng, private=True)
+        avg = _averaged_chains(spec4, make_channel("linf_maxent", 4, M=2.0), n, reps, rng)
         means_n.append(np.mean([gap4(t) for t in avg]))
     slope_n = float(np.polyfit(np.log(ns), np.log(means_n), 1)[0])
 
     # excess risk vs eps at fixed n: the dp calibration contributes 1/eps
     # to the constant, so the log-log slope is -1
-    gap3 = cli._median_gap_fn(3, 0.8, 1.0, 1.0)
+    spec3, gap3 = _median_gap(3, 0.8)
     eps_grid = [0.25, 0.5, 1.0]
     means_e = []
     for i, eps in enumerate(eps_grid):
         rng = np.random.default_rng(np.random.SeedSequence([master, 100 + i]))
-        avg = cli._batched_mirror_descent("dp_hypercube", 3, 65536, eps, reps,
-                                          0.8, 1.0, 1.0, rng, private=True)
+        avg = _averaged_chains(spec3, make_channel("dp_hypercube", 3, eps=eps),
+                               65536, reps, rng)
         means_e.append(np.mean([gap3(t) for t in avg]))
     slope_e = float(np.polyfit(np.log(eps_grid), np.log(means_e), 1)[0])
 
@@ -353,16 +373,13 @@ def test_criterion_07_effective_sample_size(criterion_recorder):
     master, reps, delta = 4242, 100, 0.5
     ratios = []
     for d in (3, 4, 5):
-        gap = cli._median_gap_fn(d, delta, 1.0, 1.0)
+        spec, gap = _median_gap(d, delta)
         for j, (n, eps) in enumerate(((256, 0.25), (256, 0.5), (1024, 0.25))):
             rng = np.random.default_rng(np.random.SeedSequence([master, d, j]))
-            priv = cli._batched_mirror_descent("dp_hypercube", d, n, eps,
-                                               reps, delta, 1.0, 1.0, rng,
-                                               private=True)
+            priv = _averaged_chains(spec, make_channel("dp_hypercube", d, eps=eps),
+                                    n, reps, rng)
             eff = max(1, int(n * eps * eps / d))
-            base = cli._batched_mirror_descent("dp_hypercube", d, eff, eps,
-                                               reps, delta, 1.0, 1.0, rng,
-                                               private=False)
+            base = _averaged_chains(spec, make_channel("identity", d), eff, reps, rng)
             r = (np.mean([gap(t) for t in priv])
                  / np.mean([gap(t) for t in base]))
             ratios.append(float(r))

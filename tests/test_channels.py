@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privopt.channels import (
+    BATCH_KINDS,
     CHANNEL_KINDS,
     biased_demo_sample,
     channel_from_json,
     channel_pmf,
     channel_to_json,
     dp_ratio_max,
-    eps_star_float,
+    eps_star,
     l1_gamma,
     make_channel,
     two_level_constants,
@@ -65,20 +66,20 @@ def test_two_level_constants_identities(d, eps):
 
 def test_eps_star_values():
     # paired thresholds: adding the odd coordinate does not move the cutoff
-    assert math.isinf(eps_star_float(1))
-    assert eps_star_float(2) == pytest.approx(math.log(5.0), rel=1e-14)
-    assert eps_star_float(3) == pytest.approx(math.log(5.0), rel=1e-14)
-    assert eps_star_float(4) == pytest.approx(math.log(23.0 / 7.0), rel=1e-14)
-    assert eps_star_float(5) == pytest.approx(math.log(23.0 / 7.0), rel=1e-14)
-    assert eps_star_float(6) == pytest.approx(math.log(51.0 / 19.0), rel=1e-14)
+    assert math.isinf(eps_star(1))
+    assert eps_star(2) == pytest.approx(math.log(5.0), rel=1e-14)
+    assert eps_star(3) == pytest.approx(math.log(5.0), rel=1e-14)
+    assert eps_star(4) == pytest.approx(math.log(23.0 / 7.0), rel=1e-14)
+    assert eps_star(5) == pytest.approx(math.log(23.0 / 7.0), rel=1e-14)
+    assert eps_star(6) == pytest.approx(math.log(51.0 / 19.0), rel=1e-14)
     # decreasing in d (within each parity pair it is flat)
-    vals = [eps_star_float(d) for d in range(2, 40)]
+    vals = [eps_star(d) for d in range(2, 40)]
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 def test_dp_construction_refuses_eps_at_or_above_star():
     for d in (2, 3, 4, 8):
-        star = eps_star_float(d)
+        star = eps_star(d)
         make_channel("dp_hypercube", d, eps=star * 0.999)
         with pytest.raises(ValueError):
             make_channel("dp_hypercube", d, eps=star)
@@ -139,7 +140,7 @@ def test_pmf_identity_and_biased():
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0])
 def test_dp_ratio_exact(d, eps):
-    if eps >= eps_star_float(d):
+    if eps >= eps_star(d):
         pytest.skip("construction domain ends at eps_star")
     for kind in ("dp_hypercube", "dp_linf_sampler"):
         ch = make_channel(kind, d, eps=eps)
@@ -199,6 +200,52 @@ def test_input_outside_source_ball_rejected():
         ch.sample(np.array([0.7, 0.7]), rng=np.random.default_rng(0))
 
 
+# ---------------------------------------------------------------------------
+# batch contract: X of shape (R, d), one draw per row
+
+
+@pytest.mark.parametrize("kind", BATCH_KINDS)
+@pytest.mark.parametrize("d", [1, 4])
+def test_batch_of_identical_rows_matches_size_draws_bitwise(kind, d):
+    ch = _mk(kind, d)
+    x = _input_for(ch, np.random.default_rng(11))
+    rows = np.tile(x, (64, 1))
+    a = ch.sample(rows, rng=np.random.default_rng(6))
+    b = ch.sample(x, rng=np.random.default_rng(6), size=64)
+    assert a.shape == (64, d) and np.array_equal(a, b)
+
+
+def test_batch_draws_follow_each_row():
+    # rows at opposite corners: each row's draws center on that row
+    ch = make_channel("dp_hypercube", 3, eps=0.8)
+    rows = np.tile(np.array([[1.0, -1.0, 0.5], [-1.0, 1.0, -0.5]]), (100_000, 1))
+    z = ch.sample(rows, rng=np.random.default_rng(8))
+    for k in range(2):
+        mean = z[k::2].mean(axis=0)
+        se = z[k::2].std(axis=0, ddof=1) / math.sqrt(100_000)
+        assert np.all(np.abs(mean - rows[k]) <= 4.0 * se)
+
+
+def test_batch_contract_violations_rejected():
+    rng = np.random.default_rng(0)
+    rows = np.zeros((5, 3))
+    for kind in BATCH_KINDS:
+        ch = _mk(kind, 3)
+        nan_row, far_row = rows.copy(), rows.copy()
+        nan_row[2, 1] = np.nan
+        far_row[4, 0] = 1.5
+        for bad in (nan_row, far_row):
+            with pytest.raises(ValueError):
+                ch.sample(bad, rng=rng)
+        with pytest.raises(ValueError):
+            ch.sample(rows, rng=rng, size=5)
+        with pytest.raises(ValueError):
+            ch.sample(np.zeros((5, 2)), rng=rng)
+    for kind in set(CHANNEL_KINDS) - set(BATCH_KINDS):
+        with pytest.raises(ValueError):
+            _mk(kind, 3).sample(rows, rng=rng)
+
+
 @pytest.mark.parametrize("d,upper", [(3, True), (3, False), (4, True), (4, False)])
 def test_uniform_halfcube_split(d, upper):
     rng = np.random.default_rng(101)
@@ -249,3 +296,14 @@ def test_channel_json_round_trip():
         a = ch.sample(x, rng=np.random.default_rng(1), size=8)
         b = back.sample(x, rng=np.random.default_rng(1), size=8)
         assert np.array_equal(a, b)
+
+
+def test_biased_demo_json_keeps_bias_vector_and_noise():
+    ch = make_channel("biased_demo", 2, bias=(1.0, -1.0), noise=0.3)
+    back = channel_from_json(channel_to_json(ch))
+    assert back.calibration["bias"] == (1.0, -1.0)
+    assert back.calibration["noise"] == 0.3
+    assert back.target == ch.target
+    x = np.array([0.2, -0.4])
+    a = ch.sample(x, rng=np.random.default_rng(2), size=8)
+    assert np.array_equal(a, back.sample(x, rng=np.random.default_rng(2), size=8))

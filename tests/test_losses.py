@@ -82,6 +82,18 @@ def test_subgradient_kink_conventions():
     assert np.allclose(subgrad(hinge, e1, np.array([2.0, 0.0])), 0.0)
 
 
+def test_median_subgradient_takes_paired_rows():
+    rng = np.random.default_rng(4)
+    X = np.where(rng.random((6, 3)) < 0.5, -1.0, 1.0)
+    theta = rng.uniform(-1, 1, size=(6, 3))
+    median = make_loss("median", L=2.0, r=0.5)
+    G = subgrad(median, X, theta)
+    assert np.array_equal(G, np.array([subgrad(median, x, t) for x, t in zip(X, theta)]))
+    for kind in ("hinge", "logistic", "linear"):
+        with pytest.raises(ValueError):
+            subgrad(make_loss(kind), X, theta)
+
+
 @given(st.integers(1, 5), st.floats(0, 1), st.integers(0, 10**6), small_vec)
 @settings(max_examples=60)
 def test_median_risk_closed_form_vs_enumeration(d, delta, seed, theta_raw):

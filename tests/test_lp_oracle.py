@@ -1,16 +1,16 @@
 """LP channel design: optimum matches the two-level family below eps_star."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from privopt.channels import eps_star_float, two_level_constants
+from privopt.channels import eps_star, two_level_constants
 from privopt.lp_oracle import (
     MAX_LP_DIM,
     DpLpInstance,
     DpLpSolution,
-    eps_star,
     solve_dp_lp,
 )
 
@@ -83,9 +83,20 @@ def test_phase_transition_at_d3():
         two_level_constants(3, math.log(5.0) + 1e-4)
 
 
+def _eps_star_exact(d):
+    # log((K + 2^d - C) / (K - C)) with the ratio kept as an exact Fraction
+    half = (d + 1) // 2
+    C = sum(math.comb(d, i) for i in range(half))
+    K = d * math.comb(d - 1, half - 1)
+    return math.inf if K == C else math.log(Fraction(K + 2**d - C, K - C))
+
+
 def test_eps_star_agrees_with_closed_form():
     for d in range(2, MAX_LP_DIM + 1):
-        assert eps_star(d) == pytest.approx(eps_star_float(d), abs=1e-12)
+        assert eps_star(d) == pytest.approx(_eps_star_exact(d), abs=1e-12)
+    # one definition serves the LP and the channels: bitwise equal to the
+    # exact-ratio form well beyond the dimensions either uses
+    assert all(eps_star(d) == _eps_star_exact(d) for d in range(1, 400))
     assert eps_star(2) == pytest.approx(math.log(5.0), abs=1e-14)
     assert eps_star(4) == pytest.approx(math.log(23.0 / 7.0), abs=1e-14)
     assert eps_star(6) == pytest.approx(math.log(51.0 / 19.0), abs=1e-14)

@@ -1,4 +1,4 @@
-"""Mirror descent and SGD: rates, determinism, and the batched twin."""
+"""Mirror descent and SGD: rates, determinism, and many chains at once."""
 
 import math
 
@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from privopt.channels import make_channel, two_level_constants
-from privopt.cli import _batched_mirror_descent, _median_gap_fn
 from privopt.geometry import NormBall
+from privopt.losses import DataDist, RiskSpec, make_loss, risk_minimizer, risk_value
 from privopt.optimizers import (
     OptimizerConfig,
     mirror_descent_l1,
     sgd_l2,
     step_size_for,
 )
+from privopt.protocol import PrivateGradStream, as_grad_oracle
 
 
 def test_config_validation():
@@ -95,33 +96,50 @@ def test_seed_plumbing_and_determinism():
     assert math.isnan(a.risk_gap)
 
 
-def test_batched_twin_matches_sequential_bitwise():
-    # delta = 1 makes the data draw deterministic (X = +1 on the informative
-    # coordinate), so the only state is the mirror descent recursion itself:
-    # the cli's vectorized twin must reproduce the library run exactly
-    d, steps, L, r = 1, 257, 1.0, 1.0
-    avg = _batched_mirror_descent("nonprivate", d, steps, None, 1, 1.0, L, r,
-                                  np.random.default_rng(5), private=False)
+def test_chains_match_single_runs_bitwise():
+    # a deterministic oracle with its own target per row: R chains stepped
+    # together must reproduce R single runs row by row, bit for bit
+    d, steps, r = 3, 257, 1.5
+    targets = np.array([[0.9, -0.2, 0.1], [-0.5, 0.5, 0.0], [0.1, 0.1, -1.0],
+                        [0.0, 0.0, 0.3]])
+    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, r), d, steps, 2.0)
 
-    def oracle(theta, rng):
-        return L * np.sign(theta - r * np.ones(d))
+    def oracle_for(target):
+        return lambda theta, rng: np.sign(theta - target) + 0.25 * (theta - target)
 
-    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, r), d, steps, L)
-    run = mirror_descent_l1(oracle, cfg, 99)
-    assert np.array_equal(avg[0], run.averaged)
+    run = mirror_descent_l1(oracle_for(targets), cfg, 99, chains=len(targets),
+                            record_iterates=True)
+    assert run.averaged.shape == targets.shape
+    assert run.iterates.shape == (steps,) + targets.shape
+    for row, target in enumerate(targets):
+        single = mirror_descent_l1(oracle_for(target), cfg, 99, record_iterates=True)
+        assert np.array_equal(run.averaged[row], single.averaged)
+        assert np.array_equal(run.iterates[:, row], single.iterates)
+    with pytest.raises(ValueError):
+        mirror_descent_l1(oracle_for(targets), cfg, 99, chains=0)
 
 
-def test_batched_twin_matches_sequential_statistically():
+def _median_gap(d, delta, L, r):
+    spec = RiskSpec(make_loss("median", L=L, r=r),
+                    DataDist("cube_bernoulli", d, delta, (1,) + (0,) * (d - 1)),
+                    NormBall(1, r))
+    best = risk_minimizer(spec).value
+    return spec, lambda theta: risk_value(spec, theta) - best
+
+
+def test_batched_chains_match_sequential_statistically():
     # private dp run, d = 2: same population risk within Monte-Carlo error
     d, steps, reps, delta, L, r, eps = 2, 512, 48, 0.5, 1.0, 1.0, 0.5
-    gap = _median_gap_fn(d, delta, L, r)
-    avg = _batched_mirror_descent("dp_hypercube", d, steps, eps, reps, delta,
-                                  L, r, np.random.default_rng(31), private=True)
+    spec, gap = _median_gap(d, delta, L, r)
+    ch = make_channel("dp_hypercube", d, L=L, eps=eps)
+    B = L / two_level_constants(d, eps)["t"]
+    rng = np.random.default_rng(31)
+    stream = PrivateGradStream.from_population(spec.data, spec.loss, ch, rng=rng)
+    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, r), d, steps, B)
+    avg = mirror_descent_l1(as_grad_oracle(stream), cfg, rng, chains=reps).averaged
     gaps_batched = np.array([gap(a) for a in avg])
 
-    ch = make_channel("dp_hypercube", d, L=L, eps=eps)
     nu = np.array([1.0] + [0.0] * (d - 1))
-    B = L / two_level_constants(d, eps)["t"]
     gaps_seq = []
     for rep in range(reps):
         gen = np.random.default_rng(np.random.SeedSequence([777, rep]))
@@ -130,7 +148,6 @@ def test_batched_twin_matches_sequential_statistically():
             x = np.where(gen.random(d) < 0.5 * (1.0 + delta * nu), 1.0, -1.0)
             return ch.sample(L * np.sign(theta - r * x), rng=gen)
 
-        cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, r), d, steps, B)
         run = mirror_descent_l1(oracle, cfg, gen, risk_gap_fn=gap)
         gaps_seq.append(run.risk_gap)
     gaps_seq = np.array(gaps_seq)

@@ -5,7 +5,7 @@ import pytest
 
 from privopt.channels import make_channel
 from privopt.geometry import NormBall
-from privopt.losses import DataDist, make_loss
+from privopt.losses import DataDist, make_loss, sample_datum, subgrad
 from privopt.optimizers import OptimizerConfig, sgd_l2
 from privopt.protocol import (
     DataOwner,
@@ -75,6 +75,21 @@ def test_population_stream_mints_fresh_data():
         PrivateGradStream(owners=())
     with pytest.raises(ValueError):
         PrivateGradStream(owners=(1,), mode="shuffled")
+
+
+def test_population_stream_answers_a_batch():
+    # a (R, d) theta is R queries: R fresh data, R subgradients, R draws,
+    # replayable from the same seed through the layers below
+    loss, ch = _parts(d=3, kind="dp_hypercube")
+    dist = DataDist("cube_bernoulli", 3, 0.5, (1, 0, 0))
+    theta = np.linspace(-0.5, 0.5, 15).reshape(5, 3)
+    z = query(PrivateGradStream.from_population(dist, loss, ch, rng=12), theta)
+    rng = np.random.default_rng(12)
+    x = sample_datum(dist, rng, size=5)
+    assert np.array_equal(z, ch.sample(subgrad(loss, x, theta), rng=rng))
+    owners = PrivateGradStream.from_data([np.ones(3)] * 5, loss, ch, rng=0)
+    with pytest.raises(ValueError):
+        query(owners, theta)
 
 
 def test_stream_determinism_and_owner_rng_isolation():
