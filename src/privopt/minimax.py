@@ -8,11 +8,11 @@ checks, not absolute ones.  All information quantities are in nats.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-import mpmath
 import numpy as np
 
 from .channels import Channel, channel_pmf, l1_gamma
@@ -215,18 +215,20 @@ def le_cam_bound(tv: float) -> float:
 
 
 def lemma8_constants(d: int, k: int, eps: float, delta: float) -> tuple:
-    """(C_d(k), Delta) for the two-level threshold-k channel, extended
-    precision.  C_d(k) counts corners above the threshold; Delta bounds
-    the per-sample root-information."""
+    """(C_d(k), Delta) for the two-level threshold-k channel, in 50-digit
+    decimal arithmetic.  C_d(k) counts corners above the threshold; Delta
+    bounds the per-sample root-information."""
     if k < 0 or k % 2 != 0 or k > 2 * math.ceil(d / 2) - 2:
         raise ValueError("k must be even with 0 <= k <= 2 ceil(d/2) - 2")
     half = math.ceil((d - k) / 2)
     C_dk = sum(math.comb(d, i) for i in range(half))
-    with mpmath.workdps(50):
-        e = mpmath.e**eps
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        # Decimal(float) is exact; e^-eps keeps a large or infinite eps in range
+        r = (-decimal.Decimal(float(eps))).exp()
         Delta = (
-            mpmath.mpf(delta) * (e - 1)
-            / ((e + 1) * C_dk + mpmath.mpf(2) ** d)
+            decimal.Decimal(float(delta)) * (1 - r)
+            / ((1 + r) * C_dk + 2**d * r)
             * math.comb(d - 1, half - 1)
         )
         return C_dk, float(Delta)

@@ -6,13 +6,45 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from privopt.channels import eps_star, two_level_constants
+from privopt.channels import _corner_matrix, eps_star, two_level_constants
 from privopt.lp_oracle import (
     MAX_LP_DIM,
     DpLpInstance,
     DpLpSolution,
+    _simplex_two_phase,
     solve_dp_lp,
 )
+
+
+def _dense_lp(d, eps, x):
+    """Reference LP over the full 2^d corner pmf, with no symmetry
+    reduction: variables q_z, t, m and the slacks of m <= q_z <= e^eps m.
+    Returns (t*, q) in _corner_matrix order."""
+    corners = np.asarray(_corner_matrix(d))
+    nq = corners.shape[0]
+    E, zero, one = Fraction(math.exp(eps)), Fraction(0), Fraction(1)
+    i_t, i_m, i_s0, i_u0 = nq, nq + 1, nq + 2, 2 * nq + 2
+    nvars = 3 * nq + 2
+    A, b = [[one] * nq + [zero] * (nvars - nq)], [one]
+    for i in range(d):
+        row = [Fraction(int(corners[z, i])) for z in range(nq)] + [zero] * (nvars - nq)
+        row[i_t] = Fraction(-int(x[i]))
+        A.append(row)
+        b.append(zero)
+    for z in range(nq):
+        row = [zero] * nvars
+        row[z], row[i_m], row[i_s0 + z] = one, -E, one
+        A.append(row)
+        b.append(zero)
+    for z in range(nq):
+        row = [zero] * nvars
+        row[z], row[i_m], row[i_u0 + z] = -one, one, one
+        A.append(row)
+        b.append(zero)
+    c = [zero] * nvars
+    c[i_t] = one
+    v, _ = _simplex_two_phase(A, b, c)
+    return float(v[i_t]), np.array([float(v[z]) for z in range(nq)])
 
 
 def test_instance_validation():
@@ -24,6 +56,12 @@ def test_instance_validation():
         DpLpInstance(2, 0.0)
     with pytest.raises(ValueError):
         DpLpInstance(2, math.inf)
+
+
+@pytest.mark.parametrize("d", [3.0, True, "3"])
+def test_instance_rejects_non_integer_d(d):
+    with pytest.raises(ValueError, match="integer"):
+        DpLpInstance(d, 0.7)
 
 
 def test_d1_is_randomized_response():
@@ -52,10 +90,34 @@ def test_lp_matches_two_level_family(d, eps):
 
 
 def test_lp_at_d5_single_point():
-    sol = solve_dp_lp(DpLpInstance(5, 0.4))
-    c = two_level_constants(5, 0.4)
-    assert sol.t_star == pytest.approx(c["t"], abs=1e-8)
-    assert int((sol.q > sol.q.max() - 1e-10).sum()) == c["C_d"]
+    # and at d = 6, below eps_star(6) = log(51/19) ~ 0.987
+    for d, eps in ((5, 0.4), (6, 0.9)):
+        assert eps < eps_star(d)
+        sol = solve_dp_lp(DpLpInstance(d, eps))
+        c = two_level_constants(d, eps)
+        assert sol.t_star == pytest.approx(c["t"], abs=1e-8)
+        assert int((sol.q > sol.q.max() - 1e-10).sum()) == c["C_d"]
+
+
+def _reference_points():
+    # the criterion-4 eps grid, plus 1.2x and 2x eps_star, at d <= 4
+    for d in range(1, 5):
+        star = eps_star(d)
+        if math.isinf(star):
+            yield from ((d, eps) for eps in (0.25, 0.5, 1.0, 2.0, 3.0))
+        else:
+            yield from ((d, f * star) for f in (0.15, 0.35, 0.55, 0.75, 0.95, 1.2, 2.0))
+    yield from ((3, math.log(5.0) - 1e-4), (3, math.log(5.0) + 1e-4))
+
+
+def test_reduced_lp_matches_dense_reference():
+    rng = np.random.default_rng(0)
+    for d, eps in _reference_points():
+        for x in [(1.0,) * d] + [tuple(rng.choice((-1.0, 1.0), size=d)) for _ in range(2)]:
+            t_ref, q_ref = _dense_lp(d, eps, x)
+            sol = solve_dp_lp(DpLpInstance(d, eps), x=x)
+            assert sol.t_star == t_ref, (d, eps, x)
+            assert np.abs(sol.q - q_ref).max() <= 1e-12, (d, eps, x)
 
 
 def test_corner_input_equivariance():
@@ -67,6 +129,14 @@ def test_corner_input_equivariance():
         solve_dp_lp(DpLpInstance(3, 0.7), x=(0.5, 1.0, 1.0))
     with pytest.raises(ValueError):
         solve_dp_lp(DpLpInstance(3, 0.7), x=(1.0, 1.0))
+
+
+def test_non_finite_corner_rejected():
+    # x enters the LP only through agreement signs; a NaN must not pass as
+    # a disagreement
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="sign corner"):
+            solve_dp_lp(DpLpInstance(3, 0.7), x=(bad, 1.0, 1.0))
 
 
 def test_phase_transition_at_d3():

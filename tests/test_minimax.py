@@ -136,6 +136,26 @@ def test_lemma8_constants_pin_and_validation():
         lemma8_constants(3, 4, 1.0, 1.0)  # above 2 ceil(d/2) - 2
 
 
+def test_lemma8_constants_match_50_digit_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for d in (1, 2, 3, 4, 5, 7, 8, 16, 31, 32, 63, 64):
+        for k in range(0, 2 * math.ceil(d / 2) - 1, 2):
+            half = math.ceil((d - k) / 2)
+            C_dk = sum(math.comb(d, i) for i in range(half))
+            for eps in (1e-6, 0.01, 0.25, 0.5, 1.0, math.log(5.0), 2.0, 5.0, 10.0, 50.0):
+                for delta in (0.01, 0.1, 0.3, 0.5, 1.0):
+                    with mpmath.workdps(50):
+                        e = mpmath.e**eps
+                        ref = float(mpmath.mpf(delta) * (e - 1)
+                                    / ((e + 1) * C_dk + mpmath.mpf(2) ** d)
+                                    * math.comb(d - 1, half - 1))
+                    assert lemma8_constants(d, k, eps, delta) == (C_dk, ref), (d, k, eps, delta)
+    # exp(eps) beyond the decimal exponent range, and eps = inf, take the
+    # eps -> inf limit delta C(d-1, half-1) / C_d(k) instead of raising
+    for eps in (5e6, math.inf):
+        assert lemma8_constants(8, 0, eps, 0.5) == (93, 0.5 * 35 / 93)
+
+
 def test_mi_lemma_values():
     assert mi_lemma_value("L4", n=10, delta=0.5, L=1.0, M=2.0) == \
         pytest.approx(10 * 0.25 / 4.0)
