@@ -9,35 +9,37 @@ Three production mechanisms plus plumbing:
   dp_hypercube   eps-differentially-private two-level channel on the
                  sign cube; the k = 0 closed form, valid eps < eps_star(d)
   dp_linf_sampler  the sampler view of the same two-level channel (an
-                 alias: TWO_LEVEL_KINDS names both)
+                 alias: both names map to one row of the kind table)
   dp_l2_sampler  eps-DP hemisphere sampler on the radius-B sphere
   identity       no privacy; passes x through (baseline / diagnostics)
   biased_demo    deliberately biased perturbation for the failure demo
 
-All samplers take an explicit rng and an optional size for repeated
-draws at one input; Channel.sample of the kinds in BATCH_KINDS also takes
-a batch of inputs, one draw per row.  Finite-support kinds expose exact
-conditional pmfs through channel_pmf, which is what the exact
-mutual-information and DP-ratio certification in the information module
-consumes.
+One private table has a row per kind: the budget it is built from (M,
+eps or none), its calibration, one draw and its exact pmf when the
+support is finite.  make_channel, Channel.sample, channel_pmf,
+dp_ratio_max and the JSON round trip read the row and do not branch on
+the kind; other modules ask a channel for its budget and whether it has
+a pmf.  Channel.sample of every kind takes one input, with an optional
+size for repeated draws, or a batch of inputs with one draw per row.
+Exact pmfs are what the exact mutual-information and DP-ratio
+certification in the information module consume.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .geometry import NormBall
 
 __all__ = [
-    "BATCH_KINDS",
     "CHANNEL_KINDS",
-    "TWO_LEVEL_KINDS",
     "Channel",
     "PrivacyCertificate",
     "SupportPmf",
@@ -56,20 +58,6 @@ __all__ = [
     "l1_gamma",
     "two_level_constants",
 ]
-
-CHANNEL_KINDS = (
-    "linf_maxent",
-    "l1_maxent",
-    "dp_hypercube",
-    "dp_linf_sampler",
-    "dp_l2_sampler",
-    "identity",
-    "biased_demo",
-)
-
-# the two-level hypercube channel under both of its names
-TWO_LEVEL_KINDS = ("dp_hypercube", "dp_linf_sampler")
-_DP_KINDS = TWO_LEVEL_KINDS + ("dp_l2_sampler",)
 
 
 class SupportPmf(NamedTuple):
@@ -173,63 +161,44 @@ def two_level_constants(d: int, eps: float) -> dict:
 
 
 def _l2_halfsphere_mean(d: int) -> float:
-    # E[<U, v>] for U uniform on the unit hemisphere {<u, v> > 0}
-    if d < 2:
-        raise ValueError("sphere sampler needs d >= 2")
+    # E[<U, v>] for U uniform on the unit hemisphere {<u, v> > 0}, d >= 2
     return 2.0 * math.gamma(d / 2.0) / (math.sqrt(math.pi) * (d - 1) * math.gamma((d - 1) / 2.0))
 
 
 # ---------------------------------------------------------------------------
-# samplers
-
-
-def _as_input(x, d_expected=None) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim != 1:
-        raise ValueError("input must be a vector")
-    if d_expected is not None and x.size != d_expected:
-        raise ValueError(f"expected dimension {d_expected}, got {x.size}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite input")
-    return x
+# input check
 
 
 _BALL_TOL = 1e-9
 
 
-def _require_ball(x: np.ndarray, p: float, L: float) -> None:
-    nrm = np.linalg.norm(x, ord=p)
-    if nrm > L * (1.0 + _BALL_TOL) + _BALL_TOL:
-        raise ValueError(f"input l{p} norm {nrm:.6g} exceeds source radius {L:.6g}")
-
-
-def _checked_rows(x, d: int, L: float) -> np.ndarray:
+def _checked_rows(x, d: int, ball: NormBall) -> np.ndarray:
     """x as one input (d,) or a batch (R, d), every row finite and in the
-    sup-norm ball of radius L; one reduction checks both, as NaN survives
+    source ball; one reduction checks both, as NaN survives the norm and
     the max."""
     x = np.asarray(x, dtype=float)
     x = x.reshape(1) if x.ndim == 0 else x
     if x.ndim > 2 or x.shape[-1] != d:
         raise ValueError(f"expected a vector or rows of dimension {d}, got shape {x.shape}")
-    top = np.abs(x).max()
+    if ball.p == np.inf:
+        top = np.abs(x).max()
+    else:
+        top = np.linalg.norm(x, ord=ball.p, axis=-1).max()
+    L = ball.radius
     if not top <= L * (1.0 + _BALL_TOL) + _BALL_TOL:
-        if not np.isfinite(top):
+        if not np.all(np.isfinite(x)):
             raise ValueError("non-finite input")
-        raise ValueError(f"input linf norm {top:.6g} exceeds source radius {L:.6g}")
+        raise ValueError(f"input l{ball.p} norm {top:.6g} exceeds source radius {L:.6g}")
     return x
+
+
+# ---------------------------------------------------------------------------
+# draws: (channel, x, n, rng) -> (n, d), for n draws at one input x (d,) or
+# one draw per row of x (n, d), from the calibrated constants
 
 
 def _rademacher(rng, shape) -> np.ndarray:
     return np.where(rng.random(shape) < 0.5, -1.0, 1.0)
-
-
-def linf_maxent_sample(x, L: float, M: float, rng, size=None) -> np.ndarray:
-    """Coordinate-wise unbiased sign channel: P(Z_i = +M) = 1/2 + x_i/(2M).
-
-    Requires ||x||_inf <= L <= M.  Output lies in {-M, +M}^d with
-    independent coordinates and E[Z | x] = x exactly.
-    """
-    return make_channel("linf_maxent", np.size(x), L=L, M=M).sample(x, rng=rng, size=size)
 
 
 def _linf_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
@@ -237,43 +206,27 @@ def _linf_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
     return np.where(rng.random((n, ch.d)) < 0.5 + x / (2.0 * M), M, -M)
 
 
-def _l1_atom_matrix(d: int) -> np.ndarray:
-    return np.vstack([np.eye(d), -np.eye(d)])
+def _l1_output_pmf(ch, x: np.ndarray) -> np.ndarray:
+    """Law of Z over the 2d atoms, per row of x: round x onto {+-L e_j},
+    then resample through the gamma-tilted law on {+-M e_j}."""
+    d, L, gamma = ch.d, ch.source.radius, ch.calibration["gamma"]
+    # mean-preserving rounding: directed mass |x_j|/L plus the leftover
+    # 1 - ||x||_1/L spread uniformly (cancels in the mean)
+    rem = np.maximum(0.0, 1.0 - np.abs(x).sum(axis=-1, keepdims=True) / L)
+    w = np.concatenate([np.maximum(x, 0.0), np.maximum(-x, 0.0)], axis=-1) / L + rem / (2 * d)
+    w = w / w.sum(axis=-1, keepdims=True)
+    w_mirror = np.concatenate([w[..., d:], w[..., :d]], axis=-1)
+    tilted = 1.0 + (math.exp(gamma) - 1.0) * w + (math.exp(-gamma) - 1.0) * w_mirror
+    return tilted / ch.calibration["D_gamma"]
 
 
-def _l1_rounding_weights(x: np.ndarray, L: float) -> np.ndarray:
-    # mean-preserving rounding onto {+-L e_j}: directed mass |x_j|/L plus the
-    # leftover 1 - ||x||_1/L spread uniformly (cancels in the mean)
-    d = x.size
-    rem = max(0.0, 1.0 - np.abs(x).sum() / L)
-    w = np.concatenate([np.maximum(x, 0.0), np.maximum(-x, 0.0)]) / L + rem / (2 * d)
-    return w / w.sum()
-
-
-def _l1_output_pmf(x: np.ndarray, L: float, M: float) -> np.ndarray:
-    d = x.size
-    gamma = l1_gamma(d, M / L)
-    D = math.exp(gamma) + math.exp(-gamma) + 2 * d - 2
-    w = _l1_rounding_weights(x, L)
-    w_mirror = np.concatenate([w[d:], w[:d]])
-    return (1.0 + (math.exp(gamma) - 1.0) * w + (math.exp(-gamma) - 1.0) * w_mirror) / D
-
-
-def l1_maxent_sample(x, L: float, M1: float, rng, size=None) -> np.ndarray:
-    """Two-phase l1 channel: round x onto {+-L e_j}, then resample through
-    the gamma-tilted law on {+-M1 e_j}.  E[Z | x] = x exactly; the marginal
-    of Z given x is sampled directly from the composed pmf.
-    """
-    x = _as_input(x)
-    if M1 <= L:
-        raise ValueError("need M1 > L")
-    _require_ball(x, 1, L)
-    rng = np.random.default_rng(rng)
-    n = 1 if size is None else int(size)
-    p_out = _l1_output_pmf(x, L, M1)
-    idx = rng.choice(2 * x.size, size=n, p=p_out)
-    z = M1 * _l1_atom_matrix(x.size)[idx]
-    return z[0] if size is None else z
+def _l1_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
+    # inverse cdf per row, with the uniforms and cut points of
+    # rng.choice(2d, size=n, p=law) at one input
+    cdf = np.cumsum(_l1_output_pmf(ch, x), axis=-1)
+    cdf /= cdf[..., -1:]
+    u = rng.random(n)
+    return ch.calibration["atoms"][(cdf <= u[:, None]).sum(axis=1)]
 
 
 def _uniform_halfcube(d: int, n: int, rng, upper: bool) -> np.ndarray:
@@ -304,17 +257,6 @@ def _uniform_halfcube(d: int, n: int, rng, upper: bool) -> np.ndarray:
     return out
 
 
-def dp_hypercube_sample(x, eps: float, rng, L: float = 1.0, size=None) -> np.ndarray:
-    """Optimally eps-DP channel on the sign cube, k = 0 regime.
-
-    Rounds x to a corner T of {-L, L}^d coordinate-wise, then emits B*W
-    with W uniform on {w : <w, T> > 0} with probability C_d q+, uniform on
-    the complement otherwise.  Every conditional pmf takes exactly two
-    values with ratio e^eps; E[Z | x] = x with B = L/t.
-    """
-    return make_channel("dp_hypercube", np.size(x), L=L, eps=eps).sample(x, rng=rng, size=size)
-
-
 def _two_level_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
     d, cal = ch.d, ch.calibration
     T = np.where(rng.random((n, d)) < 0.5 * (1.0 + x / ch.source.radius), 1.0, -1.0)
@@ -328,58 +270,158 @@ def _two_level_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
     return cal["B"] * W * T
 
 
-def dp_linf_sampler(g, L: float, eps: float, rng, size=None) -> np.ndarray:
-    """Sampler view of the two-level hypercube channel (identical law)."""
-    return dp_hypercube_sample(g, eps, rng, L=L, size=size)
+def _l2_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
+    # round each row to +-u, u = x/||x||_2 (e_1 at the origin), with
+    # P(+u) = 1/2 + ||x||_2/(2L); then draw uniform on the radius-B cap
+    # {<z, +-u> > 0} with probability pi_eps, on the opposite cap otherwise
+    cal = ch.calibration
+    nrm = np.sqrt((x * x).sum(axis=-1))
+    u = np.where(nrm[..., None] > 0.0, x, np.eye(1, ch.d))
+    toward = rng.random(n) < 0.5 + nrm / (2.0 * ch.source.radius)
+    near = rng.random(n) < cal["pi_eps"]
+    G = rng.standard_normal((n, ch.d))
+    U = G / np.sqrt((G * G).sum(axis=1, keepdims=True))
+    dot = np.einsum("...j,...j->...", U, u)
+    flip = np.where(toward == near, dot < 0.0, dot > 0.0)
+    return np.where(flip, -cal["B"], cal["B"])[:, None] * U
 
 
-def dp_l2_sampler(g, L: float, eps: float, rng, size=None) -> np.ndarray:
-    """eps-DP hemisphere sampler for ||g||_2 <= L, d >= 2.
+def _identity_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
+    return np.broadcast_to(x, (n, ch.d)).copy()
 
-    Rounds g to a unit direction with a sign coin, then draws Z uniform on
-    the spherical cap {||z||_2 = B, <z, g~> > 0} with probability
-    pi_eps = e^eps/(e^eps + 1), the opposite cap otherwise.  B is set by
-    the hemisphere mean so that E[Z | g] = g.
-    """
-    g = _as_input(g)
-    d = g.size
-    if d < 2:
-        raise ValueError("dp_l2_sampler needs d >= 2; use dp_linf_sampler at d = 1")
+
+def _biased_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
+    cal = ch.calibration
+    return x + np.asarray(cal["bias"]) + cal["noise"] * _rademacher(rng, (n, ch.d))
+
+
+# ---------------------------------------------------------------------------
+# exact pmfs at one checked input x (d,)
+
+_PRODUCT_GUARD_D = 20
+_MIXTURE_GUARD_D = 10
+
+
+def _product_corners(d: int) -> np.ndarray:
+    if d > _PRODUCT_GUARD_D:
+        raise ValueError("support too large to enumerate")
+    return _corner_matrix(d)
+
+
+def _linf_pmf(ch, x: np.ndarray) -> SupportPmf:
+    M = ch.calibration["B"]
+    corners = _product_corners(ch.d)
+    return SupportPmf(M * corners, np.prod(0.5 + corners * (x / (2.0 * M)), axis=1))
+
+
+def _l1_pmf(ch, x: np.ndarray) -> SupportPmf:
+    return SupportPmf(ch.calibration["atoms"], _l1_output_pmf(ch, x))
+
+
+def _two_level_pmf(ch, x: np.ndarray) -> SupportPmf:
+    L, cal = ch.source.radius, ch.calibration
+    corners = _product_corners(ch.d)
+    q_plus, q_minus, B = cal["q_plus"], cal["q_minus"], cal["B"]
+    if np.all(np.abs(np.abs(x) - L) < 1e-12):  # on a corner
+        return SupportPmf(B * corners, np.where(corners @ (x / L) > 0.0, q_plus, q_minus))
+    if ch.d > _MIXTURE_GUARD_D:
+        raise ValueError("interior-input mixture needs d <= 10")
+    weights = np.prod(0.5 * (1.0 + corners * (x / L)), axis=1)
+    gram = corners @ corners.T
+    probs = (np.where(gram > 0.0, q_plus, q_minus) * weights[None, :]).sum(axis=1)
+    return SupportPmf(B * corners, probs)
+
+
+def _identity_pmf(ch, x: np.ndarray) -> SupportPmf:
+    return SupportPmf(x[None, :].copy(), np.ones(1))
+
+
+def _biased_pmf(ch, x: np.ndarray) -> SupportPmf:
+    corners = _product_corners(ch.d)
+    pts = x + np.asarray(ch.calibration["bias"]) + ch.calibration["noise"] * corners
+    return SupportPmf(pts, np.full(len(corners), 1.0 / len(corners)))
+
+
+# ---------------------------------------------------------------------------
+# calibrations; p is the norm index of both the source and the target ball
+
+
+def _linf_calibration(d: int, L: float, M, *_) -> tuple:
+    if M < L:
+        raise ValueError("linf_maxent needs M >= L")
+    return np.inf, float(M), {"B": float(M)}
+
+
+def _l1_calibration(d: int, L: float, M, *_) -> tuple:
+    if M <= L:
+        raise ValueError("l1_maxent needs M > L")
+    gamma = l1_gamma(d, M / L)
+    atoms = float(M) * np.vstack([np.eye(d), -np.eye(d)])
+    atoms.setflags(write=False)
+    return 1, float(M), {
+        "B": float(M),
+        "gamma": gamma,
+        "D_gamma": math.exp(gamma) + math.exp(-gamma) + 2 * d - 2,
+        "atoms": atoms,
+    }
+
+
+def _two_level_calibration(d: int, L: float, eps, *_) -> tuple:
+    cal = dict(two_level_constants(d, eps))
+    cal["B"] = L / cal["t"]
+    return np.inf, cal["B"], cal
+
+
+def _l2_calibration(d: int, L: float, eps, *_) -> tuple:
     if eps <= 0.0:
-        raise ValueError("need eps > 0")
-    _require_ball(g, 2, L)
+        raise ValueError("dp_l2_sampler needs eps > 0")
+    if d < 2:
+        raise ValueError("dp_l2_sampler needs d >= 2")
     e = math.exp(eps)
-    B = L * (e + 1.0) / ((e - 1.0) * _l2_halfsphere_mean(d))
-    rng = np.random.default_rng(rng)
-    n = 1 if size is None else int(size)
-    nrm = float(np.linalg.norm(g))
-    if nrm == 0.0:
-        u = np.zeros(d)
-        u[0] = 1.0
-        p_plus = 0.5
-    else:
-        u = g / nrm
-        p_plus = 0.5 + nrm / (2.0 * L)
-    t_sign = np.where(rng.random(n) < p_plus, 1.0, -1.0)
-    cap = np.where(rng.random(n) < e / (e + 1.0), 1.0, -1.0)
-    G = rng.standard_normal((n, d))
-    U = G / np.linalg.norm(G, axis=1, keepdims=True)
-    want = t_sign * cap  # required sign of <U, u>
-    flip = (U @ u) * want < 0.0
-    U[flip] = -U[flip]
-    z = B * U
-    return z[0] if size is None else z
+    c_d = _l2_halfsphere_mean(d)
+    cal = {
+        "pi_eps": e / (e + 1.0),
+        "halfsphere_mean": c_d,
+        "B": L * (e + 1.0) / ((e - 1.0) * c_d),
+    }
+    return 2, cal["B"], cal
 
 
-def biased_demo_sample(g, bias, rng, size=None, noise: float = 1.0) -> np.ndarray:
-    """Perturbation centered at g + bias: looks like an unbiased channel but
-    systematically shifts every query.  Diagnostic use only."""
-    g = _as_input(g)
-    bias = np.broadcast_to(np.asarray(bias, dtype=float), g.shape)
-    rng = np.random.default_rng(rng)
-    n = 1 if size is None else int(size)
-    z = g + bias + noise * _rademacher(rng, (n, g.size))
-    return z[0] if size is None else z
+def _identity_calibration(d: int, L: float, *_) -> tuple:
+    return np.inf, L, {"B": L}
+
+
+def _biased_calibration(d: int, L: float, _, bias, noise) -> tuple:
+    bias_vec = np.zeros(d) if bias is None else np.broadcast_to(
+        np.asarray(bias, dtype=float), (d,)
+    )
+    nse = L if noise is None else float(noise)
+    reach = L + float(np.max(np.abs(bias_vec))) + nse
+    return np.inf, reach, {"bias": tuple(float(b) for b in bias_vec), "noise": nse}
+
+
+# ---------------------------------------------------------------------------
+# the kind table
+
+
+class _Kind(NamedTuple):
+    budget: Optional[str]  # "M", "eps", or None for the non-private kinds
+    calibrate: Callable  # (d, L, budget value, bias, noise) -> (p, target radius, calibration)
+    draw: Callable  # (channel, x, n, rng) -> (n, d)
+    pmf: Optional[Callable]  # (channel, x) -> SupportPmf; None for continuous support
+
+
+_TWO_LEVEL = _Kind("eps", _two_level_calibration, _two_level_draw, _two_level_pmf)
+_KINDS = {
+    "linf_maxent": _Kind("M", _linf_calibration, _linf_draw, _linf_pmf),
+    "l1_maxent": _Kind("M", _l1_calibration, _l1_draw, _l1_pmf),
+    "dp_hypercube": _TWO_LEVEL,
+    "dp_linf_sampler": _TWO_LEVEL,
+    "dp_l2_sampler": _Kind("eps", _l2_calibration, _l2_draw, None),
+    "identity": _Kind(None, _identity_calibration, _identity_draw, _identity_pmf),
+    "biased_demo": _Kind(None, _biased_calibration, _biased_draw, _biased_pmf),
+}
+CHANNEL_KINDS = tuple(_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +433,9 @@ class Channel:
     """Immutable calibrated channel.
 
     privacy_param is M (maxent kinds), eps (dp kinds), or +inf for the
-    non-private kinds.  calibration holds the derived constants (gamma,
-    q_plus/q_minus, B, pi_eps, ...) satisfying their defining equations.
+    non-private kinds; budget names which.  calibration holds the derived
+    constants (gamma, q_plus/q_minus, B, pi_eps, ...) satisfying their
+    defining equations.
     """
 
     kind: str
@@ -412,6 +455,22 @@ class Channel:
     def L(self) -> float:
         return self.source.radius
 
+    @property
+    def budget(self) -> str | None:
+        """The privacy parameter the kind is built from: "M", "eps", or None
+        for the non-private kinds."""
+        return _KINDS[self.kind].budget
+
+    @property
+    def has_pmf(self) -> bool:
+        """True when the support is finite and channel_pmf gives the law."""
+        return _KINDS[self.kind].pmf is not None
+
+    @property
+    def exact_dp_ratio(self) -> bool:
+        """True when dp_ratio_max(ch) can check eps over every corner input."""
+        return self.budget == "eps" and self.has_pmf and self.d <= _MIXTURE_GUARD_D
+
     def rng(self):
         """The channel's own stream, lazily created from its seed."""
         if self._stream is None:
@@ -421,45 +480,23 @@ class Channel:
     def sample(self, x, rng=None, size=None) -> np.ndarray:
         """Draw Z given x: shape (d,), or (size, d) for size draws at x.
 
-        The BATCH_KINDS also take X of shape (R, d): one draw per row, in
-        the rng order of sample(x, size=R), after checking that every row
-        is finite and in the source ball.  size with a batch, or a batch
-        for any other kind, raises ValueError.
+        Every kind also takes X of shape (R, d): one draw per row, in the
+        rng order of sample(x, size=R) when every row is x.  Each input
+        must be finite and in the source ball; size with a batch raises
+        ValueError.
         """
         gen = self.rng() if rng is None else np.random.default_rng(rng)
-        L = self.source.radius
-        draw = _BATCH_DRAWS.get(self.kind)
-        if draw is not None:
-            x = _checked_rows(x, self.d, L)
-            if x.ndim == 1:
-                z = draw(self, x, 1 if size is None else int(size), gen)
-                return z[0] if size is None else z
-            if size is not None:
-                raise ValueError("pass a batch of inputs or size, not both")
-            return draw(self, x, len(x), gen)
-        # the other kinds take one input vector; their samplers reject rows
-        if self.kind == "l1_maxent":
-            return l1_maxent_sample(x, L, self.calibration["B"], gen, size=size)
-        if self.kind == "dp_l2_sampler":
-            return dp_l2_sampler(x, L, self.privacy_param, gen, size=size)
-        bias = np.asarray(self.calibration["bias"], dtype=float)
-        return biased_demo_sample(
-            x, bias, gen, size=size, noise=self.calibration["noise"]
-        )
+        x = _checked_rows(x, self.d, self.source)
+        draw = _KINDS[self.kind].draw
+        if x.ndim == 1:
+            z = draw(self, x, 1 if size is None else int(size), gen)
+            return z[0] if size is None else z
+        if size is not None:
+            raise ValueError("pass a batch of inputs or size, not both")
+        return draw(self, x, len(x), gen)
 
     def pmf(self, x) -> SupportPmf:
         return channel_pmf(self, x)
-
-
-# draws from the calibrated constants for the kinds that take a batch:
-# (channel, x, n, rng) -> (n, d), for n draws at one input x (d,) or one
-# draw per row of x (n, d)
-_BATCH_DRAWS = {
-    "linf_maxent": _linf_draw,
-    "identity": lambda ch, x, n, rng: np.broadcast_to(x, (n, ch.d)).copy(),
-    **dict.fromkeys(TWO_LEVEL_KINDS, _two_level_draw),
-}
-BATCH_KINDS = tuple(_BATCH_DRAWS)
 
 
 def make_channel(
@@ -481,116 +518,99 @@ def make_channel(
     """
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"unknown channel kind {kind!r}")
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+        raise ValueError(f"d must be an integer, got {d!r}")
     if d < 1:
         raise ValueError("d must be >= 1")
     if L <= 0.0:
         raise ValueError("L must be positive")
-    if kind == "linf_maxent":
-        if M is None or M < L:
-            raise ValueError("linf_maxent needs M >= L")
-        cal = {"B": float(M)}
-        return Channel(kind, d, NormBall(np.inf, L), NormBall(np.inf, float(M)),
-                       float(M), cal, seed)
-    if kind == "l1_maxent":
-        if M is None or M <= L:
-            raise ValueError("l1_maxent needs M > L")
-        gamma = l1_gamma(d, M / L)
-        cal = {
-            "B": float(M),
-            "gamma": gamma,
-            "D_gamma": math.exp(gamma) + math.exp(-gamma) + 2 * d - 2,
-        }
-        return Channel(kind, d, NormBall(1, L), NormBall(1, float(M)),
-                       float(M), cal, seed)
-    if kind in TWO_LEVEL_KINDS:
-        if eps is None:
-            raise ValueError(f"{kind} needs eps")
-        cal = dict(two_level_constants(d, eps))
-        cal["B"] = L / cal["t"]
-        return Channel(kind, d, NormBall(np.inf, L), NormBall(np.inf, cal["B"]),
-                       float(eps), cal, seed)
-    if kind == "dp_l2_sampler":
-        if eps is None or eps <= 0.0:
-            raise ValueError("dp_l2_sampler needs eps > 0")
-        if d < 2:
-            raise ValueError("dp_l2_sampler needs d >= 2")
-        e = math.exp(eps)
-        c_d = _l2_halfsphere_mean(d)
-        cal = {
-            "pi_eps": e / (e + 1.0),
-            "halfsphere_mean": c_d,
-            "B": L * (e + 1.0) / ((e - 1.0) * c_d),
-        }
-        return Channel(kind, d, NormBall(2, L), NormBall(2, cal["B"]),
-                       float(eps), cal, seed)
-    if kind == "identity":
-        ball = NormBall(np.inf, L)
-        return Channel(kind, d, ball, ball, math.inf, {"B": L}, seed)
-    # biased_demo
-    bias_vec = np.zeros(d) if bias is None else np.broadcast_to(
-        np.asarray(bias, dtype=float), (d,)
-    )
-    nse = L if noise is None else float(noise)
-    reach = L + float(np.max(np.abs(bias_vec))) + nse
-    return Channel(
-        "biased_demo", d, NormBall(np.inf, L), NormBall(np.inf, reach),
-        math.inf, {"bias": tuple(float(b) for b in bias_vec), "noise": nse}, seed,
-    )
+    row = _KINDS[kind]
+    value = {"M": M, "eps": eps}.get(row.budget)
+    if row.budget is not None and value is None:
+        raise ValueError(f"{kind} needs {row.budget}")
+    d = int(d)  # a numpy integer would not serialise to JSON
+    p, reach, cal = row.calibrate(d, L, value, bias, noise)
+    param = math.inf if row.budget is None else float(value)
+    return Channel(kind, d, NormBall(p, L), NormBall(p, reach), param, cal, seed)
+
+
+# ---------------------------------------------------------------------------
+# public samplers: one draw, or size draws, at one input
+
+
+def linf_maxent_sample(x, L: float, M: float, rng, size=None) -> np.ndarray:
+    """Coordinate-wise unbiased sign channel: P(Z_i = +M) = 1/2 + x_i/(2M).
+
+    Requires ||x||_inf <= L <= M.  Output lies in {-M, +M}^d with
+    independent coordinates and E[Z | x] = x exactly.
+    """
+    return make_channel("linf_maxent", np.size(x), L=L, M=M).sample(x, rng=rng, size=size)
+
+
+def l1_maxent_sample(x, L: float, M1: float, rng, size=None) -> np.ndarray:
+    """Two-phase l1 channel: round x onto {+-L e_j}, then resample through
+    the gamma-tilted law on {+-M1 e_j}.  E[Z | x] = x exactly; the marginal
+    of Z given x is sampled directly from the composed pmf.
+    """
+    return make_channel("l1_maxent", np.size(x), L=L, M=M1).sample(x, rng=rng, size=size)
+
+
+def dp_hypercube_sample(x, eps: float, rng, L: float = 1.0, size=None) -> np.ndarray:
+    """Optimally eps-DP channel on the sign cube, k = 0 regime.
+
+    Rounds x to a corner T of {-L, L}^d coordinate-wise, then emits B*W
+    with W uniform on {w : <w, T> > 0} with probability C_d q+, uniform on
+    the complement otherwise.  Every conditional pmf takes exactly two
+    values with ratio e^eps; E[Z | x] = x with B = L/t.
+    """
+    return make_channel("dp_hypercube", np.size(x), L=L, eps=eps).sample(x, rng=rng, size=size)
+
+
+def dp_linf_sampler(g, L: float, eps: float, rng, size=None) -> np.ndarray:
+    """Sampler view of the two-level hypercube channel (identical law)."""
+    return make_channel("dp_linf_sampler", np.size(g), L=L, eps=eps).sample(g, rng=rng, size=size)
+
+
+def dp_l2_sampler(g, L: float, eps: float, rng, size=None) -> np.ndarray:
+    """eps-DP hemisphere sampler for ||g||_2 <= L, d >= 2.
+
+    Rounds g to a unit direction with a sign coin, then draws Z uniform on
+    the spherical cap {||z||_2 = B, <z, g~> > 0} with probability
+    pi_eps = e^eps/(e^eps + 1), the opposite cap otherwise.  B is set by
+    the hemisphere mean so that E[Z | g] = g.
+    """
+    return make_channel("dp_l2_sampler", np.size(g), L=L, eps=eps).sample(g, rng=rng, size=size)
+
+
+def biased_demo_sample(g, bias, rng, size=None, noise: float = 1.0) -> np.ndarray:
+    """Perturbation centered at g + bias: looks like an unbiased channel but
+    systematically shifts every query.  Diagnostic use only."""
+    # the smallest sup-norm ball that holds g, and at least the unit ball
+    L = max(1.0, float(np.max(np.abs(g))))
+    return make_channel("biased_demo", np.size(g), L=L, bias=bias,
+                        noise=noise).sample(g, rng=rng, size=size)
 
 
 # ---------------------------------------------------------------------------
 # exact pmfs and ratio checks
 
-_PRODUCT_GUARD_D = 20
-_MIXTURE_GUARD_D = 10
-
 
 def channel_pmf(ch: Channel, x) -> SupportPmf:
-    """Exact conditional law of Z given x for finite-support kinds.
+    """Exact conditional law of Z given one input x, for the kinds with
+    finite support.
 
-    Probabilities sum to 1 to 1e-12 and the pmf mean reproduces x to
-    1e-10.  dp kinds enumerate the 2^d corner mixture, so interior inputs
-    are guarded at d <= 10 (corner inputs at d <= 20).
+    x takes the same check as Channel.sample.  Probabilities sum to 1 to
+    1e-12 and the pmf mean reproduces x to 1e-10.  dp kinds enumerate the
+    2^d corner mixture, so interior inputs are guarded at d <= 10 (corner
+    inputs at d <= 20).
     """
-    x = _as_input(x, ch.d)
-    d = ch.d
-    L = ch.source.radius
-    if ch.kind == "linf_maxent":
-        if d > _PRODUCT_GUARD_D:
-            raise ValueError("support too large to enumerate")
-        M = ch.calibration["B"]
-        corners = _corner_matrix(d)
-        probs = np.prod(0.5 + corners * (x / (2.0 * M)), axis=1)
-        return SupportPmf(M * corners, probs)
-    if ch.kind == "l1_maxent":
-        return SupportPmf(
-            ch.calibration["B"] * _l1_atom_matrix(d), _l1_output_pmf(x, L, ch.calibration["B"])
-        )
-    if ch.kind in TWO_LEVEL_KINDS:
-        corners = _corner_matrix(d) if d <= _PRODUCT_GUARD_D else None
-        if corners is None:
-            raise ValueError("support too large to enumerate")
-        q_plus, q_minus = ch.calibration["q_plus"], ch.calibration["q_minus"]
-        B = ch.calibration["B"]
-        on_corner = np.all(np.abs(np.abs(x) - L) < 1e-12)
-        if on_corner:
-            probs = np.where(corners @ (x / L) > 0.0, q_plus, q_minus)
-            return SupportPmf(B * corners, probs)
-        if d > _MIXTURE_GUARD_D:
-            raise ValueError("interior-input mixture needs d <= 10")
-        weights = np.prod(0.5 * (1.0 + corners * (x / L)), axis=1)
-        gram = corners @ corners.T
-        probs = (np.where(gram > 0.0, q_plus, q_minus) * weights[None, :]).sum(axis=1)
-        return SupportPmf(B * corners, probs)
-    if ch.kind == "identity":
-        return SupportPmf(x[None, :].copy(), np.ones(1))
-    if ch.kind == "biased_demo":
-        if d > _PRODUCT_GUARD_D:
-            raise ValueError("support too large to enumerate")
-        corners = _corner_matrix(d)
-        pts = x + np.asarray(ch.calibration["bias"]) + ch.calibration["noise"] * corners
-        return SupportPmf(pts, np.full(len(corners), 1.0 / len(corners)))
-    raise ValueError(f"{ch.kind} has continuous support; no exact pmf")
+    pmf = _KINDS[ch.kind].pmf
+    if pmf is None:
+        raise ValueError(f"{ch.kind} has continuous support; no exact pmf")
+    x = _checked_rows(x, ch.d, ch.source)
+    if x.ndim != 1:
+        raise ValueError("channel_pmf takes one input vector")
+    return pmf(ch, x)
 
 
 def dp_ratio_max(ch: Channel, inputs=None) -> float:
@@ -599,7 +619,7 @@ def dp_ratio_max(ch: Channel, inputs=None) -> float:
     Defaults to all 2^d corner inputs (the extreme points, where the sup
     is attained).  Only meaningful for the finite-support dp kinds.
     """
-    if ch.kind not in TWO_LEVEL_KINDS:
+    if not (ch.budget == "eps" and ch.has_pmf):
         raise ValueError("dp_ratio_max applies to the finite-support dp kinds")
     L = ch.source.radius
     if inputs is None:
@@ -621,12 +641,9 @@ def dp_ratio_max(ch: Channel, inputs=None) -> float:
 
 def channel_to_json(ch: Channel) -> str:
     doc = {"kind": ch.kind, "d": ch.d, "L": ch.source.radius,
-           "M_or_eps": None, "seed": ch.seed}
-    if ch.kind in ("linf_maxent", "l1_maxent"):
-        doc["M_or_eps"] = ch.calibration["B"]
-    elif ch.kind in _DP_KINDS:
-        doc["M_or_eps"] = ch.privacy_param
-    elif ch.kind == "biased_demo":
+           "M_or_eps": None if ch.budget is None else ch.privacy_param,
+           "seed": ch.seed}
+    if "bias" in ch.calibration:
         doc["bias"] = list(ch.calibration["bias"])
         doc["noise"] = ch.calibration["noise"]
     return json.dumps(doc, sort_keys=True)
@@ -636,17 +653,15 @@ def channel_from_json(doc) -> Channel:
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
     kind = doc["kind"]
-    d = int(doc["d"])
-    L = float(doc.get("L", 1.0))
+    if kind not in CHANNEL_KINDS:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    budget = _KINDS[kind].budget
     raw = doc.get("M_or_eps")
     seed = doc.get("seed")
     seed = None if seed is None else int(seed)
-    if kind in ("linf_maxent", "l1_maxent"):
-        return make_channel(kind, d, L=L, M=float(raw), seed=seed)
-    if kind in _DP_KINDS:
-        return make_channel(kind, d, L=L, eps=float(raw), seed=seed)
-    if kind == "biased_demo":
+    if budget is None:
         # documents without a bias vector carry one scalar bias in M_or_eps
-        return make_channel(kind, d, L=L, bias=doc.get("bias", raw),
-                            noise=doc.get("noise"), seed=seed)
-    return make_channel(kind, d, L=L, seed=seed)
+        extra = {"bias": doc.get("bias", raw), "noise": doc.get("noise")}
+    else:
+        extra = {budget: float(raw)}
+    return make_channel(kind, doc["d"], L=float(doc.get("L", 1.0)), seed=seed, **extra)

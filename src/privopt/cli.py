@@ -70,7 +70,7 @@ def _channel_from_config(cfg: dict):
     try:
         return make_channel(
             kind=cfg["kind"],
-            d=int(cfg["d"]),
+            d=cfg["d"],
             L=float(cfg.get("L", 1.0)),
             M=None if cfg.get("M") is None else float(cfg["M"]),
             eps=None if cfg.get("eps") is None else float(cfg["eps"]),
@@ -100,9 +100,9 @@ def cmd_certify(cfg: dict, seed: int, check: bool) -> tuple:
                 violations.append(
                     f"dp ratio {report.dp_ratio_max!r} exceeds exp(eps)"
                 )
-        # finite kinds get the exact pmf mean; the sphere sampler only a
-        # Monte-Carlo mean, so its tolerance is statistical
-        tol = 1e-8 if ch.kind != "dp_l2_sampler" else 6.0 * ch.target.radius / math.sqrt(n_mc)
+        # channels with a pmf get the exact pmf mean; the sphere sampler only
+        # a Monte-Carlo mean, so its tolerance is statistical
+        tol = 1e-8 if ch.has_pmf else 6.0 * ch.target.radius / math.sqrt(n_mc)
         if report.unbiasedness_max_residual > tol:
             violations.append(
                 f"unbiasedness residual {report.unbiasedness_max_residual!r} exceeds {tol!r}"

@@ -16,9 +16,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import (
-    TWO_LEVEL_KINDS,
     Channel,
     PrivacyCertificate,
+    _corner_matrix,
     channel_pmf,
     dp_ratio_max,
     l1_gamma,
@@ -131,11 +131,15 @@ def _point_key(z: np.ndarray) -> tuple:
     return tuple(np.round(z, 12).tolist())
 
 
-def _conditional_rows(source: DiscreteDist, ch: Channel):
-    """Stack per-input channel pmfs over a shared output enumeration."""
+def _conditional_rows(inputs, ch: Channel) -> tuple:
+    """Stack per-input channel pmfs over a shared output enumeration.
+
+    Returns (rows, keys): rows[i] is the law of Z given inputs[i] over the
+    output atoms, and keys[j] is column j's atom as a rounded tuple.
+    """
     col_of = {}
     rows = []
-    for x in source.support:
+    for x in inputs:
         pmf = channel_pmf(ch, x)
         entries = []
         for z, w in zip(pmf.points, pmf.probs):
@@ -143,13 +147,13 @@ def _conditional_rows(source: DiscreteDist, ch: Channel):
             j = col_of.setdefault(key, len(col_of))
             entries.append((j, w))
         rows.append(entries)
-        if len(source) * len(col_of) > _JOINT_GUARD:
+        if len(inputs) * len(col_of) > _JOINT_GUARD:
             raise ValueError("joint support exceeds enumeration guard")
-    mat = np.zeros((len(source), len(col_of)))
+    mat = np.zeros((len(inputs), len(col_of)))
     for i, entries in enumerate(rows):
         for j, w in entries:
             mat[i, j] += w
-    return mat
+    return mat, list(col_of)
 
 
 def mi_from_conditionals(prior, rows) -> float:
@@ -168,7 +172,8 @@ def mi_from_conditionals(prior, rows) -> float:
 
 def mutual_information_exact(source: DiscreteDist, ch: Channel) -> float:
     """I(X; Z) in nats by double summation over the joint pmf."""
-    return mi_from_conditionals(source.probs, _conditional_rows(source, ch))
+    rows, _ = _conditional_rows(source.support, ch)
+    return mi_from_conditionals(source.probs, rows)
 
 
 class MiClosedForm(NamedTuple):
@@ -328,22 +333,18 @@ def extreme_point_source(ch: Channel) -> DiscreteDist | None:
     if ch.source.p == 1:
         pts = [L * e for e in np.vstack([np.eye(d), -np.eye(d)])]
         return DiscreteDist.uniform(pts)
-    if ch.source.p in (2, np.inf) and ch.kind == "dp_l2_sampler":
+    if ch.source.p == 2 or d > 10:
         return None
-    if d > 10:
-        return None
-    from .channels import _corner_matrix
-
     return DiscreteDist.uniform(list(L * _corner_matrix(d)))
 
 
 def certificate_for(ch: Channel) -> PrivacyCertificate:
     """The privacy guarantee the channel carries: worst-case MI (nats) for
-    the maxent kinds, eps for the dp kinds, +inf leakage otherwise."""
-    if ch.kind in ("linf_maxent", "l1_maxent"):
+    an M budget, eps for an eps budget, +inf leakage without one."""
+    if ch.budget == "M":
         level = mi_closed_form(ch.kind, ch.d, ch.source.radius, ch.calibration["B"]).exact
         return PrivacyCertificate("mutual_information", level)
-    if ch.kind in ("dp_hypercube", "dp_linf_sampler", "dp_l2_sampler"):
+    if ch.budget == "eps":
         return PrivacyCertificate("differential_privacy", ch.privacy_param)
     return PrivacyCertificate("mutual_information", math.inf)
 
@@ -360,21 +361,18 @@ def certify_channel(ch: Channel, rng=None, n_mc: int = 10**5,
     rng = np.random.default_rng(rng)
     if source is None:
         source = extreme_point_source(ch)
-    finite = ch.kind != "dp_l2_sampler"
     mi_exact = None
     mc = None
-    if finite and source is not None:
+    if ch.has_pmf and source is not None:
         try:
             mi_exact = mutual_information_exact(source, ch)
         except ValueError:
             mi_exact = None  # support over the enumeration guard
         mc = mi_monte_carlo(source, ch, n_mc, rng)
     closed = None
-    if ch.kind in ("linf_maxent", "l1_maxent"):
-        closed = mi_closed_form(ch.kind, ch.d, ch.source.radius, ch.calibration["B"]).exact
-    ratio = None
-    if ch.kind in TWO_LEVEL_KINDS and ch.d <= 10:
-        ratio = dp_ratio_max(ch)
+    if ch.budget == "M":
+        closed = certificate_for(ch).level
+    ratio = dp_ratio_max(ch) if ch.exact_dp_ratio else None
     residual = _unbiasedness_residual(ch, rng, n_mc)
     return InfoReport(mi_exact, closed, mc, ratio, residual)
 
@@ -393,12 +391,10 @@ def _unbiasedness_residual(ch: Channel, rng, n_mc: int) -> float:
         else:
             v = np.clip(v, -1.0, 1.0) * L
         probe.append(v)
+    bias = ch.calibration.get("bias")
     worst = 0.0
     for x in probe:
-        if ch.kind == "biased_demo":
-            x_target = x + np.asarray(ch.calibration["bias"])
-        else:
-            x_target = x
+        x_target = x if bias is None else x + np.asarray(bias)
         try:
             pmf = channel_pmf(ch, x)
             mean = pmf.probs @ pmf.points

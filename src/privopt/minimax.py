@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import Channel, channel_pmf, l1_gamma
+from .channels import Channel, l1_gamma
 from .geometry import Packing
-from .information import mi_from_conditionals
+from .information import _conditional_rows, mi_from_conditionals
 from .losses import DataDist
 
 __all__ = [
@@ -363,26 +363,11 @@ def observation_rows(inst: TestingInstance) -> tuple:
     """
     L = inst.channel.source.radius
     atoms = _support_atoms(inst)
-    col_of = {}
-    cond = []  # channel pmf per data atom, as sparse (col, prob) lists
-    for x in atoms:
-        pmf = channel_pmf(inst.channel, inst.grad_sign * L * x)
-        entries = []
-        for z, w in zip(pmf.points, pmf.probs):
-            key = tuple(np.round(z, 12).tolist())
-            j = col_of.setdefault(key, len(col_of))
-            entries.append((j, w))
-        cond.append(entries)
-    n_cols = len(col_of)
-    cond_mat = np.zeros((len(atoms), n_cols))
-    for i, entries in enumerate(cond):
-        for j, w in entries:
-            cond_mat[i, j] += w
-    rows = np.empty((len(inst.packing), n_cols))
+    cond_mat, keys = _conditional_rows(inst.grad_sign * L * atoms, inst.channel)
+    rows = np.empty((len(inst.packing), len(keys)))
     for v, nu in enumerate(inst.packing.points):
         rows[v] = _atom_probs(inst, np.asarray(nu), atoms) @ cond_mat
-    columns = np.array(sorted(col_of, key=col_of.get))
-    return rows, columns
+    return rows, np.array(keys)
 
 
 def exact_mi_per_sample(inst: TestingInstance) -> float:
@@ -406,7 +391,7 @@ def empirical_testing_error(inst: TestingInstance, n: int, reps: int, rng) -> fl
     k = len(inst.packing)
     nu_draws = rng.integers(k, size=reps)
     errors = 0
-    if inst.channel.kind != "dp_l2_sampler":
+    if inst.channel.has_pmf:
         rows, _ = observation_rows(inst)
         nz = rows > 0.0
         log_rows = np.zeros_like(rows)  # zero-prob cells handled by mask below

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import TWO_LEVEL_KINDS, Channel, dp_ratio_max
+from .channels import Channel, dp_ratio_max
 from .information import certificate_for
 from .losses import DataDist, LossFn, sample_datum, subgrad
 
@@ -132,7 +132,7 @@ def _channel_entry(ch: Channel) -> dict:
         "certificate": "none (non-private)" if math.isinf(cert.level)
         else {"kind": cert.kind, "level": cert.level},
     }
-    if ch.kind in TWO_LEVEL_KINDS and ch.d <= 10:
+    if ch.exact_dp_ratio:
         ratio = dp_ratio_max(ch)
         entry["dp_ratio_max"] = ratio
         entry["dp_ratio_verified"] = bool(

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privopt.channels import (
-    BATCH_KINDS,
     CHANNEL_KINDS,
     biased_demo_sample,
     channel_from_json,
@@ -100,6 +99,12 @@ def test_make_channel_validation():
         make_channel("dp_l2_sampler", 1, eps=0.5)
     with pytest.raises(ValueError):
         make_channel("linf_maxent", 0, M=2.0)
+    # d must be an integer, not a float or a bool
+    for kind, d, kw in (("linf_maxent", 2.5, {"M": 2.0}), ("linf_maxent", True, {"M": 2.0}),
+                        ("dp_hypercube", 3.0, {"eps": 0.5})):
+        with pytest.raises(ValueError, match="integer"):
+            make_channel(kind, d, **kw)
+    assert make_channel("linf_maxent", np.int64(2), M=2.0).d == 2
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
@@ -198,15 +203,24 @@ def test_input_outside_source_ball_rejected():
     ch = make_channel("l1_maxent", 2, L=1.0, M=2.0)
     with pytest.raises(ValueError):
         ch.sample(np.array([0.7, 0.7]), rng=np.random.default_rng(0))
+    # the exact pmf takes the same input check as the sampler
+    far = np.array([5.0, 5.0])
+    for ch in (make_channel("linf_maxent", 2, M=2.0), make_channel("l1_maxent", 2, M=2.0),
+               make_channel("dp_hypercube", 2, eps=0.5), make_channel("identity", 2)):
+        with pytest.raises(ValueError, match="source radius"):
+            channel_pmf(ch, far)
+    with pytest.raises(ValueError, match="source radius"):
+        dp_ratio_max(make_channel("dp_hypercube", 2, eps=0.5), inputs=[far, -far])
 
 
 # ---------------------------------------------------------------------------
 # batch contract: X of shape (R, d), one draw per row
 
 
-@pytest.mark.parametrize("kind", BATCH_KINDS)
-@pytest.mark.parametrize("d", [1, 4])
-def test_batch_of_identical_rows_matches_size_draws_bitwise(kind, d):
+# the sphere sampler needs d >= 2
+@pytest.mark.parametrize("d,kind", [(d, kind) for d in (1, 4) for kind in CHANNEL_KINDS
+                                    if d > 1 or kind != "dp_l2_sampler"])
+def test_batch_of_identical_rows_matches_size_draws_bitwise(d, kind):
     ch = _mk(kind, d)
     x = _input_for(ch, np.random.default_rng(11))
     rows = np.tile(x, (64, 1))
@@ -216,34 +230,36 @@ def test_batch_of_identical_rows_matches_size_draws_bitwise(kind, d):
 
 
 def test_batch_draws_follow_each_row():
-    # rows at opposite corners: each row's draws center on that row
-    ch = make_channel("dp_hypercube", 3, eps=0.8)
-    rows = np.tile(np.array([[1.0, -1.0, 0.5], [-1.0, 1.0, -0.5]]), (100_000, 1))
-    z = ch.sample(rows, rng=np.random.default_rng(8))
-    for k in range(2):
-        mean = z[k::2].mean(axis=0)
-        se = z[k::2].std(axis=0, ddof=1) / math.sqrt(100_000)
-        assert np.all(np.abs(mean - rows[k]) <= 4.0 * se)
+    # two far-apart rows in each source ball: each row's draws center on it
+    cases = (
+        (make_channel("dp_hypercube", 3, eps=0.8), [[1.0, -1.0, 0.5], [-1.0, 1.0, -0.5]]),
+        (make_channel("l1_maxent", 3, M=3.0), [[0.6, -0.3, 0.1], [-0.2, 0.1, -0.7]]),
+        (make_channel("dp_l2_sampler", 3, eps=0.8), [[0.6, -0.6, 0.3], [-0.1, 0.4, -0.9]]),
+    )
+    for ch, pair in cases:
+        rows = np.tile(np.array(pair), (100_000, 1))
+        z = ch.sample(rows, rng=np.random.default_rng(8))
+        for k in range(2):
+            mean = z[k::2].mean(axis=0)
+            se = z[k::2].std(axis=0, ddof=1) / math.sqrt(100_000)
+            assert np.all(np.abs(mean - rows[k]) <= 4.0 * se), ch.kind
 
 
-def test_batch_contract_violations_rejected():
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_batch_contract_violations_rejected(kind):
     rng = np.random.default_rng(0)
     rows = np.zeros((5, 3))
-    for kind in BATCH_KINDS:
-        ch = _mk(kind, 3)
-        nan_row, far_row = rows.copy(), rows.copy()
-        nan_row[2, 1] = np.nan
-        far_row[4, 0] = 1.5
-        for bad in (nan_row, far_row):
-            with pytest.raises(ValueError):
-                ch.sample(bad, rng=rng)
+    ch = _mk(kind, 3)
+    nan_row, far_row = rows.copy(), rows.copy()
+    nan_row[2, 1] = np.nan
+    far_row[4, 0] = 1.5
+    for bad in (nan_row, far_row):
         with pytest.raises(ValueError):
-            ch.sample(rows, rng=rng, size=5)
-        with pytest.raises(ValueError):
-            ch.sample(np.zeros((5, 2)), rng=rng)
-    for kind in set(CHANNEL_KINDS) - set(BATCH_KINDS):
-        with pytest.raises(ValueError):
-            _mk(kind, 3).sample(rows, rng=rng)
+            ch.sample(bad, rng=rng)
+    with pytest.raises(ValueError):
+        ch.sample(rows, rng=rng, size=5)
+    with pytest.raises(ValueError):
+        ch.sample(np.zeros((5, 2)), rng=rng)
 
 
 @pytest.mark.parametrize("d,upper", [(3, True), (3, False), (4, True), (4, False)])

@@ -88,6 +88,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert _run(["certify", "--config", nolist]) == 1
     unk = _cfg(tmp_path, "u.json", {"kind": "laplace", "d": 3})
     assert _run(["certify", "--config", unk]) == 1
+    frac = _cfg(tmp_path, "f.json", {"kind": "linf_maxent", "d": 2.5, "M": 2.0})
+    assert _run(["certify", "--config", frac]) == 1
     assert _run(["frobnicate"]) == 1
     assert capsys.readouterr().err.strip() != ""
 
