@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -58,6 +59,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _int_grid(cfg: dict, key: str, default) -> list:
+    """cfg[key] as a list of ints; a fraction is a config error, never truncated."""
+    values = cfg.get(key, default)
+    bad = [v for v in values if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
+    if bad:
+        raise UsageError(f"{key} grid must hold integers, got {bad!r}")
+    return [int(v) for v in values]
+
+
 def _slope(xs, ys):
     return float(np.polyfit(np.log(np.asarray(xs)), np.log(np.asarray(ys)), 1)[0])
 
@@ -100,9 +110,10 @@ def cmd_certify(cfg: dict, seed: int, check: bool) -> tuple:
                 violations.append(
                     f"dp ratio {report.dp_ratio_max!r} exceeds exp(eps)"
                 )
-        # channels with a pmf get the exact pmf mean; the sphere sampler only
-        # a Monte-Carlo mean, so its tolerance is statistical
-        tol = 1e-8 if ch.has_pmf else 6.0 * ch.target.radius / math.sqrt(n_mc)
+        # an exact pmf mean meets 1e-8; a Monte-Carlo mean (the sphere sampler,
+        # or a pmf over its enumeration guard) gets a statistical tolerance
+        tol = (1e-8 if report.residual_exact
+               else 6.0 * ch.target.radius / math.sqrt(n_mc))
         if report.unbiasedness_max_residual > tol:
             violations.append(
                 f"unbiasedness residual {report.unbiasedness_max_residual!r} exceeds {tol!r}"
@@ -191,8 +202,8 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
     if cfg.get("loss", "median") != "median":
         raise UsageError("tradeoff sweeps run the median loss")
     is_dp = kind == "dp_hypercube"
-    d_grid = [int(v) for v in cfg.get("d", [2, 8, 32])]
-    n_grid = [int(v) for v in cfg.get("n", [2**k for k in range(8, 17)])]
+    d_grid = _int_grid(cfg, "d", [2, 8, 32])
+    n_grid = _int_grid(cfg, "n", [2**k for k in range(8, 17)])
     budget_grid = [float(v) for v in
                    cfg.get("budget", [0.25, 0.5, 1.0] if is_dp else [2.0, 4.0, 8.0])]
     if not (d_grid and n_grid and budget_grid):
@@ -310,8 +321,8 @@ def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
     bad = [t for t in theorems if t not in THEOREMS]
     if bad:
         raise UsageError(f"unknown theorems {bad!r}")
-    d_grid = [int(v) for v in cfg.get("d", [2, 8, 32])]
-    n_grid = sorted(int(v) for v in cfg.get("n", [256, 4096, 65536]))
+    d_grid = _int_grid(cfg, "d", [2, 8, 32])
+    n_grid = sorted(_int_grid(cfg, "n", [256, 4096, 65536]))
     eps_grid = [float(v) for v in cfg.get("eps", [0.25, 0.5, 1.0])]
     m_grid = [float(v) for v in cfg.get("M", [2.0, 4.0])]
     i_grid = [float(v) for v in cfg.get("I_star", [0.25, 1.0])]

@@ -253,12 +253,31 @@ def _plugin_mi(counts: np.ndarray) -> float:
     return float(vals.sum() / n)
 
 
+def _count_rows(a: np.ndarray) -> tuple:
+    """Distinct rows of a (m, d) and their counts, ordered as np.unique(a,
+    axis=0) orders them: lexicographically, column 0 first, comparing with
+    == (so 0.0 and -0.0 are one row)."""
+    a = a[np.lexsort(a.T[::-1])]
+    new = np.ones(len(a), dtype=bool)
+    np.any(a[1:] != a[:-1], axis=1, out=new[1:])
+    starts = np.flatnonzero(new)
+    return a[starts], np.diff(starts, append=len(a))
+
+
+def _xlogx_step(m: np.ndarray) -> np.ndarray:
+    """f(m) - f(m - 1) for f(m) = m log m and m >= 1, without the
+    cancellation of the difference; 0 at m = 1."""
+    return np.log(m) + (m - 1.0) * np.log1p(1.0 / np.maximum(m - 1.0, 1.0))
+
+
 def mi_monte_carlo(source: DiscreteDist, ch: Channel, n: int, rng) -> tuple:
     """Plug-in MI estimate (nats) from n sampled (X, Z) pairs, with a
     grouped delete-one jackknife standard error.
 
     The plug-in is biased upward by roughly (|cells| - 1)/(2n)
     (Miller-Madow), so acceptance comparisons widen by that term.
+    Cost is O(n log n + cells): the draws are counted with numeric sorts,
+    and each leave-one-out value is an O(1) update of the plug-in.
     """
     if n < 10**4:
         raise ValueError("need n >= 1e4 for a stable plug-in estimate")
@@ -266,32 +285,33 @@ def mi_monte_carlo(source: DiscreteDist, ch: Channel, n: int, rng) -> tuple:
     idx = source.sample_indices(rng, n)
     per_source = np.bincount(idx, minlength=len(source))
     col_of = {}
-    joint = {}
+    cell_i, cell_j, cell_n = [], [], []
     for i in range(len(source)):
         n_i = int(per_source[i])
         if n_i == 0:
             continue
         zs = ch.sample(source.support[i], rng=rng, size=n_i)
-        keys, counts = np.unique(np.round(zs, 12), axis=0, return_counts=True)
-        for z, c in zip(keys, counts):
-            key = tuple(z.tolist())
-            j = col_of.setdefault(key, len(col_of))
-            joint[(i, j)] = joint.get((i, j), 0) + int(c)
+        keys, counts = _count_rows(np.round(zs, 12))
+        # columns in order of first appearance, merged across sources by ==
+        cell_j.extend(col_of.setdefault(key, len(col_of)) for key in map(tuple, keys.tolist()))
+        cell_i.extend([i] * len(counts))
+        cell_n.append(counts)
     counts = np.zeros((len(source), len(col_of)))
-    for (i, j), c in joint.items():
-        counts[i, j] = c
+    counts[cell_i, cell_j] = np.concatenate(cell_n)
     est = _plugin_mi(counts)
-    # delete-one jackknife, grouped by occupied cell
-    cells = [(i, j, counts[i, j]) for (i, j) in joint]
-    loo = np.empty(len(cells))
-    for k, (i, j, _) in enumerate(cells):
-        counts[i, j] -= 1.0
-        loo[k] = _plugin_mi(counts)
-        counts[i, j] += 1.0
-    weights = np.array([c for (_, _, c) in cells])
-    mean_loo = float((weights * loo).sum() / n)
-    var = (n - 1.0) / n * float((weights * (loo - mean_loo) ** 2).sum())
-    return est, math.sqrt(max(var, 0.0))
+    # Delete-one jackknife, grouped by occupied cell. With f(m) = m log m,
+    # n * est = T = sum f(c) + f(n) - sum f(rows) - sum f(cols); deleting
+    # one draw from cell (i, j) gives (T + D)/(n - 1), where D = step(r_i)
+    # + step(s_j) - step(c_ij) - step(n) and step = _xlogx_step. step(n) is
+    # common to every cell and cancels on centring, so the variance
+    # (n-1)/n sum c (loo - mean)^2 is sum c (D - mean D)^2 / (n (n - 1)).
+    i, j = np.nonzero(counts)
+    c = counts[i, j]
+    D = (_xlogx_step(counts.sum(axis=1)[i]) + _xlogx_step(counts.sum(axis=0)[j])
+         - _xlogx_step(c))
+    dev = D - float((c * D).sum()) / n
+    var = float((c * dev * dev).sum()) / (n * (n - 1.0))
+    return est, math.sqrt(var)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +327,9 @@ class InfoReport:
     mi_monte_carlo: tuple | None
     dp_ratio_max: float | None
     unbiasedness_max_residual: float
+    # True when every residual came from an exact pmf mean, False when one
+    # is a Monte-Carlo mean of n_mc draws; not part of the JSON report
+    residual_exact: bool = True
 
     def __post_init__(self) -> None:
         if self.mi_exact is not None and self.mi_closed_form is not None:
@@ -373,11 +396,12 @@ def certify_channel(ch: Channel, rng=None, n_mc: int = 10**5,
     if ch.budget == "M":
         closed = certificate_for(ch).level
     ratio = dp_ratio_max(ch) if ch.exact_dp_ratio else None
-    residual = _unbiasedness_residual(ch, rng, n_mc)
-    return InfoReport(mi_exact, closed, mc, ratio, residual)
+    residual, exact = _unbiasedness_residual(ch, rng, n_mc)
+    return InfoReport(mi_exact, closed, mc, ratio, residual, exact)
 
 
-def _unbiasedness_residual(ch: Channel, rng, n_mc: int) -> float:
+def _unbiasedness_residual(ch: Channel, rng, n_mc: int) -> tuple:
+    """(worst |E[Z | x] - target| over probe inputs, whether every mean was exact)."""
     L = ch.source.radius
     d = ch.d
     p = ch.source.p
@@ -392,7 +416,7 @@ def _unbiasedness_residual(ch: Channel, rng, n_mc: int) -> float:
             v = np.clip(v, -1.0, 1.0) * L
         probe.append(v)
     bias = ch.calibration.get("bias")
-    worst = 0.0
+    worst, exact = 0.0, True
     for x in probe:
         x_target = x if bias is None else x + np.asarray(bias)
         try:
@@ -401,5 +425,6 @@ def _unbiasedness_residual(ch: Channel, rng, n_mc: int) -> float:
         except ValueError:
             # continuous support or over the enumeration guard
             mean = ch.sample(x, rng=rng, size=n_mc).mean(axis=0)
+            exact = False
         worst = max(worst, float(np.max(np.abs(mean - x_target))))
-    return worst
+    return worst, exact

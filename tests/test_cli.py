@@ -90,8 +90,30 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert _run(["certify", "--config", unk]) == 1
     frac = _cfg(tmp_path, "f.json", {"kind": "linf_maxent", "d": 2.5, "M": 2.0})
     assert _run(["certify", "--config", frac]) == 1
+    # grids of dimensions and sample sizes are integers too, not truncated
+    tiny = {"n": [256], "budget": [0.5], "reps": 2}
+    for cmd, doc in (("tradeoff", {**tiny, "d": [2.5]}),
+                     ("tradeoff", {**tiny, "d": [2], "n": [256.5]}),
+                     ("bounds", {"d": [2.5]}),
+                     ("bounds", {"d": [2], "n": [256.5]})):
+        assert _run([cmd, "--config", _cfg(tmp_path, f"{cmd}.json", doc)]) == 1
     assert _run(["frobnicate"]) == 1
     assert capsys.readouterr().err.strip() != ""
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "linf_maxent", "d": 21, "M": 2.0, "n_mc": 10000},
+    {"kind": "dp_hypercube", "d": 11, "eps": 0.1, "n_mc": 10000},
+])
+def test_certify_residual_over_pmf_guard_has_statistical_tolerance(tmp_path, doc):
+    # past the pmf enumeration guard the residual is a Monte-Carlo mean of
+    # n_mc draws, so it cannot meet the exact-mean tolerance
+    cfg = _cfg(tmp_path, "c.json", doc)
+    out = tmp_path / "o.json"
+    assert _run(["certify", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["violations"] == []
+    assert doc["report"]["unbiasedness_max_residual"] > 1e-8
 
 
 def test_tradeoff_check_passes_on_tuned_grid(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import privopt.information as information
 from privopt.channels import make_channel
 from privopt.information import (
     DiscreteDist,
@@ -148,6 +149,142 @@ def test_mi_monte_carlo_brackets_exact():
     assert abs(est - exact) <= 4.0 * se + miller_madow
     with pytest.raises(ValueError):
         mi_monte_carlo(src, ch, 100, np.random.default_rng(0))
+
+
+def _grouped_loop_mi_monte_carlo(source, ch, n, rng):
+    """The plug-in MI with its grouped jackknife as first written: np.unique
+    per source and one full plug-in re-evaluation per occupied cell.
+    Returns (est, std_err, counts)."""
+    rng = np.random.default_rng(rng)
+    idx = source.sample_indices(rng, n)
+    per_source = np.bincount(idx, minlength=len(source))
+    col_of = {}
+    joint = {}
+    for i in range(len(source)):
+        n_i = int(per_source[i])
+        if n_i == 0:
+            continue
+        zs = ch.sample(source.support[i], rng=rng, size=n_i)
+        keys, counts = np.unique(np.round(zs, 12), axis=0, return_counts=True)
+        for z, c in zip(keys, counts):
+            j = col_of.setdefault(tuple(z.tolist()), len(col_of))
+            joint[(i, j)] = joint.get((i, j), 0) + int(c)
+    counts = np.zeros((len(source), len(col_of)))
+    for (i, j), c in joint.items():
+        counts[i, j] = c
+    est = information._plugin_mi(counts)
+    cells = [(i, j, counts[i, j]) for (i, j) in joint]
+    loo = np.empty(len(cells))
+    for k, (i, j, _) in enumerate(cells):
+        counts[i, j] -= 1.0
+        loo[k] = information._plugin_mi(counts)
+        counts[i, j] += 1.0
+    weights = np.array([c for (_, _, c) in cells])
+    mean_loo = float((weights * loo).sum() / n)
+    var = (n - 1.0) / n * float((weights * (loo - mean_loo) ** 2).sum())
+    return est, math.sqrt(max(var, 0.0)), counts
+
+
+def _mp_jackknife_se(counts, digits=50):
+    """Grouped delete-one jackknife of the plug-in MI, straight from its
+    definition, in `digits`-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    table = [[int(c) for c in row] for row in counts]
+    cells = [(i, j) for i, row in enumerate(table) for j, c in enumerate(row) if c]
+
+    def plugin(t):
+        n = sum(map(sum, t))
+        rows = [sum(row) for row in t]
+        cols = [sum(col) for col in zip(*t)]
+        return mpmath.fsum(c * mpmath.log(mpmath.mpf(c) * n / (rows[i] * cols[j]))
+                           for i, row in enumerate(t) for j, c in enumerate(row)
+                           if c) / n
+
+    with mpmath.workdps(digits):
+        n = sum(map(sum, table))
+        loo = []
+        for i, j in cells:
+            table[i][j] -= 1
+            loo.append(plugin(table))
+            table[i][j] += 1
+        w = [table[i][j] for i, j in cells]
+        mean = mpmath.fsum(wk * lk for wk, lk in zip(w, loo)) / n
+        var = mpmath.mpf(n - 1) / n * mpmath.fsum(
+            wk * (lk - mean) ** 2 for wk, lk in zip(w, loo))
+        return float(mpmath.sqrt(var))
+
+
+_MC_CHANNELS = (
+    [("linf_maxent", d, {"M": 2.0}) for d in (1, 2, 3, 4)]
+    + [("dp_hypercube", d, {"eps": 0.5}) for d in (1, 2, 3, 4)]
+    + [("l1_maxent", d, {"M": 2.0}) for d in (1, 2, 4, 8)]
+    + [("identity", 3, {})]
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind,d,budget", _MC_CHANNELS)
+def test_mi_monte_carlo_matches_grouped_loop(kind, d, budget, seed):
+    ch = make_channel(kind, d, **budget)
+    src = extreme_point_source(ch)
+    est, se = mi_monte_carlo(src, ch, 10_000, np.random.default_rng(seed))
+    ref_est, ref_se, _ = _grouped_loop_mi_monte_carlo(src, ch, 10_000,
+                                                      np.random.default_rng(seed))
+    assert est == ref_est  # same counts, same columns, same summation order
+    assert se == pytest.approx(ref_se, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("kind,d,budget", [
+    ("identity", 3, {}), ("linf_maxent", 2, {"M": 2.0}), ("linf_maxent", 3, {"M": 4.0}),
+    ("dp_hypercube", 2, {"eps": 0.5}), ("l1_maxent", 2, {"M": 2.0}),
+])
+def test_mi_monte_carlo_std_err_matches_50_digit_jackknife(kind, d, budget):
+    ch = make_channel(kind, d, **budget)
+    src = extreme_point_source(ch)
+    _, se = mi_monte_carlo(src, ch, 10_000, np.random.default_rng(5))
+    *_, counts = _grouped_loop_mi_monte_carlo(src, ch, 10_000, np.random.default_rng(5))
+    assert se == pytest.approx(_mp_jackknife_se(counts), rel=1e-13, abs=0.0)
+
+
+def test_mi_monte_carlo_evaluates_plugin_once(monkeypatch):
+    # the jackknife is an O(1) update per cell, not a plug-in per cell
+    calls = []
+    plugin = information._plugin_mi
+    monkeypatch.setattr(information, "_plugin_mi",
+                        lambda counts: calls.append(1) or plugin(counts))
+    ch = make_channel("linf_maxent", 3, M=2.0)
+    mi_monte_carlo(extreme_point_source(ch), ch, 10_000, np.random.default_rng(0))
+    assert len(calls) == 1
+
+
+class _SignedZeroChannel:
+    """Emits (x + b, z) with b a fair bit and z = 0.0, or with signed_zero a
+    fair-coin -0.0 / 0.0: the sign carries no information and == ignores it."""
+
+    def __init__(self, signed_zero):
+        self.signed_zero = signed_zero
+
+    def sample(self, x, rng=None, size=None):
+        b = rng.integers(0, 2, size)
+        z = np.where(rng.random(size) < 0.5, -0.0, 0.0)
+        return np.column_stack([x[0] + b, z if self.signed_zero else np.abs(z)])
+
+
+def test_mi_monte_carlo_dedupe_edge_cases():
+    src = DiscreteDist(tuple(np.array([v]) for v in (0.0, 1.0, 5.0)),
+                       (0.5, 0.4999, 0.0001))
+    seed, n = 3, 10_000
+    # this seed draws the rare source exactly once
+    assert np.bincount(src.sample_indices(np.random.default_rng(seed), n))[2] == 1
+    signed = mi_monte_carlo(src, _SignedZeroChannel(True), n, np.random.default_rng(seed))
+    ref_est, ref_se, counts = _grouped_loop_mi_monte_carlo(
+        src, _SignedZeroChannel(True), n, np.random.default_rng(seed))
+    # 0.0 and -0.0 share a column: first coordinates 0, 1, 2 and one of 5, 6
+    assert counts.shape == (3, 4)
+    assert signed[0] == ref_est
+    assert signed[1] == pytest.approx(ref_se, rel=1e-10, abs=0.0)
+    assert signed == mi_monte_carlo(src, _SignedZeroChannel(False), n,
+                                    np.random.default_rng(seed))
 
 
 def test_certificates_by_kind():
