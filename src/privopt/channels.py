@@ -3,26 +3,33 @@
 Three production mechanisms plus plumbing:
 
   linf_maxent    max-entropy unbiased channel on the scaled sign cube
-                 {-M, M}^d for inputs with ||x||_inf <= L
+                 {-M, M}^d for inputs with ||x||_inf <= L <= M; independent
+                 coordinates with P(Z_i = +M) = 1/2 + x_i/(2M)
   l1_maxent      two-phase (round, tilt) channel on the scaled signed
-                 basis {+-M e_j} for inputs with ||x||_1 <= L
+                 basis {+-M e_j} for inputs with ||x||_1 <= L < M
   dp_hypercube   eps-differentially-private two-level channel on the
-                 sign cube; the k = 0 closed form, valid eps < eps_star(d)
+                 sign cube; the k = 0 closed form, valid eps < eps_star(d).
+                 x rounds to a corner T; Z = B W, W uniform on the half-cube
+                 {<w, T> > 0} with probability C_d q+, else on its complement
   dp_linf_sampler  the sampler view of the same two-level channel (an
                  alias: both names map to one row of the kind table)
-  dp_l2_sampler  eps-DP hemisphere sampler on the radius-B sphere
+  dp_l2_sampler  eps-DP hemisphere sampler on the radius-B sphere: x rounds
+                 to +-x/||x||_2; Z is uniform on the cap around it with
+                 probability e^eps/(e^eps + 1), on the opposite cap otherwise
   identity       no privacy; passes x through (baseline / diagnostics)
-  biased_demo    deliberately biased perturbation for the failure demo
+  biased_demo    deliberately biased perturbation for the failure demo,
+                 centered at x + bias
 
 One private table has a row per kind: the budget it is built from (M,
-eps or none), its calibration, one draw and its exact pmf when the
-support is finite.  make_channel, Channel.sample, channel_pmf,
-dp_ratio_max and the JSON round trip read the row and do not branch on
-the kind; other modules ask a channel for its budget and whether it has
-a pmf.  Channel.sample of every kind takes one input, with an optional
-size for repeated draws, or a batch of inputs with one draw per row.
-Exact pmfs are what the exact mutual-information and DP-ratio
-certification in the information module consume.
+eps or none), its calibration, one draw, its exact pmf when the support
+is finite and, for the M kinds, its worst-case MI.  make_channel,
+Channel.sample, channel_pmf, dp_ratio_max, worst_case_mi and the JSON
+round trip read the row and do not branch on the kind; other modules ask
+a channel for its budget and whether it has a pmf.  Channel.sample is the
+one way to draw: one input, with an optional size for repeated draws, or
+a batch of inputs with one draw per row.  Exact pmfs are what the exact
+mutual-information and DP-ratio certification in the information module
+consume.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import NormBall
+from .geometry import NormBall, _corner_matrix
 
 __all__ = [
     "CHANNEL_KINDS",
@@ -48,12 +55,7 @@ __all__ = [
     "channel_to_json",
     "channel_from_json",
     "dp_ratio_max",
-    "linf_maxent_sample",
-    "l1_maxent_sample",
-    "dp_hypercube_sample",
-    "dp_linf_sampler",
-    "dp_l2_sampler",
-    "biased_demo_sample",
+    "worst_case_mi",
     "eps_star",
     "l1_gamma",
     "two_level_constants",
@@ -81,25 +83,9 @@ class PrivacyCertificate:
         if not self.level >= 0.0:
             raise ValueError("certificate level must be >= 0")
 
-    @property
-    def level_bits(self) -> float:
-        if self.kind != "mutual_information":
-            raise ValueError("bits conversion only applies to information levels")
-        return self.level / math.log(2.0)
-
 
 # ---------------------------------------------------------------------------
 # calibration constants
-
-
-@lru_cache(maxsize=None)
-def _corner_matrix(d: int) -> np.ndarray:
-    """All 2^d sign vectors, row i = binary expansion of i mapped 0 -> -1."""
-    idx = np.arange(2**d, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(d - 1, -1, -1)) & 1
-    out = bits.astype(float) * 2.0 - 1.0
-    out.setflags(write=False)
-    return out
 
 
 def l1_gamma(d: int, m: float) -> float:
@@ -343,6 +329,32 @@ def _biased_pmf(ch, x: np.ndarray) -> SupportPmf:
 
 
 # ---------------------------------------------------------------------------
+# worst-case MI of the M kinds: (d, L, M) -> nats at the saddle-point source
+
+
+def binary_entropy(p: float) -> float:
+    """h(p) in nats, with 0 log 0 = 0."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    if p == 0.0 or p == 1.0:
+        return 0.0
+    return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
+
+
+def _linf_worst_mi(d: int, L: float, M: float) -> float:
+    # d independent binary channels, each with crossover 1/2 - L/(2M)
+    if M < L:
+        raise ValueError("need M >= L")
+    return d * (math.log(2.0) - binary_entropy(0.5 + L / (2.0 * M)))
+
+
+def _l1_worst_mi(d: int, L: float, M: float) -> float:
+    gamma = l1_gamma(d, M / L)
+    D = math.exp(gamma) + math.exp(-gamma) + 2 * d - 2
+    return math.log(2 * d) - math.log(D) + gamma * (math.exp(gamma) - math.exp(-gamma)) / D
+
+
+# ---------------------------------------------------------------------------
 # calibrations; p is the norm index of both the source and the target ball
 
 
@@ -409,12 +421,13 @@ class _Kind(NamedTuple):
     calibrate: Callable  # (d, L, budget value, bias, noise) -> (p, target radius, calibration)
     draw: Callable  # (channel, x, n, rng) -> (n, d)
     pmf: Optional[Callable]  # (channel, x) -> SupportPmf; None for continuous support
+    worst_mi: Optional[Callable] = None  # (d, L, M) -> nats, for the M budget only
 
 
 _TWO_LEVEL = _Kind("eps", _two_level_calibration, _two_level_draw, _two_level_pmf)
 _KINDS = {
-    "linf_maxent": _Kind("M", _linf_calibration, _linf_draw, _linf_pmf),
-    "l1_maxent": _Kind("M", _l1_calibration, _l1_draw, _l1_pmf),
+    "linf_maxent": _Kind("M", _linf_calibration, _linf_draw, _linf_pmf, _linf_worst_mi),
+    "l1_maxent": _Kind("M", _l1_calibration, _l1_draw, _l1_pmf, _l1_worst_mi),
     "dp_hypercube": _TWO_LEVEL,
     "dp_linf_sampler": _TWO_LEVEL,
     "dp_l2_sampler": _Kind("eps", _l2_calibration, _l2_draw, None),
@@ -450,10 +463,6 @@ class Channel:
         if self.kind not in CHANNEL_KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         object.__setattr__(self, "_stream", None)
-
-    @property
-    def L(self) -> float:
-        return self.source.radius
 
     @property
     def budget(self) -> str | None:
@@ -495,9 +504,6 @@ class Channel:
             raise ValueError("pass a batch of inputs or size, not both")
         return draw(self, x, len(x), gen)
 
-    def pmf(self, x) -> SupportPmf:
-        return channel_pmf(self, x)
-
 
 def make_channel(
     kind: str,
@@ -535,64 +541,7 @@ def make_channel(
 
 
 # ---------------------------------------------------------------------------
-# public samplers: one draw, or size draws, at one input
-
-
-def linf_maxent_sample(x, L: float, M: float, rng, size=None) -> np.ndarray:
-    """Coordinate-wise unbiased sign channel: P(Z_i = +M) = 1/2 + x_i/(2M).
-
-    Requires ||x||_inf <= L <= M.  Output lies in {-M, +M}^d with
-    independent coordinates and E[Z | x] = x exactly.
-    """
-    return make_channel("linf_maxent", np.size(x), L=L, M=M).sample(x, rng=rng, size=size)
-
-
-def l1_maxent_sample(x, L: float, M1: float, rng, size=None) -> np.ndarray:
-    """Two-phase l1 channel: round x onto {+-L e_j}, then resample through
-    the gamma-tilted law on {+-M1 e_j}.  E[Z | x] = x exactly; the marginal
-    of Z given x is sampled directly from the composed pmf.
-    """
-    return make_channel("l1_maxent", np.size(x), L=L, M=M1).sample(x, rng=rng, size=size)
-
-
-def dp_hypercube_sample(x, eps: float, rng, L: float = 1.0, size=None) -> np.ndarray:
-    """Optimally eps-DP channel on the sign cube, k = 0 regime.
-
-    Rounds x to a corner T of {-L, L}^d coordinate-wise, then emits B*W
-    with W uniform on {w : <w, T> > 0} with probability C_d q+, uniform on
-    the complement otherwise.  Every conditional pmf takes exactly two
-    values with ratio e^eps; E[Z | x] = x with B = L/t.
-    """
-    return make_channel("dp_hypercube", np.size(x), L=L, eps=eps).sample(x, rng=rng, size=size)
-
-
-def dp_linf_sampler(g, L: float, eps: float, rng, size=None) -> np.ndarray:
-    """Sampler view of the two-level hypercube channel (identical law)."""
-    return make_channel("dp_linf_sampler", np.size(g), L=L, eps=eps).sample(g, rng=rng, size=size)
-
-
-def dp_l2_sampler(g, L: float, eps: float, rng, size=None) -> np.ndarray:
-    """eps-DP hemisphere sampler for ||g||_2 <= L, d >= 2.
-
-    Rounds g to a unit direction with a sign coin, then draws Z uniform on
-    the spherical cap {||z||_2 = B, <z, g~> > 0} with probability
-    pi_eps = e^eps/(e^eps + 1), the opposite cap otherwise.  B is set by
-    the hemisphere mean so that E[Z | g] = g.
-    """
-    return make_channel("dp_l2_sampler", np.size(g), L=L, eps=eps).sample(g, rng=rng, size=size)
-
-
-def biased_demo_sample(g, bias, rng, size=None, noise: float = 1.0) -> np.ndarray:
-    """Perturbation centered at g + bias: looks like an unbiased channel but
-    systematically shifts every query.  Diagnostic use only."""
-    # the smallest sup-norm ball that holds g, and at least the unit ball
-    L = max(1.0, float(np.max(np.abs(g))))
-    return make_channel("biased_demo", np.size(g), L=L, bias=bias,
-                        noise=noise).sample(g, rng=rng, size=size)
-
-
-# ---------------------------------------------------------------------------
-# exact pmfs and ratio checks
+# exact pmfs, ratio checks and the worst-case MI
 
 
 def channel_pmf(ch: Channel, x) -> SupportPmf:
@@ -633,6 +582,15 @@ def dp_ratio_max(ch: Channel, inputs=None) -> float:
         hi = probs if hi is None else np.maximum(hi, probs)
         lo = probs if lo is None else np.minimum(lo, probs)
     return float(np.max(hi / lo))
+
+
+def worst_case_mi(kind: str, d: int, L: float, M: float) -> float:
+    """Worst-case (saddle-point) MI in nats of an M-budget kind at magnitude
+    M; ValueError for the other kinds and for an M below the kind's edge."""
+    worst_mi = _KINDS[kind].worst_mi if kind in _KINDS else None
+    if worst_mi is None:
+        raise ValueError(f"no closed form for kind {kind!r}")
+    return worst_mi(d, L, M)
 
 
 # ---------------------------------------------------------------------------

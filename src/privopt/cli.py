@@ -18,9 +18,10 @@ import numpy as np
 
 from .channels import channel_to_json, eps_star, make_channel
 from .geometry import NormBall
-from .information import certificate_for, certify_channel, mi_closed_form, nats_to_bits
+from .information import MI_MC_MIN_N, certificate_for, certify_channel, nats_to_bits
 from .losses import DataDist, RiskSpec, make_loss, risk_minimizer, risk_value
 from .minimax import (
+    THEOREM_BUDGET,
     THEOREMS,
     BoundSpec,
     default_delta,
@@ -59,13 +60,16 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _as_int(key: str, v) -> int:
+    """v as an int; a fraction or a bool is a config error, never truncated."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise UsageError(f"{key} must be an integer, got {v!r}")
+    return int(v)
+
+
 def _int_grid(cfg: dict, key: str, default) -> list:
-    """cfg[key] as a list of ints; a fraction is a config error, never truncated."""
-    values = cfg.get(key, default)
-    bad = [v for v in values if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
-    if bad:
-        raise UsageError(f"{key} grid must hold integers, got {bad!r}")
-    return [int(v) for v in values]
+    """cfg[key] as a list of ints, each checked by _as_int."""
+    return [_as_int(key, v) for v in cfg.get(key, default)]
 
 
 def _slope(xs, ys):
@@ -95,7 +99,9 @@ def cmd_certify(cfg: dict, seed: int, check: bool) -> tuple:
     if check:
         return _certify_selfcheck(seed)
     ch = _channel_from_config(cfg)
-    n_mc = int(cfg.get("n_mc", 10**5))
+    n_mc = _as_int("n_mc", cfg.get("n_mc", 10**5))
+    if n_mc < MI_MC_MIN_N:
+        raise UsageError(f"n_mc must be >= {MI_MC_MIN_N}")
     rng = np.random.default_rng(seed)
     violations = []
     report = None
@@ -208,7 +214,7 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
                    cfg.get("budget", [0.25, 0.5, 1.0] if is_dp else [2.0, 4.0, 8.0])]
     if not (d_grid and n_grid and budget_grid):
         raise UsageError("grids must be non-empty")
-    reps = int(cfg.get("reps", 50))
+    reps = _as_int("reps", cfg.get("reps", 50))
     if reps < 1:
         raise UsageError("reps must be >= 1")
     delta = float(cfg.get("delta", 0.5))
@@ -244,7 +250,7 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
                 if is_dp:
                     eff = max(1, int(n * budget**2 / d))
                 else:
-                    eff = max(1, int(n * mi_closed_form(kind, d, L, budget).exact / d))
+                    eff = max(1, int(n * certificate_for(ch).level / d))
                 np_mean = math.nan
                 if baseline:
                     np_avg = _averaged_chains(spec, make_channel("identity", d, L=L),
@@ -308,12 +314,7 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
 
 _BOUNDS_COLUMNS = ("theorem,d,n,budget_kind,budget,q,delta,lower,upper,"
                    "gap_flagged,lemma8_C,lemma8_Delta")
-_BUDGET_KIND = {
-    "T1a": "M", "T1b": "M", "T2": "M", "T3": "eps", "T4": "eps",
-    "T5_linear": "eps", "T5_general": "eps", "C1": "I_star", "C2": "I_star",
-    "C3": "eps",
-}
-_DELTA_BY = {"T1b": "M", "T3": "eps", "C3": "eps", "T4": "eps"}
+_WITH_DELTA = {"T1b", "T3", "C3", "T4"}
 
 
 def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
@@ -327,7 +328,7 @@ def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
     m_grid = [float(v) for v in cfg.get("M", [2.0, 4.0])]
     i_grid = [float(v) for v in cfg.get("I_star", [0.25, 1.0])]
     q = float(cfg.get("q", 2.0))
-    k = int(cfg.get("k", 0))
+    k = _as_int("k", cfg.get("k", 0))
     L = float(cfg.get("L", 1.0))
     r = float(cfg.get("r", 1.0))
     c_const = float(cfg.get("c_const", 1.0))
@@ -335,7 +336,7 @@ def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
     lines = [f"# schema={BOUNDS_SCHEMA}", _BOUNDS_COLUMNS]
     sandwich_ok, monotone_ok = True, True
     for th in theorems:
-        bkind = _BUDGET_KIND[th]
+        bkind = THEOREM_BUDGET[th]
         budgets = {"M": m_grid, "eps": eps_grid, "I_star": i_grid}[bkind]
         for d in d_grid:
             for budget in budgets:
@@ -348,7 +349,7 @@ def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
                     monotone_ok &= lo <= prev * (1.0 + 1e-12)
                     prev = lo
                     delta = math.nan
-                    if th in _DELTA_BY:
+                    if th in _WITH_DELTA:
                         delta = default_delta(th, d, n, L=L,
                                               M=budget if bkind == "M" else None,
                                               eps=budget if bkind == "eps" else None)
@@ -376,7 +377,7 @@ def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
 def cmd_bias_demo(cfg: dict, seed: int, check: bool) -> tuple:
     b = float(cfg.get("slope", 1.0))
     r = float(cfg.get("r", 1.0))
-    n = int(cfg.get("n", 4096))
+    n = _as_int("n", cfg.get("n", 4096))
     if b <= 0.0 or r <= 0.0 or n < 1:
         raise UsageError("slope and r must be positive, n >= 1")
     L = b / 2.0  # the 1-d loss theta -> (b/2) theta has |grad| = b/2

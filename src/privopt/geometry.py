@@ -1,4 +1,4 @@
-"""Norm-ball geometry: projections and sign-hypercube packings.
+"""Norm-ball geometry: projections, the sign-hypercube corners and packings.
 
 The optimizers need exact Euclidean projections onto l1/l2 balls for their
 feasibility steps, and the lower-bound harness needs well separated subsets
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,6 +71,16 @@ class Packing:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.points, dtype=float)
+
+
+@lru_cache(maxsize=None)
+def _corner_matrix(d: int) -> np.ndarray:
+    """All 2^d sign vectors, row i = binary expansion of i mapped 0 -> -1."""
+    idx = np.arange(2**d, dtype=np.int64)
+    bits = (idx[:, None] >> np.arange(d - 1, -1, -1)) & 1
+    out = bits.astype(float) * 2.0 - 1.0
+    out.setflags(write=False)
+    return out
 
 
 def _finite_array(x) -> np.ndarray:

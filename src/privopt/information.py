@@ -18,11 +18,12 @@ import numpy as np
 from .channels import (
     Channel,
     PrivacyCertificate,
-    _corner_matrix,
+    binary_entropy,
     channel_pmf,
     dp_ratio_max,
-    l1_gamma,
+    worst_case_mi,
 )
+from .geometry import _corner_matrix
 
 __all__ = [
     "DiscreteDist",
@@ -40,6 +41,7 @@ __all__ = [
     "information_to_radius",
     "certify_channel",
     "certificate_for",
+    "MI_MC_MIN_N",
 ]
 
 _LN2 = math.log(2.0)
@@ -51,15 +53,6 @@ def nats_to_bits(x: float) -> float:
 
 def bits_to_nats(x: float) -> float:
     return x * _LN2
-
-
-def binary_entropy(p: float) -> float:
-    """h(p) in nats, with 0 log 0 = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
 
 
 @dataclass(frozen=True)
@@ -183,26 +176,15 @@ class MiClosedForm(NamedTuple):
 
 
 def mi_closed_form(kind: str, d: int, L: float, M: float) -> MiClosedForm:
-    """Worst-case (saddle-point) MI of the maxent channels, in nats.
+    """Worst-case (saddle-point) MI of an M-budget kind, in nats.
 
-    Returns the exact value, the dL^2/M^2 upper bound, and the
-    dL^2/(2M^2) large-M approximation.
+    Returns the exact value (the kind's worst_case_mi), the dL^2/M^2 upper
+    bound, and the dL^2/(2M^2) large-M approximation.
     """
     if d < 1 or L <= 0.0 or M <= 0.0:
         raise ValueError("need d >= 1 and positive L, M")
     upper = d * L * L / (M * M)
-    asymptotic = 0.5 * upper
-    if kind == "linf_maxent":
-        if M < L:
-            raise ValueError("need M >= L")
-        exact = d * (_LN2 - binary_entropy(0.5 + L / (2.0 * M)))
-        return MiClosedForm(exact, upper, asymptotic)
-    if kind == "l1_maxent":
-        gamma = l1_gamma(d, M / L)
-        D = math.exp(gamma) + math.exp(-gamma) + 2 * d - 2
-        exact = math.log(2 * d) - math.log(D) + gamma * (math.exp(gamma) - math.exp(-gamma)) / D
-        return MiClosedForm(exact, upper, asymptotic)
-    raise ValueError(f"no closed form for kind {kind!r}")
+    return MiClosedForm(worst_case_mi(kind, d, L, M), upper, 0.5 * upper)
 
 
 def information_to_radius(kind: str, d: int, L: float, I_star: float) -> float:
@@ -211,16 +193,14 @@ def information_to_radius(kind: str, d: int, L: float, I_star: float) -> float:
     The exact MI is strictly decreasing in M, so bisection applies; the
     bracket grows geometrically until it straddles I_star.
     """
-    if kind == "linf_maxent":
-        max_info = d * _LN2
+    try:
         lo = L
+        max_info = mi_closed_form(kind, d, L, lo).exact
         if I_star == max_info:
             return L
-    elif kind == "l1_maxent":
-        max_info = math.log(2 * d)
+    except ValueError:  # the kind needs M > L, or has no closed form
         lo = L * (1.0 + 1e-12)
-    else:
-        raise ValueError(f"no bijection for kind {kind!r}")
+        max_info = mi_closed_form(kind, d, L, lo).exact
     if not 0.0 < I_star < max_info:
         raise ValueError(f"I_star out of range (0, {max_info:.6g}) nats")
     hi = 2.0 * L
@@ -270,6 +250,9 @@ def _xlogx_step(m: np.ndarray) -> np.ndarray:
     return np.log(m) + (m - 1.0) * np.log1p(1.0 / np.maximum(m - 1.0, 1.0))
 
 
+MI_MC_MIN_N = 10**4
+
+
 def mi_monte_carlo(source: DiscreteDist, ch: Channel, n: int, rng) -> tuple:
     """Plug-in MI estimate (nats) from n sampled (X, Z) pairs, with a
     grouped delete-one jackknife standard error.
@@ -279,7 +262,7 @@ def mi_monte_carlo(source: DiscreteDist, ch: Channel, n: int, rng) -> tuple:
     Cost is O(n log n + cells): the draws are counted with numeric sorts,
     and each leave-one-out value is an O(1) update of the plug-in.
     """
-    if n < 10**4:
+    if n < MI_MC_MIN_N:
         raise ValueError("need n >= 1e4 for a stable plug-in estimate")
     rng = np.random.default_rng(rng)
     idx = source.sample_indices(rng, n)
@@ -365,7 +348,7 @@ def certificate_for(ch: Channel) -> PrivacyCertificate:
     """The privacy guarantee the channel carries: worst-case MI (nats) for
     an M budget, eps for an eps budget, +inf leakage without one."""
     if ch.budget == "M":
-        level = mi_closed_form(ch.kind, ch.d, ch.source.radius, ch.calibration["B"]).exact
+        level = worst_case_mi(ch.kind, ch.d, ch.source.radius, ch.calibration["B"])
         return PrivacyCertificate("mutual_information", level)
     if ch.budget == "eps":
         return PrivacyCertificate("differential_privacy", ch.privacy_param)

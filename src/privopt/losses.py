@@ -15,7 +15,6 @@ delta pick out how strongly the data leans toward the corner nu.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import NormBall
+from .geometry import NormBall, _corner_matrix
 
 __all__ = [
     "LOSS_KINDS",
@@ -198,7 +197,7 @@ def dist_support(dist: DataDist):
     if dist.kind == "cube_bernoulli":
         if dist.d > 20:
             raise ValueError("cube support too large to enumerate")
-        pts = np.array(list(itertools.product((-1.0, 1.0), repeat=dist.d)))
+        pts = _corner_matrix(dist.d)
         probs = np.prod(np.where(pts > 0, dist.p_plus, 1.0 - dist.p_plus), axis=1)
         return pts, probs
     pts = np.array(dist.samples, dtype=float)

@@ -26,7 +26,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channels import _corner_matrix, eps_star
+from .channels import eps_star
+from .geometry import _corner_matrix
 
 __all__ = ["MAX_LP_DIM", "DpLpInstance", "DpLpSolution", "solve_dp_lp", "eps_star"]
 

@@ -17,11 +17,12 @@ import numpy as np
 
 from .channels import Channel, l1_gamma
 from .geometry import Packing
-from .information import _conditional_rows, mi_from_conditionals
-from .losses import DataDist
+from .information import _conditional_rows, mi_closed_form, mi_from_conditionals
+from .losses import DataDist, dist_support
 
 __all__ = [
     "THEOREMS",
+    "THEOREM_BUDGET",
     "BoundSpec",
     "TestingInstance",
     "lower_bound",
@@ -39,8 +40,12 @@ __all__ = [
     "t5_middle_term",
 ]
 
-THEOREMS = ("T1a", "T1b", "T2", "T3", "T4", "T5_linear", "T5_general",
-            "C1", "C2", "C3")
+THEOREM_BUDGET = {
+    "T1a": "M", "T1b": "M", "T2": "M", "T3": "eps", "T4": "eps",
+    "T5_linear": "eps", "T5_general": "eps", "C1": "I_star", "C2": "I_star",
+    "C3": "eps",
+}
+THEOREMS = tuple(THEOREM_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -69,12 +74,7 @@ class BoundSpec:
             raise ValueError(f"unknown theorem {self.theorem!r}")
         if self.d < 1 or self.n < 1 or self.L <= 0 or self.r <= 0:
             raise ValueError("d, n, L, r must be positive")
-        need = {
-            "T1a": "M", "T1b": "M", "T2": "M",
-            "T3": "eps", "T4": "eps", "T5_linear": "eps",
-            "T5_general": "eps", "C3": "eps",
-            "C1": "I_star", "C2": "I_star",
-        }[self.theorem]
+        need = THEOREM_BUDGET[self.theorem]
         if getattr(self, need) is None:
             raise ValueError(f"{self.theorem} needs {need}")
         if self.theorem == "T3":
@@ -161,16 +161,12 @@ def upper_bound(spec: BoundSpec) -> float:
         return c * spec.M * r * d / rn
     if spec.theorem in ("T1b", "C1"):
         if spec.theorem == "T1b":
-            from .information import mi_closed_form
-
             I = mi_closed_form("linf_maxent", d, L, spec.M).exact
         else:
             I = spec.I_star
         return c * math.sqrt(d / I) * r * L * math.sqrt(_log2d(d)) / rn
     if spec.theorem in ("T2", "C2"):
         if spec.theorem == "T2":
-            from .information import mi_closed_form
-
             I = mi_closed_form("l1_maxent", d, L, spec.M).exact
         else:
             I = spec.I_star
@@ -333,27 +329,6 @@ def default_delta(theorem: str, d: int, n: int, L: float = 1.0,
     raise ValueError(f"no recorded delta choice for {theorem!r}")
 
 
-def _support_atoms(inst: TestingInstance) -> np.ndarray:
-    d = inst.packing.dim
-    if inst.data_kind == "coord_basis":
-        return np.vstack([np.eye(d), -np.eye(d)])
-    from .channels import _corner_matrix
-
-    return np.asarray(_corner_matrix(d))
-
-
-def _atom_probs(inst: TestingInstance, nu: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-    dist = inst.data_dist(nu)
-    if inst.data_kind == "coord_basis":
-        d = dist.d
-        probs = np.empty(2 * d)
-        probs[:d] = (1.0 + dist.delta * dist.nu) / (2.0 * d)
-        probs[d:] = (1.0 - dist.delta * dist.nu) / (2.0 * d)
-        return probs
-    p_plus = 0.5 * (1.0 + dist.delta * dist.nu)
-    return np.prod(np.where(atoms > 0, p_plus, 1.0 - p_plus), axis=1)
-
-
 def observation_rows(inst: TestingInstance) -> tuple:
     """Per-nu observation pmfs over a shared output enumeration.
 
@@ -362,11 +337,12 @@ def observation_rows(inst: TestingInstance) -> tuple:
     Feeds both the exact I(Z; nu) computation and the ML test.
     """
     L = inst.channel.source.radius
-    atoms = _support_atoms(inst)
+    # the atoms of the data law do not depend on nu, only their probabilities
+    atoms, _ = dist_support(inst.data_dist(inst.packing.points[0]))
     cond_mat, keys = _conditional_rows(inst.grad_sign * L * atoms, inst.channel)
     rows = np.empty((len(inst.packing), len(keys)))
     for v, nu in enumerate(inst.packing.points):
-        rows[v] = _atom_probs(inst, np.asarray(nu), atoms) @ cond_mat
+        rows[v] = dist_support(inst.data_dist(nu))[1] @ cond_mat
     return rows, np.array(keys)
 
 

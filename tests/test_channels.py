@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from privopt.channels import (
     CHANNEL_KINDS,
-    biased_demo_sample,
     channel_from_json,
     channel_pmf,
     channel_to_json,
@@ -291,12 +290,13 @@ def test_seed_determinism_per_kind():
 
 def test_zero_bias_matches_plain_noise_bitwise():
     g = np.array([0.4, -0.1])
-    a = biased_demo_sample(g, (0.0, 0.0), np.random.default_rng(9), size=64, noise=0.7)
+    ch = make_channel("biased_demo", 2, L=1.0, bias=(0.0, 0.0), noise=0.7)
+    a = ch.sample(g, rng=np.random.default_rng(9), size=64)
     rng = np.random.default_rng(9)
     rad = np.where(rng.random((64, 2)) < 0.5, -1.0, 1.0)
     assert np.array_equal(a, g + 0.7 * rad) or np.allclose(a.mean(axis=0), g, atol=0.5)
     # distributional claim, checked the strong way: same seed, same draws
-    b = biased_demo_sample(g, (0.0, 0.0), np.random.default_rng(9), size=64, noise=0.7)
+    b = ch.sample(g, rng=np.random.default_rng(9), size=64)
     assert np.array_equal(a, b)
 
 

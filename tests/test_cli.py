@@ -97,6 +97,19 @@ def test_config_errors_exit_1(tmp_path, capsys):
                      ("bounds", {"d": [2.5]}),
                      ("bounds", {"d": [2], "n": [256.5]})):
         assert _run([cmd, "--config", _cfg(tmp_path, f"{cmd}.json", doc)]) == 1
+    # scalar integer settings: a fraction or a bool is a config error
+    linf = {"kind": "linf_maxent", "d": 2, "M": 2.0}
+    for cmd, doc in (("certify", {**linf, "n_mc": 10000.7}),
+                     ("certify", {**linf, "n_mc": True}),
+                     ("bounds", {"theorems": ["T3"], "d": [2], "n": [256], "k": 0.5}),
+                     ("tradeoff", {**tiny, "d": [2], "reps": 2.5}),
+                     ("tradeoff", {**tiny, "d": [2], "reps": True}),
+                     ("bias-demo", {"n": 100.5})):
+        assert _run([cmd, "--config", _cfg(tmp_path, f"{cmd}.json", doc)]) == 1, doc
+    # below the Monte-Carlo floor n_mc is a usage error, not a violation
+    for doc in ({**linf, "n_mc": 100},
+                {"kind": "dp_l2_sampler", "d": 3, "eps": 1.0, "n_mc": 9999}):
+        assert _run(["certify", "--config", _cfg(tmp_path, "small.json", doc)]) == 1, doc
     assert _run(["frobnicate"]) == 1
     assert capsys.readouterr().err.strip() != ""
 

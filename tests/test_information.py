@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import privopt.information as information
-from privopt.channels import make_channel
+from privopt.channels import CHANNEL_KINDS, make_channel
 from privopt.information import (
     DiscreteDist,
     InfoReport,
@@ -299,6 +299,21 @@ def test_certificates_by_kind():
 
     assert math.isinf(certificate_for(make_channel("identity", 2)).level)
     assert math.isinf(certificate_for(make_channel("biased_demo", 2, bias=(0.1, 0.1))).level)
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_worst_case_mi_read_from_kind_table(kind):
+    # the certificate and the closed form read one worst-case MI per M kind;
+    # no other kind has one to certify or invert
+    d, L, M = 3, 1.5, 4.0
+    ch = make_channel(kind, d, L=L, M=M, eps=0.3)
+    if ch.budget == "M":
+        assert certificate_for(ch).level == mi_closed_form(kind, d, L, M).exact
+    else:
+        with pytest.raises(ValueError):
+            mi_closed_form(kind, d, L, M)
+        with pytest.raises(ValueError):
+            information_to_radius(kind, d, L, 0.4)
 
 
 def test_extreme_point_source_shapes():
