@@ -9,8 +9,9 @@ Three production mechanisms plus plumbing:
                  basis {+-M e_j} for inputs with ||x||_1 <= L < M
   dp_hypercube   eps-differentially-private two-level channel on the
                  sign cube; the k = 0 closed form, valid eps < eps_star(d).
-                 x rounds to a corner T; Z = B W, W uniform on the half-cube
-                 {<w, T> > 0} with probability C_d q+, else on its complement
+                 x rounds to a corner T; Z = B W T, where W has k ones placed
+                 uniformly at random and the agreement class k has its exact
+                 law C(d, k) q+ for 2k > d, C(d, k) q- otherwise
   dp_linf_sampler  the sampler view of the same two-level channel (an
                  alias: both names map to one row of the kind table)
   dp_l2_sampler  eps-DP hemisphere sampler on the radius-B sphere: x rounds
@@ -34,6 +35,7 @@ consume.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -215,45 +217,17 @@ def _l1_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
     return ch.calibration["atoms"][(cdf <= u[:, None]).sum(axis=1)]
 
 
-def _uniform_halfcube(d: int, n: int, rng, upper: bool) -> np.ndarray:
-    """Uniform sign vectors with coordinate sum > 0 (upper) or <= 0.
-
-    Upper uses reflection (redrawing ties); lower keeps ties and rejects,
-    acceptance >= 1/2 per round.
-    """
-    out = _rademacher(rng, (n, d))
-    s = out.sum(axis=1)
-    if upper:
-        neg = s < 0.0
-        out[neg] = -out[neg]
-        pending = np.flatnonzero(s == 0.0)
-    else:
-        pending = np.flatnonzero(s > 0.0)
-    while pending.size:
-        red = _rademacher(rng, (pending.size, d))
-        ss = red.sum(axis=1)
-        if upper:
-            neg = ss < 0.0
-            red[neg] = -red[neg]
-            bad = ss == 0.0
-        else:
-            bad = ss > 0.0
-        out[pending] = red
-        pending = pending[bad]
-    return out
-
-
 def _two_level_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
+    # one block of d + 1 uniforms per row: the last picks the agreement
+    # class k from its exact cdf (no rejection), so W is k entries +B and
+    # d - k entries -B, shuffled per row; the other d round x to the corner
+    # T, and Z = W T flips W where T = -1
     d, cal = ch.d, ch.calibration
-    T = np.where(rng.random((n, d)) < 0.5 * (1.0 + x / ch.source.radius), 1.0, -1.0)
-    up = rng.random(n) < cal["coin"]
-    W = np.empty((n, d))
-    n_up = int(up.sum())
-    if n_up:
-        W[up] = _uniform_halfcube(d, n_up, rng, upper=True)
-    if n_up < n:
-        W[~up] = _uniform_halfcube(d, n - n_up, rng, upper=False)
-    return cal["B"] * W * T
+    u = rng.random((n, d + 1))
+    k = np.searchsorted(cal["class_cdf"], u[:, d:], side="right")
+    W = np.where(np.arange(d) < k, cal["B"], -cal["B"])
+    rng.permuted(W, axis=1, out=W)
+    return np.where(u[:, :d] < 0.5 + x * (0.5 / ch.source.radius), W, -W)
 
 
 def _l2_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
@@ -381,6 +355,16 @@ def _l1_calibration(d: int, L: float, M, *_) -> tuple:
 def _two_level_calibration(d: int, L: float, eps, *_) -> tuple:
     cal = dict(two_level_constants(d, eps))
     cal["B"] = L / cal["t"]
+    # cdf of the agreement class k = #{i: W_i = +1}, of mass C(d, k) q+ for
+    # 2k > d and C(d, k) q- otherwise, with e^eps = num/den exactly: summed
+    # in integers and rounded once (int / int is correctly rounded), so the
+    # last entry is 1.0
+    num, den = math.exp(eps).as_integer_ratio()
+    sizes = [math.comb(d, k) * (num if 2 * k > d else den) for k in range(d + 1)]
+    total = sum(sizes)
+    cdf = np.array([c / total for c in itertools.accumulate(sizes)])
+    cdf.setflags(write=False)
+    cal["class_cdf"] = cdf
     return np.inf, cal["B"], cal
 
 

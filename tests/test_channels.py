@@ -17,7 +17,6 @@ from privopt.channels import (
     l1_gamma,
     make_channel,
     two_level_constants,
-    _uniform_halfcube,
 )
 
 PERTURBING = ("linf_maxent", "l1_maxent", "dp_hypercube", "dp_linf_sampler", "dp_l2_sampler")
@@ -60,6 +59,23 @@ def test_two_level_constants_identities(d, eps):
     assert c["coin"] == pytest.approx(c["C_d"] * c["q_plus"], rel=1e-13)
     assert c["t"] == pytest.approx((c["q_plus"] - c["q_minus"]) * c["N_d"], rel=1e-13)
     assert 0.0 < c["t"] < 1.0
+
+
+def _class_masses(d: int, eps: float) -> np.ndarray:
+    # the agreement class k = #{i: W_i = +1} has mass C(d, k) q+ for 2k > d,
+    # C(d, k) q- otherwise
+    c = two_level_constants(d, eps)
+    return np.array([math.comb(d, k) * (c["q_plus"] if 2 * k > d else c["q_minus"])
+                     for k in range(d + 1)])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 33])
+@pytest.mark.parametrize("eps", [0.1, 0.3, 0.43])
+def test_two_level_class_cdf(d, eps):
+    cdf = make_channel("dp_hypercube", d, eps=eps).calibration["class_cdf"]
+    assert cdf.shape == (d + 1,) and not cdf.flags.writeable
+    assert np.max(np.abs(np.diff(cdf, prepend=0.0) - _class_masses(d, eps))) <= 1e-15
+    assert cdf[-1] == 1.0
 
 
 def test_eps_star_values():
@@ -261,22 +277,109 @@ def test_batch_contract_violations_rejected(kind):
         ch.sample(np.zeros((5, 2)), rng=rng)
 
 
-@pytest.mark.parametrize("d,upper", [(3, True), (3, False), (4, True), (4, False)])
-def test_uniform_halfcube_split(d, upper):
-    rng = np.random.default_rng(101)
-    v = _uniform_halfcube(d, 5000, rng, upper)
-    s = v.sum(axis=1)
-    if upper:
-        assert np.all(s > 0)
-    else:
-        # the tie shell (possible only at even d) belongs to the lower half
-        assert np.all(s <= 0)
-    # uniformity over the half: coordinate marginals match the exact law
-    corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).T.reshape(-1, d)
-    mask = corners.sum(axis=1) > 0 if upper else corners.sum(axis=1) <= 0
-    want = corners[mask].mean(axis=0)
-    got = v.mean(axis=0)
-    assert np.all(np.abs(got - want) <= 4.0 * 1.0 / math.sqrt(5000) + 1e-12)
+# ---------------------------------------------------------------------------
+# law conformance: draws of the two-level kinds against their exact law
+#
+# G-tests at pinned seeds, with a family-wise false-alarm budget of 1e-6
+# split evenly (Bonferroni) over the nine cases below.  At a corner input x
+# the agreement count k of sign(Z) with sign(x) has law C(d, k) q+ for
+# 2k > d and C(d, k) q- otherwise (d + 1 cells); at an interior input the
+# test runs over the 2^d atoms of channel_pmf.  Corner draw counts come from
+# a power calculation: with 1% of the heaviest class's mass moved to a
+# neighbouring class, G is noncentral chi-square with d degrees of freedom
+# and noncentrality 2 n KL(perturbed || exact).  Rejecting at the per-test
+# level with power 0.999 needs n = 2.61e5, 3.89e5, 6.61e5, 1.35e6 and
+# 1.90e6 draws at d = 1, 3, 4, 8 and 16 (worse neighbour); the counts
+# below round those up.
+
+FAMILY_ALPHA = 1e-6
+CORNER_CASES = [  # (kind, d, eps, draws)
+    ("dp_hypercube", 1, 1.0, 300_000),
+    ("dp_linf_sampler", 3, 1.0, 400_000),
+    ("dp_hypercube", 4, 1.0, 700_000),
+    ("dp_hypercube", 8, 0.5, 1_400_000),
+    ("dp_hypercube", 16, 0.5, 2_000_000),
+]
+INTERIOR_CASES = [  # (kind, eps, x); coins (1 + x/L)/2 between 0.10 and 0.67
+    ("dp_hypercube", 1.0, (0.3, -0.8)),
+    ("dp_linf_sampler", 0.5, (-0.5, 0.0, 0.34)),
+    ("dp_hypercube", 1.0, (0.2, -0.8, 0.0, 0.34, -0.3)),
+    ("dp_hypercube", 0.8, (-0.8, -0.2, 0.0, 0.1, 0.3, 0.34)),
+]
+INTERIOR_DRAWS = 400_000  # every atom expects >= 5000 draws
+TEST_ALPHA = FAMILY_ALPHA / (len(CORNER_CASES) + len(INTERIOR_CASES))
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """Upper tail of chi-square at integer df, from its closed forms."""
+    h = x / 2.0
+    if df % 2 == 0:
+        term = total = 1.0
+        for j in range(1, df // 2):
+            term *= h / j
+            total += term
+        return math.exp(-h) * total
+    term, total = 1.0, 0.0
+    for j in range(df // 2):
+        total += term
+        term *= x / (2 * j + 3)
+    return math.erfc(math.sqrt(h)) + math.sqrt(2.0 * x / math.pi) * math.exp(-h) * total
+
+
+def _g_test(counts, probs) -> float:
+    """p-value of the G-test of cell counts against cell probabilities."""
+    counts = np.asarray(counts, dtype=float)
+    expected = counts.sum() * np.asarray(probs)
+    seen = counts > 0
+    g = 2.0 * float(np.sum(counts[seen] * np.log(counts[seen] / expected[seen])))
+    return _chi2_sf(g, len(counts) - 1)
+
+
+def test_chi2_sf_closed_forms():
+    # df = 1, 2 and 3 by hand; the 1e-7 critical values of df = 16 and 63
+    assert _chi2_sf(3.841458820694124, 1) == pytest.approx(0.05, rel=1e-12)
+    assert _chi2_sf(4.0, 2) == pytest.approx(math.exp(-2.0), rel=1e-14)
+    assert _chi2_sf(2.0, 3) == pytest.approx(
+        math.erfc(1.0) + 2.0 / math.sqrt(math.pi) * math.exp(-1.0), rel=1e-14)
+    assert _chi2_sf(64.22741251580294, 16) == pytest.approx(1e-7, rel=1e-9)
+    assert _chi2_sf(139.58288444108064, 63) == pytest.approx(1e-7, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind,d,eps,n", CORNER_CASES, ids=[f"d{c[1]}" for c in CORNER_CASES])
+def test_two_level_corner_law_conformance(kind, d, eps, n):
+    ch = make_channel(kind, d, L=2.0, eps=eps)
+    rng = np.random.default_rng([7, d])
+    counts = np.zeros(d + 1, dtype=np.int64)
+    for start in range(0, n, 1 << 18):
+        # one random corner per row, so the batch path is what is tested
+        signs = np.where(rng.random((min(1 << 18, n - start), d)) < 0.5, -1.0, 1.0)
+        z = ch.sample(2.0 * signs, rng=rng)
+        counts += np.bincount((np.sign(z) == signs).sum(axis=1), minlength=d + 1)
+    probs = _class_masses(d, eps)
+    assert _g_test(counts, probs) >= TEST_ALPHA, counts
+    # teeth: thinning 1% of the heaviest class into a neighbour gives draws
+    # from the perturbed law, which must be rejected
+    k = int(np.argmax(probs))
+    for j in (k - 1, k + 1):
+        if 0 <= j <= d:
+            moved = counts.copy()
+            shift = rng.binomial(counts[k], 0.01)
+            moved[k] -= shift
+            moved[j] += shift
+            assert _g_test(moved, probs) < TEST_ALPHA, (k, j)
+
+
+@pytest.mark.parametrize("kind,eps,x", INTERIOR_CASES,
+                         ids=[f"d{len(c[2])}" for c in INTERIOR_CASES])
+def test_two_level_interior_law_conformance(kind, eps, x):
+    d = len(x)
+    ch = make_channel(kind, d, eps=eps)
+    x = np.array(x)
+    z = ch.sample(x, rng=np.random.default_rng([8, d]), size=INTERIOR_DRAWS)
+    # atom index in channel_pmf's corner order: coordinate 0 is the top bit
+    atom = (z > 0.0).astype(np.int64) @ (1 << np.arange(d - 1, -1, -1))
+    counts = np.bincount(atom, minlength=2**d)
+    assert _g_test(counts, channel_pmf(ch, x).probs) >= TEST_ALPHA, counts
 
 
 def test_seed_determinism_per_kind():

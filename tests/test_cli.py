@@ -132,7 +132,7 @@ def test_certify_residual_over_pmf_guard_has_statistical_tolerance(tmp_path, doc
 def test_tradeoff_check_passes_on_tuned_grid(tmp_path):
     cfg = _cfg(tmp_path, "t.json", {
         "kind": "dp_hypercube", "d": [3], "n": [4096, 16384, 65536],
-        "budget": [0.5, 0.75, 1.0], "delta": 0.8, "reps": 30,
+        "budget": [0.5, 0.75, 1.0], "delta": 0.8, "reps": 120,
     })
     out = tmp_path / "t.csv"
     assert _run(["tradeoff", "--config", cfg, "--seed", "0", "--check",
