@@ -28,9 +28,9 @@ Channel.sample, channel_pmf, dp_ratio_max, worst_case_mi and the JSON
 round trip read the row and do not branch on the kind; other modules ask
 a channel for its budget and whether it has a pmf.  Channel.sample is the
 one way to draw: one input, with an optional size for repeated draws, or
-a batch of inputs with one draw per row.  Exact pmfs are what the exact
-mutual-information and DP-ratio certification in the information module
-consume.
+a batch of inputs with one draw per row.  channel_pmf reads the exact law
+in the same two forms; given a batch it returns the laws over one shared
+atom enumeration, which exact MI, the DP ratio and the minimax rows read.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ __all__ = [
 
 
 class SupportPmf(NamedTuple):
-    """Finite conditional law: points (k, d), probs (k,)."""
+    """Finite conditional law: points (k, d) and probs (k,), or probs (R, k)
+    for R inputs over shared points."""
 
     points: np.ndarray
     probs: np.ndarray
@@ -143,7 +144,6 @@ def two_level_constants(d: int, eps: float) -> dict:
         "q_plus": q_plus,
         "q_minus": q_minus,
         "t": t,
-        "coin": C * q_plus,
         "eps_star": eps_star(d),
     }
 
@@ -528,22 +528,54 @@ def make_channel(
 # exact pmfs, ratio checks and the worst-case MI
 
 
-def channel_pmf(ch: Channel, x) -> SupportPmf:
-    """Exact conditional law of Z given one input x, for the kinds with
-    finite support.
+_JOINT_GUARD = 10**7
 
-    x takes the same check as Channel.sample.  Probabilities sum to 1 to
-    1e-12 and the pmf mean reproduces x to 1e-10.  dp kinds enumerate the
-    2^d corner mixture, so interior inputs are guarded at d <= 10 (corner
-    inputs at d <= 20).
+
+def _first_appearance(a: np.ndarray) -> tuple:
+    """Distinct rows of a (m, d), compared with == (so 0.0 and -0.0 are one
+    row), numbered in order of first appearance: returns (first, col), where
+    a[first[j]] is the first row of group j and row i belongs to group
+    col[i]."""
+    order = np.lexsort(a.T[::-1])
+    s = a[order]
+    new = np.ones(len(a), dtype=bool)
+    np.any(s[1:] != s[:-1], axis=1, out=new[1:])
+    heads = order[new]  # the sort is stable, so each group's first row leads it
+    rank = np.argsort(heads)
+    col = np.empty(len(a), dtype=np.intp)
+    col[order] = np.argsort(rank)[np.cumsum(new) - 1]
+    return heads[rank], col
+
+
+def channel_pmf(ch: Channel, x) -> SupportPmf:
+    """Exact conditional law of Z given x, for the kinds with finite support.
+
+    x takes the same check as Channel.sample.  One input x (d,) gives
+    points (k, d) and probs (k,), which sum to 1 to 1e-12 with a mean
+    within 1e-10 of x.  A batch X (R, d) gives the R laws over one shared
+    enumeration: points (k, d), rounded to 12 decimals, merged with == and
+    numbered in order of first appearance, and probs (R, k); R k over 10^7
+    raises.  dp kinds enumerate the 2^d corner mixture, so interior inputs
+    are guarded at d <= 10 (corner inputs at d <= 20).
     """
     pmf = _KINDS[ch.kind].pmf
     if pmf is None:
         raise ValueError(f"{ch.kind} has continuous support; no exact pmf")
     x = _checked_rows(x, ch.d, ch.source)
-    if x.ndim != 1:
-        raise ValueError("channel_pmf takes one input vector")
-    return pmf(ch, x)
+    if x.ndim == 1:
+        return pmf(ch, x)
+    laws = [pmf(ch, row) for row in x]
+    # support atoms are exact multiples of the calibrated magnitudes; round
+    # only to absorb float noise from equivalent computations
+    atoms = np.concatenate([law.points for law in laws])
+    np.round(atoms, 12, out=atoms)
+    first, col = _first_appearance(atoms)
+    if len(x) * len(first) > _JOINT_GUARD:
+        raise ValueError("joint support exceeds enumeration guard")
+    probs = np.zeros((len(x), len(first)))
+    row = np.repeat(np.arange(len(x)), [len(law.probs) for law in laws])
+    np.add.at(probs, (row, col), np.concatenate([law.probs for law in laws]))
+    return SupportPmf(atoms[first], probs)
 
 
 def dp_ratio_max(ch: Channel, inputs=None) -> float:
@@ -554,18 +586,12 @@ def dp_ratio_max(ch: Channel, inputs=None) -> float:
     """
     if not (ch.budget == "eps" and ch.has_pmf):
         raise ValueError("dp_ratio_max applies to the finite-support dp kinds")
-    L = ch.source.radius
     if inputs is None:
         if ch.d > _MIXTURE_GUARD_D:
             raise ValueError("exhaustive ratio check guarded at d <= 10")
-        inputs = L * _corner_matrix(ch.d)
-    hi = None
-    lo = None
-    for x in inputs:
-        probs = channel_pmf(ch, x).probs
-        hi = probs if hi is None else np.maximum(hi, probs)
-        lo = probs if lo is None else np.minimum(lo, probs)
-    return float(np.max(hi / lo))
+        inputs = ch.source.radius * _corner_matrix(ch.d)
+    probs = channel_pmf(ch, np.reshape(inputs, (len(inputs), -1))).probs
+    return float(np.max(probs.max(axis=0) / probs.min(axis=0)))
 
 
 def worst_case_mi(kind: str, d: int, L: float, M: float) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 from .channels import (
     Channel,
     PrivacyCertificate,
+    _first_appearance,
     binary_entropy,
     channel_pmf,
     dp_ratio_max,
@@ -115,40 +116,6 @@ def tv_distance(p: DiscreteDist, q: DiscreteDist) -> float:
 # ---------------------------------------------------------------------------
 # mutual information, exact
 
-_JOINT_GUARD = 10**7
-
-
-def _point_key(z: np.ndarray) -> tuple:
-    # support atoms are exact multiples of the calibrated magnitudes; round
-    # only to absorb float noise from equivalent computations
-    return tuple(np.round(z, 12).tolist())
-
-
-def _conditional_rows(inputs, ch: Channel) -> tuple:
-    """Stack per-input channel pmfs over a shared output enumeration.
-
-    Returns (rows, keys): rows[i] is the law of Z given inputs[i] over the
-    output atoms, and keys[j] is column j's atom as a rounded tuple.
-    """
-    col_of = {}
-    rows = []
-    for x in inputs:
-        pmf = channel_pmf(ch, x)
-        entries = []
-        for z, w in zip(pmf.points, pmf.probs):
-            key = _point_key(z)
-            j = col_of.setdefault(key, len(col_of))
-            entries.append((j, w))
-        rows.append(entries)
-        if len(inputs) * len(col_of) > _JOINT_GUARD:
-            raise ValueError("joint support exceeds enumeration guard")
-    mat = np.zeros((len(inputs), len(col_of)))
-    for i, entries in enumerate(rows):
-        for j, w in entries:
-            mat[i, j] += w
-    return mat, list(col_of)
-
-
 def mi_from_conditionals(prior, rows) -> float:
     """I(index; Z) in nats for rows of conditional pmfs over shared columns."""
     prior = np.asarray(prior, dtype=float)
@@ -165,8 +132,7 @@ def mi_from_conditionals(prior, rows) -> float:
 
 def mutual_information_exact(source: DiscreteDist, ch: Channel) -> float:
     """I(X; Z) in nats by double summation over the joint pmf."""
-    rows, _ = _conditional_rows(source.support, ch)
-    return mi_from_conditionals(source.probs, rows)
+    return mi_from_conditionals(source.probs, channel_pmf(ch, np.stack(source.support)).probs)
 
 
 class MiClosedForm(NamedTuple):
@@ -267,20 +233,20 @@ def mi_monte_carlo(source: DiscreteDist, ch: Channel, n: int, rng) -> tuple:
     rng = np.random.default_rng(rng)
     idx = source.sample_indices(rng, n)
     per_source = np.bincount(idx, minlength=len(source))
-    col_of = {}
-    cell_i, cell_j, cell_n = [], [], []
+    cell_i, cell_keys, cell_n = [], [], []
     for i in range(len(source)):
         n_i = int(per_source[i])
         if n_i == 0:
             continue
         zs = ch.sample(source.support[i], rng=rng, size=n_i)
         keys, counts = _count_rows(np.round(zs, 12))
-        # columns in order of first appearance, merged across sources by ==
-        cell_j.extend(col_of.setdefault(key, len(col_of)) for key in map(tuple, keys.tolist()))
-        cell_i.extend([i] * len(counts))
+        cell_i.append(np.full(len(counts), i))
+        cell_keys.append(keys)
         cell_n.append(counts)
-    counts = np.zeros((len(source), len(col_of)))
-    counts[cell_i, cell_j] = np.concatenate(cell_n)
+    # columns in order of first appearance, merged across sources by ==
+    first, cell_j = _first_appearance(np.concatenate(cell_keys))
+    counts = np.zeros((len(source), len(first)))
+    counts[np.concatenate(cell_i), cell_j] = np.concatenate(cell_n)
     est = _plugin_mi(counts)
     # Delete-one jackknife, grouped by occupied cell. With f(m) = m log m,
     # n * est = T = sum f(c) + f(n) - sum f(rows) - sum f(cols); deleting

@@ -26,10 +26,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channels import eps_star
 from .geometry import _corner_matrix
 
-__all__ = ["MAX_LP_DIM", "DpLpInstance", "DpLpSolution", "solve_dp_lp", "eps_star"]
+__all__ = ["MAX_LP_DIM", "DpLpInstance", "DpLpSolution", "solve_dp_lp"]
 
 MAX_LP_DIM = 6
 ZERO, ONE = Fraction(0), Fraction(1)

@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import Channel, l1_gamma
+from .channels import Channel, channel_pmf, l1_gamma
 from .geometry import Packing
-from .information import _conditional_rows, mi_closed_form, mi_from_conditionals
+from .information import mi_closed_form, mi_from_conditionals
 from .losses import DataDist, dist_support
 
 __all__ = [
@@ -339,11 +339,11 @@ def observation_rows(inst: TestingInstance) -> tuple:
     L = inst.channel.source.radius
     # the atoms of the data law do not depend on nu, only their probabilities
     atoms, _ = dist_support(inst.data_dist(inst.packing.points[0]))
-    cond_mat, keys = _conditional_rows(inst.grad_sign * L * atoms, inst.channel)
-    rows = np.empty((len(inst.packing), len(keys)))
+    cond = channel_pmf(inst.channel, inst.grad_sign * L * atoms)
+    rows = np.empty((len(inst.packing), len(cond.points)))
     for v, nu in enumerate(inst.packing.points):
-        rows[v] = dist_support(inst.data_dist(nu))[1] @ cond_mat
-    return rows, np.array(keys)
+        rows[v] = dist_support(inst.data_dist(nu))[1] @ cond.probs
+    return rows, cond.points
 
 
 def exact_mi_per_sample(inst: TestingInstance) -> float:

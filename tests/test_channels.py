@@ -56,7 +56,6 @@ def test_two_level_constants_identities(d, eps):
     assert total == pytest.approx(1.0, abs=1e-14)
     assert c["q_plus"] / c["q_minus"] == pytest.approx(math.exp(eps), rel=1e-13)
     assert c["K_d"] == d * c["N_d"]
-    assert c["coin"] == pytest.approx(c["C_d"] * c["q_plus"], rel=1e-13)
     assert c["t"] == pytest.approx((c["q_plus"] - c["q_minus"]) * c["N_d"], rel=1e-13)
     assert 0.0 < c["t"] < 1.0
 
@@ -155,6 +154,69 @@ def test_pmf_identity_and_biased():
     pts, probs = channel_pmf(ch, x)
     mean = probs @ pts
     assert np.allclose(mean, x + np.array([0.5, -0.5]), atol=1e-12)
+
+
+def _dict_keyed_rows(ch, inputs):
+    """The batch law as first written: one channel_pmf per input, each atom
+    keyed by its 12-decimal rounded tuple in a dict, so columns follow first
+    appearance and == merges 0.0 with -0.0.  Returns (points, probs)."""
+    col_of = {}
+    rows = []
+    for x in inputs:
+        pmf = channel_pmf(ch, x)
+        entries = []
+        for z, w in zip(pmf.points, pmf.probs):
+            key = tuple(np.round(z, 12).tolist())
+            entries.append((col_of.setdefault(key, len(col_of)), w))
+        rows.append(entries)
+    mat = np.zeros((len(inputs), len(col_of)))
+    for i, entries in enumerate(rows):
+        for j, w in entries:
+            mat[i, j] += w
+    return np.array(list(col_of)), mat
+
+
+FINITE_KINDS = [k for k in CHANNEL_KINDS if k != "dp_l2_sampler"]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("kind", FINITE_KINDS)
+def test_batch_pmf_matches_dict_keyed_rows(kind, d):
+    ch = _mk(kind, d)
+    rng = np.random.default_rng(d)
+    corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).T.reshape(-1, d)
+    if kind == "l1_maxent":
+        corners = np.vstack([np.eye(d), -np.eye(d)])
+    interior = np.array([_input_for(ch, rng) for _ in range(7)])
+    interior[0] = 0.0
+    interior[1] = -0.0
+    for X in (corners, interior, np.vstack([interior, corners])):
+        points, probs = channel_pmf(ch, X)
+        ref_points, ref_probs = _dict_keyed_rows(ch, X)
+        assert probs.shape == (len(X), len(points))
+        assert probs.tobytes() == ref_probs.tobytes()
+        assert points.tobytes() == ref_points.tobytes()
+
+
+def test_batch_pmf_edge_cases():
+    ch = make_channel("identity", 1)
+    # 0.0 and -0.0 are one atom, which keeps the sign it first appeared with
+    points, probs = channel_pmf(ch, np.array([[-0.0], [0.0], [0.5]]))
+    assert points.tolist() == [[0.0], [0.5]] and math.copysign(1.0, points[0, 0]) < 0
+    assert probs.tolist() == [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    # a one-row batch keeps its batch shape; a single input keeps its own
+    ch = make_channel("linf_maxent", 3, M=2.0)
+    x = np.array([0.5, -0.25, 0.0])
+    one = channel_pmf(ch, x)
+    batch = channel_pmf(ch, x[None, :])
+    assert one.points.shape == (8, 3) and one.probs.shape == (8,)
+    assert batch.points.shape == (8, 3) and batch.probs.shape == (1, 8)
+    assert batch.probs[0].tobytes() == one.probs.tobytes()
+    # the guard on R x k holds before the (R, k) matrix is allocated
+    ch = make_channel("biased_demo", 8, bias=0.2, noise=0.5)
+    corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * 8)).T.reshape(-1, 8)
+    with pytest.raises(ValueError, match="joint support exceeds enumeration guard"):
+        channel_pmf(ch, corners)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])

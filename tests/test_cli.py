@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import privopt.cli as cli
+import privopt.information as information
+from privopt.channels import Channel
 from privopt.information import InfoReport
 
 
@@ -55,6 +57,20 @@ def test_certify_selfcheck_payload(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["mode"] == "check" and len(doc["checks"]) == 3
     assert all(c["ok"] for c in doc["checks"])
+
+
+def test_certify_selfcheck_draws_nothing(monkeypatch, capsys):
+    # the check reports exact values only, so it must not sample at all
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify --check drew a sample")
+
+    monkeypatch.setattr(information, "mi_monte_carlo", refuse)
+    monkeypatch.setattr(Channel, "sample", refuse)
+    outs = []
+    for seed in ("0", "3"):
+        assert _run(["certify", "--check", "--seed", seed]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_certify_violation_exits_2(tmp_path, monkeypatch):

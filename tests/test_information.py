@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import privopt.information as information
-from privopt.channels import CHANNEL_KINDS, make_channel
+from privopt.channels import CHANNEL_KINDS, channel_pmf, make_channel
 from privopt.information import (
     DiscreteDist,
     InfoReport,
@@ -139,12 +139,25 @@ def test_information_to_radius_edges():
         information_to_radius("dp_hypercube", 3, 1.0, 0.4)
 
 
-def test_mi_monte_carlo_brackets_exact():
-    ch = make_channel("linf_maxent", 2, L=1.0, M=2.0)
-    src = _uniform_corners(2)
+_BRACKET_CHANNELS = [
+    ("linf_maxent", 2, {"M": 2.0}),
+    ("linf_maxent", 4, {"M": 2.0}),
+    ("l1_maxent", 3, {"M": 2.0}),
+    ("dp_hypercube", 3, {"eps": 1.0}),
+    ("dp_linf_sampler", 4, {"eps": 0.5}),
+    ("identity", 3, {}),
+    ("biased_demo", 2, {"bias": 0.2, "noise": 0.5}),
+]
+
+
+@pytest.mark.parametrize("kind,d,params", _BRACKET_CHANNELS,
+                         ids=[f"{kind}-d{d}" for kind, d, _ in _BRACKET_CHANNELS])
+def test_mi_monte_carlo_brackets_exact(kind, d, params):
+    ch = make_channel(kind, d, **params)
+    src = extreme_point_source(ch)
     exact = mutual_information_exact(src, ch)
     est, se = mi_monte_carlo(src, ch, 50_000, np.random.default_rng(11))
-    cells = 4 * 4
+    cells = np.count_nonzero(channel_pmf(ch, np.stack(src.support)).probs)
     miller_madow = (cells - 1) / (2 * 50_000)
     assert abs(est - exact) <= 4.0 * se + miller_madow
     with pytest.raises(ValueError):
