@@ -22,15 +22,22 @@ Three production mechanisms plus plumbing:
                  centered at x + bias
 
 One private table has a row per kind: the budget it is built from (M,
-eps or none), its calibration, one draw, its exact pmf when the support
-is finite and, for the M kinds, its worst-case MI.  make_channel,
-Channel.sample, channel_pmf, dp_ratio_max, worst_case_mi and the JSON
-round trip read the row and do not branch on the kind; other modules ask
-a channel for its budget and whether it has a pmf.  Channel.sample is the
-one way to draw: one input, with an optional size for repeated draws, or
-a batch of inputs with one draw per row.  channel_pmf reads the exact law
-in the same two forms; given a batch it returns the laws over one shared
-atom enumeration, which exact MI, the DP ratio and the minimax rows read.
+eps or none), its calibration, its draw in two parts, its exact pmf when
+the support is finite and, for the M kinds, its worst-case MI.
+make_channel, the Channel methods, channel_pmf, dp_ratio_max,
+worst_case_mi and the JSON round trip read the row and do not branch on
+the kind; other modules ask a channel for its budget and whether it has a
+pmf.
+
+A draw is Z = f(x, U), where the randomness U does not depend on x: the
+row's noise draws U for n draws, and its apply maps x through it.
+Channel.sample(x) is apply(x, noise(n)): one input, with an optional size
+for repeated draws, or a batch of inputs with one draw per row.
+Channel.noise and Channel.apply expose the two parts, so a caller whose
+inputs come later (a population stream) can draw U ahead.  channel_pmf
+reads the exact law in the same two input forms; given a batch it returns
+the laws over one shared atom enumeration, which exact MI, the DP ratio
+and the minimax rows read.
 """
 
 from __future__ import annotations
@@ -168,10 +175,11 @@ def _checked_rows(x, d: int, ball: NormBall) -> np.ndarray:
     x = x.reshape(1) if x.ndim == 0 else x
     if x.ndim > 2 or x.shape[-1] != d:
         raise ValueError(f"expected a vector or rows of dimension {d}, got shape {x.shape}")
+    a = np.abs(x)
     if ball.p == np.inf:
-        top = np.abs(x).max()
-    else:
-        top = np.linalg.norm(x, ord=ball.p, axis=-1).max()
+        top = a.max()
+    else:  # the largest row norm
+        top = float((a ** ball.p).sum(axis=-1).max()) ** (1.0 / ball.p)
     L = ball.radius
     if not top <= L * (1.0 + _BALL_TOL) + _BALL_TOL:
         if not np.all(np.isfinite(x)):
@@ -181,17 +189,23 @@ def _checked_rows(x, d: int, ball: NormBall) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# draws: (channel, x, n, rng) -> (n, d), for n draws at one input x (d,) or
-# one draw per row of x (n, d), from the calibrated constants
+# draws, in two parts: noise(channel, n, rng) draws the randomness of n draws,
+# which does not depend on the input, as a tuple of arrays with leading
+# dimension n; apply(channel, x, *noise) maps one checked input x (d,), or
+# one input per row (n, d), through it to the draws (n, d)
 
 
 def _rademacher(rng, shape) -> np.ndarray:
     return np.where(rng.random(shape) < 0.5, -1.0, 1.0)
 
 
-def _linf_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
+def _linf_noise(ch, n: int, rng) -> tuple:
+    return (rng.random((n, ch.d)),)
+
+
+def _linf_apply(ch, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     M = ch.calibration["B"]
-    return np.where(rng.random((n, ch.d)) < 0.5 + x / (2.0 * M), M, -M)
+    return np.where(u < 0.5 + x / (2.0 * M), M, -M)
 
 
 def _l1_output_pmf(ch, x: np.ndarray) -> np.ndarray:
@@ -208,51 +222,71 @@ def _l1_output_pmf(ch, x: np.ndarray) -> np.ndarray:
     return tilted / ch.calibration["D_gamma"]
 
 
-def _l1_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
+def _l1_noise(ch, n: int, rng) -> tuple:
+    return (rng.random(n),)
+
+
+def _l1_apply(ch, x: np.ndarray, u: np.ndarray) -> np.ndarray:
     # inverse cdf per row, with the uniforms and cut points of
     # rng.choice(2d, size=n, p=law) at one input
     cdf = np.cumsum(_l1_output_pmf(ch, x), axis=-1)
     cdf /= cdf[..., -1:]
-    u = rng.random(n)
     return ch.calibration["atoms"][(cdf <= u[:, None]).sum(axis=1)]
 
 
-def _two_level_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
+def _two_level_noise(ch, n: int, rng) -> tuple:
     # one block of d + 1 uniforms per row: the last picks the agreement
     # class k from its exact cdf (no rejection), so W is k entries +B and
-    # d - k entries -B, shuffled per row; the other d round x to the corner
-    # T, and Z = W T flips W where T = -1
+    # d - k entries -B, shuffled per row; the other d round x to a corner
     d, cal = ch.d, ch.calibration
     u = rng.random((n, d + 1))
     k = np.searchsorted(cal["class_cdf"], u[:, d:], side="right")
     W = np.where(np.arange(d) < k, cal["B"], -cal["B"])
     rng.permuted(W, axis=1, out=W)
-    return np.where(u[:, :d] < 0.5 + x * (0.5 / ch.source.radius), W, -W)
+    return u[:, :d], W
 
 
-def _l2_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
-    # round each row to +-u, u = x/||x||_2 (e_1 at the origin), with
-    # P(+u) = 1/2 + ||x||_2/(2L); then draw uniform on the radius-B cap
-    # {<z, +-u> > 0} with probability pi_eps, on the opposite cap otherwise
-    cal = ch.calibration
-    nrm = np.sqrt((x * x).sum(axis=-1))
-    u = np.where(nrm[..., None] > 0.0, x, np.eye(1, ch.d))
-    toward = rng.random(n) < 0.5 + nrm / (2.0 * ch.source.radius)
-    near = rng.random(n) < cal["pi_eps"]
+def _two_level_apply(ch, x: np.ndarray, u: np.ndarray, W: np.ndarray) -> np.ndarray:
+    # round x to the corner T; Z = W T flips W where T = -1
+    return np.where(u < 0.5 + x * (0.5 / ch.source.radius), W, -W)
+
+
+def _l2_noise(ch, n: int, rng) -> tuple:
+    # the rounding uniform, the cap coin (near with probability pi_eps) and
+    # a uniform direction on the unit sphere
+    toward = rng.random(n)
+    near = rng.random(n) < ch.calibration["pi_eps"]
     G = rng.standard_normal((n, ch.d))
-    U = G / np.sqrt((G * G).sum(axis=1, keepdims=True))
-    dot = np.einsum("...j,...j->...", U, u)
+    return toward, near, G / np.sqrt((G * G).sum(axis=1, keepdims=True))
+
+
+def _l2_apply(ch, x: np.ndarray, toward: np.ndarray, near: np.ndarray,
+              U: np.ndarray) -> np.ndarray:
+    # round each row to +-u, u = x/||x||_2 (e_1 at the origin), with
+    # P(+u) = 1/2 + ||x||_2/(2L); then the draw is uniform on the radius-B
+    # cap {<z, +-u> > 0} when near, on the opposite cap otherwise
+    nrm = np.sqrt((x * x).sum(axis=-1))
+    toward = toward < 0.5 + nrm / (2.0 * ch.source.radius)
+    dot = np.where(nrm > 0.0, np.einsum("...j,...j->...", U, x), U[:, 0])  # sign of <U, u>
     flip = np.where(toward == near, dot < 0.0, dot > 0.0)
-    return np.where(flip, -cal["B"], cal["B"])[:, None] * U
+    B = ch.calibration["B"]
+    return np.where(flip, -B, B)[:, None] * U
 
 
-def _identity_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
-    return np.broadcast_to(x, (n, ch.d)).copy()
+def _identity_noise(ch, n: int, rng) -> tuple:
+    return (np.empty((n, 0)),)  # draws nothing; carries n
 
 
-def _biased_draw(ch, x: np.ndarray, n: int, rng) -> np.ndarray:
-    cal = ch.calibration
-    return x + np.asarray(cal["bias"]) + cal["noise"] * _rademacher(rng, (n, ch.d))
+def _identity_apply(ch, x: np.ndarray, empty: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(x, (len(empty), ch.d)).copy()
+
+
+def _biased_noise(ch, n: int, rng) -> tuple:
+    return (ch.calibration["noise"] * _rademacher(rng, (n, ch.d)),)
+
+
+def _biased_apply(ch, x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    return x + np.asarray(ch.calibration["bias"]) + e
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +437,24 @@ def _biased_calibration(d: int, L: float, _, bias, noise) -> tuple:
 class _Kind(NamedTuple):
     budget: Optional[str]  # "M", "eps", or None for the non-private kinds
     calibrate: Callable  # (d, L, budget value, bias, noise) -> (p, target radius, calibration)
-    draw: Callable  # (channel, x, n, rng) -> (n, d)
+    noise: Callable  # (channel, n, rng) -> tuple of arrays with leading dimension n
+    apply: Callable  # (channel, x, *noise) -> (n, d)
     pmf: Optional[Callable]  # (channel, x) -> SupportPmf; None for continuous support
     worst_mi: Optional[Callable] = None  # (d, L, M) -> nats, for the M budget only
 
 
-_TWO_LEVEL = _Kind("eps", _two_level_calibration, _two_level_draw, _two_level_pmf)
+_TWO_LEVEL = _Kind("eps", _two_level_calibration, _two_level_noise, _two_level_apply,
+                   _two_level_pmf)
 _KINDS = {
-    "linf_maxent": _Kind("M", _linf_calibration, _linf_draw, _linf_pmf, _linf_worst_mi),
-    "l1_maxent": _Kind("M", _l1_calibration, _l1_draw, _l1_pmf, _l1_worst_mi),
+    "linf_maxent": _Kind("M", _linf_calibration, _linf_noise, _linf_apply, _linf_pmf,
+                         _linf_worst_mi),
+    "l1_maxent": _Kind("M", _l1_calibration, _l1_noise, _l1_apply, _l1_pmf, _l1_worst_mi),
     "dp_hypercube": _TWO_LEVEL,
     "dp_linf_sampler": _TWO_LEVEL,
-    "dp_l2_sampler": _Kind("eps", _l2_calibration, _l2_draw, None),
-    "identity": _Kind(None, _identity_calibration, _identity_draw, _identity_pmf),
-    "biased_demo": _Kind(None, _biased_calibration, _biased_draw, _biased_pmf),
+    "dp_l2_sampler": _Kind("eps", _l2_calibration, _l2_noise, _l2_apply, None),
+    "identity": _Kind(None, _identity_calibration, _identity_noise, _identity_apply,
+                      _identity_pmf),
+    "biased_demo": _Kind(None, _biased_calibration, _biased_noise, _biased_apply, _biased_pmf),
 }
 CHANNEL_KINDS = tuple(_KINDS)
 
@@ -470,23 +508,39 @@ class Channel:
             object.__setattr__(self, "_stream", np.random.default_rng(self.seed))
         return self._stream
 
+    def noise(self, n: int, rng=None) -> tuple:
+        """The randomness of n draws, which does not depend on the input: a
+        tuple of arrays with leading dimension n, drawn from rng (a seed or
+        generator; the channel's own stream when None) in the order that
+        sample draws it."""
+        gen = self.rng() if rng is None else np.random.default_rng(rng)
+        return _KINDS[self.kind].noise(self, int(n), gen)
+
+    def apply(self, x, noise: tuple) -> np.ndarray:
+        """The draws (n, d) that noise(n, ...) gives at x: n draws at one
+        input x (d,), or one draw per row of X (n, d).  x takes the check
+        of sample."""
+        x = _checked_rows(x, self.d, self.source)
+        if x.ndim == 2 and len(x) != len(noise[0]):
+            raise ValueError(f"{len(x)} input rows for {len(noise[0])} noise rows")
+        return _KINDS[self.kind].apply(self, x, *noise)
+
     def sample(self, x, rng=None, size=None) -> np.ndarray:
         """Draw Z given x: shape (d,), or (size, d) for size draws at x.
 
         Every kind also takes X of shape (R, d): one draw per row, in the
         rng order of sample(x, size=R) when every row is x.  Each input
         must be finite and in the source ball; size with a batch raises
-        ValueError.
+        ValueError.  The draws are apply(x, noise(n, rng)).
         """
         gen = self.rng() if rng is None else np.random.default_rng(rng)
         x = _checked_rows(x, self.d, self.source)
-        draw = _KINDS[self.kind].draw
-        if x.ndim == 1:
-            z = draw(self, x, 1 if size is None else int(size), gen)
-            return z[0] if size is None else z
-        if size is not None:
+        if x.ndim == 2 and size is not None:
             raise ValueError("pass a batch of inputs or size, not both")
-        return draw(self, x, len(x), gen)
+        n = len(x) if x.ndim == 2 else 1 if size is None else int(size)
+        row = _KINDS[self.kind]
+        z = row.apply(self, x, *row.noise(self, n, gen))
+        return z[0] if x.ndim == 1 and size is None else z
 
 
 def make_channel(
@@ -564,18 +618,36 @@ def channel_pmf(ch: Channel, x) -> SupportPmf:
     x = _checked_rows(x, ch.d, ch.source)
     if x.ndim == 1:
         return pmf(ch, x)
-    laws = [pmf(ch, row) for row in x]
+    atoms, weights, sizes = _stacked_laws(ch, pmf, x)
     # support atoms are exact multiples of the calibrated magnitudes; round
     # only to absorb float noise from equivalent computations
-    atoms = np.concatenate([law.points for law in laws])
     np.round(atoms, 12, out=atoms)
     first, col = _first_appearance(atoms)
     if len(x) * len(first) > _JOINT_GUARD:
         raise ValueError("joint support exceeds enumeration guard")
     probs = np.zeros((len(x), len(first)))
-    row = np.repeat(np.arange(len(x)), [len(law.probs) for law in laws])
-    np.add.at(probs, (row, col), np.concatenate([law.probs for law in laws]))
+    np.add.at(probs, (np.repeat(np.arange(len(x)), sizes), col), weights)
     return SupportPmf(atoms[first], probs)
+
+
+def _stacked_laws(ch: Channel, pmf, x: np.ndarray) -> tuple:
+    """Every row's law, stacked: atoms (m, d), probs (m,) and the atom count
+    per row.  Each kind lists a fixed number k of atoms, so the rows are
+    written into one (R k, d) buffer rather than held until concatenated."""
+    law = pmf(ch, x[0])
+    k = len(law.probs)
+    atoms, probs = np.empty((len(x) * k, ch.d)), np.empty(len(x) * k)
+    for i in range(len(x)):
+        if i:
+            law = pmf(ch, x[i])
+        if len(law.probs) != k:  # a law with another atom count: stack them all
+            laws = [pmf(ch, row) for row in x]
+            return (np.concatenate([law.points for law in laws]),
+                    np.concatenate([law.probs for law in laws]),
+                    [len(law.probs) for law in laws])
+        atoms[i * k:(i + 1) * k] = law.points
+        probs[i * k:(i + 1) * k] = law.probs
+    return atoms, probs, k
 
 
 def dp_ratio_max(ch: Channel, inputs=None) -> float:

@@ -5,12 +5,17 @@ The learner-visible trace is (theta_t, Z_t) pairs and nothing else; the
 datum never crosses the owner boundary.  Streams come in two modes:
 single_pass walks a fixed owner list once (streaming), with_replacement
 draws an owner (or a fresh datum from a population) i.i.d. per query.
+
+A population stream draws ahead: the channel noise does not depend on
+theta, so one refill draws a block of data and then their noise, and each
+query spends the next rows of it.  Every answer is still a fresh datum
+through a fresh draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -28,6 +33,9 @@ __all__ = [
 ]
 
 STREAM_MODES = ("single_pass", "with_replacement")
+# rows a population stream draws per refill, rounded down to a multiple of
+# the rows per query (at least one query)
+_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -61,6 +69,9 @@ class PrivateGradStream:
     population: Optional[DataDist] = None
     loss: Optional[LossFn] = None
     channel: Optional[Channel] = None
+    # the population block: data (rows, d), channel noise, next unread row
+    _block: tuple = field(default=(), init=False, repr=False, compare=False)
+    _next: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in STREAM_MODES:
@@ -96,16 +107,33 @@ class PrivateGradStream:
         return (self.mode == "single_pass" and self.owners is not None
                 and self.cursor >= len(self.owners))
 
+    def _take(self, m: int) -> tuple:
+        """The next m (data, noise) rows of the population block.  When
+        fewer than m rows are left, a refill draws m * max(1, _BLOCK_ROWS
+        // m) data with sample_datum, then their channel noise, from the
+        stream rng; the rows left over (only when m changes) are dropped
+        unserved."""
+        if not self._block or self._next + m > len(self._block[0]):
+            rows = m * max(1, _BLOCK_ROWS // m)
+            X = sample_datum(self.population, self.rng, size=rows)
+            self._block = (X, self.channel.noise(rows, self.rng))
+            self._next = 0
+        i, (X, noise) = self._next, self._block
+        self._next = i + m
+        return X[i:i + m], tuple(a[i:i + m] for a in noise)
+
 
 def query(stream: PrivateGradStream, theta) -> np.ndarray:
     """One protocol round: route theta to the next owner, return its Z.
     A population stream answers theta of shape (R, d) with R queries."""
     theta = np.asarray(theta, dtype=float)
     if stream.population is not None:
-        x = sample_datum(stream.population, stream.rng,
-                         size=len(theta) if theta.ndim == 2 else None)
-        g = subgrad(stream.loss, x, theta)
-        return stream.channel.sample(g, rng=stream.rng)
+        batch = theta.ndim == 2
+        if batch and len(theta) == 0:
+            raise ValueError("a batch query needs at least one row")
+        x, noise = stream._take(len(theta) if batch else 1)
+        z = stream.channel.apply(subgrad(stream.loss, x if batch else x[0], theta), noise)
+        return z if batch else z[0]
     if stream.mode == "single_pass":
         if stream.cursor >= len(stream.owners):
             raise RuntimeError("single-pass stream exhausted")

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privopt import channels
 from privopt.channels import (
     CHANNEL_KINDS,
+    SupportPmf,
     channel_from_json,
     channel_pmf,
     channel_to_json,
@@ -18,6 +20,8 @@ from privopt.channels import (
     make_channel,
     two_level_constants,
 )
+from privopt.losses import DataDist, dist_support, make_loss
+from privopt.protocol import PrivateGradStream, query
 
 PERTURBING = ("linf_maxent", "l1_maxent", "dp_hypercube", "dp_linf_sampler", "dp_l2_sampler")
 
@@ -219,6 +223,22 @@ def test_batch_pmf_edge_cases():
         channel_pmf(ch, corners)
 
 
+def test_batch_pmf_with_varying_atom_counts(monkeypatch):
+    # every kind lists a fixed atom count; a law that does not still stacks
+    # row by row (here identity, with positive inputs split over two atoms)
+    def pmf(ch, x):
+        if x[0] > 0.0:
+            return SupportPmf(np.vstack([x, -x]), np.array([0.75, 0.25]))
+        return SupportPmf(x[None, :].copy(), np.ones(1))
+
+    monkeypatch.setitem(channels._KINDS, "identity",
+                        channels._KINDS["identity"]._replace(pmf=pmf))
+    points, probs = channel_pmf(make_channel("identity", 1), np.array([[-0.5], [0.5], [0.25]]))
+    assert points.tolist() == [[-0.5], [0.5], [0.25], [-0.25]]
+    assert probs.tolist() == [[1.0, 0.0, 0.0, 0.0], [0.25, 0.75, 0.0, 0.0],
+                              [0.0, 0.0, 0.75, 0.25]]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0])
 def test_dp_ratio_exact(d, eps):
@@ -339,6 +359,26 @@ def test_batch_contract_violations_rejected(kind):
         ch.sample(np.zeros((5, 2)), rng=rng)
 
 
+# every path draws through the kind's noise, then its apply
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_sample_is_apply_of_noise(kind):
+    ch = _mk(kind, 4)
+    rng = np.random.default_rng(12)
+    x = _input_for(ch, rng)
+    X = np.array([_input_for(ch, rng) for _ in range(50)])
+    noise = ch.noise(50, np.random.default_rng(5))
+    assert isinstance(noise, tuple) and all(len(a) == 50 for a in noise)
+    want = ch.apply(x, noise)
+    assert want.shape == (50, 4)
+    assert np.array_equal(ch.sample(x, rng=5, size=50), want)
+    assert np.array_equal(ch.sample(X, rng=5), ch.apply(X, noise))
+    assert np.array_equal(ch.sample(x, rng=5), ch.apply(x, ch.noise(1, 5))[0])
+    # apply takes sample's input check, and one input row per noise row
+    for bad in (np.full(4, np.nan), np.full(4, 1.5), X[:49]):
+        with pytest.raises(ValueError):
+            ch.apply(bad, noise)
+
+
 # ---------------------------------------------------------------------------
 # law conformance: draws of the two-level kinds against their exact law
 #
@@ -442,6 +482,75 @@ def test_two_level_interior_law_conformance(kind, eps, x):
     atom = (z > 0.0).astype(np.int64) @ (1 << np.arange(d - 1, -1, -1))
     counts = np.bincount(atom, minlength=2**d)
     assert _g_test(counts, channel_pmf(ch, x).probs) >= TEST_ALPHA, counts
+
+
+# law conformance of the other finite kinds and of a population stream:
+# a second family of G-tests with its own family-wise budget of 1e-6, split
+# over its four cases.  Each case also moves 1% of the heaviest atom's
+# draws into the next-heaviest atom, the hardest single move of that size,
+# and must reject it.  Draw counts come from the power calculation above
+# (power 0.999 against that move needs 3.11e6, 1.36e6, 0.96e6 and 1.53e6
+# draws for the stream, linf, l1 and biased cases); the counts below round
+# them up.
+
+ATOM_ALPHA = FAMILY_ALPHA / 4
+
+
+def _corner_cells(signs) -> np.ndarray:
+    """Index of each row's sign pattern (True for +) in _corner_matrix order,
+    coordinate 0 the top bit."""
+    return signs.astype(np.int64) @ (1 << np.arange(signs.shape[1] - 1, -1, -1))
+
+
+def _assert_law(counts, probs, rng) -> None:
+    assert _g_test(counts, probs) >= ATOM_ALPHA, counts
+    k, j = np.argsort(-np.asarray(probs), kind="stable")[:2]
+    moved = counts.copy()
+    shift = rng.binomial(counts[k], 0.01)
+    moved[k] -= shift
+    moved[j] += shift
+    assert _g_test(moved, probs) < ATOM_ALPHA, (k, j)
+
+
+ATOM_CASES = [  # (channel, x, draws)
+    (make_channel("linf_maxent", 3, M=2.0), (0.6, -0.3, 0.9), 1_400_000),
+    (make_channel("l1_maxent", 3, M=2.0), (0.5, -0.2, 0.1), 1_000_000),
+    (make_channel("biased_demo", 2, bias=(0.25, -0.5)), (0.3, -0.7), 1_600_000),
+]
+
+
+@pytest.mark.parametrize("ch,x,n", ATOM_CASES, ids=[c[0].kind for c in ATOM_CASES])
+def test_atom_law_conformance(ch, x, n):
+    x = np.array(x)
+    rng = np.random.default_rng([9, ch.d])
+    z = ch.sample(x, rng=rng, size=n)
+    if ch.kind == "l1_maxent":
+        # atoms +M e_j, then -M e_j
+        j = np.abs(z).argmax(axis=1)
+        cells = j + ch.d * (z[np.arange(n), j] < 0.0)
+    else:  # a product of signs around x + bias (zero for linf)
+        cells = _corner_cells(z > x + np.asarray(ch.calibration.get("bias", 0.0)))
+    probs = channel_pmf(ch, x).probs
+    _assert_law(np.bincount(cells, minlength=len(probs)), probs, rng)
+
+
+def test_population_stream_law_conformance():
+    # theta = 0 makes each median-loss subgradient -x, a corner, so the
+    # stream's answers follow sum_x P(x) channel_pmf(ch, -x); 64,000 queries
+    # of 50 rows span many block refills
+    ch = make_channel("dp_hypercube", 3, eps=1.0)
+    dist = DataDist("cube_bernoulli", 3, 0.5, (1, 0, 0))
+    stream = PrivateGradStream.from_population(dist, make_loss("median"), ch, rng=[10, 3])
+    theta = np.zeros((50, 3))
+    counts = np.zeros(8, dtype=np.int64)
+    for _ in range(64):
+        z = np.concatenate([query(stream, theta) for _ in range(1000)])
+        counts += np.bincount(_corner_cells(z > 0.0), minlength=8)
+    pts, weights = dist_support(dist)
+    law = channel_pmf(ch, -pts)
+    probs = np.zeros(8)
+    probs[_corner_cells(law.points > 0.0)] = weights @ law.probs
+    _assert_law(counts, probs, np.random.default_rng([10, 4]))
 
 
 def test_seed_determinism_per_kind():

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from privopt.channels import make_channel
+from privopt.channels import Channel, make_channel
 from privopt.geometry import NormBall
 from privopt.losses import DataDist, make_loss, sample_datum, subgrad
 from privopt.optimizers import OptimizerConfig, sgd_l2
 from privopt.protocol import (
+    _BLOCK_ROWS,
     DataOwner,
     PrivateGradStream,
     as_grad_oracle,
@@ -79,17 +80,58 @@ def test_population_stream_mints_fresh_data():
 
 def test_population_stream_answers_a_batch():
     # a (R, d) theta is R queries: R fresh data, R subgradients, R draws,
-    # replayable from the same seed through the layers below
+    # replayable from the same seed through the layers below; the first
+    # query fills the block with data, then their channel noise
     loss, ch = _parts(d=3, kind="dp_hypercube")
     dist = DataDist("cube_bernoulli", 3, 0.5, (1, 0, 0))
     theta = np.linspace(-0.5, 0.5, 15).reshape(5, 3)
     z = query(PrivateGradStream.from_population(dist, loss, ch, rng=12), theta)
     rng = np.random.default_rng(12)
-    x = sample_datum(dist, rng, size=5)
-    assert np.array_equal(z, ch.sample(subgrad(loss, x, theta), rng=rng))
+    rows = 5 * (_BLOCK_ROWS // 5)
+    x = sample_datum(dist, rng, size=rows)
+    noise = ch.noise(rows, rng)
+    want = ch.apply(subgrad(loss, x[:5], theta), tuple(a[:5] for a in noise))
+    assert np.array_equal(z, want)
+    with pytest.raises(ValueError):
+        query(PrivateGradStream.from_population(dist, loss, ch, rng=12), theta[:0])
     owners = PrivateGradStream.from_data([np.ones(3)] * 5, loss, ch, rng=0)
     with pytest.raises(ValueError):
         query(owners, theta)
+
+
+@pytest.mark.parametrize("m", [50, 1])
+def test_population_stream_refills_without_reusing_noise(m, monkeypatch):
+    # m rows per query; 50 does not divide _BLOCK_ROWS, so each refill draws
+    # 50 * (_BLOCK_ROWS // 50) rows and every query spends m unread ones
+    loss, ch = _parts(d=3, kind="dp_hypercube")
+    dist = DataDist("cube_bernoulli", 3, 0.5, (1, 0, 0))
+    per_block = _BLOCK_ROWS // m
+    queries = 3 * per_block + 2  # three refills after the first block
+    theta = np.random.default_rng(4).uniform(-0.3, 0.3, (m, 3))
+    served = []
+    apply = Channel.apply
+
+    def spy(self, x, noise):
+        served.append(noise[0])
+        return apply(self, x, noise)
+
+    monkeypatch.setattr(Channel, "apply", spy)
+    stream = PrivateGradStream.from_population(dist, loss, ch, rng=21)
+    got = [query(stream, theta if m > 1 else theta[0]) for _ in range(queries)]
+    monkeypatch.undo()
+    # replay the blocks: data, then noise, from the stream's seed
+    rng = np.random.default_rng(21)
+    want, rows = [], m * per_block
+    for _ in range(4):
+        x = sample_datum(dist, rng, size=rows)
+        noise = ch.noise(rows, rng)
+        for i in range(0, rows, m):
+            g = subgrad(loss, x[i:i + m] if m > 1 else x[i], theta if m > 1 else theta[0])
+            z = ch.apply(g, tuple(a[i:i + m] for a in noise))
+            want.append(z if m > 1 else z[0])
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    u = np.concatenate(served)
+    assert len(u) == queries * m and len(np.unique(u, axis=0)) == len(u)
 
 
 def test_stream_determinism_and_owner_rng_isolation():
