@@ -175,11 +175,10 @@ def _checked_rows(x, d: int, ball: NormBall) -> np.ndarray:
     x = x.reshape(1) if x.ndim == 0 else x
     if x.ndim > 2 or x.shape[-1] != d:
         raise ValueError(f"expected a vector or rows of dimension {d}, got shape {x.shape}")
-    a = np.abs(x)
     if ball.p == np.inf:
-        top = a.max()
-    else:  # the largest row norm
-        top = float((a ** ball.p).sum(axis=-1).max()) ** (1.0 / ball.p)
+        top = np.abs(x).max()
+    else:
+        top = np.linalg.norm(x, ord=ball.p, axis=-1).max()
     L = ball.radius
     if not top <= L * (1.0 + _BALL_TOL) + _BALL_TOL:
         if not np.all(np.isfinite(x)):
@@ -618,7 +617,7 @@ def channel_pmf(ch: Channel, x) -> SupportPmf:
     x = _checked_rows(x, ch.d, ch.source)
     if x.ndim == 1:
         return pmf(ch, x)
-    atoms, weights, sizes = _stacked_laws(ch, pmf, x)
+    atoms, weights, k = _stacked_laws(ch, pmf, x)
     # support atoms are exact multiples of the calibrated magnitudes; round
     # only to absorb float noise from equivalent computations
     np.round(atoms, 12, out=atoms)
@@ -626,28 +625,21 @@ def channel_pmf(ch: Channel, x) -> SupportPmf:
     if len(x) * len(first) > _JOINT_GUARD:
         raise ValueError("joint support exceeds enumeration guard")
     probs = np.zeros((len(x), len(first)))
-    np.add.at(probs, (np.repeat(np.arange(len(x)), sizes), col), weights)
+    np.add.at(probs, (np.repeat(np.arange(len(x)), k), col), weights)
     return SupportPmf(atoms[first], probs)
 
 
 def _stacked_laws(ch: Channel, pmf, x: np.ndarray) -> tuple:
-    """Every row's law, stacked: atoms (m, d), probs (m,) and the atom count
-    per row.  Each kind lists a fixed number k of atoms, so the rows are
-    written into one (R k, d) buffer rather than held until concatenated."""
-    law = pmf(ch, x[0])
-    k = len(law.probs)
-    atoms, probs = np.empty((len(x) * k, ch.d)), np.empty(len(x) * k)
-    for i in range(len(x)):
-        if i:
-            law = pmf(ch, x[i])
-        if len(law.probs) != k:  # a law with another atom count: stack them all
-            laws = [pmf(ch, row) for row in x]
-            return (np.concatenate([law.points for law in laws]),
-                    np.concatenate([law.probs for law in laws]),
-                    [len(law.probs) for law in laws])
-        atoms[i * k:(i + 1) * k] = law.points
-        probs[i * k:(i + 1) * k] = law.probs
-    return atoms, probs, k
+    """Every row's law, stacked: atoms (R k, d), probs (R k,) and the atom
+    count k.  Each kind lists a fixed number k of atoms, so the rows are
+    written into one buffer rather than held until concatenated."""
+    laws = (pmf(ch, row) for row in x)
+    first = next(laws)
+    k = len(first.probs)
+    atoms, probs = np.empty((len(x), k, ch.d)), np.empty((len(x), k))
+    for i, law in enumerate(itertools.chain([first], laws)):
+        atoms[i], probs[i] = law.points, law.probs
+    return atoms.reshape(-1, ch.d), probs.reshape(-1), k
 
 
 def dp_ratio_max(ch: Channel, inputs=None) -> float:

@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privopt import channels
 from privopt.channels import (
     CHANNEL_KINDS,
-    SupportPmf,
     channel_from_json,
     channel_pmf,
     channel_to_json,
@@ -221,22 +219,6 @@ def test_batch_pmf_edge_cases():
     corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * 8)).T.reshape(-1, 8)
     with pytest.raises(ValueError, match="joint support exceeds enumeration guard"):
         channel_pmf(ch, corners)
-
-
-def test_batch_pmf_with_varying_atom_counts(monkeypatch):
-    # every kind lists a fixed atom count; a law that does not still stacks
-    # row by row (here identity, with positive inputs split over two atoms)
-    def pmf(ch, x):
-        if x[0] > 0.0:
-            return SupportPmf(np.vstack([x, -x]), np.array([0.75, 0.25]))
-        return SupportPmf(x[None, :].copy(), np.ones(1))
-
-    monkeypatch.setitem(channels._KINDS, "identity",
-                        channels._KINDS["identity"]._replace(pmf=pmf))
-    points, probs = channel_pmf(make_channel("identity", 1), np.array([[-0.5], [0.5], [0.25]]))
-    assert points.tolist() == [[-0.5], [0.5], [0.25], [-0.25]]
-    assert probs.tolist() == [[1.0, 0.0, 0.0, 0.0], [0.25, 0.75, 0.0, 0.0],
-                              [0.0, 0.0, 0.75, 0.25]]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
