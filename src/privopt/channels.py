@@ -34,10 +34,10 @@ row's noise draws U for n draws, and its apply maps x through it.
 Channel.sample(x) is apply(x, noise(n)): one input, with an optional size
 for repeated draws, or a batch of inputs with one draw per row.
 Channel.noise and Channel.apply expose the two parts, so a caller whose
-inputs come later (a population stream) can draw U ahead.  channel_pmf
-reads the exact law in the same two input forms; given a batch it returns
-the laws over one shared atom enumeration, which exact MI, the DP ratio
-and the minimax rows read.
+inputs come later (a population stream) can draw U ahead.  The row's pmf
+gives the laws of a whole batch, over atoms that every row shares or that
+move with x; channel_pmf reads it for one input or for a batch, whose laws
+over one atom enumeration exact MI, the DP ratio and the minimax rows read.
 """
 
 from __future__ import annotations
@@ -168,11 +168,10 @@ _BALL_TOL = 1e-9
 
 
 def _checked_rows(x, d: int, ball: NormBall) -> np.ndarray:
-    """x as one input (d,) or a batch (R, d), every row finite and in the
-    source ball; one reduction checks both, as NaN survives the norm and
-    the max."""
-    x = np.asarray(x, dtype=float)
-    x = x.reshape(1) if x.ndim == 0 else x
+    """x as one input (d,) or a batch (R, d) in C order (so row sums round
+    alike for every layout), every row finite and in the source ball; one
+    reduction checks both, as NaN survives the norm and the max."""
+    x = np.ascontiguousarray(x, dtype=float)
     if x.ndim > 2 or x.shape[-1] != d:
         raise ValueError(f"expected a vector or rows of dimension {d}, got shape {x.shape}")
     if ball.p == np.inf:
@@ -289,50 +288,69 @@ def _biased_apply(ch, x: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact pmfs at one checked input x (d,)
+# exact pmfs at a checked batch X (R, d), in the form _Kind.pmf states
 
 _PRODUCT_GUARD_D = 20
 _MIXTURE_GUARD_D = 10
+_JOINT_GUARD = 10**7
 
 
-def _product_corners(d: int) -> np.ndarray:
+def _joint_guard(rows: int, cols: int) -> None:
+    if rows * cols > _JOINT_GUARD:
+        raise ValueError("joint support exceeds enumeration guard")
+
+
+def _product_corners(d: int, rows: int) -> np.ndarray:
     if d > _PRODUCT_GUARD_D:
         raise ValueError("support too large to enumerate")
+    _joint_guard(rows, 2**d)
     return _corner_matrix(d)
 
 
-def _linf_pmf(ch, x: np.ndarray) -> SupportPmf:
+def _coin_law(corners: np.ndarray, X: np.ndarray, M: float) -> np.ndarray:
+    """(R, 2^d) law of the coins P(Z_j = +M) = 1/2 + x_j/(2M) per row of X."""
+    s = X / (2.0 * M)
+    p = 0.5 + corners[:, 0] * s[:, :1]
+    for j in range(1, X.shape[1]):  # np.prod's bits, without an (R, 2^d, d) array
+        p *= 0.5 + corners[:, j] * s[:, j:j + 1]
+    return p
+
+
+def _linf_pmf(ch, X: np.ndarray) -> tuple:
     M = ch.calibration["B"]
-    corners = _product_corners(ch.d)
-    return SupportPmf(M * corners, np.prod(0.5 + corners * (x / (2.0 * M)), axis=1))
+    corners = _product_corners(ch.d, len(X))
+    return M * corners, _coin_law(corners, X, M)
 
 
-def _l1_pmf(ch, x: np.ndarray) -> SupportPmf:
-    return SupportPmf(ch.calibration["atoms"], _l1_output_pmf(ch, x))
+def _l1_pmf(ch, X: np.ndarray) -> tuple:
+    _joint_guard(len(X), 2 * ch.d)
+    return ch.calibration["atoms"], _l1_output_pmf(ch, X)
 
 
-def _two_level_pmf(ch, x: np.ndarray) -> SupportPmf:
+def _two_level_pmf(ch, X: np.ndarray) -> tuple:
     L, cal = ch.source.radius, ch.calibration
-    corners = _product_corners(ch.d)
-    q_plus, q_minus, B = cal["q_plus"], cal["q_minus"], cal["B"]
-    if np.all(np.abs(np.abs(x) - L) < 1e-12):  # on a corner
-        return SupportPmf(B * corners, np.where(corners @ (x / L) > 0.0, q_plus, q_minus))
-    if ch.d > _MIXTURE_GUARD_D:
+    corners = _product_corners(ch.d, len(X))
+    # a corner input (every |x_j| within 1e-12 L of L) has the class law of its signs
+    inner = np.flatnonzero(np.any(np.abs(np.abs(X) - L) >= 1e-12 * L, axis=1))
+    if inner.size and ch.d > _MIXTURE_GUARD_D:
         raise ValueError("interior-input mixture needs d <= 10")
-    weights = np.prod(0.5 * (1.0 + corners * (x / L)), axis=1)
-    gram = corners @ corners.T
-    probs = (np.where(gram > 0.0, q_plus, q_minus) * weights[None, :]).sum(axis=1)
-    return SupportPmf(B * corners, probs)
+    levels = lambda agree: np.where(agree > 0.0, cal["q_plus"], cal["q_minus"])
+    probs = levels(np.sign(X) @ corners.T)
+    if inner.size:  # mix the corner laws by the rounding law; a matmul would reorder the sum
+        mix = levels(corners @ corners.T)
+        for r, w in zip(inner, _coin_law(corners, X[inner], L)):
+            probs[r] = (mix * w).sum(axis=1)
+    return cal["B"] * corners, probs
 
 
-def _identity_pmf(ch, x: np.ndarray) -> SupportPmf:
-    return SupportPmf(x[None, :].copy(), np.ones(1))
+def _identity_pmf(ch, X: np.ndarray) -> tuple:
+    return X[:, None, :].copy(), np.ones((len(X), 1))
 
 
-def _biased_pmf(ch, x: np.ndarray) -> SupportPmf:
-    corners = _product_corners(ch.d)
-    pts = x + np.asarray(ch.calibration["bias"]) + ch.calibration["noise"] * corners
-    return SupportPmf(pts, np.full(len(corners), 1.0 / len(corners)))
+def _biased_pmf(ch, X: np.ndarray) -> tuple:
+    corners = _product_corners(ch.d, len(X))
+    pts = (X + np.asarray(ch.calibration["bias"]))[:, None, :] + ch.calibration["noise"] * corners
+    return pts, np.full((len(X), len(corners)), 1.0 / len(corners))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +456,7 @@ class _Kind(NamedTuple):
     calibrate: Callable  # (d, L, budget value, bias, noise) -> (p, target radius, calibration)
     noise: Callable  # (channel, n, rng) -> tuple of arrays with leading dimension n
     apply: Callable  # (channel, x, *noise) -> (n, d)
-    pmf: Optional[Callable]  # (channel, x) -> SupportPmf; None for continuous support
+    pmf: Optional[Callable]  # (channel, X (R, d)) -> (points, probs (R, k)); None if continuous
     worst_mi: Optional[Callable] = None  # (d, L, M) -> nats, for the M budget only
 
 
@@ -581,9 +599,6 @@ def make_channel(
 # exact pmfs, ratio checks and the worst-case MI
 
 
-_JOINT_GUARD = 10**7
-
-
 def _first_appearance(a: np.ndarray) -> tuple:
     """Distinct rows of a (m, d), compared with == (so 0.0 and -0.0 are one
     row), numbered in order of first appearance: returns (first, col), where
@@ -607,39 +622,26 @@ def channel_pmf(ch: Channel, x) -> SupportPmf:
     points (k, d) and probs (k,), which sum to 1 to 1e-12 with a mean
     within 1e-10 of x.  A batch X (R, d) gives the R laws over one shared
     enumeration: points (k, d), rounded to 12 decimals, merged with == and
-    numbered in order of first appearance, and probs (R, k); R k over 10^7
-    raises.  dp kinds enumerate the 2^d corner mixture, so interior inputs
-    are guarded at d <= 10 (corner inputs at d <= 20).
+    numbered in order of first appearance, and probs (R, k).  R k over 10^7
+    raises before the kind's batch law is built, R times the merged count
+    before the matrix; dp interior inputs need d <= 10, corners d <= 20.
     """
     pmf = _KINDS[ch.kind].pmf
     if pmf is None:
         raise ValueError(f"{ch.kind} has continuous support; no exact pmf")
     x = _checked_rows(x, ch.d, ch.source)
+    points, probs = pmf(ch, x.reshape(-1, ch.d))
+    R, k = probs.shape
     if x.ndim == 1:
-        return pmf(ch, x)
-    atoms, weights, k = _stacked_laws(ch, pmf, x)
+        return SupportPmf(points.reshape(-1, ch.d)[:k], probs[0])
     # support atoms are exact multiples of the calibrated magnitudes; round
     # only to absorb float noise from equivalent computations
-    np.round(atoms, 12, out=atoms)
-    first, col = _first_appearance(atoms)
-    if len(x) * len(first) > _JOINT_GUARD:
-        raise ValueError("joint support exceeds enumeration guard")
-    probs = np.zeros((len(x), len(first)))
-    np.add.at(probs, (np.repeat(np.arange(len(x)), k), col), weights)
-    return SupportPmf(atoms[first], probs)
-
-
-def _stacked_laws(ch: Channel, pmf, x: np.ndarray) -> tuple:
-    """Every row's law, stacked: atoms (R k, d), probs (R k,) and the atom
-    count k.  Each kind lists a fixed number k of atoms, so the rows are
-    written into one buffer rather than held until concatenated."""
-    laws = (pmf(ch, row) for row in x)
-    first = next(laws)
-    k = len(first.probs)
-    atoms, probs = np.empty((len(x), k, ch.d)), np.empty((len(x), k))
-    for i, law in enumerate(itertools.chain([first], laws)):
-        atoms[i], probs[i] = law.points, law.probs
-    return atoms.reshape(-1, ch.d), probs.reshape(-1), k
+    flat = np.round(points.reshape(-1, ch.d), 12)
+    first, col = _first_appearance(flat)
+    _joint_guard(R, len(first))
+    out = np.zeros((R, len(first)))
+    np.add.at(out, (np.arange(R)[:, None], col.reshape(-1, k)), probs)
+    return SupportPmf(flat[first], out)
 
 
 def dp_ratio_max(ch: Channel, inputs=None) -> float:

@@ -340,10 +340,8 @@ def observation_rows(inst: TestingInstance) -> tuple:
     # the atoms of the data law do not depend on nu, only their probabilities
     atoms, _ = dist_support(inst.data_dist(inst.packing.points[0]))
     cond = channel_pmf(inst.channel, inst.grad_sign * L * atoms)
-    rows = np.empty((len(inst.packing), len(cond.points)))
-    for v, nu in enumerate(inst.packing.points):
-        rows[v] = dist_support(inst.data_dist(nu))[1] @ cond.probs
-    return rows, cond.points
+    rows = [dist_support(inst.data_dist(nu))[1] @ cond.probs for nu in inst.packing.points]
+    return np.array(rows), cond.points
 
 
 def exact_mi_per_sample(inst: TestingInstance) -> float:

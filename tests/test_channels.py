@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,15 @@ def _input_for(ch, rng):
         x = rng.standard_normal(d)
         return 0.9 * L * x / np.linalg.norm(x)
     return rng.uniform(-L, L, size=d)
+
+
+def _corner_for(ch, rng):
+    # an extreme point of the source ball: a signed basis vector for l1,
+    # a sign corner otherwise
+    d, L = ch.d, ch.source.radius
+    if ch.kind == "l1_maxent":
+        return L * rng.choice([-1.0, 1.0]) * np.eye(d)[rng.integers(d)]
+    return L * rng.choice([-1.0, 1.0], size=d)
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +146,9 @@ def test_l1_gamma_solves_calibration_identity(d, m):
 
 
 @given(st.sampled_from(["linf_maxent", "l1_maxent", "dp_hypercube", "dp_linf_sampler"]),
-       st.integers(1, 6), st.integers(0, 10**6))
+       st.integers(1, 6), st.integers(0, 10**6), st.integers(1, 5))
 @settings(max_examples=60, deadline=None)
-def test_pmf_is_unbiased_distribution(kind, d, seed):
+def test_pmf_is_unbiased_distribution(kind, d, seed, rows):
     rng = np.random.default_rng(seed)
     ch = _mk(kind, d)
     x = _input_for(ch, rng)
@@ -146,6 +156,30 @@ def test_pmf_is_unbiased_distribution(kind, d, seed):
     assert np.all(probs >= -1e-15)
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(probs @ pts - x)) <= 1e-10
+    # a batch of corner and interior rows: each row is the law of its own input
+    X = np.array([_corner_for(ch, rng) if rng.random() < 0.5 else _input_for(ch, rng)
+                  for _ in range(rows)])
+    pts, probs = channel_pmf(ch, X)
+    assert probs.shape == (rows, len(pts)) and np.all(probs >= -1e-15)
+    assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(probs @ pts - X)) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["dp_hypercube", "dp_linf_sampler"])
+def test_two_level_pmf_near_corner_and_at_tiny_radius(kind):
+    cases = (
+        # within the corner tolerance of a corner: the class law of the signs
+        # of x, so the probs sum to 1 and the mean is the corner, 1e-13 from x
+        (make_channel(kind, 2, eps=0.5), np.array([1.0, -(1.0 - 1e-13)])),
+        # at L = 1e-13 the origin is interior, not within 1e-12 of a corner
+        (make_channel(kind, 3, L=1e-13, eps=0.5), np.zeros(3)),
+    )
+    for ch, x in cases:
+        pts, probs = channel_pmf(ch, x)
+        assert abs(probs.sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(probs @ pts - x)) <= 1e-10 * ch.source.radius
+        pts, probs = channel_pmf(ch, np.vstack([x, -x]))
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def test_pmf_identity_and_biased():
@@ -181,7 +215,7 @@ def _dict_keyed_rows(ch, inputs):
 FINITE_KINDS = [k for k in CHANNEL_KINDS if k != "dp_l2_sampler"]
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 8])
 @pytest.mark.parametrize("kind", FINITE_KINDS)
 def test_batch_pmf_matches_dict_keyed_rows(kind, d):
     ch = _mk(kind, d)
@@ -219,6 +253,22 @@ def test_batch_pmf_edge_cases():
     corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * 8)).T.reshape(-1, 8)
     with pytest.raises(ValueError, match="joint support exceeds enumeration guard"):
         channel_pmf(ch, corners)
+
+
+@pytest.mark.parametrize("kind", ["linf_maxent", "dp_hypercube", "biased_demo"])
+def test_joint_guard_raises_before_the_law_is_built(kind):
+    # 39,063 corner rows of 2^8 atoms each: R k = 10,000,128 > 10^7 raises
+    # before any (R, k) array exists
+    ch = _mk(kind, 8)
+    X = np.tile([1.0, -1.0], (39_063, 4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="joint support exceeds enumeration guard"):
+            channel_pmf(ch, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])

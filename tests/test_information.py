@@ -2,13 +2,20 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import privopt.information as information
-from privopt.channels import CHANNEL_KINDS, channel_pmf, make_channel
+from privopt.channels import (
+    CHANNEL_KINDS,
+    channel_pmf,
+    make_channel,
+    two_level_constants,
+    worst_case_mi,
+)
 from privopt.information import (
     DiscreteDist,
     InfoReport,
@@ -101,6 +108,32 @@ def test_exact_mi_matches_frozen_closed_forms():
     assert got == pytest.approx(L1_MI_D3_M2, abs=1e-10)
     assert mi_closed_form("l1_maxent", 3, 1.0, 2.0).exact == pytest.approx(
         L1_MI_D3_M2, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind,budget", [("dp_hypercube", {"eps": 0.1}),
+                                         ("linf_maxent", {"M": 2.0})])
+def test_exact_mi_at_d10_is_lean_and_matches_references(kind, budget):
+    # the 2^10 x 2^10 joint law at the corner source, in at most 64 MiB
+    d = 10
+    ch = make_channel(kind, d, **budget)
+    source = extreme_point_source(ch)
+    tracemalloc.start()
+    try:
+        mi = mutual_information_exact(source, ch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+    if kind == "linf_maxent":
+        assert abs(mi - worst_case_mi(kind, d, 1.0, 2.0)) <= 1e-10
+        return
+    # the output is uniform at this source, and a corner input's law puts
+    # q+ on each atom of agreement class k > d/2, q- on the others
+    c = two_level_constants(d, 0.1)
+    q = [c["q_plus"] if 2 * k > d else c["q_minus"] for k in range(d + 1)]
+    want = d * math.log(2.0) + sum(math.comb(d, k) * q[k] * math.log(q[k])
+                                   for k in range(d + 1))
+    assert abs(mi - want) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["linf_maxent", "l1_maxent"])
