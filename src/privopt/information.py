@@ -121,13 +121,12 @@ def mi_from_conditionals(prior, rows) -> float:
     prior = np.asarray(prior, dtype=float)
     rows = np.asarray(rows, dtype=float)
     mix = prior @ rows
-    total = 0.0
-    for pi, row in zip(prior, rows):
-        if pi == 0.0:
-            continue
-        nz = row > 0.0
-        total += pi * float(np.sum(row[nz] * np.log(row[nz] / mix[nz])))
-    return max(0.0, total)
+    # only a zero-prior row can put mass where the mixture has none
+    nz = (rows > 0.0) & (mix > 0.0)
+    terms = np.divide(rows, mix, out=np.zeros_like(rows), where=nz)
+    np.log(terms, out=terms, where=nz)
+    # weighted per-row sums, accumulated in row order
+    return max(0.0, float(np.cumsum(prior * (rows * terms).sum(axis=1))[-1]))
 
 
 def mutual_information_exact(source: DiscreteDist, ch: Channel) -> float:
@@ -321,8 +320,7 @@ def certificate_for(ch: Channel) -> PrivacyCertificate:
     return PrivacyCertificate("mutual_information", math.inf)
 
 
-def certify_channel(ch: Channel, rng=None, n_mc: int = 10**5,
-                    source: DiscreteDist | None = None) -> InfoReport:
+def certify_channel(ch: Channel, rng=None, n_mc: int = 10**5) -> InfoReport:
     """Measure a channel against its own contract.
 
     Computes whatever is available for the kind: exact MI at the
@@ -331,8 +329,7 @@ def certify_channel(ch: Channel, rng=None, n_mc: int = 10**5,
     finite kinds, Monte-Carlo mean for the sphere sampler).
     """
     rng = np.random.default_rng(rng)
-    if source is None:
-        source = extreme_point_source(ch)
+    source = extreme_point_source(ch)
     mi_exact = None
     mc = None
     if ch.has_pmf and source is not None:

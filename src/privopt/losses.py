@@ -16,6 +16,7 @@ delta pick out how strongly the data leans toward the corner nu.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -52,11 +53,11 @@ class UnsupportedFamilyError(ValueError):
 
 @dataclass(frozen=True)
 class LossFn:
-    """An (L, p)-loss. r is the offset/margin scale for median and hinge."""
+    """An (L, p)-loss, p fixed by the kind as tabled above. r is the
+    offset/margin scale for median and hinge."""
 
     kind: str
     lipschitz_L: float = 1.0
-    grad_norm_p: float = math.inf
     r: float = 1.0
 
     def __post_init__(self) -> None:
@@ -64,17 +65,10 @@ class LossFn:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.lipschitz_L <= 0:
             raise ValueError("lipschitz_L must be positive")
-        if self.grad_norm_p not in (1, math.inf):
-            raise ValueError("grad_norm_p must be 1 or inf")
-
-
-_DEFAULT_P = {"median": math.inf, "linear": math.inf, "hinge": 1, "logistic": 1}
 
 
 def make_loss(kind: str, L: float = 1.0, r: float = 1.0) -> LossFn:
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}")
-    return LossFn(kind=kind, lipschitz_L=L, grad_norm_p=_DEFAULT_P[kind], r=r)
+    return LossFn(kind=kind, lipschitz_L=L, r=r)
 
 
 def _pair(loss: LossFn, x, theta):
@@ -140,6 +134,8 @@ class DataDist:
     def __post_init__(self) -> None:
         if self.kind not in DIST_KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        if isinstance(self.d, bool) or not isinstance(self.d, numbers.Integral):
+            raise ValueError(f"d must be an integer, got {self.d!r}")
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if self.kind == "custom_empirical":

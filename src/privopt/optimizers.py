@@ -14,6 +14,7 @@ run's own generator; oracles backed by a private stream may ignore it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,26 +40,25 @@ class OptimizerConfig:
     dim: int
     steps: int
     grad_bound: float
-    step_size_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.method not in OPTIMIZER_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        for name in ("dim", "steps"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.grad_bound <= 0.0:
             raise ValueError("grad_bound must be positive")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.step_size_scale <= 0.0:
-            raise ValueError("step_size_scale must be positive")
 
 
 @dataclass(frozen=True)
 class OptimizerRun:
     averaged: np.ndarray
-    risk_gap: float
-    seed: int | None
     iterates: np.ndarray | None = None
 
 
@@ -78,16 +78,16 @@ def step_size_for(method: str, domain: NormBall, grad_bound: float, n: int,
     raise ValueError(f"unknown method {method!r}")
 
 
-def _prepare(config: OptimizerConfig, rng, expected_p) -> tuple:
-    if config.domain.p != expected_p:
-        raise ValueError(f"method needs an l{expected_p} ball domain")
-    if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(int(rng)), int(rng)
-    return np.random.default_rng(rng), None
+def _prepare(config: OptimizerConfig, rng, method: str, p: int) -> np.random.Generator:
+    if config.method != method:
+        raise ValueError(f"{method} cannot run a {config.method!r} config")
+    if config.domain.p != p:
+        raise ValueError(f"{method} needs an l{p} ball domain")
+    return np.random.default_rng(rng)
 
 
 def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
-                      risk_gap_fn=None, record_iterates: bool = False,
+                      record_iterates: bool = False,
                       chains: int | None = None) -> OptimizerRun:
     """Entropic mirror descent over the l1 ball of radius r.
 
@@ -95,7 +95,6 @@ def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
       grad_oracle : callable(theta, rng) -> array shaped like theta
       config      : method must be mirror_descent_l1; grad_bound is M_inf
       rng         : integer seed or np.random.Generator
-      risk_gap_fn : optional callable(theta_avg) -> excess risk
       chains      : None steps one chain with theta of shape (dim,); an
                     integer R steps R independent chains at once, with
                     theta and the average of shape (R, dim) and each row
@@ -106,13 +105,11 @@ def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
     iterates (the init counts; the point produced by the last gradient
     does not), of shape (dim,) or (R, dim).
     """
-    gen, seed = _prepare(config, rng, 1)
+    gen = _prepare(config, rng, "mirror_descent_l1", 1)
     d, n, r = config.dim, config.steps, config.domain.radius
     if chains is not None and chains < 1:
         raise ValueError("chains must be >= 1")
-    eta = config.step_size_scale * step_size_for(
-        "mirror_descent_l1", config.domain, config.grad_bound, n, d
-    )
+    eta = step_size_for("mirror_descent_l1", config.domain, config.grad_bound, n, d)
     rows = () if chains is None else (int(chains),)
     lw = np.full(rows + (2 * d,), -math.log(2 * d))  # log-weights on the lift, uniform
     theta = np.zeros(rows + (d,))
@@ -130,19 +127,15 @@ def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
         w /= w.sum(axis=-1, keepdims=True)
         np.log(w, out=lw)
         theta = r * (w[..., :d] - w[..., d:])
-    averaged = total / n
-    gap = float(risk_gap_fn(averaged)) if risk_gap_fn is not None else math.nan
-    return OptimizerRun(averaged, gap, seed, trace)
+    return OptimizerRun(total / n, trace)
 
 
 def sgd_l2(grad_oracle, config: OptimizerConfig, rng,
-           risk_gap_fn=None, record_iterates: bool = False) -> OptimizerRun:
+           record_iterates: bool = False) -> OptimizerRun:
     """Projected SGD on the l2 ball, step r2/(M2 sqrt(t)), averaged."""
-    gen, seed = _prepare(config, rng, 2)
+    gen = _prepare(config, rng, "sgd_l2", 2)
     d, n, r = config.dim, config.steps, config.domain.radius
-    base = config.step_size_scale * step_size_for(
-        "sgd_l2", config.domain, config.grad_bound, n, d
-    )
+    base = step_size_for("sgd_l2", config.domain, config.grad_bound, n, d)
     theta = np.zeros(d)
     total = np.zeros(d)
     trace = np.empty((n, d)) if record_iterates else None
@@ -152,6 +145,4 @@ def sgd_l2(grad_oracle, config: OptimizerConfig, rng,
         total += theta
         g = np.asarray(grad_oracle(theta, gen), dtype=float)
         theta = project_l2_ball(theta - (base / math.sqrt(t + 1.0)) * g, r)
-    averaged = total / n
-    gap = float(risk_gap_fn(averaged)) if risk_gap_fn is not None else math.nan
-    return OptimizerRun(averaged, gap, seed, trace)
+    return OptimizerRun(total / n, trace)

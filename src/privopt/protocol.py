@@ -2,9 +2,9 @@
 answers with a channel-perturbed subgradient of its own datum.
 
 The learner-visible trace is (theta_t, Z_t) pairs and nothing else; the
-datum never crosses the owner boundary.  Streams come in two modes:
-single_pass walks a fixed owner list once (streaming), with_replacement
-draws an owner (or a fresh datum from a population) i.i.d. per query.
+datum never crosses the owner boundary.  A stream either walks a fixed
+owner list once, so each owner releases exactly one private view of its
+datum, or draws a fresh datum from a population for every query.
 
 A population stream draws ahead: the channel noise does not depend on
 theta, so one refill draws a block of data and then their noise, and each
@@ -32,7 +32,6 @@ __all__ = [
     "audit_leakage",
 ]
 
-STREAM_MODES = ("single_pass", "with_replacement")
 # rows a population stream draws per refill, rounded down to a multiple of
 # the rows per query (at least one query)
 _BLOCK_ROWS = 1024
@@ -59,11 +58,10 @@ class DataOwner:
 
 @dataclass
 class PrivateGradStream:
-    """Ordered owner collection, or a population that mints owners on
-    demand (population implies with_replacement)."""
+    """Ordered owners, each answering one query, or a population that
+    mints a fresh owner per query."""
 
     owners: Optional[tuple] = None
-    mode: str = "single_pass"
     cursor: int = 0
     rng: object = None
     population: Optional[DataDist] = None
@@ -74,38 +72,32 @@ class PrivateGradStream:
     _next: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in STREAM_MODES:
-            raise ValueError(f"unknown stream mode {self.mode!r}")
         self.rng = np.random.default_rng(self.rng)
         if self.population is not None:
             if self.loss is None or self.channel is None:
                 raise ValueError("population streams need loss and channel")
-            if self.mode != "with_replacement":
-                raise ValueError("population streams are with_replacement only")
         elif not self.owners:
             raise ValueError("need owners or a population")
         else:
             self.owners = tuple(self.owners)
 
     @classmethod
-    def from_data(cls, data, loss: LossFn, channel: Channel, rng=None,
-                  mode: str = "single_pass") -> "PrivateGradStream":
+    def from_data(cls, data, loss: LossFn, channel: Channel,
+                  rng=None) -> "PrivateGradStream":
         rng = np.random.default_rng(rng)
         owners = tuple(
             DataOwner(x, loss, channel, rng=rng.spawn(1)[0]) for x in data
         )
-        return cls(owners=owners, mode=mode, rng=rng)
+        return cls(owners=owners, rng=rng)
 
     @classmethod
     def from_population(cls, dist: DataDist, loss: LossFn, channel: Channel,
                         rng=None) -> "PrivateGradStream":
-        return cls(owners=None, mode="with_replacement",
-                   rng=np.random.default_rng(rng), population=dist,
+        return cls(rng=np.random.default_rng(rng), population=dist,
                    loss=loss, channel=channel)
 
     def exhausted(self) -> bool:
-        return (self.mode == "single_pass" and self.owners is not None
-                and self.cursor >= len(self.owners))
+        return self.population is None and self.cursor >= len(self.owners)
 
     def _take(self, m: int) -> tuple:
         """The next m (data, noise) rows of the population block.  When
@@ -125,7 +117,8 @@ class PrivateGradStream:
 
 def query(stream: PrivateGradStream, theta) -> np.ndarray:
     """One protocol round: route theta to the next owner, return its Z.
-    A population stream answers theta of shape (R, d) with R queries."""
+    An owner list raises RuntimeError once every owner has answered; a
+    population stream answers theta of shape (R, d) with R queries."""
     theta = np.asarray(theta, dtype=float)
     if stream.population is not None:
         batch = theta.ndim == 2
@@ -134,14 +127,10 @@ def query(stream: PrivateGradStream, theta) -> np.ndarray:
         x, noise = stream._take(len(theta) if batch else 1)
         z = stream.channel.apply(subgrad(stream.loss, x if batch else x[0], theta), noise)
         return z if batch else z[0]
-    if stream.mode == "single_pass":
-        if stream.cursor >= len(stream.owners):
-            raise RuntimeError("single-pass stream exhausted")
-        owner = stream.owners[stream.cursor]
-        stream.cursor += 1
-    else:
-        owner = stream.owners[int(stream.rng.integers(len(stream.owners)))]
-    return owner.respond(theta)
+    if stream.exhausted():
+        raise RuntimeError("single-pass stream exhausted")
+    stream.cursor += 1
+    return stream.owners[stream.cursor - 1].respond(theta)
 
 
 def as_grad_oracle(stream: PrivateGradStream):
@@ -176,11 +165,12 @@ def audit_leakage(stream: PrivateGradStream) -> dict:
     (theta, Z) sequence.  The report attaches each owner's channel
     certificate (worst-case MI or eps), flagging non-private channels.
     """
+    population = stream.population is not None
     report = {
         "learner_view": "(theta, Z) pairs only",
-        "mode": stream.mode,
+        "mode": "with_replacement" if population else "single_pass",
     }
-    if stream.population is not None:
+    if population:
         report["n_owners"] = "population"
         report["owners"] = [_channel_entry(stream.channel)]
         return report

@@ -75,7 +75,7 @@ def test_certify_selfcheck_draws_nothing(monkeypatch, capsys):
 
 def test_certify_violation_exits_2(tmp_path, monkeypatch):
     # inject a report contradicting the dp contract: wiring must exit 2
-    def fake(ch, rng=None, n_mc=10**5, source=None):
+    def fake(ch, rng=None, n_mc=10**5):
         return InfoReport(None, None, None, 3.0 * math.e, 0.0)
 
     monkeypatch.setattr(cli, "certify_channel", fake)
@@ -87,7 +87,7 @@ def test_certify_violation_exits_2(tmp_path, monkeypatch):
 
 
 def test_certify_residual_violation_exits_2(tmp_path, monkeypatch):
-    def fake(ch, rng=None, n_mc=10**5, source=None):
+    def fake(ch, rng=None, n_mc=10**5):
         return InfoReport(None, None, None, None, 0.5)
 
     monkeypatch.setattr(cli, "certify_channel", fake)

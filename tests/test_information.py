@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from privopt.information import (
     information_to_radius,
     kl_divergence,
     mi_closed_form,
+    mi_from_conditionals,
     mi_monte_carlo,
     mutual_information_exact,
     nats_to_bits,
@@ -108,6 +110,38 @@ def test_exact_mi_matches_frozen_closed_forms():
     assert got == pytest.approx(L1_MI_D3_M2, abs=1e-10)
     assert mi_closed_form("l1_maxent", 3, 1.0, 2.0).exact == pytest.approx(
         L1_MI_D3_M2, abs=1e-12)
+
+
+def _row_loop_mi(prior, rows):
+    # the reference: one row at a time over its nonzero cells
+    mix = prior @ rows
+    total = 0.0
+    for pi, row in zip(prior, rows):
+        if pi > 0.0:
+            nz = row > 0.0
+            total += pi * float(np.sum(row[nz] * np.log(row[nz] / mix[nz])))
+    return max(0.0, total)
+
+
+@pytest.mark.parametrize("kind,d,budget", [
+    ("dp_hypercube", 3, {"eps": 0.5}), ("linf_maxent", 5, {"M": 4.0}),
+    ("l1_maxent", 4, {"M": 2.0}), ("biased_demo", 5, {}), ("identity", 3, {})])
+def test_mi_from_conditionals_matches_row_loop(kind, d, budget):
+    ch = make_channel(kind, d, **budget)
+    rows = channel_pmf(ch, np.stack(extreme_point_source(ch).support)).probs
+    weights = np.random.default_rng(d).random(len(rows))
+    weights[::3] = 0.0
+    # the per-row sums run over all columns, so only their order changes
+    tol = 16 * np.finfo(float).eps
+    for prior in (np.full(len(rows), 1.0 / len(rows)), weights / weights.sum()):
+        want = _row_loop_mi(prior, rows)
+        assert abs(mi_from_conditionals(prior, rows) - want) <= tol * max(1.0, want)
+    # a zero-prior row may put mass where the mixture has none
+    prior, rows = np.array([0.5, 0.0, 0.5]), np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0],
+                                                       [1.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mi_from_conditionals(prior, rows) == _row_loop_mi(prior, rows)
 
 
 @pytest.mark.parametrize("kind,budget", [("dp_hypercube", {"eps": 0.1}),

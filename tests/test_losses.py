@@ -231,5 +231,9 @@ def test_distribution_validation():
         DataDist("nonsense", 2)
     with pytest.raises(ValueError):
         DataDist("custom_empirical", 2)
+    # sample_datum needs an integer d
+    for d, nu in ((2.0, (1, 1)), (True, (1,))):
+        with pytest.raises(ValueError):
+            DataDist("cube_bernoulli", d, 0.5, nu)
     with pytest.raises(ValueError):
         make_loss("quantile")

@@ -1,5 +1,7 @@
 """Owner/stream protocol: routing, exhaustion, rng ownership, audits."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -49,16 +51,6 @@ def test_single_pass_walks_once_then_raises():
         query(stream, np.zeros(2))
 
 
-def test_with_replacement_resamples_owners():
-    loss, ch = _parts()
-    data = [np.array([1.0, 1.0]), np.array([-1.0, -1.0])]
-    stream = PrivateGradStream.from_data(data, loss, ch, rng=1,
-                                         mode="with_replacement")
-    for _ in range(20):  # more queries than owners: never exhausts
-        query(stream, np.zeros(2))
-    assert not stream.exhausted()
-
-
 def test_population_stream_mints_fresh_data():
     loss, ch = _parts()
     dist = DataDist("cube_bernoulli", 2, 0.5, (1, 0))
@@ -67,15 +59,9 @@ def test_population_stream_mints_fresh_data():
     assert draws.shape == (200, 2)
     assert not stream.exhausted()
     with pytest.raises(ValueError):
-        PrivateGradStream(owners=None, mode="single_pass", population=dist,
-                          loss=loss, channel=ch)
-    with pytest.raises(ValueError):
-        PrivateGradStream(owners=None, population=dist, loss=loss,
-                          channel=ch, mode="single_pass")
-    with pytest.raises(ValueError):
         PrivateGradStream(owners=())
     with pytest.raises(ValueError):
-        PrivateGradStream(owners=(1,), mode="shuffled")
+        PrivateGradStream(population=dist, loss=loss)
 
 
 def test_population_stream_answers_a_batch():
@@ -192,3 +178,23 @@ def test_audit_flags_by_channel_kind():
     dist = DataDist("cube_bernoulli", 2, 0.5, (1, 0))
     rep = audit_leakage(PrivateGradStream.from_population(dist, loss, ch, rng=0))
     assert rep["n_owners"] == "population" and len(rep["owners"]) == 1
+
+
+def test_audit_json_is_pinned():
+    # the report of an owner list and of a population, byte for byte; its
+    # "mode" comes from the stream type
+    loss = make_loss("median", L=1.0, r=1.0)
+    ch = make_channel("dp_hypercube", 2, eps=0.5)
+    data = [np.array([1.0, -1.0]), np.array([-1.0, 1.0]), np.array([1.0, 1.0])]
+    entry = ('{"channel_kind": "dp_hypercube", "certificate": {"kind": '
+             '"differential_privacy", "level": 0.5}, "dp_ratio_max": '
+             '1.6487212707001282, "dp_ratio_verified": true}')
+    assert json.dumps(audit_leakage(PrivateGradStream.from_data(data, loss, ch, rng=0))) == (
+        '{"learner_view": "(theta, Z) pairs only", "mode": "single_pass", '
+        f'"n_owners": 3, "owners": [{entry}, {entry}, {entry}]}}')
+    dist = DataDist("cube_bernoulli", 2, 0.5, (1, 0))
+    maxent = make_channel("linf_maxent", 2, L=1.0, M=2.0)
+    assert json.dumps(audit_leakage(PrivateGradStream.from_population(dist, loss, maxent, rng=0))) == (
+        '{"learner_view": "(theta, Z) pairs only", "mode": "with_replacement", '
+        '"n_owners": "population", "owners": [{"channel_kind": "linf_maxent", '
+        '"certificate": {"kind": "mutual_information", "level": 0.261624071882274}}]}')
