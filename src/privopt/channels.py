@@ -23,11 +23,12 @@ Three production mechanisms plus plumbing:
 
 One private table has a row per kind: the budget it is built from (M,
 eps or none), its calibration, its draw in two parts, its exact pmf when
-the support is finite and, for the M kinds, its worst-case MI.
-make_channel, the Channel methods, channel_pmf, dp_ratio_max,
-worst_case_mi and the JSON round trip read the row and do not branch on
-the kind; other modules ask a channel for its budget and whether it has a
-pmf.
+the support is finite, its exact conditional mean E[Z | x] (from the law
+parameters the draw reads, at every d) and, for the M kinds, its
+worst-case MI.  make_channel, the Channel methods, channel_pmf,
+dp_ratio_max, worst_case_mi and the JSON round trip read the row and do
+not branch on the kind; other modules ask a channel for its budget,
+whether it has a pmf, and its mean.
 
 A draw is Z = f(x, U), where the randomness U does not depend on x: the
 row's noise draws U for n draws, and its apply maps x through it.
@@ -354,6 +355,42 @@ def _biased_pmf(ch, X: np.ndarray) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# exact conditional means E[Z | x] at a checked batch X (R, d), from the law
+# parameters the draws use; no enumeration, so every d
+
+
+def _linf_mean(ch, X: np.ndarray) -> np.ndarray:
+    M = ch.calibration["B"]
+    return M * (2.0 * (0.5 + X / (2.0 * M)) - 1.0)
+
+
+def _l1_mean(ch, X: np.ndarray) -> np.ndarray:
+    return _l1_output_pmf(ch, X) @ ch.calibration["atoms"]
+
+
+def _two_level_mean(ch, X: np.ndarray) -> np.ndarray:
+    # E[W_j] = B t with t = sum_k P(class k) (2k - d)/d over the class cdf the
+    # draw reads; the rounding to a corner T has E[T] = x/L
+    d, cal = ch.d, ch.calibration
+    t = np.diff(cal["class_cdf"], prepend=0.0) @ ((2.0 * np.arange(d + 1) - d) / d)
+    return cal["B"] * t * X / ch.source.radius
+
+
+def _l2_mean(ch, X: np.ndarray) -> np.ndarray:
+    # each cap has mean +-B c_d times its pole, and the pole +-u has mean x/L
+    cal = ch.calibration
+    return cal["B"] * (2.0 * cal["pi_eps"] - 1.0) * cal["halfsphere_mean"] * X / ch.source.radius
+
+
+def _identity_mean(ch, X: np.ndarray) -> np.ndarray:
+    return X.copy()  # X may be the caller's own array
+
+
+def _biased_mean(ch, X: np.ndarray) -> np.ndarray:
+    return X + np.asarray(ch.calibration["bias"])  # the +-noise coins cancel
+
+
+# ---------------------------------------------------------------------------
 # worst-case MI of the M kinds: (d, L, M) -> nats at the saddle-point source
 
 
@@ -457,21 +494,24 @@ class _Kind(NamedTuple):
     noise: Callable  # (channel, n, rng) -> tuple of arrays with leading dimension n
     apply: Callable  # (channel, x, *noise) -> (n, d)
     pmf: Optional[Callable]  # (channel, X (R, d)) -> (points, probs (R, k)); None if continuous
+    mean: Callable  # (channel, X (R, d)) -> exact E[Z | x] per row (R, d), at every d
     worst_mi: Optional[Callable] = None  # (d, L, M) -> nats, for the M budget only
 
 
 _TWO_LEVEL = _Kind("eps", _two_level_calibration, _two_level_noise, _two_level_apply,
-                   _two_level_pmf)
+                   _two_level_pmf, _two_level_mean)
 _KINDS = {
     "linf_maxent": _Kind("M", _linf_calibration, _linf_noise, _linf_apply, _linf_pmf,
-                         _linf_worst_mi),
-    "l1_maxent": _Kind("M", _l1_calibration, _l1_noise, _l1_apply, _l1_pmf, _l1_worst_mi),
+                         _linf_mean, _linf_worst_mi),
+    "l1_maxent": _Kind("M", _l1_calibration, _l1_noise, _l1_apply, _l1_pmf, _l1_mean,
+                       _l1_worst_mi),
     "dp_hypercube": _TWO_LEVEL,
     "dp_linf_sampler": _TWO_LEVEL,
-    "dp_l2_sampler": _Kind("eps", _l2_calibration, _l2_noise, _l2_apply, None),
+    "dp_l2_sampler": _Kind("eps", _l2_calibration, _l2_noise, _l2_apply, None, _l2_mean),
     "identity": _Kind(None, _identity_calibration, _identity_noise, _identity_apply,
-                      _identity_pmf),
-    "biased_demo": _Kind(None, _biased_calibration, _biased_noise, _biased_apply, _biased_pmf),
+                      _identity_pmf, _identity_mean),
+    "biased_demo": _Kind(None, _biased_calibration, _biased_noise, _biased_apply, _biased_pmf,
+                         _biased_mean),
 }
 CHANNEL_KINDS = tuple(_KINDS)
 
@@ -541,6 +581,12 @@ class Channel:
         if x.ndim == 2 and len(x) != len(noise[0]):
             raise ValueError(f"{len(x)} input rows for {len(noise[0])} noise rows")
         return _KINDS[self.kind].apply(self, x, *noise)
+
+    def mean(self, x) -> np.ndarray:
+        """Exact E[Z | x] without a draw, at every d: (d,) at one input x,
+        (R, d) for a batch.  x takes the check of sample."""
+        x = _checked_rows(x, self.d, self.source)
+        return _KINDS[self.kind].mean(self, x.reshape(-1, self.d)).reshape(x.shape)
 
     def sample(self, x, rng=None, size=None) -> np.ndarray:
         """Draw Z given x: shape (d,), or (size, d) for size draws at x.

@@ -73,6 +73,8 @@ class PrivateGradStream:
 
     def __post_init__(self) -> None:
         self.rng = np.random.default_rng(self.rng)
+        if self.population is not None and self.owners is not None:
+            raise ValueError("pass owners or a population, not both")
         if self.population is not None:
             if self.loss is None or self.channel is None:
                 raise ValueError("population streams need loss and channel")

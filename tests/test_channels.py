@@ -288,6 +288,37 @@ def test_dp_ratio_rejects_non_dp_kinds():
 
 
 # ---------------------------------------------------------------------------
+# exact conditional means
+
+
+@pytest.mark.parametrize("d", [1, 3, 6, 10])
+@pytest.mark.parametrize("kind", FINITE_KINDS)
+def test_mean_matches_pmf_mean(kind, d):
+    # eps = 0.5 stays below eps_star(10)
+    two_level = kind in ("dp_hypercube", "dp_linf_sampler")
+    ch = make_channel(kind, d, eps=0.5) if two_level else _mk(kind, d)
+    rng = np.random.default_rng([11, d])
+    X = np.array([f(ch, rng) for f in (_corner_for, _input_for) for _ in range(4)])
+    mean = ch.mean(X)
+    assert mean.shape == X.shape
+    for x, m in zip(X, mean):  # one input at a time: its points are not rounded
+        pts, probs = channel_pmf(ch, x)
+        assert np.max(np.abs(probs @ pts - m)) <= 1e-12
+        assert np.max(np.abs(probs @ pts - ch.mean(x))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 10])
+def test_sphere_sampler_mean_matches_draws(d):
+    ch = make_channel("dp_l2_sampler", d, eps=1.0)
+    rng = np.random.default_rng([12, d])
+    x = _input_for(ch, rng)
+    draws = ch.sample(x, rng=rng, size=400_000)
+    se = draws.std(axis=0, ddof=1) / math.sqrt(len(draws))
+    assert np.all(np.abs(draws.mean(axis=0) - ch.mean(x)) <= 4.0 * se)
+    assert np.array_equal(ch.mean(np.zeros(d)), np.zeros(d))
+
+
+# ---------------------------------------------------------------------------
 # samplers
 
 
@@ -583,6 +614,67 @@ def test_population_stream_law_conformance():
     probs = np.zeros(8)
     probs[_corner_cells(law.points > 0.0)] = weights @ law.probs
     _assert_law(counts, probs, np.random.default_rng([10, 4]))
+
+
+# law conformance of dp_l2_sampler: a third family with its own family-wise
+# budget of 1e-6, split over a sign test and a magnitude test at d = 3 and
+# d = 5.  At a pole input x = L u the rounding keeps u, so <Z, u> > 0 with
+# probability pi_eps, and |<Z, u>|/B is |<U, u>| for U uniform on the unit
+# sphere.  (1 + <U, u>)/2 is Beta((d-1)/2, (d-1)/2), so at odd d the folded
+# cdf is a polynomial: a at d = 3 and (3a - a^3)/2 at d = 5.  The sign is a
+# G-test over two cells and the magnitude a KS test.  Each test must also
+# reject the law with 1% of its draws moved: 1% of the near-cap draws to the
+# far cap (noncentrality ~110 against a 1-df critical value of 26.5), and
+# 1% of the magnitudes to the pole (sqrt(n) D ~ 6.3 against a critical 2.82).
+
+SPHERE_ALPHA = FAMILY_ALPHA / 4
+SPHERE_CASES = [  # (d, eps, folded cdf of |<U, u>|)
+    (3, 1.0, lambda a: a),
+    (5, 0.5, lambda a: (3.0 * a - a**3) / 2.0),
+]
+SPHERE_DRAWS = 400_000
+
+
+def _ks_sf(a, cdf) -> float:
+    """p-value of the KS test of the draws a against a continuous cdf: the
+    Kolmogorov tail at Stephens' finite-n scaling of D."""
+    a = np.sort(a)
+    n = len(a)
+    F = cdf(a)
+    D = max(float(np.max(np.arange(1, n + 1) / n - F)), float(np.max(F - np.arange(n) / n)))
+    lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * D
+    return 2.0 * sum((-1) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam) for k in range(1, 101))
+
+
+def test_ks_sf_kolmogorov_quantiles():
+    # the 5%, 0.1% and 2.5e-7 quantiles of the Kolmogorov distribution: the
+    # grid i/n against the uniform cdf shifted by s > 1/n has D = s
+    n = 10**6
+    a = np.arange(n) / n
+    scale = math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)
+    for lam, p in ((1.3580986393225507, 0.05), (1.9494746035043753, 1e-3),
+                   (2.819126824004563, 2.5e-7)):
+        s = lam / scale
+        assert _ks_sf(a, lambda t: np.minimum(t + s, 1.0)) == pytest.approx(p, rel=1e-9)
+
+
+@pytest.mark.parametrize("d,eps,cdf", SPHERE_CASES, ids=[f"d{c[0]}" for c in SPHERE_CASES])
+def test_sphere_sampler_law_conformance(d, eps, cdf):
+    ch = make_channel("dp_l2_sampler", d, L=2.0, eps=eps)
+    rng = np.random.default_rng([13, d])
+    u = rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    dot = ch.sample(2.0 * u, rng=rng, size=SPHERE_DRAWS) @ u
+    near = int((dot > 0.0).sum())
+    pi = ch.calibration["pi_eps"]
+    assert _g_test([near, SPHERE_DRAWS - near], [pi, 1.0 - pi]) >= SPHERE_ALPHA, near
+    mag = np.abs(dot) / ch.calibration["B"]
+    assert _ks_sf(mag, cdf) >= SPHERE_ALPHA
+    # teeth: the same draws with 1% of the mass moved must be rejected
+    shift = rng.binomial(near, 0.01)
+    assert _g_test([near - shift, SPHERE_DRAWS - near + shift], [pi, 1.0 - pi]) < SPHERE_ALPHA
+    moved = np.where(rng.random(SPHERE_DRAWS) < 0.01, 1.0, mag)
+    assert _ks_sf(moved, cdf) < SPHERE_ALPHA
 
 
 def test_seed_determinism_per_kind():

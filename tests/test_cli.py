@@ -134,15 +134,29 @@ def test_config_errors_exit_1(tmp_path, capsys):
     {"kind": "linf_maxent", "d": 21, "M": 2.0, "n_mc": 10000},
     {"kind": "dp_hypercube", "d": 11, "eps": 0.1, "n_mc": 10000},
 ])
-def test_certify_residual_over_pmf_guard_has_statistical_tolerance(tmp_path, doc):
-    # past the pmf enumeration guard the residual is a Monte-Carlo mean of
-    # n_mc draws, so it cannot meet the exact-mean tolerance
+def test_certify_residual_over_pmf_guard_is_exact(tmp_path, doc):
+    # past the pmf enumeration guard the residual still reads the kind's
+    # exact mean, so it sits at rounding level
     cfg = _cfg(tmp_path, "c.json", doc)
     out = tmp_path / "o.json"
     assert _run(["certify", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["violations"] == []
-    assert doc["report"]["unbiasedness_max_residual"] > 1e-8
+    assert doc["report"]["unbiasedness_max_residual"] <= 1e-12
+
+
+def test_certify_sphere_sampler_draws_nothing(tmp_path, monkeypatch):
+    # dp_l2_sampler has no pmf, so no MI draws, and its residual is exact
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify drew a sample")
+
+    monkeypatch.setattr(Channel, "sample", refuse)
+    cfg = _cfg(tmp_path, "c.json", {"kind": "dp_l2_sampler", "d": 10, "eps": 1.0})
+    out = tmp_path / "o.json"
+    assert _run(["certify", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["violations"] == []
+    assert doc["report"]["unbiasedness_max_residual"] <= 1e-12
 
 
 def test_tradeoff_check_passes_on_tuned_grid(tmp_path):

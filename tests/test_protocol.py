@@ -64,6 +64,16 @@ def test_population_stream_mints_fresh_data():
         PrivateGradStream(population=dist, loss=loss)
 
 
+def test_stream_refuses_owners_and_population_together():
+    # a stream is one or the other: given both, the population would answer
+    # every query and the owner list would be dropped without a word
+    loss, ch = _parts()
+    dist = DataDist("cube_bernoulli", 2, 0.5, (1, 0))
+    owners = PrivateGradStream.from_data(np.eye(2), loss, ch, rng=1).owners
+    with pytest.raises(ValueError, match="not both"):
+        PrivateGradStream(owners=owners, population=dist, loss=loss, channel=ch)
+
+
 def test_population_stream_answers_a_batch():
     # a (R, d) theta is R queries: R fresh data, R subgradients, R draws,
     # replayable from the same seed through the layers below; the first
