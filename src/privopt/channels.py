@@ -536,12 +536,10 @@ class Channel:
     target: NormBall
     privacy_param: float
     calibration: dict = field(default_factory=dict)
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in CHANNEL_KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
-        object.__setattr__(self, "_stream", None)
 
     @property
     def budget(self) -> str | None:
@@ -559,19 +557,11 @@ class Channel:
         """True when dp_ratio_max(ch) can check eps over every corner input."""
         return self.budget == "eps" and self.has_pmf and self.d <= _MIXTURE_GUARD_D
 
-    def rng(self):
-        """The channel's own stream, lazily created from its seed."""
-        if self._stream is None:
-            object.__setattr__(self, "_stream", np.random.default_rng(self.seed))
-        return self._stream
-
     def noise(self, n: int, rng=None) -> tuple:
         """The randomness of n draws, which does not depend on the input: a
-        tuple of arrays with leading dimension n, drawn from rng (a seed or
-        generator; the channel's own stream when None) in the order that
-        sample draws it."""
-        gen = self.rng() if rng is None else np.random.default_rng(rng)
-        return _KINDS[self.kind].noise(self, int(n), gen)
+        tuple of arrays with leading dimension n, drawn from rng (anything
+        np.random.default_rng takes) in the order that sample draws it."""
+        return _KINDS[self.kind].noise(self, int(n), np.random.default_rng(rng))
 
     def apply(self, x, noise: tuple) -> np.ndarray:
         """The draws (n, d) that noise(n, ...) gives at x: n draws at one
@@ -596,7 +586,7 @@ class Channel:
         must be finite and in the source ball; size with a batch raises
         ValueError.  The draws are apply(x, noise(n, rng)).
         """
-        gen = self.rng() if rng is None else np.random.default_rng(rng)
+        gen = np.random.default_rng(rng)
         x = _checked_rows(x, self.d, self.source)
         if x.ndim == 2 and size is not None:
             raise ValueError("pass a batch of inputs or size, not both")
@@ -612,7 +602,6 @@ def make_channel(
     L: float = 1.0,
     M: float | None = None,
     eps: float | None = None,
-    seed: int | None = None,
     bias=None,
     noise: float | None = None,
 ) -> Channel:
@@ -638,7 +627,7 @@ def make_channel(
     d = int(d)  # a numpy integer would not serialise to JSON
     p, reach, cal = row.calibrate(d, L, value, bias, noise)
     param = math.inf if row.budget is None else float(value)
-    return Channel(kind, d, NormBall(p, L), NormBall(p, reach), param, cal, seed)
+    return Channel(kind, d, NormBall(p, L), NormBall(p, reach), param, cal)
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +674,11 @@ def channel_pmf(ch: Channel, x) -> SupportPmf:
     flat = np.round(points.reshape(-1, ch.d), 12)
     first, col = _first_appearance(flat)
     _joint_guard(R, len(first))
-    out = np.zeros((R, len(first)))
-    np.add.at(out, (np.arange(R)[:, None], col.reshape(-1, k)), probs)
+    # one bincount over the flat (row, column) index adds each probability
+    # to 0.0 in input order, as np.add.at did
+    m = len(first)
+    cells = (np.arange(R)[:, None] * m + col.reshape(-1, k)).ravel()
+    out = np.bincount(cells, weights=probs.ravel(), minlength=R * m).reshape(R, m)
     return SupportPmf(flat[first], out)
 
 
@@ -721,8 +713,7 @@ def worst_case_mi(kind: str, d: int, L: float, M: float) -> float:
 
 def channel_to_json(ch: Channel) -> str:
     doc = {"kind": ch.kind, "d": ch.d, "L": ch.source.radius,
-           "M_or_eps": None if ch.budget is None else ch.privacy_param,
-           "seed": ch.seed}
+           "M_or_eps": None if ch.budget is None else ch.privacy_param}
     if "bias" in ch.calibration:
         doc["bias"] = list(ch.calibration["bias"])
         doc["noise"] = ch.calibration["noise"]
@@ -737,11 +728,9 @@ def channel_from_json(doc) -> Channel:
         raise ValueError(f"unknown channel kind {kind!r}")
     budget = _KINDS[kind].budget
     raw = doc.get("M_or_eps")
-    seed = doc.get("seed")
-    seed = None if seed is None else int(seed)
     if budget is None:
         # documents without a bias vector carry one scalar bias in M_or_eps
         extra = {"bias": doc.get("bias", raw), "noise": doc.get("noise")}
     else:
         extra = {budget: float(raw)}
-    return make_channel(kind, doc["d"], L=float(doc.get("L", 1.0)), seed=seed, **extra)
+    return make_channel(kind, doc["d"], L=float(doc.get("L", 1.0)), **extra)

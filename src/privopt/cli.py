@@ -22,6 +22,7 @@ from .information import (MI_MC_MIN_N, certificate_for, certify_channel,
                           extreme_point_source, mutual_information_exact, nats_to_bits)
 from .losses import DataDist, RiskSpec, make_loss, risk_minimizer, risk_value
 from .minimax import (
+    DELTA_THEOREMS,
     THEOREM_BUDGET,
     THEOREMS,
     BoundSpec,
@@ -215,7 +216,6 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
     delta = float(cfg.get("delta", 0.5))
     L = float(cfg.get("L", 1.0))
     r = float(cfg.get("r", 1.0))
-    baseline = bool(cfg.get("nonprivate_baseline", True))
     if not is_dp and min(budget_grid) < L:
         raise UsageError("linf_maxent budgets are absolute magnitudes M >= L")
 
@@ -246,11 +246,9 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
                     eff = max(1, int(n * budget**2 / d))
                 else:
                     eff = max(1, int(n * certificate_for(ch).level / d))
-                np_mean = math.nan
-                if baseline:
-                    np_avg = _averaged_chains(spec, make_channel("identity", d, L=L),
-                                              eff, reps, rng)
-                    np_mean = float(np.mean([risk_value(spec, a) - best for a in np_avg]))
+                np_avg = _averaged_chains(spec, make_channel("identity", d, L=L),
+                                          eff, reps, rng)
+                np_mean = float(np.mean([risk_value(spec, a) - best for a in np_avg]))
                 try:
                     if is_dp:
                         bs = BoundSpec("T3", d=d, n=n, L=L, r=r, eps=budget)
@@ -309,7 +307,6 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
 
 _BOUNDS_COLUMNS = ("theorem,d,n,budget_kind,budget,q,delta,lower,upper,"
                    "gap_flagged,lemma8_C,lemma8_Delta")
-_WITH_DELTA = {"T1b", "T3", "C3", "T4"}
 
 
 def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
@@ -326,7 +323,6 @@ def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
     k = _as_int("k", cfg.get("k", 0))
     L = float(cfg.get("L", 1.0))
     r = float(cfg.get("r", 1.0))
-    c_const = float(cfg.get("c_const", 1.0))
 
     lines = [f"# schema={BOUNDS_SCHEMA}", _BOUNDS_COLUMNS]
     sandwich_ok, monotone_ok = True, True
@@ -337,14 +333,13 @@ def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
             for budget in budgets:
                 prev = math.inf
                 for n in n_grid:
-                    spec = BoundSpec(th, d=d, n=n, L=L, r=r, q=q, c_const=c_const,
-                                     **{bkind: budget})
+                    spec = BoundSpec(th, d=d, n=n, L=L, r=r, q=q, **{bkind: budget})
                     lo, up = lower_bound(spec), upper_bound(spec)
                     sandwich_ok &= lo <= up * (1.0 + 1e-12)
                     monotone_ok &= lo <= prev * (1.0 + 1e-12)
                     prev = lo
                     delta = math.nan
-                    if th in _WITH_DELTA:
+                    if th in DELTA_THEOREMS:
                         delta = default_delta(th, d, n, L=L,
                                               M=budget if bkind == "M" else None,
                                               eps=budget if bkind == "eps" else None)

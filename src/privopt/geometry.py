@@ -31,6 +31,13 @@ class PackingError(RuntimeError):
     """Randomized packing search exhausted its retry budget."""
 
 
+# limits of the randomized packing search and of power iteration
+_PACKING_STALL = 4000  # consecutive rejections that end a greedy pass
+_PACKING_RETRIES = 1000  # greedy passes before a search gives up
+_POWER_TOL = 1e-8
+_POWER_STEPS = 100_000
+
+
 @dataclass(frozen=True)
 class NormBall:
     """The set {x in R^d : ||x||_p <= radius} for p in {1, 2, inf}."""
@@ -132,13 +139,13 @@ def project_l1_ball(x, r: float) -> np.ndarray:
     return np.sign(x) * np.maximum(a - tau, 0.0)
 
 
-def _greedy_sign_packing(d: int, min_hamming: int, target: int, rng, stall_limit: int = 4000):
+def _greedy_sign_packing(d: int, min_hamming: int, target: int, rng):
     """Accumulate random sign vectors, keeping those min_hamming away from
-    all kept points.  Stops after target points or stall_limit consecutive
-    rejections."""
+    all kept points.  Stops after target points or _PACKING_STALL
+    consecutive rejections."""
     kept = np.empty((0, d), dtype=np.int64)
     stall = 0
-    while kept.shape[0] < target and stall < stall_limit:
+    while kept.shape[0] < target and stall < _PACKING_STALL:
         cand = rng.integers(0, 2, size=d) * 2 - 1
         if kept.shape[0] == 0 or int(np.min(np.sum(kept != cand, axis=1))) >= min_hamming:
             kept = np.vstack([kept, cand])
@@ -164,26 +171,26 @@ def gilbert_varshamov_packing(d: int, rng=None) -> Packing:
         return Packing((e1, -e1), 2.0)
     target = math.ceil(math.exp(d / 8.0))
     min_hamming = math.ceil(d / 4.0)  # l1 distance on sign vectors = 2 * Hamming
-    for _ in range(1000):
+    for _ in range(_PACKING_RETRIES):
         pts = _greedy_sign_packing(d, min_hamming, target, rng)
         if len(pts) >= target:
             return Packing(tuple(pts), d / 2.0)
     raise PackingError(f"no packing of size {target} found for d={d}")
 
 
-def covariance_bounded_packing(d: int, rng=None, retry_budget: int = 1000) -> Packing:
+def covariance_bounded_packing(d: int, rng=None) -> Packing:
     """Sign packing with separation d/2, size >= ceil(exp(d/16)), and
     empirical second moment (1/|V|) sum_v v v^T with top eigenvalue <= 25.
 
     Rejection-resamples whole candidate sets until all three conditions
-    hold; raises PackingError after retry_budget failures.
+    hold; raises PackingError after _PACKING_RETRIES failures.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
     rng = np.random.default_rng(rng)
     target = math.ceil(math.exp(d / 16.0))
     min_hamming = math.ceil(d / 4.0)
-    for _ in range(retry_budget):
+    for _ in range(_PACKING_RETRIES):
         pts = _greedy_sign_packing(d, min_hamming, target, rng)
         if len(pts) < target:
             continue
@@ -194,26 +201,27 @@ def covariance_bounded_packing(d: int, rng=None, retry_budget: int = 1000) -> Pa
     raise PackingError(f"no covariance-bounded packing found for d={d}")
 
 
-def max_eigenvalue_power_iteration(a, tol: float = 1e-8, max_iter: int = 100000, rng=None) -> float:
+def max_eigenvalue_power_iteration(a, rng=None) -> float:
     """Largest eigenvalue of a symmetric PSD matrix by power iteration.
 
-    Iterates until the Rayleigh quotient changes by at most tol (relative
-    to max(1, value)).  Adequate here: the second-moment matrices are PSD
-    and we only compare the value against a fixed threshold.
+    Iterates until the Rayleigh quotient changes by at most _POWER_TOL
+    (relative to max(1, value)), for at most _POWER_STEPS steps.  Adequate
+    here: the second-moment matrices are PSD and we only compare the value
+    against a fixed threshold.
     """
     a = np.asarray(a, dtype=float)
     rng = np.random.default_rng(rng)
     v = rng.standard_normal(a.shape[0])
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_POWER_STEPS):
         w = a @ v
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             return 0.0
         v = w / nw
         new = float(v @ (a @ v))
-        if abs(new - lam) <= tol * max(1.0, abs(new)):
+        if abs(new - lam) <= _POWER_TOL * max(1.0, abs(new)):
             return new
         lam = new
     return lam

@@ -110,8 +110,12 @@ def subgrad(loss: LossFn, x, theta) -> np.ndarray:
             return -L * x
         return np.zeros_like(x)
     if loss.kind == "logistic":
+        # -L/(1 + e^t); past t = 0 as -L e^-t/(1 + e^-t), which cannot overflow
         t = float(x @ theta)
-        return (-L / (1.0 + math.exp(t))) * x
+        if t <= 0.0:
+            return (-L / (1.0 + math.exp(t))) * x
+        e = math.exp(-t)
+        return (-L * e / (1.0 + e)) * x
     return L * x
 
 

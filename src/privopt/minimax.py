@@ -1,9 +1,9 @@
 """Computable minimax machinery: testing lower bounds (Fano, Le Cam),
 per-sample information lemmas, and the matched lower/upper risk curves.
 
-Universal constants the theory leaves unspecified default to 1 and are
-carried in BoundSpec.c_const; comparisons involving them are rate-shape
-checks, not absolute ones.  All information quantities are in nats.
+The universal constants the theory leaves unspecified are 1, so
+comparisons involving them are rate-shape checks, not absolute ones.  All
+information quantities are in nats.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .losses import DataDist, dist_support
 __all__ = [
     "THEOREMS",
     "THEOREM_BUDGET",
+    "DELTA_THEOREMS",
     "BoundSpec",
     "TestingInstance",
     "lower_bound",
@@ -46,6 +47,8 @@ THEOREM_BUDGET = {
     "C3": "eps",
 }
 THEOREMS = tuple(THEOREM_BUDGET)
+# the theorems whose testing construction has a recorded bias choice
+DELTA_THEOREMS = frozenset({"T1b", "T3", "C3", "T4"})
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,8 @@ class BoundSpec:
 
     M is the channel magnitude (T1a, T1b, T2), eps the DP level (T3, T4,
     T5_*, C3), I_star the information budget in nats (C1, C2).  q is the
-    domain geometry exponent for the T5 family.  c_const stands in for
-    the paper's unspecified universal constant on whichever side.
+    domain geometry exponent for the T5 family.  The paper's unspecified
+    universal constants are 1 on either side.
     """
 
     theorem: str
@@ -67,7 +70,6 @@ class BoundSpec:
     eps: Optional[float] = None
     I_star: Optional[float] = None
     q: Optional[float] = None
-    c_const: float = 1.0
 
     def __post_init__(self) -> None:
         if self.theorem not in THEOREMS:
@@ -125,26 +127,22 @@ def lower_bound(spec: BoundSpec) -> float:
             r * L, (math.sqrt(d) / spec.eps) * r * L * math.sqrt(_log2d(d)) / (4.0 * rn)
         )
     if spec.theorem == "T4":
-        return spec.c_const * min(
-            (math.sqrt(d) / spec.eps) * r * L * math.sqrt(_log2d(d)) / rn, r * L
-        )
+        return min((math.sqrt(d) / spec.eps) * r * L * math.sqrt(_log2d(d)) / rn, r * L)
     if spec.theorem == "T5_linear":
         terms = (
             (math.sqrt(d) / spec.eps) * _dq_factor(d, spec.q) / rn,
             (n * spec.eps**2) ** (-0.5 / spec.q) if math.isfinite(spec.q) else 1.0,
             1.0,
         )
-        return spec.c_const * r * L * min(terms)
+        return r * L * min(terms)
     if spec.theorem == "T5_general":
-        return spec.c_const * min(
-            (math.sqrt(d) / spec.eps) * r * L * _dq_factor(d, spec.q) / rn, r * L
-        )
+        return min((math.sqrt(d) / spec.eps) * r * L * _dq_factor(d, spec.q) / rn, r * L)
     if spec.theorem == "C1":
-        return spec.c_const * math.sqrt(d / spec.I_star) * r * L * math.sqrt(_log2d(d)) / rn
+        return math.sqrt(d / spec.I_star) * r * L * math.sqrt(_log2d(d)) / rn
     if spec.theorem == "C2":
-        return spec.c_const * math.sqrt(d / spec.I_star) * r * L * math.sqrt(d) / rn
+        return math.sqrt(d / spec.I_star) * r * L * math.sqrt(d) / rn
     # C3
-    return spec.c_const * (math.sqrt(d) / spec.eps) * r * L * math.sqrt(_log2d(d)) / rn
+    return (math.sqrt(d) / spec.eps) * r * L * math.sqrt(_log2d(d)) / rn
 
 
 def upper_bound(spec: BoundSpec) -> float:
@@ -156,28 +154,27 @@ def upper_bound(spec: BoundSpec) -> float:
     """
     d, n, L, r = spec.d, spec.n, spec.L, spec.r
     rn = math.sqrt(n)
-    c = spec.c_const
     if spec.theorem == "T1a":
-        return c * spec.M * r * d / rn
+        return spec.M * r * d / rn
     if spec.theorem in ("T1b", "C1"):
         if spec.theorem == "T1b":
             I = mi_closed_form("linf_maxent", d, L, spec.M).exact
         else:
             I = spec.I_star
-        return c * math.sqrt(d / I) * r * L * math.sqrt(_log2d(d)) / rn
+        return math.sqrt(d / I) * r * L * math.sqrt(_log2d(d)) / rn
     if spec.theorem in ("T2", "C2"):
         if spec.theorem == "T2":
             I = mi_closed_form("l1_maxent", d, L, spec.M).exact
         else:
             I = spec.I_star
-        return c * math.sqrt(d / I) * r * L * math.sqrt(d) / rn
+        return math.sqrt(d / I) * r * L * math.sqrt(d) / rn
     if spec.theorem in ("T3", "T4", "C3"):
         val = (math.sqrt(d) / spec.eps) * r * L * math.sqrt(_log2d(d)) / rn
         if spec.theorem in ("T3", "C3"):
-            return c * val
-        return c * min(val, r * L)
+            return val
+        return min(val, r * L)
     # T5 upper: no middle interactivity term
-    return c * r * L * min((math.sqrt(d) / spec.eps) * _dq_factor(d, spec.q) / rn, 1.0)
+    return r * L * min((math.sqrt(d) / spec.eps) * _dq_factor(d, spec.q) / rn, 1.0)
 
 
 def t5_middle_term(spec: BoundSpec) -> Optional[float]:
@@ -318,8 +315,9 @@ class TestingInstance:
 
 def default_delta(theorem: str, d: int, n: int, L: float = 1.0,
                   M: Optional[float] = None, eps: Optional[float] = None) -> float:
-    """The proof's bias choice for each testing construction, capped at 1."""
-    if theorem in ("T1b", "C1"):
+    """The proof's bias choice for each testing construction, capped at 1;
+    ValueError for a theorem outside DELTA_THEOREMS."""
+    if theorem == "T1b":
         return min(M * math.sqrt(_log2d(d)) / (2.0 * L * math.sqrt(n)), 1.0)
     if theorem in ("T3", "C3"):
         return min(math.sqrt(d * _log2d(d)) / (4.0 * eps * math.sqrt(n)), 1.0)

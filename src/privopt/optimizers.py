@@ -87,7 +87,6 @@ def _prepare(config: OptimizerConfig, rng, method: str, p: int) -> np.random.Gen
 
 
 def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
-                      record_iterates: bool = False,
                       chains: int | None = None) -> OptimizerRun:
     """Entropic mirror descent over the l1 ball of radius r.
 
@@ -114,10 +113,7 @@ def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
     lw = np.full(rows + (2 * d,), -math.log(2 * d))  # log-weights on the lift, uniform
     theta = np.zeros(rows + (d,))
     total = np.zeros(rows + (d,))
-    trace = np.empty((n,) + theta.shape) if record_iterates else None
-    for t in range(n):
-        if record_iterates:
-            trace[t] = theta
+    for _ in range(n):
         total += theta
         g = np.asarray(grad_oracle(theta, gen), dtype=float)
         lw[..., :d] -= eta * r * g
@@ -127,7 +123,7 @@ def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
         w /= w.sum(axis=-1, keepdims=True)
         np.log(w, out=lw)
         theta = r * (w[..., :d] - w[..., d:])
-    return OptimizerRun(total / n, trace)
+    return OptimizerRun(total / n)
 
 
 def sgd_l2(grad_oracle, config: OptimizerConfig, rng,

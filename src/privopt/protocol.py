@@ -62,11 +62,11 @@ class PrivateGradStream:
     mints a fresh owner per query."""
 
     owners: Optional[tuple] = None
-    cursor: int = 0
     rng: object = None
     population: Optional[DataDist] = None
     loss: Optional[LossFn] = None
     channel: Optional[Channel] = None
+    cursor: int = field(default=0, init=False)  # owners that have answered
     # the population block: data (rows, d), channel noise, next unread row
     _block: tuple = field(default=(), init=False, repr=False, compare=False)
     _next: int = field(default=0, init=False, repr=False, compare=False)

@@ -706,6 +706,7 @@ def test_channel_json_round_trip():
         assert back.kind == ch.kind and back.d == ch.d
         assert back.source == ch.source and back.target == ch.target
         assert json.loads(doc)["kind"] == kind
+        assert "seed" not in json.loads(doc)
         x = _input_for(ch, np.random.default_rng(3))
         a = ch.sample(x, rng=np.random.default_rng(1), size=8)
         b = back.sample(x, rng=np.random.default_rng(1), size=8)

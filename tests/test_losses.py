@@ -82,6 +82,24 @@ def test_subgradient_kink_conventions():
     assert np.allclose(subgrad(hinge, e1, np.array([2.0, 0.0])), 0.0)
 
 
+def test_logistic_subgradient_at_large_margins():
+    # e^t overflows a float past t ~ 709.8; the gradient there is ~0, not an error
+    loss = make_loss("logistic", L=2.0)
+    e1 = np.array([1.0, 0.0])
+    for t in (709.0, 710.0, 800.0, 1e4, 1e308):
+        g = subgrad(loss, e1, t * e1)
+        assert np.all(np.isfinite(g)) and np.linalg.norm(g) <= 2.0 * np.linalg.norm(e1)
+    assert np.array_equal(subgrad(loss, e1, 800.0 * e1), np.zeros(2))
+    assert np.array_equal(subgrad(loss, e1, -800.0 * e1), -2.0 * e1)
+    # where e^t is finite the value is -L/(1 + e^t) to rounding
+    x = np.array([0.5, -0.25])
+    for t in (-700.0, -30.0, -1.0, 0.0, 1e-8, 0.5, 3.0, 40.0, 700.0):
+        theta = np.array([2.0 * t, 0.0])
+        want = (-2.0 / (1.0 + math.exp(t))) * x
+        got = subgrad(loss, x, theta)
+        assert np.allclose(got, want, rtol=1e-15, atol=0.0), (t, got, want)
+
+
 def test_median_subgradient_takes_paired_rows():
     rng = np.random.default_rng(4)
     X = np.where(rng.random((6, 3)) < 0.5, -1.0, 1.0)

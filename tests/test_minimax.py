@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from privopt import minimax
 from privopt.channels import make_channel
 from privopt.geometry import Packing
 from privopt.information import certificate_for
 from privopt.minimax import (
+    THEOREM_BUDGET,
     THEOREMS,
     BoundSpec,
     TestingInstance as Instance,
@@ -200,6 +202,22 @@ def test_default_delta_choices():
         math.sqrt(4 * math.log(8)) / (math.sqrt(e * 10000) * (e - 1 / e)))
     with pytest.raises(ValueError):
         default_delta("T1a", 4, 100, M=2.0)
+
+
+def test_default_delta_raises_value_error_without_a_recorded_choice():
+    # C1 carries I_star, not M: it has no recorded choice, so a ValueError,
+    # never a TypeError from the missing M
+    with pytest.raises(ValueError, match="no recorded delta"):
+        default_delta("C1", 4, 100)
+    recorded = {"T1b", "T3", "C3", "T4"}
+    for th in THEOREMS:
+        budget = {"M": {"M": 2.0}, "eps": {"eps": 0.5}, "I_star": {}}[THEOREM_BUDGET[th]]
+        if th in recorded:
+            assert 0.0 < default_delta(th, 4, 100, **budget) <= 1.0
+        else:
+            with pytest.raises(ValueError, match="no recorded delta"):
+                default_delta(th, 4, 100, **budget)
+    assert minimax.DELTA_THEOREMS == recorded  # the set `bounds` reads
 
 
 # ---------------------------------------------------------------------------

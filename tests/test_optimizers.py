@@ -107,19 +107,25 @@ def test_chains_match_single_runs_bitwise():
                         [0.0, 0.0, 0.3]])
     cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, r), d, steps, 2.0)
 
-    def oracle_for(target):
-        return lambda theta, rng: np.sign(theta - target) + 0.25 * (theta - target)
+    def oracle_for(target, seen):
+        # the oracle sees every iterate theta_t, so it records the trace
+        def oracle(theta, rng):
+            seen.append(theta.copy())
+            return np.sign(theta - target) + 0.25 * (theta - target)
+        return oracle
 
-    run = mirror_descent_l1(oracle_for(targets), cfg, 99, chains=len(targets),
-                            record_iterates=True)
+    seen = []
+    run = mirror_descent_l1(oracle_for(targets, seen), cfg, 99, chains=len(targets))
+    iterates = np.array(seen)
     assert run.averaged.shape == targets.shape
-    assert run.iterates.shape == (steps,) + targets.shape
+    assert iterates.shape == (steps,) + targets.shape
     for row, target in enumerate(targets):
-        single = mirror_descent_l1(oracle_for(target), cfg, 99, record_iterates=True)
+        single_seen = []
+        single = mirror_descent_l1(oracle_for(target, single_seen), cfg, 99)
         assert np.array_equal(run.averaged[row], single.averaged)
-        assert np.array_equal(run.iterates[:, row], single.iterates)
+        assert np.array_equal(iterates[:, row], np.array(single_seen))
     with pytest.raises(ValueError):
-        mirror_descent_l1(oracle_for(targets), cfg, 99, chains=0)
+        mirror_descent_l1(oracle_for(targets, []), cfg, 99, chains=0)
 
 
 def _median_gap(d, delta, L, r):
