@@ -171,14 +171,18 @@ _BALL_TOL = 1e-9
 def _checked_rows(x, d: int, ball: NormBall) -> np.ndarray:
     """x as one input (d,) or a batch (R, d) in C order (so row sums round
     alike for every layout), every row finite and in the source ball; one
-    reduction checks both, as NaN survives the norm and the max."""
+    reduction checks both, as NaN survives the norm and the max.  The norms
+    are np.linalg.norm's own formulas, without its dispatch."""
     x = np.ascontiguousarray(x, dtype=float)
     if x.ndim > 2 or x.shape[-1] != d:
         raise ValueError(f"expected a vector or rows of dimension {d}, got shape {x.shape}")
-    if ball.p == np.inf:
-        top = np.abs(x).max()
+    if ball.p == 2:
+        top = np.sqrt(np.add.reduce(x * x, axis=-1))
     else:
-        top = np.linalg.norm(x, ord=ball.p, axis=-1).max()
+        top = np.abs(x)
+        if ball.p == 1:
+            top = np.add.reduce(top, axis=-1)
+    top = np.maximum.reduce(top, axis=None)
     L = ball.radius
     if not top <= L * (1.0 + _BALL_TOL) + _BALL_TOL:
         if not np.all(np.isfinite(x)):
@@ -210,15 +214,20 @@ def _linf_apply(ch, x: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _l1_output_pmf(ch, x: np.ndarray) -> np.ndarray:
     """Law of Z over the 2d atoms, per row of x: round x onto {+-L e_j},
     then resample through the gamma-tilted law on {+-M e_j}."""
-    d, L, gamma = ch.d, ch.source.radius, ch.calibration["gamma"]
+    d, L, cal = ch.d, ch.source.radius, ch.calibration
     # mean-preserving rounding: directed mass |x_j|/L plus the leftover
     # 1 - ||x||_1/L spread uniformly (cancels in the mean)
     rem = np.maximum(0.0, 1.0 - np.abs(x).sum(axis=-1, keepdims=True) / L)
-    w = np.concatenate([np.maximum(x, 0.0), np.maximum(-x, 0.0)], axis=-1) / L + rem / (2 * d)
-    w = w / w.sum(axis=-1, keepdims=True)
-    w_mirror = np.concatenate([w[..., d:], w[..., :d]], axis=-1)
-    tilted = 1.0 + (math.exp(gamma) - 1.0) * w + (math.exp(-gamma) - 1.0) * w_mirror
-    return tilted / ch.calibration["D_gamma"]
+    w = np.maximum(np.concatenate([x, -x], axis=-1), 0.0)
+    w /= L
+    w += rem / (2 * d)
+    w /= w.sum(axis=-1, keepdims=True)
+    # 1 + (e^g - 1) w + (e^-g - 1) w_mirror, added left to right
+    tilted = cal["tilt_up"] * w
+    tilted += 1.0
+    tilted += cal["tilt_down"] * w[..., cal["mirror"]]
+    tilted /= cal["D_gamma"]
+    return tilted
 
 
 def _l1_noise(ch, n: int, rng) -> tuple:
@@ -308,19 +317,24 @@ def _product_corners(d: int, rows: int) -> np.ndarray:
     return _corner_matrix(d)
 
 
-def _coin_law(corners: np.ndarray, X: np.ndarray, M: float) -> np.ndarray:
-    """(R, 2^d) law of the coins P(Z_j = +M) = 1/2 + x_j/(2M) per row of X."""
+def _coin_law(X: np.ndarray, M: float) -> np.ndarray:
+    """(R, 2^d) law of the coins P(Z_j = +M) = 1/2 + x_j/(2M) per row of X,
+    over the corners in _corner_matrix order."""
     s = X / (2.0 * M)
-    p = 0.5 + corners[:, 0] * s[:, :1]
-    for j in range(1, X.shape[1]):  # np.prod's bits, without an (R, 2^d, d) array
-        p *= 0.5 + corners[:, j] * s[:, j:j + 1]
+    signs = np.array([-1.0, 1.0])
+    # coin j is bit d - 1 - j of a corner's index, so doubling the width once
+    # per coin multiplies each entry's factors left to right: np.prod's bits,
+    # without an (R, 2^d, d) array
+    p = 0.5 + signs * s[:, :1]
+    for j in range(1, X.shape[1]):
+        p = (p[:, :, None] * (0.5 + signs * s[:, j:j + 1])[:, None, :]).reshape(len(X), -1)
     return p
 
 
 def _linf_pmf(ch, X: np.ndarray) -> tuple:
     M = ch.calibration["B"]
     corners = _product_corners(ch.d, len(X))
-    return M * corners, _coin_law(corners, X, M)
+    return M * corners, _coin_law(X, M)
 
 
 def _l1_pmf(ch, X: np.ndarray) -> tuple:
@@ -339,7 +353,7 @@ def _two_level_pmf(ch, X: np.ndarray) -> tuple:
     probs = levels(np.sign(X) @ corners.T)
     if inner.size:  # mix the corner laws by the rounding law; a matmul would reorder the sum
         mix = levels(corners @ corners.T)
-        for r, w in zip(inner, _coin_law(corners, X[inner], L)):
+        for r, w in zip(inner, _coin_law(X[inner], L)):
             probs[r] = (mix * w).sum(axis=1)
     return cal["B"] * corners, probs
 
@@ -436,6 +450,9 @@ def _l1_calibration(d: int, L: float, M, *_) -> tuple:
         "B": float(M),
         "gamma": gamma,
         "D_gamma": math.exp(gamma) + math.exp(-gamma) + 2 * d - 2,
+        "tilt_up": math.exp(gamma) - 1.0,
+        "tilt_down": math.exp(-gamma) - 1.0,
+        "mirror": np.r_[d:2 * d, 0:d],  # atom +-M e_j <-> -+M e_j
         "atoms": atoms,
     }
 

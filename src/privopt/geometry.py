@@ -111,7 +111,8 @@ def project_l2_ball(x, r: float) -> np.ndarray:
     x = _finite_array(x)
     if r <= 0:
         raise ValueError("r must be positive")
-    nrm = float(np.linalg.norm(x))
+    v = x.ravel(order="K")  # contiguous, as ddot rounds a strided vector differently
+    nrm = math.sqrt(v.dot(v))  # np.linalg.norm's own formula, without its dispatch
     if nrm <= r:
         return x.copy()
     return (r / nrm) * x

@@ -103,27 +103,41 @@ def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
     RETURNS OptimizerRun with the uniform average of the n visited
     iterates (the init counts; the point produced by the last gradient
     does not), of shape (dim,) or (R, dim).
+
+    LAYOUT  The state is chain-minor: the lift's log-weights are (2 dim, R)
+    and the iterate and running total (dim, R), so each half of the lift,
+    the per-chain max and the per-chain sum read contiguous rows; the
+    oracle gets the (R, dim) view theta.T, and one chain is a (2 dim,)
+    lift.  Each chain's lift is normalized by a running sum over its 2 dim
+    weights in lift order (np.add.accumulate), the same order at every R;
+    np.add.reduce would sum one chain pairwise but many chains in order,
+    and from 2 dim = 8 up the two differ in the last bits.  So every row
+    of a many-chain run equals the single run of its oracle bit for bit.
     """
     gen = _prepare(config, rng, "mirror_descent_l1", 1)
     d, n, r = config.dim, config.steps, config.domain.radius
     if chains is not None and chains < 1:
         raise ValueError("chains must be >= 1")
     eta = step_size_for("mirror_descent_l1", config.domain, config.grad_bound, n, d)
-    rows = () if chains is None else (int(chains),)
-    lw = np.full(rows + (2 * d,), -math.log(2 * d))  # log-weights on the lift, uniform
-    theta = np.zeros(rows + (d,))
-    total = np.zeros(rows + (d,))
+    cols = () if chains is None else (int(chains),)
+    lw = np.full((2 * d,) + cols, -math.log(2 * d))  # log-weights on the lift, uniform
+    theta = np.zeros((d,) + cols)
+    total = np.zeros((d,) + cols)
+    w = np.empty_like(lw)
+    step = eta * r
     for _ in range(n):
         total += theta
-        g = np.asarray(grad_oracle(theta, gen), dtype=float)
-        lw[..., :d] -= eta * r * g
-        lw[..., d:] += eta * r * g
-        lw -= lw.max(axis=-1, keepdims=True)
-        w = np.exp(lw)
-        w /= w.sum(axis=-1, keepdims=True)
+        g = step * np.asarray(grad_oracle(theta.T, gen), dtype=float).T
+        if g.shape != theta.shape:
+            raise ValueError(f"oracle gave a gradient of shape {g.T.shape} for theta {theta.T.shape}")
+        lw[:d] -= g
+        lw[d:] += g
+        lw -= np.maximum.reduce(lw)
+        np.exp(lw, out=w)
+        w /= np.add.accumulate(w)[-1]  # the lift's sum, in order (see LAYOUT)
         np.log(w, out=lw)
-        theta = r * (w[..., :d] - w[..., d:])
-    return OptimizerRun(total / n)
+        theta = r * (w[:d] - w[d:])
+    return OptimizerRun(np.ascontiguousarray(total.T) / n)
 
 
 def sgd_l2(grad_oracle, config: OptimizerConfig, rng,

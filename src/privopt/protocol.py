@@ -112,9 +112,10 @@ class PrivateGradStream:
             X = sample_datum(self.population, self.rng, size=rows)
             self._block = (X, self.channel.noise(rows, self.rng))
             self._next = 0
-        i, (X, noise) = self._next, self._block
-        self._next = i + m
-        return X[i:i + m], tuple(a[i:i + m] for a in noise)
+        span = slice(self._next, self._next + m)
+        self._next += m
+        X, noise = self._block
+        return X[span], tuple([a[span] for a in noise])
 
 
 def query(stream: PrivateGradStream, theta) -> np.ndarray:

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from privopt.channels import (
     CHANNEL_KINDS,
+    _coin_law,
+    _l1_output_pmf,
     channel_from_json,
     channel_pmf,
     channel_to_json,
@@ -19,6 +21,7 @@ from privopt.channels import (
     make_channel,
     two_level_constants,
 )
+from privopt.geometry import _corner_matrix
 from privopt.losses import DataDist, dist_support, make_loss
 from privopt.protocol import PrivateGradStream, query
 
@@ -253,6 +256,57 @@ def test_batch_pmf_edge_cases():
     corners = np.array(np.meshgrid(*[[-1.0, 1.0]] * 8)).T.reshape(-1, 8)
     with pytest.raises(ValueError, match="joint support exceeds enumeration guard"):
         channel_pmf(ch, corners)
+
+
+def _l1_law_reference(ch, x):
+    """The l1_maxent output law as first written: separate positive and
+    negative parts, a concatenated mirror and out-of-place arithmetic."""
+    d, L, gamma = ch.d, ch.source.radius, ch.calibration["gamma"]
+    rem = np.maximum(0.0, 1.0 - np.abs(x).sum(axis=-1, keepdims=True) / L)
+    w = np.concatenate([np.maximum(x, 0.0), np.maximum(-x, 0.0)], axis=-1) / L + rem / (2 * d)
+    w = w / w.sum(axis=-1, keepdims=True)
+    w_mirror = np.concatenate([w[..., d:], w[..., :d]], axis=-1)
+    tilted = 1.0 + (math.exp(gamma) - 1.0) * w + (math.exp(-gamma) - 1.0) * w_mirror
+    return tilted / ch.calibration["D_gamma"]
+
+
+@pytest.mark.parametrize("d", [1, 4, 16])
+def test_l1_output_law_matches_first_formula_bitwise(d):
+    ch = make_channel("l1_maxent", d, L=1.5, M=4.0)
+    rng = np.random.default_rng(d)
+    corners = 1.5 * np.vstack([np.eye(d), -np.eye(d)])
+    interior = np.array([_input_for(ch, rng) for _ in range(9)])
+    interior[0] = 0.0
+    interior[1] = -0.0
+    interior[2] = 1.5 * rng.dirichlet(np.ones(d)) * rng.choice([-1.0, 1.0], size=d)  # ||x||_1 = L
+    for X in (corners, interior, np.vstack([interior, corners])):
+        assert _l1_output_pmf(ch, X).tobytes() == _l1_law_reference(ch, X).tobytes()
+        for x in X:  # a single input (d,) takes the same formula
+            assert _l1_output_pmf(ch, x).tobytes() == _l1_law_reference(ch, x).tobytes()
+
+
+def _coin_law_reference(X, M):
+    """The product law as first written: one in-place factor per coin over
+    all 2^d corners."""
+    corners = _corner_matrix(X.shape[1])
+    s = X / (2.0 * M)
+    p = 0.5 + corners[:, 0] * s[:, :1]
+    for j in range(1, X.shape[1]):
+        p *= 0.5 + corners[:, j] * s[:, j:j + 1]
+    return p
+
+
+@pytest.mark.parametrize("d", [1, 3, 7, 10])
+def test_coin_law_matches_factor_loop_bitwise(d):
+    rng = np.random.default_rng(100 + d)
+    M = 2.5
+    interior = rng.uniform(-1.0, 1.0, size=(12, d))
+    interior[0] = 0.0
+    corners = rng.choice([-1.0, 1.0], size=(6, d))
+    for X in (interior, corners, M * corners, np.vstack([interior, corners])):
+        law = _coin_law(X, M)
+        assert law.shape == (len(X), 2**d)
+        assert law.tobytes() == _coin_law_reference(X, M).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["linf_maxent", "dp_hypercube", "biased_demo"])

@@ -73,6 +73,19 @@ def test_l2_projection(x, r):
         assert np.allclose(p, x * (r / nrm), atol=0, rtol=1e-12)
 
 
+def test_l2_projection_norm_is_linalg_norm_bitwise():
+    # the projection's norm is np.linalg.norm's to the last bit, for
+    # contiguous and strided vectors, so points outside rescale identically
+    rng = np.random.default_rng(2024)
+    for _ in range(1000):
+        x = rng.standard_normal(2 * int(rng.integers(1, 40))) * rng.uniform(0.1, 10.0)
+        for v in (x, x[::2]):
+            nrm = float(np.linalg.norm(v))
+            r = 0.5 * nrm
+            assert project_l2_ball(v, r).tobytes() == ((r / nrm) * v).tobytes()
+            assert project_l2_ball(v, nrm).tobytes() == v.tobytes()
+
+
 def test_projection_input_validation():
     with pytest.raises(ValueError):
         project_l1_ball([1.0, np.nan], 1.0)

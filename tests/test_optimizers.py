@@ -101,11 +101,10 @@ def test_seed_plumbing_and_determinism():
 
 def test_chains_match_single_runs_bitwise():
     # a deterministic oracle with its own target per row: R chains stepped
-    # together must reproduce R single runs row by row, bit for bit
-    d, steps, r = 3, 257, 1.5
-    targets = np.array([[0.9, -0.2, 0.1], [-0.5, 0.5, 0.0], [0.1, 0.1, -1.0],
-                        [0.0, 0.0, 0.3]])
-    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, r), d, steps, 2.0)
+    # together must reproduce R single runs row by row, bit for bit, at
+    # every iterate; at d = 8 the lift is 16 wide, where a pairwise and an
+    # in-order sum of the weights differ in the last bits
+    steps, r = 257, 1.5
 
     def oracle_for(target, seen):
         # the oracle sees every iterate theta_t, so it records the trace
@@ -114,18 +113,33 @@ def test_chains_match_single_runs_bitwise():
             return np.sign(theta - target) + 0.25 * (theta - target)
         return oracle
 
-    seen = []
-    run = mirror_descent_l1(oracle_for(targets, seen), cfg, 99, chains=len(targets))
-    iterates = np.array(seen)
-    assert run.averaged.shape == targets.shape
-    assert iterates.shape == (steps,) + targets.shape
-    for row, target in enumerate(targets):
-        single_seen = []
-        single = mirror_descent_l1(oracle_for(target, single_seen), cfg, 99)
-        assert np.array_equal(run.averaged[row], single.averaged)
-        assert np.array_equal(iterates[:, row], np.array(single_seen))
+    for d in (3, 8):
+        cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, r), d, steps, 2.0)
+        all_targets = np.random.default_rng(d).uniform(-1.0, 1.0, size=(4, d))
+        all_targets[3] = 0.0
+        for chains in (1, 4):
+            targets = all_targets[:chains]
+            seen = []
+            run = mirror_descent_l1(oracle_for(targets, seen), cfg, 99, chains=chains)
+            iterates = np.array(seen)
+            assert run.averaged.shape == targets.shape
+            assert iterates.shape == (steps,) + targets.shape
+            for row, target in enumerate(targets):
+                single_seen = []
+                single = mirror_descent_l1(oracle_for(target, single_seen), cfg, 99)
+                assert np.array_equal(run.averaged[row], single.averaged)
+                assert np.array_equal(iterates[:, row], np.array(single_seen))
     with pytest.raises(ValueError):
-        mirror_descent_l1(oracle_for(targets, []), cfg, 99, chains=0)
+        mirror_descent_l1(oracle_for(all_targets, []), cfg, 99, chains=0)
+
+
+def test_mirror_descent_rejects_gradients_not_shaped_like_theta():
+    # one gradient (d,) for R = d chains would broadcast along the chains
+    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), 3, 4, 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        mirror_descent_l1(lambda theta, rng: np.ones(3), cfg, 0, chains=3)
+    with pytest.raises(ValueError, match="shape"):
+        mirror_descent_l1(lambda theta, rng: np.ones((1, 3)), cfg, 0)
 
 
 def _median_gap(d, delta, L, r):
