@@ -1,16 +1,24 @@
-"""Loss families with exact subgradient oracles and closed-form risks.
+"""Three losses over two data laws, in one family table.
 
 Each loss is an (L, p)-loss: convex in theta with every subgradient g
-satisfying ||g||_p <= L on the declared data support.  The four kinds:
+satisfying ||g||_p <= L on the declared data support.  The three kinds:
 
   median    l(x, theta) = L ||r x - theta||_1            (L, inf)
   hinge     l(x, theta) = L max(r - <x, theta>, 0)       (L, 1) for ||x||_1 <= 1
-  logistic  l(x, theta) = L log(1 + exp(-<x, theta>))    (L, 1) for ||x||_1 <= 1
   linear    l(x, theta) = L <x, theta>                   (L, inf) for ||x||_inf <= 1
 
-The structured data distributions index families of risks used by both the
-experiments and the lower-bound constructions: a sign vector nu and a bias
-delta pick out how strongly the data leans toward the corner nu.
+Median and linear are paired with the sign cube, hinge with the signed
+coordinate basis.  These families index the risks of both the experiments
+and the lower-bound constructions: a sign vector nu and a bias delta pick
+out how strongly the data leans toward the corner nu.
+
+  cube_bernoulli  X in {-1,1}^d, independent coordinates, P(X_j = 1) = (1 + delta nu_j)/2
+  coord_basis     X in {+-e_j}, P(X = s e_j) = (1 + s delta nu_j)/(2d)
+
+`_LOSSES` has one row per loss: its value, its subgradient, its data law,
+and that pair's closed-form risk, minimizer and separation.  `_LAWS` has
+one row per data law: its sampler and support.  A pair outside the table
+raises UnsupportedFamilyError.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,9 +51,6 @@ __all__ = [
     "separation",
 ]
 
-LOSS_KINDS = ("median", "hinge", "logistic", "linear")
-DIST_KINDS = ("cube_bernoulli", "coord_basis", "custom_empirical")
-
 
 class UnsupportedFamilyError(ValueError):
     """No closed form for the requested (loss, distribution, domain) triple."""
@@ -66,12 +71,17 @@ class LossFn:
         if self.lipschitz_L <= 0:
             raise ValueError("lipschitz_L must be positive")
 
+    @property
+    def data_kind(self) -> str:
+        """The data law this loss's closed forms are tabled over."""
+        return _LOSSES[self.kind].data
+
 
 def make_loss(kind: str, L: float = 1.0, r: float = 1.0) -> LossFn:
     return LossFn(kind=kind, lipschitz_L=L, r=r)
 
 
-def _pair(loss: LossFn, x, theta):
+def _pair(x, theta):
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if x.shape != theta.shape:
@@ -80,60 +90,28 @@ def _pair(loss: LossFn, x, theta):
 
 
 def loss_value(loss: LossFn, x, theta) -> float:
-    x, theta = _pair(loss, x, theta)
-    L = loss.lipschitz_L
-    if loss.kind == "median":
-        return L * float(np.abs(loss.r * x - theta).sum())
-    if loss.kind == "hinge":
-        return L * max(loss.r - float(x @ theta), 0.0)
-    if loss.kind == "logistic":
-        return L * float(np.logaddexp(0.0, -float(x @ theta)))
-    return L * float(x @ theta)
+    return _LOSSES[loss.kind].value(loss, *_pair(x, theta))
 
 
 def subgrad(loss: LossFn, x, theta) -> np.ndarray:
-    """A subgradient of theta -> loss(x, theta).
+    """A subgradient of theta -> loss(x, theta), for one (d,) pair or for
+    each row of paired (R, d) arrays; no row path copies a strided theta.
 
     Kink selections are fixed so tests are deterministic: the median loss
-    uses sign(0) = 0, and the hinge at margin exactly 0 returns the
-    active-side gradient -L x.  The median loss also takes paired (R, d)
-    arrays, one subgradient per row; the other losses take vectors only.
+    uses sign(0) = 0, and the hinge at margin exactly 0 returns -L x.
     """
-    x, theta = _pair(loss, x, theta)
-    if x.ndim > 1 and loss.kind != "median":
-        raise ValueError(f"{loss.kind} subgradients take one (x, theta) pair, not rows")
-    L = loss.lipschitz_L
-    if loss.kind == "median":
-        return L * np.sign(theta - loss.r * x)
-    if loss.kind == "hinge":
-        if loss.r - float(x @ theta) >= 0.0:
-            return -L * x
-        return np.zeros_like(x)
-    if loss.kind == "logistic":
-        # -L/(1 + e^t); past t = 0 as -L e^-t/(1 + e^-t), which cannot overflow
-        t = float(x @ theta)
-        if t <= 0.0:
-            return (-L / (1.0 + math.exp(t))) * x
-        e = math.exp(-t)
-        return (-L * e / (1.0 + e)) * x
-    return L * x
+    x, theta = _pair(x, theta)
+    return _LOSSES[loss.kind].grad(loss, x, theta)
 
 
 @dataclass(frozen=True)
 class DataDist:
-    """Structured data distributions.
-
-    cube_bernoulli: X in {-1,1}^d with independent coordinates,
-      P(X_j = 1) = (1 + delta * nu_j)/2.
-    coord_basis: X in {+-e_j}, P(X = s e_j) = (1 + s delta nu_j)/(2d).
-    custom_empirical: the uniform distribution over stored samples.
-    """
+    """A data law of the table above, biased by delta toward the sign vector nu."""
 
     kind: str
     d: int
     delta: float = 0.0
     nu: tuple = ()
-    samples: tuple = ()
 
     def __post_init__(self) -> None:
         if self.kind not in DIST_KINDS:
@@ -142,13 +120,6 @@ class DataDist:
             raise ValueError(f"d must be an integer, got {self.d!r}")
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.kind == "custom_empirical":
-            if not self.samples:
-                raise ValueError("custom_empirical needs samples")
-            object.__setattr__(
-                self, "samples", tuple(np.asarray(s, dtype=float) for s in self.samples)
-            )
-            return
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
         nu = np.asarray(self.nu, dtype=float)
@@ -158,51 +129,20 @@ class DataDist:
 
     @cached_property
     def p_plus(self) -> np.ndarray:
-        """cube_bernoulli coordinate law P(X_j = 1), computed once."""
+        """(1 + delta nu)/2, computed once: P(X_j = 1), or P(+e_j | +-e_j) on the basis."""
         return 0.5 * (1.0 + self.delta * self.nu)
 
 
 def sample_datum(dist: DataDist, rng, size=None) -> np.ndarray:
     """Draw X ~ dist; shape (d,) or (size, d)."""
     rng = np.random.default_rng(rng)
-    n = 1 if size is None else int(size)
-    if dist.kind == "cube_bernoulli":
-        out = np.where(rng.random((n, dist.d)) < dist.p_plus, 1.0, -1.0)
-    elif dist.kind == "coord_basis":
-        j = rng.integers(0, dist.d, size=n)
-        p_plus = 0.5 * (1.0 + dist.delta * dist.nu[j])
-        s = np.where(rng.random(n) < p_plus, 1.0, -1.0)
-        out = np.zeros((n, dist.d))
-        out[np.arange(n), j] = s
-    else:
-        idx = rng.integers(0, len(dist.samples), size=n)
-        out = np.array([dist.samples[i] for i in idx])
+    out = _LAWS[dist.kind].sample(dist, rng, 1 if size is None else int(size))
     return out[0] if size is None else out
 
 
 def dist_support(dist: DataDist):
-    """Full support enumeration: (points (k, d), probs (k,)).
-
-    cube_bernoulli enumerates all 2^d corners (guarded at d <= 20).
-    """
-    if dist.kind == "coord_basis":
-        pts = np.zeros((2 * dist.d, dist.d))
-        probs = np.empty(2 * dist.d)
-        for j in range(dist.d):
-            pts[j, j] = 1.0
-            pts[dist.d + j, j] = -1.0
-            probs[j] = (1.0 + dist.delta * dist.nu[j]) / (2.0 * dist.d)
-            probs[dist.d + j] = (1.0 - dist.delta * dist.nu[j]) / (2.0 * dist.d)
-        return pts, probs
-    if dist.kind == "cube_bernoulli":
-        if dist.d > 20:
-            raise ValueError("cube support too large to enumerate")
-        pts = _corner_matrix(dist.d)
-        probs = np.prod(np.where(pts > 0, dist.p_plus, 1.0 - dist.p_plus), axis=1)
-        return pts, probs
-    pts = np.array(dist.samples, dtype=float)
-    probs = np.full(len(dist.samples), 1.0 / len(dist.samples))
-    return pts, probs
+    """Full support enumeration (points (k, d), probs (k,)); the cube's 2^d at d <= 20."""
+    return _LAWS[dist.kind].support(dist)
 
 
 @dataclass(frozen=True)
@@ -220,78 +160,28 @@ class RiskMin(NamedTuple):
     unique: bool
 
 
+def _family(spec: RiskSpec) -> _Loss:
+    row = _LOSSES[spec.loss.kind]
+    if spec.data.kind != row.data:
+        raise UnsupportedFamilyError(f"no closed form for ({spec.loss.kind}, {spec.data.kind})")
+    return row
+
+
 def risk_value(spec: RiskSpec, theta) -> float:
-    """Exact E_P[loss(X, theta)].
-
-    Closed forms for the structured families; enumeration of the full
-    discrete support otherwise; plug-in mean for custom_empirical.
-    """
-    theta = np.asarray(theta, dtype=float)
-    loss, data = spec.loss, spec.data
-    L = loss.lipschitz_L
-    if data.kind == "cube_bernoulli":
-        if loss.kind == "linear":
-            return L * data.delta * float(data.nu @ theta)
-        if loss.kind == "median":
-            p_plus = data.p_plus
-            r = loss.r
-            return L * float(
-                np.sum(p_plus * np.abs(theta - r) + (1.0 - p_plus) * np.abs(theta + r))
-            )
-    pts, probs = dist_support(data)
-    return float(sum(w * loss_value(loss, x, theta) for x, w in zip(pts, probs)))
-
-
-def _box_minimizer_unique(spec: RiskSpec) -> bool:
-    # unique over the declared domain; the hinge flattens past the corner
-    # when delta = 1, which matters once the domain extends beyond the box
-    data, loss = spec.data, spec.loss
-    if not (data.delta > 0.0 and np.all(data.nu != 0.0)):
-        return False
-    if loss.kind == "hinge" and data.delta >= 1.0:
-        box_exact = spec.domain.p == math.inf and spec.domain.radius == loss.r
-        return box_exact
-    return True
+    """Exact E_P[loss(X, theta)], in closed form."""
+    return _family(spec).risk(spec.loss, spec.data, np.asarray(theta, dtype=float))
 
 
 def risk_minimizer(spec: RiskSpec) -> RiskMin:
-    """Closed-form (argmin, min, uniqueness flag) for the structured families.
+    """Closed-form (argmin, min, uniqueness flag) over spec.domain.
 
     median over cube_bernoulli and hinge over coord_basis minimize at the
     corner r*nu whenever it is feasible; the linear loss over an l1 ball
     minimizes at -radius*nu for a signed basis direction nu.
     """
-    loss, data, domain = spec.loss, spec.data, spec.domain
-    if data.kind == "custom_empirical":
-        raise UnsupportedFamilyError("custom_empirical has no closed form; run an optimizer")
-    L = loss.lipschitz_L
-    if loss.kind == "median" and data.kind == "cube_bernoulli":
-        theta_star = loss.r * data.nu
-        if not domain.contains(theta_star, tol=1e-12):
-            raise UnsupportedFamilyError("corner minimizer lies outside the domain")
-        return RiskMin(theta_star, risk_value(spec, theta_star), _box_minimizer_unique(spec))
-    if loss.kind == "hinge" and data.kind == "coord_basis":
-        theta_star = loss.r * data.nu
-        if not domain.contains(theta_star, tol=1e-12):
-            raise UnsupportedFamilyError("corner minimizer lies outside the domain")
-        value = L * loss.r * (data.d - data.delta * np.count_nonzero(data.nu)) / data.d
-        return RiskMin(theta_star, float(value), _box_minimizer_unique(spec))
-    if loss.kind == "linear" and data.kind == "cube_bernoulli":
-        if domain.p != 1:
-            raise UnsupportedFamilyError("linear closed form needs an l1-ball domain")
-        if np.count_nonzero(data.nu) != 1:
-            raise UnsupportedFamilyError("linear closed form needs a signed basis nu")
-        theta_star = -domain.radius * data.nu
-        value = -L * data.delta * domain.radius
-        return RiskMin(theta_star, float(value), data.delta > 0.0)
-    raise UnsupportedFamilyError(f"no closed form for ({loss.kind}, {data.kind})")
-
-
-def _same_family(a: RiskSpec, b: RiskSpec) -> None:
-    if a.loss != b.loss or a.domain != b.domain:
-        raise ValueError("mixed families: losses and domains must match")
-    if a.data.kind != b.data.kind or a.data.d != b.data.d or a.data.delta != b.data.delta:
-        raise ValueError("mixed families: distribution kind, d, delta must match")
+    row = _family(spec)
+    theta = row.argmin(spec)
+    return RiskMin(theta, risk_value(spec, theta), row.unique(spec))
 
 
 def separation(spec_v: RiskSpec, spec_w: RiskSpec) -> float:
@@ -302,20 +192,127 @@ def separation(spec_v: RiskSpec, spec_w: RiskSpec) -> float:
     This is the quantity whose minimum over a packing drives the
     testing-based lower bounds.
     """
-    _same_family(spec_v, spec_w)
-    loss, data_v, data_w = spec_v.loss, spec_v.data, spec_w.data
-    L, delta = loss.lipschitz_L, data_v.delta
-    nu, w = data_v.nu, data_w.nu
-    disagreements = int(np.count_nonzero(nu * w == -1.0))
-    if loss.kind == "median" and data_v.kind == "cube_bernoulli":
-        return 2.0 * L * loss.r * delta * disagreements
-    if loss.kind == "hinge" and data_v.kind == "coord_basis":
-        return 2.0 * L * loss.r * delta * disagreements / data_v.d
-    if loss.kind == "linear" and data_v.kind == "cube_bernoulli":
-        if spec_v.domain.p != 1:
-            raise UnsupportedFamilyError("linear separation needs an l1-ball domain")
-        if np.count_nonzero(nu) != 1 or np.count_nonzero(w) != 1:
-            raise UnsupportedFamilyError("linear separation needs signed basis directions")
-        overlap = float(np.max(np.abs(nu + w)))
-        return L * delta * spec_v.domain.radius * (2.0 - overlap)
-    raise UnsupportedFamilyError(f"no separation form for ({loss.kind}, {data_v.kind})")
+    a, b = spec_v, spec_w
+    if a.loss != b.loss or a.domain != b.domain:
+        raise ValueError("mixed families: losses and domains must match")
+    if a.data.kind != b.data.kind or a.data.d != b.data.d or a.data.delta != b.data.delta:
+        raise ValueError("mixed families: distribution kind, d, delta must match")
+    return _family(a).separation(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the family table
+
+
+def _hinge_grad(loss, x, theta) -> np.ndarray:
+    if x.ndim == 1:
+        # one pair, the per-step call of a single chain: Python floats, no mask
+        return -loss.lipschitz_L * x if loss.r - float(x @ theta) >= 0.0 else np.zeros_like(x)
+    # np.vecdot runs the same dot kernel per row as x @ theta on one pair
+    active = loss.r - np.vecdot(x, theta) >= 0.0
+    return np.where(active[..., None], -loss.lipschitz_L * x, 0.0)
+
+
+def _corner(spec: RiskSpec) -> np.ndarray:
+    theta = spec.loss.r * spec.data.nu
+    if not spec.domain.contains(theta, tol=1e-12):
+        raise UnsupportedFamilyError("corner minimizer lies outside the domain")
+    return theta
+
+
+def _corner_unique(spec: RiskSpec) -> bool:
+    return bool(spec.data.delta > 0.0 and np.all(spec.data.nu != 0.0))
+
+
+def _corner_separation(spec_v: RiskSpec, spec_w: RiskSpec) -> float:
+    loss = spec_v.loss
+    disagreements = int(np.count_nonzero(spec_v.data.nu * spec_w.data.nu == -1.0))
+    return 2.0 * loss.lipschitz_L * loss.r * spec_v.data.delta * disagreements
+
+
+def _linear_argmin(spec: RiskSpec) -> np.ndarray:
+    if spec.domain.p != 1:
+        raise UnsupportedFamilyError("linear closed form needs an l1-ball domain")
+    if np.count_nonzero(spec.data.nu) != 1:
+        raise UnsupportedFamilyError("linear closed form needs a signed basis nu")
+    return -spec.domain.radius * spec.data.nu
+
+
+def _linear_separation(spec_v: RiskSpec, spec_w: RiskSpec) -> float:
+    for spec in (spec_v, spec_w):
+        _linear_argmin(spec)  # raises where the closed form does not hold
+    overlap = float(np.max(np.abs(spec_v.data.nu + spec_w.data.nu)))
+    return spec_v.loss.lipschitz_L * spec_v.data.delta * spec_v.domain.radius * (2.0 - overlap)
+
+
+def _cube_support(dist: DataDist):
+    if dist.d > 20:
+        raise ValueError("cube support too large to enumerate")
+    pts = _corner_matrix(dist.d)
+    return pts, np.prod(np.where(pts > 0, dist.p_plus, 1.0 - dist.p_plus), axis=1)
+
+
+def _basis_sample(dist: DataDist, rng, n: int) -> np.ndarray:
+    j = rng.integers(0, dist.d, size=n)
+    out = np.zeros((n, dist.d))
+    out[np.arange(n), j] = np.where(rng.random(n) < dist.p_plus[j], 1.0, -1.0)
+    return out
+
+
+def _basis_support(dist: DataDist):
+    # rows +e_0..+e_{d-1}, then -e_0..-e_{d-1}, every zero +0.0
+    d, w = dist.d, dist.delta * dist.nu
+    pts = np.eye(2 * d, d) - np.eye(2 * d, d, k=-d)
+    return pts, np.concatenate([1.0 + w, 1.0 - w]) / (2.0 * d)
+
+
+class _Loss(NamedTuple):
+    value: Callable  # (loss, x (d,), theta (d,)) -> float
+    grad: Callable  # (loss, x, theta), both (d,) or both (R, d) -> the same shape
+    data: str  # the one data law this loss is paired with
+    risk: Callable  # (loss, data, theta (d,)) -> exact E[loss(X, theta)]
+    argmin: Callable  # (spec) -> theta*, or UnsupportedFamilyError
+    unique: Callable  # (spec) -> whether theta* is the only minimizer over spec.domain
+    separation: Callable  # (spec_v, spec_w) of one family -> float
+
+
+class _Law(NamedTuple):
+    sample: Callable  # (dist, rng, n) -> (n, d)
+    support: Callable  # (dist) -> (points (k, d), probs (k,))
+
+
+_LOSSES = {
+    "median": _Loss(
+        lambda loss, x, theta: loss.lipschitz_L * float(np.abs(loss.r * x - theta).sum()),
+        lambda loss, x, theta: loss.lipschitz_L * np.sign(theta - loss.r * x),
+        "cube_bernoulli",
+        lambda loss, data, theta: loss.lipschitz_L * float(np.sum(
+            data.p_plus * np.abs(theta - loss.r) + (1.0 - data.p_plus) * np.abs(theta + loss.r))),
+        _corner, _corner_unique, _corner_separation),
+    "hinge": _Loss(
+        lambda loss, x, theta: loss.lipschitz_L * max(loss.r - float(x @ theta), 0.0),
+        _hinge_grad, "coord_basis",
+        lambda loss, data, theta: loss.lipschitz_L * float(np.sum(
+            data.p_plus * np.maximum(loss.r - theta, 0.0)
+            + (1.0 - data.p_plus) * np.maximum(loss.r + theta, 0.0))) / data.d,
+        _corner,
+        # at delta = 1 the risk is flat past the corner, so the corner is the
+        # only minimizer only when the domain is exactly the box of radius r
+        lambda spec: _corner_unique(spec) and (spec.data.delta < 1.0 or (
+            spec.domain.p == math.inf and spec.domain.radius == spec.loss.r)),
+        lambda spec_v, spec_w: _corner_separation(spec_v, spec_w) / spec_v.data.d),
+    "linear": _Loss(
+        lambda loss, x, theta: loss.lipschitz_L * float(x @ theta),
+        lambda loss, x, theta: loss.lipschitz_L * x,
+        "cube_bernoulli",
+        lambda loss, data, theta: loss.lipschitz_L * data.delta * float(data.nu @ theta),
+        _linear_argmin, lambda spec: spec.data.delta > 0.0, _linear_separation),
+}
+_LAWS = {
+    "cube_bernoulli": _Law(
+        lambda dist, rng, n: np.where(rng.random((n, dist.d)) < dist.p_plus, 1.0, -1.0),
+        _cube_support),
+    "coord_basis": _Law(_basis_sample, _basis_support),
+}
+LOSS_KINDS = tuple(_LOSSES)
+DIST_KINDS = tuple(_LAWS)

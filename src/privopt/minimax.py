@@ -11,6 +11,7 @@ from __future__ import annotations
 import decimal
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .channels import Channel, channel_pmf, l1_gamma
 from .geometry import Packing
 from .information import mi_closed_form, mi_from_conditionals
-from .losses import DataDist, dist_support
+from .losses import LOSS_KINDS, DataDist, dist_support, make_loss, subgrad
 
 __all__ = [
     "THEOREMS",
@@ -283,10 +284,10 @@ class TestingInstance:
     """Nature draws nu uniformly from the packing, the learner sees n
     channel outputs of the per-sample subgradient, then must identify nu.
 
-    family selects the data law at bias delta toward nu: median and
-    linear use the sign cube (full product law), hinge uses the signed
-    coordinate basis.  The per-sample subgradient at the reference theta
-    is +-L X, so the observation law is channel(sign * L * X).
+    family names a loss kind, and the data law at bias delta toward nu is
+    the one it is tabled with (the sign cube for median and linear, the
+    signed basis for hinge).  The per-sample subgradient at the reference
+    theta is +-L X, so the observation law is channel(sign * L * X).
     """
 
     packing: Packing
@@ -297,17 +298,17 @@ class TestingInstance:
     def __post_init__(self) -> None:
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
-        if self.family not in ("median", "hinge", "linear"):
-            raise ValueError("family must be median, hinge, or linear")
+        if self.family not in LOSS_KINDS:
+            raise ValueError(f"family must be one of {', '.join(LOSS_KINDS)}")
 
     @property
     def data_kind(self) -> str:
-        return "coord_basis" if self.family == "hinge" else "cube_bernoulli"
+        return make_loss(self.family).data_kind
 
-    @property
+    @cached_property
     def grad_sign(self) -> float:
-        # at theta = 0 the median/hinge subgradient is -L X; linear is +L X
-        return 1.0 if self.family == "linear" else -1.0
+        # the per-sample subgradient at theta = 0 is grad_sign * L X
+        return float(subgrad(make_loss(self.family), np.ones(1), np.zeros(1))[0])
 
     def data_dist(self, nu) -> DataDist:
         return DataDist(self.data_kind, self.packing.dim, self.delta, tuple(nu))
