@@ -19,7 +19,7 @@ from .losses import LossFn, DataDist, RiskSpec, make_loss, subgrad, risk_value, 
 from .channels import Channel, PrivacyCertificate, make_channel, channel_from_json, channel_to_json, eps_star
 from .information import DiscreteDist, InfoReport, mutual_information_exact, mi_closed_form, certify_channel
 from .optimizers import OptimizerConfig, OptimizerRun, mirror_descent_l1, sgd_l2, step_size_for
-from .protocol import DataOwner, PrivateGradStream, audit_leakage
+from .protocol import PrivateGradStream, audit_leakage
 from .minimax import BoundSpec, TestingInstance, lower_bound, upper_bound, fano_bound, le_cam_bound
 from .lp_oracle import DpLpInstance, DpLpSolution, solve_dp_lp
 
@@ -53,7 +53,6 @@ __all__ = [
     "mirror_descent_l1",
     "sgd_l2",
     "step_size_for",
-    "DataOwner",
     "PrivateGradStream",
     "audit_leakage",
     "BoundSpec",

@@ -125,12 +125,18 @@ class DataDist:
         nu = np.asarray(self.nu, dtype=float)
         if nu.size != self.d or not np.all(np.isin(nu, (-1.0, 0.0, 1.0))):
             raise ValueError("nu must be a length-d vector with entries in {-1,0,1}")
-        object.__setattr__(self, "nu", nu)
+        # a tuple of floats, so that equal laws compare and hash alike
+        object.__setattr__(self, "nu", tuple(nu.ravel().tolist()))
+
+    @cached_property
+    def nu_array(self) -> np.ndarray:
+        """nu as a float array (d,), computed once."""
+        return np.array(self.nu)
 
     @cached_property
     def p_plus(self) -> np.ndarray:
         """(1 + delta nu)/2, computed once: P(X_j = 1), or P(+e_j | +-e_j) on the basis."""
-        return 0.5 * (1.0 + self.delta * self.nu)
+        return 0.5 * (1.0 + self.delta * self.nu_array)
 
 
 def sample_datum(dist: DataDist, rng, size=None) -> np.ndarray:
@@ -214,34 +220,34 @@ def _hinge_grad(loss, x, theta) -> np.ndarray:
 
 
 def _corner(spec: RiskSpec) -> np.ndarray:
-    theta = spec.loss.r * spec.data.nu
+    theta = spec.loss.r * spec.data.nu_array
     if not spec.domain.contains(theta, tol=1e-12):
         raise UnsupportedFamilyError("corner minimizer lies outside the domain")
     return theta
 
 
 def _corner_unique(spec: RiskSpec) -> bool:
-    return bool(spec.data.delta > 0.0 and np.all(spec.data.nu != 0.0))
+    return bool(spec.data.delta > 0.0 and np.all(spec.data.nu_array != 0.0))
 
 
 def _corner_separation(spec_v: RiskSpec, spec_w: RiskSpec) -> float:
     loss = spec_v.loss
-    disagreements = int(np.count_nonzero(spec_v.data.nu * spec_w.data.nu == -1.0))
+    disagreements = int(np.count_nonzero(spec_v.data.nu_array * spec_w.data.nu_array == -1.0))
     return 2.0 * loss.lipschitz_L * loss.r * spec_v.data.delta * disagreements
 
 
 def _linear_argmin(spec: RiskSpec) -> np.ndarray:
     if spec.domain.p != 1:
         raise UnsupportedFamilyError("linear closed form needs an l1-ball domain")
-    if np.count_nonzero(spec.data.nu) != 1:
+    if np.count_nonzero(spec.data.nu_array) != 1:
         raise UnsupportedFamilyError("linear closed form needs a signed basis nu")
-    return -spec.domain.radius * spec.data.nu
+    return -spec.domain.radius * spec.data.nu_array
 
 
 def _linear_separation(spec_v: RiskSpec, spec_w: RiskSpec) -> float:
     for spec in (spec_v, spec_w):
         _linear_argmin(spec)  # raises where the closed form does not hold
-    overlap = float(np.max(np.abs(spec_v.data.nu + spec_w.data.nu)))
+    overlap = float(np.max(np.abs(spec_v.data.nu_array + spec_w.data.nu_array)))
     return spec_v.loss.lipschitz_L * spec_v.data.delta * spec_v.domain.radius * (2.0 - overlap)
 
 
@@ -261,7 +267,7 @@ def _basis_sample(dist: DataDist, rng, n: int) -> np.ndarray:
 
 def _basis_support(dist: DataDist):
     # rows +e_0..+e_{d-1}, then -e_0..-e_{d-1}, every zero +0.0
-    d, w = dist.d, dist.delta * dist.nu
+    d, w = dist.d, dist.delta * dist.nu_array
     pts = np.eye(2 * d, d) - np.eye(2 * d, d, k=-d)
     return pts, np.concatenate([1.0 + w, 1.0 - w]) / (2.0 * d)
 
@@ -305,7 +311,7 @@ _LOSSES = {
         lambda loss, x, theta: loss.lipschitz_L * float(x @ theta),
         lambda loss, x, theta: loss.lipschitz_L * x,
         "cube_bernoulli",
-        lambda loss, data, theta: loss.lipschitz_L * data.delta * float(data.nu @ theta),
+        lambda loss, data, theta: loss.lipschitz_L * data.delta * float(data.nu_array @ theta),
         _linear_argmin, lambda spec: spec.data.delta > 0.0, _linear_separation),
 }
 _LAWS = {

@@ -220,6 +220,21 @@ def test_sample_datum_single_shape():
     assert x.shape == (5,)
 
 
+def test_data_dist_is_a_hashable_value():
+    # nu is a tuple of floats, so equal laws compare and hash alike; an
+    # ndarray nu made == raise ValueError and hash raise TypeError, in
+    # RiskSpec too
+    a = DataDist("cube_bernoulli", 3, 0.5, (1, 0, -1))
+    b = DataDist("cube_bernoulli", 3, 0.5, np.array([1.0, 0.0, -1.0]))
+    assert a == b and hash(a) == hash(b)
+    assert a.nu == (1.0, 0.0, -1.0) and all(type(v) is float for v in a.nu)
+    assert a != DataDist("cube_bernoulli", 3, 0.5, (1, 0, 1))
+    ball = NormBall(math.inf, 1.0)
+    spec = RiskSpec(make_loss("median"), a, ball)
+    assert spec == RiskSpec(make_loss("median"), b, ball)
+    assert len({spec, RiskSpec(make_loss("median"), b, ball)}) == 1
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError):
         DataDist("cube_bernoulli", 2, 1.5, (1, 1))

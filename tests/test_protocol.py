@@ -11,7 +11,6 @@ from privopt.losses import DataDist, make_loss, sample_datum, subgrad
 from privopt.optimizers import OptimizerConfig, sgd_l2
 from privopt.protocol import (
     _BLOCK_ROWS,
-    DataOwner,
     PrivateGradStream,
     as_grad_oracle,
     audit_leakage,
@@ -29,9 +28,9 @@ def _parts(d=2, kind="linf_maxent"):
 def test_owner_respond_is_channelized_subgradient():
     loss, ch = _parts()
     datum = np.array([1.0, -1.0])
-    a = DataOwner(datum, loss, ch, rng=3).respond(np.zeros(2))
-    # replay: same subgradient, same channel, same seed
-    from privopt.losses import subgrad
+    a = query(PrivateGradStream.from_data([datum], loss, ch, rng=3), np.zeros(2))
+    # replay: same subgradient, same channel, same seed; a list of one owner
+    # draws one row of noise, as one sample does
     g = subgrad(loss, datum, np.zeros(2))
     b = ch.sample(g, rng=np.random.default_rng(3))
     assert np.array_equal(a, b)
@@ -59,7 +58,7 @@ def test_population_stream_mints_fresh_data():
     assert draws.shape == (200, 2)
     assert not stream.exhausted()
     with pytest.raises(ValueError):
-        PrivateGradStream(owners=())
+        PrivateGradStream(data=np.zeros((0, 2)), loss=loss, channel=ch)
     with pytest.raises(ValueError):
         PrivateGradStream(population=dist, loss=loss)
 
@@ -69,9 +68,67 @@ def test_stream_refuses_owners_and_population_together():
     # every query and the owner list would be dropped without a word
     loss, ch = _parts()
     dist = DataDist("cube_bernoulli", 2, 0.5, (1, 0))
-    owners = PrivateGradStream.from_data(np.eye(2), loss, ch, rng=1).owners
     with pytest.raises(ValueError, match="not both"):
-        PrivateGradStream(owners=owners, population=dist, loss=loss, channel=ch)
+        PrivateGradStream(data=np.eye(2), population=dist, loss=loss, channel=ch)
+
+
+def test_streams_check_dimensions_at_construction():
+    # an owner list is a non-empty (n, channel.d) array and a population has
+    # the channel's d; a mismatch used to surface only at the first query
+    loss, ch = _parts(d=1)
+    for data in ([0.5, -0.5], np.zeros((0, 1)), np.zeros((3, 2)), np.zeros((2, 1, 1))):
+        with pytest.raises(ValueError):
+            PrivateGradStream.from_data(data, loss, ch, rng=0)
+    PrivateGradStream.from_data([[0.5], [-0.5]], loss, ch, rng=0)
+    dist = DataDist("cube_bernoulli", 2, 0.5, (1, 0))
+    with pytest.raises(ValueError, match="dimension"):
+        PrivateGradStream.from_population(dist, loss, ch, rng=0)
+
+
+def test_owner_list_builds_without_per_owner_generators():
+    # 10^5 owners are one (n, d) array: building the list spawns no child
+    # generator and does no per-owner work.  SeedSequence is an immutable
+    # type, so its spawn is replaced in a subclass that the stream seeds from
+    class NoSpawn(np.random.SeedSequence):
+        def spawn(self, n_children):
+            raise AssertionError("an owner list spawned a child generator")
+
+    loss, ch = _parts(d=3, kind="dp_hypercube")
+    data = np.tile([1.0, -1.0, 1.0], (10**5, 1))
+    stream = PrivateGradStream.from_data(data, loss, ch, rng=NoSpawn(7))
+    zs = np.array([query(stream, np.zeros(3)) for _ in range(3)])
+    assert zs.shape == (3, 3) and stream.cursor == 3 and not stream.exhausted()
+
+
+@pytest.mark.parametrize("kind", ["dp_hypercube", "dp_l2_sampler"])
+def test_owner_list_replays_from_blocks_of_stream_noise(kind):
+    # a refill takes the next min(_BLOCK_ROWS, owners left) owners and draws
+    # their channel noise in one call from the stream rng; each owner answers
+    # once, in order.  The last block is short: for either kind, noise drawn
+    # for a full block there would change its answers
+    d, n = 3, 2 * _BLOCK_ROWS + 5
+    rng = np.random.default_rng(30)
+    if kind == "dp_hypercube":
+        loss, ch = _parts(d=d, kind=kind)
+        data = rng.choice((-1.0, 1.0), size=(n, d))
+    else:
+        loss, ch = make_loss("hinge", L=1.0, r=1.0), make_channel(kind, d, eps=1.0)
+        data = np.eye(d)[rng.integers(d, size=n)] * rng.choice((-1.0, 1.0), size=(n, 1))
+    thetas = rng.uniform(-0.5, 0.5, (n, d))
+    stream = PrivateGradStream.from_data(data, loss, ch, rng=31)
+    got = np.array([query(stream, t) for t in thetas])
+    assert stream.cursor == n and stream.exhausted()
+    with pytest.raises(RuntimeError):
+        query(stream, thetas[0])
+    rng = np.random.default_rng(31)
+    want = []
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, n - start)
+        noise = ch.noise(rows, rng)
+        for j in range(rows):
+            g = subgrad(loss, data[start + j], thetas[start + j])
+            want.append(ch.apply(g, tuple(a[j:j + 1] for a in noise))[0])
+    assert np.array_equal(got, np.array(want))
 
 
 def test_population_stream_answers_a_batch():
@@ -138,10 +195,14 @@ def test_stream_determinism_and_owner_rng_isolation():
         stream = PrivateGradStream.from_data(data, loss, ch, rng=42)
         runs.append(np.array([query(stream, np.zeros(2)) for _ in range(4)]))
     assert np.array_equal(runs[0], runs[1])
-    # owners got spawned child rngs: identical data need not answer alike
+    # each owner spends its own rows of the stream's noise block: identical
+    # data need not answer alike
     stream = PrivateGradStream.from_data(data, loss, ch, rng=42)
     zs = np.array([query(stream, np.zeros(2)) for _ in range(4)])
     assert len(np.unique(zs, axis=0)) > 1
+    # streams compare by identity; owners' arrays made == raise
+    a, b = (PrivateGradStream.from_data(np.array(data), loss, ch, rng=42) for _ in range(2))
+    assert a == a and a != b
 
 
 def test_oracle_adapter_ignores_caller_rng():
