@@ -204,6 +204,7 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
     if cfg.get("loss", "median") != "median":
         raise UsageError("tradeoff sweeps run the median loss")
     is_dp = kind == "dp_hypercube"
+    theorem = "T3" if is_dp else "T1b"  # the bound pair that the swept channel achieves
     d_grid = _int_grid(cfg, "d", [2, 8, 32])
     n_grid = _int_grid(cfg, "n", [2**k for k in range(8, 17)])
     budget_grid = [float(v) for v in
@@ -250,10 +251,7 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
                                           eff, reps, rng)
                 np_mean = float(np.mean([risk_value(spec, a) - best for a in np_avg]))
                 try:
-                    if is_dp:
-                        bs = BoundSpec("T3", d=d, n=n, L=L, r=r, eps=budget)
-                    else:
-                        bs = BoundSpec("T1b", d=d, n=n, L=L, r=r, M=budget)
+                    bs = BoundSpec(theorem, d, n, L, r, **{THEOREM_BUDGET[theorem]: budget})
                     lo, up = lower_bound(bs), upper_bound(bs)
                 except ValueError:
                     lo, up = math.nan, math.nan
@@ -338,11 +336,7 @@ def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
                     sandwich_ok &= lo <= up * (1.0 + 1e-12)
                     monotone_ok &= lo <= prev * (1.0 + 1e-12)
                     prev = lo
-                    delta = math.nan
-                    if th in DELTA_THEOREMS:
-                        delta = default_delta(th, d, n, L=L,
-                                              M=budget if bkind == "M" else None,
-                                              eps=budget if bkind == "eps" else None)
+                    delta = default_delta(spec) if th in DELTA_THEOREMS else math.nan
                     c8, d8 = math.nan, math.nan
                     if bkind == "eps" and not math.isnan(delta):
                         c8, d8 = lemma8_constants(d, k, budget, delta)

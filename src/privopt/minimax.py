@@ -4,6 +4,10 @@ per-sample information lemmas, and the matched lower/upper risk curves.
 The universal constants the theory leaves unspecified are 1, so
 comparisons involving them are rate-shape checks, not absolute ones.  All
 information quantities are in nats.
+
+`_THEOREMS` has one row per theorem: its budget field, its lower and upper
+bound, its recorded bias choice, its unmatched middle term and its range
+checks.  `_LEMMAS` has one row per information lemma: its MI bound.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ import decimal
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from numbers import Integral
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -42,23 +47,14 @@ __all__ = [
     "t5_middle_term",
 ]
 
-THEOREM_BUDGET = {
-    "T1a": "M", "T1b": "M", "T2": "M", "T3": "eps", "T4": "eps",
-    "T5_linear": "eps", "T5_general": "eps", "C1": "I_star", "C2": "I_star",
-    "C3": "eps",
-}
-THEOREMS = tuple(THEOREM_BUDGET)
-# the theorems whose testing construction has a recorded bias choice
-DELTA_THEOREMS = frozenset({"T1b", "T3", "C3", "T4"})
-
 
 @dataclass(frozen=True)
 class BoundSpec:
     """One evaluated bound: theorem tag plus its parameters.
 
-    M is the channel magnitude (T1a, T1b, T2), eps the DP level (T3, T4,
-    T5_*, C3), I_star the information budget in nats (C1, C2).  q is the
-    domain geometry exponent for the T5 family.  The paper's unspecified
+    M is a channel magnitude, eps a DP level and I_star an information
+    budget in nats; THEOREM_BUDGET names the one each theorem reads.  q is
+    the domain geometry exponent of the T5 family.  The paper's unspecified
     universal constants are 1 on either side.
     """
 
@@ -73,31 +69,20 @@ class BoundSpec:
     q: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.theorem not in THEOREMS:
+        row = _THEOREMS.get(self.theorem)
+        if row is None:
             raise ValueError(f"unknown theorem {self.theorem!r}")
-        if self.d < 1 or self.n < 1 or self.L <= 0 or self.r <= 0:
-            raise ValueError("d, n, L, r must be positive")
-        need = THEOREM_BUDGET[self.theorem]
-        if getattr(self, need) is None:
-            raise ValueError(f"{self.theorem} needs {need}")
-        if self.theorem == "T3":
-            if self.d < 2:
-                raise ValueError("T3 needs d >= 2")
-            if self.eps > 1.25:
-                raise ValueError("T3 holds for eps <= 5/4")
-        if self.theorem == "T2" and self.M <= self.L:
-            raise ValueError("T2 needs M > L")
-        if self.theorem.startswith("T5"):
-            if self.q is None or self.q < 1.0:
-                raise ValueError("T5 needs q >= 1")
-        if self.eps is not None and self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.I_star is not None and self.I_star <= 0:
-            raise ValueError("I_star must be positive")
-
-
-def _log2d(d: int) -> float:
-    return math.log(2 * d)
+        for v in (self.d, self.n):
+            if not (type(v) is int or type(v) is not bool and isinstance(v, Integral)) or v < 1:
+                raise ValueError(f"d and n must be positive integers, got {self.d!r}, {self.n!r}")
+        if getattr(self, row.budget) is None:
+            raise ValueError(f"{self.theorem} needs {row.budget}")
+        for v in (self.L, self.r, self.M, self.eps, self.I_star):
+            if v is not None and not 0.0 < v < math.inf:
+                raise ValueError(f"L, r, M, eps and I_star must be finite and positive, got {v!r}")
+        for holds, message in row.ranges:
+            if not holds(self):
+                raise ValueError(f"{self.theorem} {message}")
 
 
 def _l1_contraction(d: int, L: float, M: float) -> float:
@@ -114,78 +99,115 @@ def _dq_factor(d: int, q: float) -> float:
 
 def lower_bound(spec: BoundSpec) -> float:
     """Closed-form minimax lower bound for the spec's theorem."""
-    d, n, L, r = spec.d, spec.n, spec.L, spec.r
-    rn = math.sqrt(n)
-    if spec.theorem == "T1a":
-        return 0.05 * min(r * L * d, spec.M * r * d / (9.0 * rn))
-    if spec.theorem == "T1b":
-        return 0.125 * min(r * L, spec.M * r * math.sqrt(_log2d(d)) / (2.0 * rn))
-    if spec.theorem == "T2":
-        D = _l1_contraction(d, L, spec.M)
-        return 0.05 * min(r * L, r * L * math.sqrt(d) / (9.0 * rn * D))
-    if spec.theorem == "T3":
-        return 0.125 * min(
-            r * L, (math.sqrt(d) / spec.eps) * r * L * math.sqrt(_log2d(d)) / (4.0 * rn)
-        )
-    if spec.theorem == "T4":
-        return min((math.sqrt(d) / spec.eps) * r * L * math.sqrt(_log2d(d)) / rn, r * L)
-    if spec.theorem == "T5_linear":
-        terms = (
-            (math.sqrt(d) / spec.eps) * _dq_factor(d, spec.q) / rn,
-            (n * spec.eps**2) ** (-0.5 / spec.q) if math.isfinite(spec.q) else 1.0,
-            1.0,
-        )
-        return r * L * min(terms)
-    if spec.theorem == "T5_general":
-        return min((math.sqrt(d) / spec.eps) * r * L * _dq_factor(d, spec.q) / rn, r * L)
-    if spec.theorem == "C1":
-        return math.sqrt(d / spec.I_star) * r * L * math.sqrt(_log2d(d)) / rn
-    if spec.theorem == "C2":
-        return math.sqrt(d / spec.I_star) * r * L * math.sqrt(d) / rn
-    # C3
-    return (math.sqrt(d) / spec.eps) * r * L * math.sqrt(_log2d(d)) / rn
+    return _THEOREMS[spec.theorem].lower(spec)
 
 
 def upper_bound(spec: BoundSpec) -> float:
-    """Matching achievable rate for the spec's family.
-
-    The T-theorem tags map to the corollary forms achieved by mirror
-    descent / SGD through the corresponding channel; T1b and T2 use the
-    exact information level of the calibrated channel.
-    """
-    d, n, L, r = spec.d, spec.n, spec.L, spec.r
-    rn = math.sqrt(n)
-    if spec.theorem == "T1a":
-        return spec.M * r * d / rn
-    if spec.theorem in ("T1b", "C1"):
-        if spec.theorem == "T1b":
-            I = mi_closed_form("linf_maxent", d, L, spec.M).exact
-        else:
-            I = spec.I_star
-        return math.sqrt(d / I) * r * L * math.sqrt(_log2d(d)) / rn
-    if spec.theorem in ("T2", "C2"):
-        if spec.theorem == "T2":
-            I = mi_closed_form("l1_maxent", d, L, spec.M).exact
-        else:
-            I = spec.I_star
-        return math.sqrt(d / I) * r * L * math.sqrt(d) / rn
-    if spec.theorem in ("T3", "T4", "C3"):
-        val = (math.sqrt(d) / spec.eps) * r * L * math.sqrt(_log2d(d)) / rn
-        if spec.theorem in ("T3", "C3"):
-            return val
-        return min(val, r * L)
-    # T5 upper: no middle interactivity term
-    return r * L * min((math.sqrt(d) / spec.eps) * _dq_factor(d, spec.q) / rn, 1.0)
+    """Matching achievable rate for the spec's family."""
+    row = _THEOREMS[spec.theorem]
+    return (row.upper or row.lower)(spec)
 
 
 def t5_middle_term(spec: BoundSpec) -> Optional[float]:
     """The (n eps^2)^(-1/2q) term of the T5_linear lower bound, which has
     no matching upper-bound term; None when it is not the binding one."""
-    if spec.theorem != "T5_linear" or not math.isfinite(spec.q):
-        return None
-    mid = (spec.n * spec.eps**2) ** (-0.5 / spec.q)
-    first = (math.sqrt(spec.d) / spec.eps) * _dq_factor(spec.d, spec.q) / math.sqrt(spec.n)
-    return mid if mid < min(first, 1.0) else None
+    mid = _THEOREMS[spec.theorem].middle(spec)
+    return mid if mid is not None and mid < min(_t5_first(spec), 1.0) else None
+
+
+def default_delta(spec: BoundSpec) -> float:
+    """The proof's bias choice, capped at 1; ValueError outside DELTA_THEOREMS."""
+    delta = _THEOREMS[spec.theorem].delta
+    if delta is None:
+        raise ValueError(f"no recorded delta choice for {spec.theorem!r}")
+    return delta(spec)
+
+
+def _exp_gap(eps: float) -> float:
+    return math.exp(eps) - 1.0 / math.exp(eps)
+
+
+def _dp_rate(s: BoundSpec) -> float:
+    return (math.sqrt(s.d) / s.eps) * s.r * s.L * math.sqrt(math.log(2 * s.d)) / math.sqrt(s.n)
+
+
+def _dp_delta(s: BoundSpec) -> float:
+    return min(math.sqrt(s.d * math.log(2 * s.d)) / (4.0 * s.eps * math.sqrt(s.n)), 1.0)
+
+
+def _linf_rate(s: BoundSpec, I: float) -> float:
+    return math.sqrt(s.d / I) * s.r * s.L * math.sqrt(math.log(2 * s.d)) / math.sqrt(s.n)
+
+
+def _l1_rate(s: BoundSpec, I: float) -> float:
+    return math.sqrt(s.d / I) * s.r * s.L * math.sqrt(s.d) / math.sqrt(s.n)
+
+
+def _t5_first(s: BoundSpec) -> float:
+    return (math.sqrt(s.d) / s.eps) * _dq_factor(s.d, s.q) / math.sqrt(s.n)
+
+
+def _t5_middle(s: BoundSpec) -> float:
+    return (s.n * s.eps**2) ** (-0.5 / s.q) if math.isfinite(s.q) else 1.0
+
+
+def _t5_upper(s: BoundSpec) -> float:
+    return s.r * s.L * min(_t5_first(s), 1.0)
+
+
+class _Theorem(NamedTuple):
+    budget: str  # the BoundSpec field that carries the theorem's budget
+    lower: Callable  # (spec) -> the minimax lower bound
+    upper: Optional[Callable] = None  # (spec) -> the achievable rate; None: lower is tight
+    delta: Optional[Callable] = None  # (spec) -> the proof's bias choice, capped at 1
+    middle: Callable = lambda s: None  # (spec) -> the lower bound's unmatched term, or None
+    ranges: tuple = ()  # (holds(spec), message) pairs beyond finite positive values
+
+
+_T5_RANGES = ((lambda s: s.q is not None and s.q >= 1.0, "needs q >= 1"),)
+# The T-theorem upper bounds are the corollary forms achieved by mirror
+# descent / SGD through the corresponding channel; T1b and T2 use the exact
+# information level of the calibrated channel.
+_THEOREMS = {
+    "T1a": _Theorem(
+        "M", lambda s: 0.05 * min(s.r * s.L * s.d, s.M * s.r * s.d / (9.0 * math.sqrt(s.n))),
+        lambda s: s.M * s.r * s.d / math.sqrt(s.n)),
+    "T1b": _Theorem(
+        "M", lambda s: 0.125 * min(
+            s.r * s.L, s.M * s.r * math.sqrt(math.log(2 * s.d)) / (2.0 * math.sqrt(s.n))),
+        lambda s: _linf_rate(s, mi_closed_form("linf_maxent", s.d, s.L, s.M).exact),
+        delta=lambda s: min(
+            s.M * math.sqrt(math.log(2 * s.d)) / (2.0 * s.L * math.sqrt(s.n)), 1.0),
+        ranges=((lambda s: s.M >= s.L, "needs M >= L"),)),
+    "T2": _Theorem(
+        "M", lambda s: 0.05 * min(s.r * s.L, s.r * s.L * math.sqrt(s.d) / (
+            9.0 * math.sqrt(s.n) * _l1_contraction(s.d, s.L, s.M))),
+        lambda s: _l1_rate(s, mi_closed_form("l1_maxent", s.d, s.L, s.M).exact),
+        ranges=((lambda s: s.M > s.L, "needs M > L"),)),
+    "T3": _Theorem(
+        "eps", lambda s: 0.125 * min(s.r * s.L, (math.sqrt(s.d) / s.eps) * s.r * s.L
+                                     * math.sqrt(math.log(2 * s.d)) / (4.0 * math.sqrt(s.n))),
+        _dp_rate, delta=_dp_delta,
+        ranges=((lambda s: s.d >= 2, "needs d >= 2"),
+                (lambda s: s.eps <= 1.25, "holds for eps <= 5/4"))),
+    "T4": _Theorem(
+        "eps", lambda s: min(_dp_rate(s), s.r * s.L),
+        delta=lambda s: min(math.sqrt(s.d * math.log(2 * s.d)) / (
+            math.sqrt(math.exp(s.eps) * s.n) * _exp_gap(s.eps)), 1.0)),
+    "T5_linear": _Theorem(
+        "eps", lambda s: s.r * s.L * min(_t5_first(s), _t5_middle(s), 1.0),
+        _t5_upper, middle=_t5_middle, ranges=_T5_RANGES),
+    "T5_general": _Theorem(
+        "eps", lambda s: min((math.sqrt(s.d) / s.eps) * s.r * s.L * _dq_factor(s.d, s.q)
+                             / math.sqrt(s.n), s.r * s.L),
+        _t5_upper, ranges=_T5_RANGES),
+    "C1": _Theorem("I_star", lambda s: _linf_rate(s, s.I_star)),
+    "C2": _Theorem("I_star", lambda s: _l1_rate(s, s.I_star)),
+    "C3": _Theorem("eps", _dp_rate, delta=_dp_delta),
+}
+THEOREMS = tuple(_THEOREMS)
+THEOREM_BUDGET = {th: row.budget for th, row in _THEOREMS.items()}
+DELTA_THEOREMS = frozenset(th for th, row in _THEOREMS.items() if row.delta is not None)
 
 
 def fano_bound(mi: float, packing_size: int) -> float:
@@ -238,26 +260,24 @@ def mi_lemma_value(lemma: str, **p) -> float:
     L8: n, delta, d, eps, k       -> n Delta(delta, eps, d, k)^2
     L11: n, delta, d, eps         -> n 25 e^eps/16 delta^2/d (e^eps - e^-eps)^2
     """
-    n, delta = p["n"], p["delta"]
-    if not 0.0 <= delta <= 1.0:
+    if not 0.0 <= p["delta"] <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
-    if lemma == "L4":
-        return n * delta**2 * p["L"] ** 2 / p["M"] ** 2
-    if lemma == "L5":
-        return n * delta**2 * p["L"] ** 2 * p["d"] / p["M"] ** 2
-    if lemma == "L6":
-        D = _l1_contraction(p["d"], p["L"], p["M"])
-        return n * delta**2 * D**2
-    if lemma == "L7":
-        e = math.exp(p["eps"])
-        return n * (e / (4.0 * p["d"])) * (e - 1.0 / e) ** 2 * delta**2
-    if lemma == "L8":
-        _, Delta = lemma8_constants(p["d"], p.get("k", 0), p["eps"], delta)
-        return n * Delta**2
-    if lemma == "L11":
-        e = math.exp(p["eps"])
-        return n * (25.0 * e / 16.0) * (delta**2 / p["d"]) * (e - 1.0 / e) ** 2
-    raise ValueError(f"unknown lemma {lemma!r}")
+    if lemma not in _LEMMAS:
+        raise ValueError(f"unknown lemma {lemma!r}")
+    return _LEMMAS[lemma](**p)
+
+
+_LEMMAS = {
+    "L4": lambda n, delta, L, M, **_: n * delta**2 * L**2 / M**2,
+    "L5": lambda n, delta, L, M, d, **_: n * delta**2 * L**2 * d / M**2,
+    "L6": lambda n, delta, d, L, M, **_: n * delta**2 * _l1_contraction(d, L, M) ** 2,
+    "L7": lambda n, delta, d, eps, **_: (n * (math.exp(eps) / (4.0 * d))
+                                        * _exp_gap(eps) ** 2 * delta**2),
+    "L8": lambda n, delta, d, eps, **p: n * lemma8_constants(
+        d, p.get("k", 0), eps, delta)[1] ** 2,
+    "L11": lambda n, delta, d, eps, **_: (n * (25.0 * math.exp(eps) / 16.0) * (delta**2 / d)
+                                         * _exp_gap(eps) ** 2),
+}
 
 
 def dp_marginal_kl_bound(eps: float, n: int, tv: float) -> float:
@@ -271,8 +291,7 @@ def dp_nonint_info_bound(eps: float, n: int, sup_term: float) -> float:
     """I(Z^n; V) <= e^eps n (e^eps - e^-eps)^2 sup_S avg_v (P_v(S) - Pbar(S))^2."""
     if eps < 0.0:
         raise ValueError("eps must be >= 0")
-    e = math.exp(eps)
-    return e * n * (e - 1.0 / e) ** 2 * sup_term
+    return math.exp(eps) * n * _exp_gap(eps) ** 2 * sup_term
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +331,6 @@ class TestingInstance:
 
     def data_dist(self, nu) -> DataDist:
         return DataDist(self.data_kind, self.packing.dim, self.delta, tuple(nu))
-
-
-def default_delta(theorem: str, d: int, n: int, L: float = 1.0,
-                  M: Optional[float] = None, eps: Optional[float] = None) -> float:
-    """The proof's bias choice for each testing construction, capped at 1;
-    ValueError for a theorem outside DELTA_THEOREMS."""
-    if theorem == "T1b":
-        return min(M * math.sqrt(_log2d(d)) / (2.0 * L * math.sqrt(n)), 1.0)
-    if theorem in ("T3", "C3"):
-        return min(math.sqrt(d * _log2d(d)) / (4.0 * eps * math.sqrt(n)), 1.0)
-    if theorem == "T4":
-        e = math.exp(eps)
-        return min(math.sqrt(d * _log2d(d)) / (math.sqrt(e * n) * (e - 1.0 / e)), 1.0)
-    raise ValueError(f"no recorded delta choice for {theorem!r}")
 
 
 def observation_rows(inst: TestingInstance) -> tuple:

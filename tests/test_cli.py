@@ -246,6 +246,18 @@ def test_bounds_bad_config_exits_1(tmp_path):
     assert _run(["bounds", "--config", cfg]) == 1
 
 
+@pytest.mark.parametrize("doc", [
+    pytest.param({"theorems": ["T1a"], "M": [-1.0]}, id="T1a-M-negative"),
+    pytest.param({"theorems": ["T1a"], "M": [math.nan]}, id="T1a-M-nan"),
+    pytest.param({"theorems": ["T3"], "eps": [math.nan]}, id="T3-eps-nan"),
+    pytest.param({"theorems": ["T5_linear"], "q": math.nan}, id="T5_linear-q-nan"),
+    pytest.param({"theorems": ["T1b"], "M": [0.5]}, id="T1b-M-below-L"),
+])
+def test_bounds_invalid_budget_exits_1(tmp_path, doc):
+    doc = dict(doc, d=[4], n=[256])
+    assert _run(["bounds", "--config", _cfg(tmp_path, "b.json", doc)]) == 1
+
+
 def test_bias_demo_payload_and_check(tmp_path):
     out = tmp_path / "d.json"
     assert _run(["bias-demo", "--out", str(out), "--seed", "2"]) == 0

@@ -37,16 +37,12 @@ T3_PIN = 0.011265835051569398
 LEMMA8_PIN = 0.15024459094578113
 
 
+_BUDGETS = {"M": 4.0, "eps": 0.5, "I_star": 0.5}
+
+
 def _spec(theorem, **kw):
-    base = dict(d=4, n=256, L=1.0, r=1.0)
-    if theorem in ("T1a", "T1b", "T2"):
-        base["M"] = 4.0
-    elif theorem in ("C1", "C2"):
-        base["I_star"] = 0.5
-    else:
-        base["eps"] = 0.5
-    if theorem.startswith("T5"):
-        base["q"] = 2.0
+    budget = THEOREM_BUDGET[theorem]
+    base = dict(d=4, n=256, L=1.0, r=1.0, q=2.0, **{budget: _BUDGETS[budget]})
     base.update(kw)
     return BoundSpec(theorem, **base)
 
@@ -70,6 +66,63 @@ def test_spec_validation():
         BoundSpec("C1", 4, 16, I_star=0.0)
     with pytest.raises(ValueError):
         BoundSpec("T1a", 0, 16, M=2.0)
+
+
+@pytest.mark.parametrize("theorem,kw", [
+    pytest.param("T1a", {"M": -1.0}, id="T1a-M-negative"),  # gave negative bounds
+    pytest.param("T1a", {"M": math.nan}, id="T1a-M-nan"),
+    pytest.param("T1a", {"M": math.inf}, id="T1a-M-inf"),
+    pytest.param("T1b", {"M": 0.5}, id="T1b-M-below-L"),  # no channel calibrates it
+    pytest.param("T3", {"eps": math.nan}, id="T3-eps-nan"),
+    pytest.param("T4", {"eps": math.inf}, id="T4-eps-inf"),
+    pytest.param("C1", {"I_star": math.nan}, id="C1-I_star-nan"),
+    pytest.param("C2", {"I_star": math.inf}, id="C2-I_star-inf"),
+    pytest.param("T1a", {"L": math.nan}, id="T1a-L-nan"),
+    pytest.param("T1a", {"r": math.inf}, id="T1a-r-inf"),
+    pytest.param("T5_linear", {"q": math.nan}, id="T5_linear-q-nan"),
+    pytest.param("T1a", {"d": 2.5}, id="T1a-d-fraction"),
+    pytest.param("T1a", {"d": True}, id="T1a-d-bool"),
+    pytest.param("T1a", {"n": 256.0}, id="T1a-n-float"),
+    pytest.param("T1a", {"n": True}, id="T1a-n-bool"),
+])
+def test_spec_refuses_values_no_theorem_allows(theorem, kw):
+    with pytest.raises(ValueError):
+        _spec(theorem, **kw)
+
+
+def test_spec_keeps_the_edges_of_each_range():
+    _spec("T5_linear", q=math.inf)
+    _spec("T5_general", q=1.0)
+    _spec("T1b", M=1.0)  # M = L
+    _spec("T3", d=2, eps=1.25)
+    _spec("T1a", d=np.int64(3), n=np.int64(7))
+
+
+# exact values at d=4, n=256, L=0.7, r=2, q=1.5 and M=4, eps=0.5,
+# I_star=0.5, in THEOREMS order, which is the order `bounds` prints its rows
+BOUND_PINS = (
+    ("T1a", 0.011111111111111112, 2.0),
+    ("T1b", 0.04506334020627759, 1.017042471741552),
+    ("T2", 0.005555555555555556, 1.4208373742234393),
+    ("T3", 0.015772169072197157, 0.504709410310309),
+    ("T4", 0.504709410310309, 0.504709410310309),
+    ("T5_linear", 0.27779518409443493, 0.27779518409443493),
+    ("T5_general", 0.27779518409443493, 0.27779518409443493),
+    ("C1", 0.35688344655908316, 0.35688344655908316),
+    ("C2", 0.4949747468305833, 0.4949747468305833),
+    ("C3", 0.504709410310309, 0.504709410310309),
+)
+
+
+def test_theorem_order_is_pinned():
+    assert THEOREMS == tuple(th for th, _, _ in BOUND_PINS)
+
+
+@pytest.mark.parametrize("theorem,lower,upper", BOUND_PINS)
+def test_every_theorem_value_is_pinned(theorem, lower, upper):
+    spec = _spec(theorem, L=0.7, r=2.0, q=1.5)
+    assert lower_bound(spec) == lower
+    assert upper_bound(spec) == upper
 
 
 def test_lower_bound_pins():
@@ -192,31 +245,31 @@ def test_dp_information_contractions():
 
 
 def test_default_delta_choices():
-    assert default_delta("T1b", 4, 10000, L=1.0, M=2.0) == pytest.approx(
+    assert default_delta(BoundSpec("T1b", 4, 10000, M=2.0)) == pytest.approx(
         2.0 * math.sqrt(math.log(8)) / (2.0 * 100.0))
-    assert default_delta("T1b", 4, 2, L=1.0, M=100.0) == 1.0  # capped
-    assert default_delta("T3", 4, 10000, eps=0.5) == pytest.approx(
+    assert default_delta(BoundSpec("T1b", 4, 2, M=100.0)) == 1.0  # capped
+    assert default_delta(BoundSpec("T3", 4, 10000, eps=0.5)) == pytest.approx(
         math.sqrt(4 * math.log(8)) / (4 * 0.5 * 100.0))
     e = math.exp(0.5)
-    assert default_delta("T4", 4, 10000, eps=0.5) == pytest.approx(
+    assert default_delta(BoundSpec("T4", 4, 10000, eps=0.5)) == pytest.approx(
         math.sqrt(4 * math.log(8)) / (math.sqrt(e * 10000) * (e - 1 / e)))
     with pytest.raises(ValueError):
-        default_delta("T1a", 4, 100, M=2.0)
+        default_delta(BoundSpec("T1a", 4, 100, M=2.0))
 
 
 def test_default_delta_raises_value_error_without_a_recorded_choice():
-    # C1 carries I_star, not M: it has no recorded choice, so a ValueError,
-    # never a TypeError from the missing M
+    # C1 carries I_star, not M or eps: it has no recorded choice, so a
+    # ValueError, never a TypeError from a missing budget
     with pytest.raises(ValueError, match="no recorded delta"):
-        default_delta("C1", 4, 100)
+        default_delta(_spec("C1", n=100))
     recorded = {"T1b", "T3", "C3", "T4"}
     for th in THEOREMS:
-        budget = {"M": {"M": 2.0}, "eps": {"eps": 0.5}, "I_star": {}}[THEOREM_BUDGET[th]]
+        spec = _spec(th, n=100)
         if th in recorded:
-            assert 0.0 < default_delta(th, 4, 100, **budget) <= 1.0
+            assert 0.0 < default_delta(spec) <= 1.0
         else:
             with pytest.raises(ValueError, match="no recorded delta"):
-                default_delta(th, 4, 100, **budget)
+                default_delta(spec)
     assert minimax.DELTA_THEOREMS == recorded  # the set `bounds` reads
 
 
