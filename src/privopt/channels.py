@@ -35,10 +35,27 @@ row's noise draws U for n draws, and its apply maps x through it.
 Channel.sample(x) is apply(x, noise(n)): one input, with an optional size
 for repeated draws, or a batch of inputs with one draw per row.
 Channel.noise and Channel.apply expose the two parts, so a caller whose
-inputs come later (a population stream) can draw U ahead.  The row's pmf
-gives the laws of a whole batch, over atoms that every row shares or that
-move with x; channel_pmf reads it for one input or for a batch, whose laws
-over one atom enumeration exact MI, the DP ratio and the minimax rows read.
+inputs come later (a population stream) can draw U ahead.  Every step
+that does not read x is in U, so apply is a few passes over x:
+
+  linf_maxent    (v,): thresholds (n, d) uniform on [-M, M); Z_j = +M
+                 exactly when v_j <= x_j
+  l1_maxent      (u, o): rounding uniforms (n,) and tilt offsets (n,) in
+                 [0, 2d); apply rounds x to an atom a with u and returns
+                 atom a + o of the cycle +M e_0, ..., +M e_d-1, -M e_0, ...
+  dp kinds       (v, W): thresholds (n, d) uniform on [-L, L) and the
+                 shuffled class rows W (n, d) in {+-B}; Z = W where
+                 v <= x, -W elsewhere
+  dp_l2_sampler  (toward, near, U): rounding thresholds (n,) uniform on
+                 [-L, L), cap coins (n,) and directions (n, d) on the unit
+                 sphere
+  identity       (empty (n, 0),): no randomness; it carries n
+  biased_demo    (e,): the +-noise coins (n, d)
+
+The row's pmf gives the laws of a whole batch, over atoms that every row
+shares or that move with x; channel_pmf reads it for one input or for a
+batch, whose laws over one atom enumeration exact MI, the DP ratio and the
+minimax rows read.
 """
 
 from __future__ import annotations
@@ -203,12 +220,15 @@ def _rademacher(rng, shape) -> np.ndarray:
 
 
 def _linf_noise(ch, n: int, rng) -> tuple:
-    return (rng.random((n, ch.d)),)
-
-
-def _linf_apply(ch, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # one threshold v_j uniform on [-M, M) per coin: Z_j = +M exactly when
+    # v_j <= x_j, which has probability 1/2 + x_j/(2M)
     M = ch.calibration["B"]
-    return np.where(u < 0.5 + x / (2.0 * M), M, -M)
+    return (rng.uniform(-M, M, (n, ch.d)),)
+
+
+def _linf_apply(ch, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    z = np.subtract(x, v)
+    return np.copysign(ch.calibration["B"], z, out=z)
 
 
 def _l1_output_pmf(ch, x: np.ndarray) -> np.ndarray:
@@ -231,38 +251,61 @@ def _l1_output_pmf(ch, x: np.ndarray) -> np.ndarray:
 
 
 def _l1_noise(ch, n: int, rng) -> tuple:
-    return (rng.random(n),)
+    # the rounding uniform, and the tilt as an offset o along the cycle of
+    # the 2d atoms (+M e_0, ..., +M e_d-1, -M e_0, ...): the rounded atom a
+    # moves to a + o mod 2d, where o = 0 (keep) has probability e^g/D, o = d
+    # (the mirror) e^-g/D and each other offset 1/D, whatever a is.  y
+    # uniform on [0, D) falls in a unit cell per other offset, then in the
+    # mirror's cell of width e^-g, then in the keep cell
+    cal = ch.calibration
+    u, y = rng.random((2, n))
+    y *= cal["D_gamma"]
+    cell = np.minimum(y, 2 * ch.d - 2).astype(np.intp)
+    return u, np.where(y < cal["keep_from"], cal["offsets"][cell], 0)
 
 
-def _l1_apply(ch, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # inverse cdf per row, with the uniforms and cut points of
-    # rng.choice(2d, size=n, p=law) at one input
-    cdf = np.cumsum(_l1_output_pmf(ch, x), axis=-1)
-    cdf /= cdf[..., -1:]
-    return ch.calibration["atoms"][(cdf <= u[:, None]).sum(axis=1)]
+def _l1_apply(ch, x: np.ndarray, u: np.ndarray, o: np.ndarray) -> np.ndarray:
+    # the rounding law as a running total over the atoms: the positive parts
+    # of x and -x, plus the leftover L - ||x||_1 spread evenly
+    cal = ch.calibration
+    c = np.concatenate((x, -x), axis=-1)
+    np.maximum(c, 0.0, out=c)
+    np.add.accumulate(c, axis=-1, out=c)
+    c += cal["ramp"] * np.maximum(ch.source.radius - c[..., -1:], 0.0)
+    # the rounded atom a: the number of cut points at or below u times the total
+    t = u * c[..., -1]
+    if x.ndim == 1:  # one running total for every draw
+        a = c[:-1].searchsorted(t, side="right")
+    else:
+        a = (c[:, :-1] <= t[:, None]).sum(axis=1)
+    return cal["atom_cycle"].take(a + o, axis=0)
 
 
 def _two_level_noise(ch, n: int, rng) -> tuple:
-    # one block of d + 1 uniforms per row: the last picks the agreement
-    # class k from its exact cdf (no rejection), so W is k entries +B and
-    # d - k entries -B, shuffled per row; the other d round x to a corner
-    d, cal = ch.d, ch.calibration
-    u = rng.random((n, d + 1))
-    k = np.searchsorted(cal["class_cdf"], u[:, d:], side="right")
+    # one block of d + 1 thresholds per row, uniform on [-L, L): the last
+    # picks the agreement class k from its exact cdf (no rejection), so W is
+    # k entries +B and d - k entries -B, shuffled per row; the other d round
+    # x to a corner, T_j = +1 exactly when v_j <= x_j
+    d, cal, L = ch.d, ch.calibration, ch.source.radius
+    v = rng.uniform(-L, L, (n, d + 1))
+    k = np.searchsorted(cal["class_cuts"], v[:, d:], side="right")
     W = np.where(np.arange(d) < k, cal["B"], -cal["B"])
     rng.permuted(W, axis=1, out=W)
-    return u[:, :d], W
+    return v[:, :d], W
 
 
-def _two_level_apply(ch, x: np.ndarray, u: np.ndarray, W: np.ndarray) -> np.ndarray:
-    # round x to the corner T; Z = W T flips W where T = -1
-    return np.where(u < 0.5 + x * (0.5 / ch.source.radius), W, -W)
+def _two_level_apply(ch, x: np.ndarray, v: np.ndarray, W: np.ndarray) -> np.ndarray:
+    # Z = W T: the sign of (x - v) W, at magnitude B
+    z = np.subtract(x, v)
+    z *= W
+    return np.copysign(ch.calibration["B"], z, out=z)
 
 
 def _l2_noise(ch, n: int, rng) -> tuple:
-    # the rounding uniform, the cap coin (near with probability pi_eps) and
-    # a uniform direction on the unit sphere
-    toward = rng.random(n)
+    # the rounding threshold, uniform on [-L, L); the cap coin (near with
+    # probability pi_eps); a uniform direction on the unit sphere
+    L = ch.source.radius
+    toward = rng.uniform(-L, L, n)
     near = rng.random(n) < ch.calibration["pi_eps"]
     G = rng.standard_normal((n, ch.d))
     return toward, near, G / np.sqrt((G * G).sum(axis=1, keepdims=True))
@@ -270,13 +313,14 @@ def _l2_noise(ch, n: int, rng) -> tuple:
 
 def _l2_apply(ch, x: np.ndarray, toward: np.ndarray, near: np.ndarray,
               U: np.ndarray) -> np.ndarray:
-    # round each row to +-u, u = x/||x||_2 (e_1 at the origin), with
-    # P(+u) = 1/2 + ||x||_2/(2L); then the draw is uniform on the radius-B
-    # cap {<z, +-u> > 0} when near, on the opposite cap otherwise
-    nrm = np.sqrt((x * x).sum(axis=-1))
-    toward = toward < 0.5 + nrm / (2.0 * ch.source.radius)
-    dot = np.where(nrm > 0.0, np.einsum("...j,...j->...", U, x), U[:, 0])  # sign of <U, u>
-    flip = np.where(toward == near, dot < 0.0, dot > 0.0)
+    # round each row to +-u, u = x/||x||_2, with P(+u) = 1/2 + ||x||_2/(2L);
+    # then the draw is uniform on the radius-B cap {<z, +-u> > 0} when near,
+    # on the opposite cap otherwise: the cap around +u exactly when
+    # (toward <= ||x||_2) == near, so U flips when its sign <U, x> < 0
+    # disagrees.  At the origin <U, x> is 0 and the cap is a fair coin, so
+    # the draw is uniform on the sphere, the law of every pole.
+    nrm = np.sqrt(np.vecdot(x, x))
+    flip = (np.vecdot(U, x) < 0.0) == ((toward <= nrm) == near)
     B = ch.calibration["B"]
     return np.where(flip, -B, B)[:, None] * U
 
@@ -444,16 +488,27 @@ def _l1_calibration(d: int, L: float, M, *_) -> tuple:
     if M <= L:
         raise ValueError("l1_maxent needs M > L")
     gamma = l1_gamma(d, M / L)
+    D = math.exp(gamma) + math.exp(-gamma) + 2 * d - 2
     atoms = float(M) * np.vstack([np.eye(d), -np.eye(d)])
-    atoms.setflags(write=False)
+    cycle = np.vstack([atoms, atoms])  # row a + o is atom a + o mod 2d
+    # the tilt offset of each cell of [0, D): the 2d - 2 other offsets, then
+    # the mirror d (up to keep_from), then keep 0
+    offsets = np.r_[1:d, d + 1:2 * d, d]
+    ramp = np.arange(1, 2 * d + 1) / (2 * d)  # leftover share of atoms 0..k
+    for a in (atoms, cycle, offsets, ramp):
+        a.setflags(write=False)
     return 1, float(M), {
         "B": float(M),
         "gamma": gamma,
-        "D_gamma": math.exp(gamma) + math.exp(-gamma) + 2 * d - 2,
+        "D_gamma": D,
         "tilt_up": math.exp(gamma) - 1.0,
         "tilt_down": math.exp(-gamma) - 1.0,
         "mirror": np.r_[d:2 * d, 0:d],  # atom +-M e_j <-> -+M e_j
         "atoms": atoms,
+        "atom_cycle": cycle,
+        "offsets": offsets,
+        "keep_from": 2 * d - 2 + math.exp(-gamma),
+        "ramp": ramp,
     }
 
 
@@ -468,8 +523,13 @@ def _two_level_calibration(d: int, L: float, eps, *_) -> tuple:
     sizes = [math.comb(d, k) * (num if 2 * k > d else den) for k in range(d + 1)]
     total = sum(sizes)
     cdf = np.array([c / total for c in itertools.accumulate(sizes)])
-    cdf.setflags(write=False)
+    # the same cut points on the draw's threshold scale [-L, L), without the
+    # final one, so a threshold picks a class k <= d
+    cuts = 2.0 * L * cdf[:-1] - L
+    for a in (cdf, cuts):
+        a.setflags(write=False)
     cal["class_cdf"] = cdf
+    cal["class_cuts"] = cuts
     return np.inf, cal["B"], cal
 
 

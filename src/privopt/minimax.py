@@ -151,7 +151,7 @@ def _t5_middle(s: BoundSpec) -> float:
     return (s.n * s.eps**2) ** (-0.5 / s.q) if math.isfinite(s.q) else 1.0
 
 
-def _t5_upper(s: BoundSpec) -> float:
+def _t5_rate(s: BoundSpec) -> float:
     return s.r * s.L * min(_t5_first(s), 1.0)
 
 
@@ -196,11 +196,8 @@ _THEOREMS = {
             math.sqrt(math.exp(s.eps) * s.n) * _exp_gap(s.eps)), 1.0)),
     "T5_linear": _Theorem(
         "eps", lambda s: s.r * s.L * min(_t5_first(s), _t5_middle(s), 1.0),
-        _t5_upper, middle=_t5_middle, ranges=_T5_RANGES),
-    "T5_general": _Theorem(
-        "eps", lambda s: min((math.sqrt(s.d) / s.eps) * s.r * s.L * _dq_factor(s.d, s.q)
-                             / math.sqrt(s.n), s.r * s.L),
-        _t5_upper, ranges=_T5_RANGES),
+        _t5_rate, middle=_t5_middle, ranges=_T5_RANGES),
+    "T5_general": _Theorem("eps", _t5_rate, ranges=_T5_RANGES),
     "C1": _Theorem("I_star", lambda s: _linf_rate(s, s.I_star)),
     "C2": _Theorem("I_star", lambda s: _l1_rate(s, s.I_star)),
     "C3": _Theorem("eps", _dp_rate, delta=_dp_delta),
@@ -262,6 +259,12 @@ def mi_lemma_value(lemma: str, **p) -> float:
     """
     if not 0.0 <= p["delta"] <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
+    for name in ("M", "L", "d"):
+        if name in p and not p[name] > 0:
+            raise ValueError(f"{name} must be positive, got {p[name]!r}")
+    for name in ("n", "eps"):
+        if name in p and not p[name] >= 0:
+            raise ValueError(f"{name} must be >= 0, got {p[name]!r}")
     if lemma not in _LEMMAS:
         raise ValueError(f"unknown lemma {lemma!r}")
     return _LEMMAS[lemma](**p)

@@ -108,11 +108,15 @@ def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
     and the iterate and running total (dim, R), so each half of the lift,
     the per-chain max and the per-chain sum read contiguous rows; the
     oracle gets the (R, dim) view theta.T, and one chain is a (2 dim,)
-    lift.  Each chain's lift is normalized by a running sum over its 2 dim
-    weights in lift order (np.add.accumulate), the same order at every R;
-    np.add.reduce would sum one chain pairwise but many chains in order,
-    and from 2 dim = 8 up the two differ in the last bits.  So every row
-    of a many-chain run equals the single run of its oracle bit for bit.
+    lift.  The log-weights are never normalized: a step moves them by the
+    gradient and subtracts their max, so the largest weight exp(0) = 1
+    bounds them all, and the iterate r (w_u - w_v) / s divides by the
+    lift's sum s only through the per-chain scalar r / s.  s is a running
+    sum over the 2 dim weights in lift order (np.add.accumulate), the same
+    order at every R; np.add.reduce would sum one chain pairwise but many
+    chains in order, and from 2 dim = 8 up the two differ in the last
+    bits.  So every row of a many-chain run equals the single run of its
+    oracle bit for bit.
     """
     gen = _prepare(config, rng, "mirror_descent_l1", 1)
     d, n, r = config.dim, config.steps, config.domain.radius
@@ -134,9 +138,8 @@ def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
         lw[d:] += g
         lw -= np.maximum.reduce(lw)
         np.exp(lw, out=w)
-        w /= np.add.accumulate(w)[-1]  # the lift's sum, in order (see LAYOUT)
-        np.log(w, out=lw)
-        theta = r * (w[:d] - w[d:])
+        s = np.add.accumulate(w)[-1]  # the lift's sum, in order (see LAYOUT)
+        theta = (w[:d] - w[d:]) * (r / s)
     return OptimizerRun(np.ascontiguousarray(total.T) / n)
 
 

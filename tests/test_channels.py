@@ -619,14 +619,14 @@ def _corner_cells(signs) -> np.ndarray:
     return signs.astype(np.int64) @ (1 << np.arange(signs.shape[1] - 1, -1, -1))
 
 
-def _assert_law(counts, probs, rng) -> None:
-    assert _g_test(counts, probs) >= ATOM_ALPHA, counts
+def _assert_law(counts, probs, rng, alpha=ATOM_ALPHA) -> None:
+    assert _g_test(counts, probs) >= alpha, counts
     k, j = np.argsort(-np.asarray(probs), kind="stable")[:2]
     moved = counts.copy()
     shift = rng.binomial(counts[k], 0.01)
     moved[k] -= shift
     moved[j] += shift
-    assert _g_test(moved, probs) < ATOM_ALPHA, (k, j)
+    assert _g_test(moved, probs) < alpha, (k, j)
 
 
 ATOM_CASES = [  # (channel, x, draws)
@@ -668,6 +668,68 @@ def test_population_stream_law_conformance():
     probs = np.zeros(8)
     probs[_corner_cells(law.points > 0.0)] = weights @ law.probs
     _assert_law(counts, probs, np.random.default_rng([10, 4]))
+
+
+# law conformance of the per-row paths: a fourth family with its own
+# family-wise budget of 1e-6, split over its three cases.  A batch X (R, d)
+# takes one draw per row, the path every stream answer takes, so each batch
+# case draws rows from two distinct inputs, the input of each row picked
+# uniformly, and tests the (input, atom) cells against channel_pmf(ch, x) / 2.
+# The l1 stream case is the dp stream case above with the hinge loss over the
+# signed coordinate basis.  Each case must also reject the 1% move of
+# _assert_law: power 0.999 against it needs 2.58e6, 2.49e6 and 1.73e6 draws
+# for the linf batch, the l1 batch and the l1 stream; the counts below round
+# them up.
+
+ROW_ALPHA = FAMILY_ALPHA / 3
+ROW_CASES = [  # (channel, distinct inputs, draws)
+    (make_channel("linf_maxent", 3, M=2.0), ((0.6, -0.3, 0.9), (-0.9, 0.8, -0.7)), 2_600_000),
+    (make_channel("l1_maxent", 3, M=2.0), ((0.5, -0.2, 0.1), (-0.1, 0.6, 0.3)), 2_500_000),
+]
+
+
+def _atom_cells(ch, z) -> np.ndarray:
+    """Index of each draw among the atoms of channel_pmf(ch, x): the sign
+    pattern for linf_maxent, +M e_j then -M e_j for l1_maxent."""
+    if ch.kind == "l1_maxent":
+        j = np.abs(z).argmax(axis=1)
+        return j + ch.d * (z[np.arange(len(z)), j] < 0.0)
+    return _corner_cells(z > 0.0)
+
+
+@pytest.mark.parametrize("ch,inputs,n", ROW_CASES, ids=[c[0].kind for c in ROW_CASES])
+def test_batch_law_conformance(ch, inputs, n):
+    laws = [channel_pmf(ch, np.array(x)) for x in inputs]
+    k = len(laws[0].probs)
+    assert all(np.array_equal(_atom_cells(ch, law.points), np.arange(k)) for law in laws)
+    inputs = np.array(inputs)
+    rng = np.random.default_rng([11, ch.d])
+    counts = np.zeros(len(inputs) * k, dtype=np.int64)
+    for start in range(0, n, 1 << 18):
+        rows = rng.integers(len(inputs), size=min(1 << 18, n - start))
+        z = ch.sample(inputs[rows], rng=rng)
+        counts += np.bincount(rows * k + _atom_cells(ch, z), minlength=len(counts))
+    probs = np.concatenate([law.probs for law in laws]) / len(inputs)
+    _assert_law(counts, probs, rng, ROW_ALPHA)
+
+
+def test_l1_population_stream_law_conformance():
+    # theta = 0 makes each hinge subgradient -x, a signed basis vector, so
+    # the stream's answers follow sum_x P(x) channel_pmf(ch, -x); 36,000
+    # queries of 50 rows span many block refills
+    ch = make_channel("l1_maxent", 3, M=2.0)
+    dist = DataDist("coord_basis", 3, 0.5, (1, 0, 0))
+    stream = PrivateGradStream.from_population(dist, make_loss("hinge"), ch, rng=[11, 3])
+    theta = np.zeros((50, 3))
+    counts = np.zeros(6, dtype=np.int64)
+    for _ in range(36):
+        z = np.concatenate([query(stream, theta) for _ in range(1000)])
+        counts += np.bincount(_atom_cells(ch, z), minlength=6)
+    pts, weights = dist_support(dist)
+    laws = [channel_pmf(ch, -x) for x in pts]
+    assert all(np.array_equal(_atom_cells(ch, law.points), np.arange(6)) for law in laws)
+    probs = weights @ np.array([law.probs for law in laws])
+    _assert_law(counts, probs, np.random.default_rng([11, 4]), ROW_ALPHA)
 
 
 # law conformance of dp_l2_sampler: a third family with its own family-wise
@@ -729,6 +791,34 @@ def test_sphere_sampler_law_conformance(d, eps, cdf):
     assert _g_test([near - shift, SPHERE_DRAWS - near + shift], [pi, 1.0 - pi]) < SPHERE_ALPHA
     moved = np.where(rng.random(SPHERE_DRAWS) < 0.01, 1.0, mag)
     assert _ks_sf(moved, cdf) < SPHERE_ALPHA
+
+
+# law conformance of dp_l2_sampler at the origin, where <U, x> is 0 and the
+# cap is a fair coin, so the draws are uniform on the radius-B sphere: a
+# fifth family with its own budget of 1e-6, split over a sign test and a
+# magnitude test along a fixed direction e at d = 3, where |<Z, e>|/B is
+# uniform on [0, 1].  Moving 1% of the positive draws to the negative side
+# has noncentrality 1e-4 n against a 1-df critical value of 25.3; power
+# 0.999 needs 66, so 6.6e5 draws, and the count below rounds it up.
+
+ORIGIN_ALPHA = FAMILY_ALPHA / 2
+ORIGIN_DRAWS = 800_000
+
+
+def test_sphere_sampler_origin_law_is_uniform():
+    ch = make_channel("dp_l2_sampler", 3, L=2.0, eps=1.0)
+    rng = np.random.default_rng([14, 3])
+    e = rng.standard_normal(3)
+    e /= np.linalg.norm(e)
+    dot = ch.sample(np.zeros(3), rng=rng, size=ORIGIN_DRAWS) @ e
+    pos = int((dot > 0.0).sum())
+    assert _g_test([pos, ORIGIN_DRAWS - pos], [0.5, 0.5]) >= ORIGIN_ALPHA, pos
+    mag = np.abs(dot) / ch.calibration["B"]
+    assert _ks_sf(mag, lambda a: a) >= ORIGIN_ALPHA
+    shift = rng.binomial(pos, 0.01)
+    assert _g_test([pos - shift, ORIGIN_DRAWS - pos + shift], [0.5, 0.5]) < ORIGIN_ALPHA
+    moved = np.where(rng.random(ORIGIN_DRAWS) < 0.01, 1.0, mag)
+    assert _ks_sf(moved, lambda a: a) < ORIGIN_ALPHA
 
 
 def test_seed_determinism_per_kind():

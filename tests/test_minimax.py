@@ -1,5 +1,6 @@
 """Bound formulas, information lemmas, and the canonical testing instance."""
 
+import itertools
 import math
 
 import numpy as np
@@ -144,6 +145,18 @@ def test_sandwich_and_monotonicity(theorem, n):
     assert lower_bound(more) <= lo + 1e-15
 
 
+def test_t5_general_lower_never_exceeds_upper():
+    # the bound is tight: lower <= upper holds exactly, with no slack, also
+    # at the spec where two formulas for it once rounded one ulp apart
+    spec = BoundSpec("T5_general", 2, 256, L=0.3, r=0.5, eps=0.3, q=1.0)
+    assert lower_bound(spec) <= upper_bound(spec)
+    for d, n, L, r, eps, q in itertools.product(
+            (1, 2, 3, 7, 100), (1, 9, 256, 10**4, 10**6), (0.3, 1.0, 2.5),
+            (0.5, 1.0, 3.0), (0.1, 0.3, 1.0, 2.0), (1.0, 1.5, 2.0, math.inf)):
+        spec = BoundSpec("T5_general", d, n, L=L, r=r, eps=eps, q=q)
+        assert lower_bound(spec) <= upper_bound(spec), spec
+
+
 def test_t2_contraction_identity_used_in_bound():
     # the l1 contraction D equals L/M at the calibrated gamma, so the T2
     # lower bound equals the explicit formula with D replaced by L/M
@@ -230,6 +243,26 @@ def test_mi_lemma_values():
         mi_lemma_value("L4", n=10, delta=1.5, L=1.0, M=2.0)
     with pytest.raises(ValueError):
         mi_lemma_value("L99", n=1, delta=0.5)
+
+
+@pytest.mark.parametrize("lemma,p", [
+    ("L4", dict(n=10, delta=0.5, L=1.0, M=0.0)),
+    ("L4", dict(n=10, delta=0.5, L=1.0, M=-2.0)),
+    ("L4", dict(n=10, delta=0.5, L=0.0, M=2.0)),
+    ("L5", dict(n=10, delta=0.5, L=1.0, M=2.0, d=0)),
+    ("L6", dict(n=10, delta=0.5, d=3, L=1.0, M=math.nan)),
+    ("L7", dict(n=-3, delta=0.5, d=2, eps=1.0)),
+    ("L7", dict(n=3, delta=0.5, d=2, eps=-1.0)),
+    ("L11", dict(n=3, delta=0.5, d=-2, eps=1.0)),
+])
+def test_mi_lemma_value_refuses_out_of_range_parameters(lemma, p):
+    with pytest.raises(ValueError):
+        mi_lemma_value(lemma, **p)
+
+
+def test_mi_lemma_value_keeps_the_edges():
+    assert mi_lemma_value("L4", n=0, delta=0.5, L=1.0, M=2.0) == 0.0
+    assert mi_lemma_value("L7", n=3, delta=0.5, d=2, eps=0.0) == 0.0
 
 
 def test_dp_information_contractions():

@@ -133,6 +133,49 @@ def test_chains_match_single_runs_bitwise():
         mirror_descent_l1(oracle_for(all_targets, []), cfg, 99, chains=0)
 
 
+def _mirror_descent_reference(grad_oracle, config, rng, chains=None):
+    """mirror_descent_l1's averaged iterate with a log-renormalized lift:
+    each step divides the weights by their sum and stores their log."""
+    gen = np.random.default_rng(rng)
+    d, n, r = config.dim, config.steps, config.domain.radius
+    step = r * step_size_for("mirror_descent_l1", config.domain, config.grad_bound, n, d)
+    cols = () if chains is None else (chains,)
+    lw = np.full((2 * d,) + cols, -math.log(2 * d))
+    theta = np.zeros((d,) + cols)
+    total = np.zeros((d,) + cols)
+    for _ in range(n):
+        total += theta
+        g = step * np.asarray(grad_oracle(theta.T, gen), dtype=float).T
+        lw[:d] -= g
+        lw[d:] += g
+        w = np.exp(lw - lw.max(axis=0))
+        w /= np.add.accumulate(w)[-1]
+        lw = np.log(w)
+        theta = r * (w[:d] - w[d:])
+    return np.ascontiguousarray(total.T) / n
+
+
+@pytest.mark.parametrize("d", [1, 4, 32])
+@pytest.mark.parametrize("chains", [None, 50])
+@pytest.mark.parametrize("r", [1.0, 50.0])
+def test_mirror_descent_matches_log_renormalized_reference(d, chains, r):
+    # a noisy quadratic pull toward a target inside the ball: the lift is
+    # never renormalized in log space, which moves the average only at
+    # rounding level over n = 4096 steps
+    cols = () if chains is None else (chains,)
+    target = np.random.default_rng(d).uniform(-1.0, 1.0, size=cols + (d,))
+    target *= 0.6 * r / np.abs(target).sum(axis=-1, keepdims=True)
+
+    def oracle(theta, rng):
+        return (theta - target) / r + rng.standard_normal(theta.shape)
+
+    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, r), d, 4096, 3.0)
+    got = mirror_descent_l1(oracle, cfg, 5, chains=chains).averaged
+    want = _mirror_descent_reference(oracle, cfg, 5, chains=chains)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_mirror_descent_rejects_gradients_not_shaped_like_theta():
     # one gradient (d,) for R = d chains would broadcast along the chains
     cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), 3, 4, 1.0)
