@@ -326,6 +326,7 @@ def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
     sandwich_ok, monotone_ok = True, True
     for th in theorems:
         bkind = THEOREM_BUDGET[th]
+        q_col = q if th.startswith("T5") else math.nan  # q is the T5 family's exponent
         budgets = {"M": m_grid, "eps": eps_grid, "I_star": i_grid}[bkind]
         for d in d_grid:
             for budget in budgets:
@@ -342,7 +343,7 @@ def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
                         c8, d8 = lemma8_constants(d, k, budget, delta)
                     flagged = int(t5_middle_term(spec) is not None)
                     lines.append(",".join(_fmt(v) for v in (
-                        th, d, n, bkind, budget, q, delta, lo, up, flagged, c8, d8,
+                        th, d, n, bkind, budget, q_col, delta, lo, up, flagged, c8, d8,
                     )))
     code = 0
     if check:

@@ -97,6 +97,12 @@ def _finite_array(x) -> np.ndarray:
     return x
 
 
+# The squared norms that a plain sum of squares gets right: below _SQ_MIN,
+# squares under the normal range (or flushed to 0) could matter; above
+# float max, the sum overflowed.
+_SQ_MIN = 1e-280
+
+
 def project_l2_ball(x, r: float) -> np.ndarray:
     """Euclidean projection of x onto {y : ||y||_2 <= r}.
 
@@ -107,15 +113,28 @@ def project_l2_ball(x, r: float) -> np.ndarray:
     RETURNS
       The closest point of the ball, i.e. x itself if feasible and the
       radial rescaling (r / ||x||_2) x otherwise.
+
+    The norm is np.linalg.norm's own formula, sqrt(<x, x>), unless that sum
+    of squares overflows or underflows; then x is first scaled by max|x|.
+    NaN and inf survive the sum of squares, so only that slow path checks
+    that x is finite.
     """
-    x = _finite_array(x)
+    x = np.asarray(x, dtype=float)
     if r <= 0:
         raise ValueError("r must be positive")
     v = x.ravel(order="K")  # contiguous, as ddot rounds a strided vector differently
-    nrm = math.sqrt(v.dot(v))  # np.linalg.norm's own formula, without its dispatch
-    if nrm <= r:
+    sq = np.vdot(v, v)  # the same ddot as v.dot(v), which would warn on overflow
+    if _SQ_MIN <= sq < math.inf:
+        nrm = math.sqrt(sq)
+        return x.copy() if nrm <= r else (r / nrm) * x
+    if not np.all(np.isfinite(v)):
+        raise ValueError("non-finite input")
+    top = np.maximum.reduce(np.abs(v), initial=0.0)
+    if top == 0.0:
         return x.copy()
-    return (r / nrm) * x
+    u = v / top
+    k = math.sqrt(np.vdot(u, u))  # ||x|| / max|x|, in [1, sqrt(d)]
+    return x.copy() if top * k <= r else (x / top) * (r / k)
 
 
 def project_l1_ball(x, r: float) -> np.ndarray:

@@ -105,18 +105,26 @@ def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
     does not), of shape (dim,) or (R, dim).
 
     LAYOUT  The state is chain-minor: the lift's log-weights are (2 dim, R)
-    and the iterate and running total (dim, R), so each half of the lift,
-    the per-chain max and the per-chain sum read contiguous rows; the
-    oracle gets the (R, dim) view theta.T, and one chain is a (2 dim,)
-    lift.  The log-weights are never normalized: a step moves them by the
-    gradient and subtracts their max, so the largest weight exp(0) = 1
-    bounds them all, and the iterate r (w_u - w_v) / s divides by the
-    lift's sum s only through the per-chain scalar r / s.  s is a running
-    sum over the 2 dim weights in lift order (np.add.accumulate), the same
-    order at every R; np.add.reduce would sum one chain pairwise but many
-    chains in order, and from 2 dim = 8 up the two differ in the last
-    bits.  So every row of a many-chain run equals the single run of its
-    oracle bit for bit.
+    and the iterate and running total (dim, R), so each half of the lift
+    and the per-chain sum read contiguous rows; the oracle gets the
+    (R, dim) view theta.T, and one chain is a (2 dim,) lift.  The
+    log-weights are never normalized: a step moves them by the gradient,
+    takes their exp and the lift's sum s, and the iterate
+    r (w_u - w_v) / s divides by s only through the per-chain scalar r / s.
+    A chain is rescaled (its log-weights shifted down by their max, its
+    exp and sum redone) only when its s leaves (_SUM_LO, _SUM_HI),
+    overflow and NaN included.  Between rescales each pair
+    lw_u,j + lw_v,j is constant, so the largest log-weight stays at or
+    above half of it: s heads for underflow only after a rescale that
+    followed a huge jump, and the lower bound catches that.  s adds the
+    2 dim weights in lift order at every R: one chain (or R = 1) takes the
+    last entry of np.add.accumulate, and R >= 2 chains np.add.reduce along
+    axis 0, which numpy adds in order as that axis is not the fast one in
+    memory.  Along the fast axis, as for one chain, np.add.reduce adds
+    pairwise, and from 2 dim = 8 up the two orders differ in the last
+    bits.  The rescale touches only the chains out of range and sums them
+    in order too, so every row of a many-chain run equals the single run
+    of its oracle bit for bit.
     """
     gen = _prepare(config, rng, "mirror_descent_l1", 1)
     d, n, r = config.dim, config.steps, config.domain.radius
@@ -125,22 +133,63 @@ def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
     eta = step_size_for("mirror_descent_l1", config.domain, config.grad_bound, n, d)
     cols = () if chains is None else (int(chains),)
     lw = np.full((2 * d,) + cols, -math.log(2 * d))  # log-weights on the lift, uniform
+    w = np.empty_like(lw)
+    g = np.empty((d,) + cols)  # the scaled gradient
+    lw_u, lw_v, w_u, w_v = lw[:d], lw[d:], w[:d], w[d:]
     theta = np.zeros((d,) + cols)
     total = np.zeros((d,) + cols)
-    w = np.empty_like(lw)
+    many = chains is not None and chains > 1  # then s is reduced along a slow axis (see LAYOUT)
+    s, acc = (np.empty(cols), None) if many else (None, np.empty_like(lw))
+    in_range = _sum_in_range if chains is None else _sums_in_range
     step = eta * r
-    for _ in range(n):
-        total += theta
-        g = step * np.asarray(grad_oracle(theta.T, gen), dtype=float).T
-        if g.shape != theta.shape:
-            raise ValueError(f"oracle gave a gradient of shape {g.T.shape} for theta {theta.T.shape}")
-        lw[:d] -= g
-        lw[d:] += g
-        lw -= np.maximum.reduce(lw)
-        np.exp(lw, out=w)
-        s = np.add.accumulate(w)[-1]  # the lift's sum, in order (see LAYOUT)
-        theta = (w[:d] - w[d:]) * (r / s)
+    with np.errstate(over="ignore"):  # an exp that overflows fails in_range and is redone
+        for _ in range(n):
+            total += theta
+            grad = np.asarray(grad_oracle(theta.T, gen), dtype=float)
+            if grad.shape != theta.T.shape:
+                raise ValueError(f"oracle gave a gradient of shape {grad.shape} for theta {theta.T.shape}")
+            np.multiply(grad.T, step, out=g)
+            lw_u -= g
+            lw_v += g
+            np.exp(lw, out=w)
+            if many:
+                np.add.reduce(w, axis=0, out=s)
+            else:
+                s = np.add.accumulate(w, axis=0, out=acc)[-1]
+            if not in_range(s):
+                s = _rescale(lw, w, s)
+            theta = w_u - w_v  # a fresh array: an oracle may keep the one it was given
+            theta *= r / s
     return OptimizerRun(np.ascontiguousarray(total.T) / n)
+
+
+# the range a chain's lift sum may drift in before mirror_descent_l1 rescales it
+_SUM_LO, _SUM_HI = 1e-100, 1e100
+
+
+def _sum_in_range(s) -> bool:
+    return _SUM_LO < s < _SUM_HI
+
+
+def _sums_in_range(s) -> bool:
+    # NaN fails both compares, as np.minimum propagates it
+    return _SUM_LO < np.minimum.reduce(s) and np.maximum.reduce(s) < _SUM_HI
+
+
+def _rescale(lw, w, s):
+    """Shift the log-weights of each chain whose lift sum in s is out of
+    range down by their max and redo its weights in place; returns the
+    lift sums, with the redone ones summed in order.  One chain (s a
+    scalar) is a column of one."""
+    out = ~((_SUM_LO < s) & (s < _SUM_HI))
+    part = lw[..., out]
+    part -= np.maximum.reduce(part)
+    lw[..., out] = part
+    np.exp(part, out=part)
+    w[..., out] = part
+    s = np.array(s)
+    s[out] = np.add.accumulate(part)[-1]
+    return s
 
 
 def sgd_l2(grad_oracle, config: OptimizerConfig, rng,

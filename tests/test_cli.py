@@ -241,6 +241,22 @@ def test_bounds_default_grid_and_check(tmp_path):
     assert _run(["bounds", "--check"]) == 0
 
 
+def test_bounds_prints_q_only_where_a_theorem_reads_it(tmp_path):
+    # q is the T5 family's geometry exponent; other rows print nan, as
+    # delta and lemma8_* do for the rows they do not apply to
+    doc = {"theorems": ["T1a", "T3", "T5_linear", "T5_general"], "d": [4], "n": [256],
+           "q": 1.5}
+    out = tmp_path / "b.csv"
+    assert _run(["bounds", "--config", _cfg(tmp_path, "b.json", doc), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    i_q = lines[1].split(",").index("q")
+    q_by_theorem = {}
+    for r in (ln.split(",") for ln in lines[2:] if ln and not ln.startswith("#")):
+        q_by_theorem.setdefault(r[0], set()).add(r[i_q])
+    assert q_by_theorem == {"T1a": {"nan"}, "T3": {"nan"},
+                            "T5_linear": {"1.5"}, "T5_general": {"1.5"}}
+
+
 def test_bounds_bad_config_exits_1(tmp_path):
     cfg = _cfg(tmp_path, "b.json", {"theorems": ["T3"], "eps": [2.0]})
     assert _run(["bounds", "--config", cfg]) == 1

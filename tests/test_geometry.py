@@ -86,6 +86,23 @@ def test_l2_projection_norm_is_linalg_norm_bitwise():
             assert project_l2_ball(v, nrm).tobytes() == v.tobytes()
 
 
+def test_l2_projection_norm_neither_overflows_nor_underflows():
+    # the plain squared norm is inf at 1e200 and 0 at 1e-200, so the ball
+    # test and the rescale went wrong at both ends
+    p = project_l2_ball([1e200, 1e200], 1.0)
+    assert np.allclose(p, [math.sqrt(0.5)] * 2, rtol=1e-15, atol=0)
+    tiny = np.array([3e-200, 4e-200])  # norm 5e-200, 50 radii out
+    p = project_l2_ball(tiny, 1e-201)
+    assert np.allclose(p, [6e-202, 8e-202], rtol=1e-15, atol=0)
+    # strided, beyond the largest float's square root, and at the origin
+    big = np.array([[1e300], [-1e300], [1e300]])[:, 0]
+    assert np.allclose(project_l2_ball(big, 3.0), [math.sqrt(3.0), -math.sqrt(3.0), math.sqrt(3.0)],
+                       rtol=1e-15, atol=0)
+    assert np.array_equal(project_l2_ball(tiny, 6e-200), tiny)
+    assert np.array_equal(project_l2_ball(np.zeros(3), 1e-300), np.zeros(3))
+    assert project_l2_ball(np.zeros(0), 1.0).shape == (0,)
+
+
 def test_projection_input_validation():
     with pytest.raises(ValueError):
         project_l1_ball([1.0, np.nan], 1.0)
@@ -93,6 +110,9 @@ def test_projection_input_validation():
         project_l1_ball([1.0, 2.0], 0.0)
     with pytest.raises(ValueError):
         project_l2_ball([np.inf], 1.0)
+    for bad in ([np.nan, 0.0], [1e200, -np.inf], [1e-200, np.nan], [np.inf, np.nan]):
+        with pytest.raises(ValueError, match="non-finite"):
+            project_l2_ball(bad, 1.0)
 
 
 def test_norm_ball_membership():

@@ -1,10 +1,12 @@
 """Mirror descent and SGD: rates, determinism, and many chains at once."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from privopt import optimizers
 from privopt.channels import make_channel, two_level_constants
 from privopt.geometry import NormBall
 from privopt.losses import DataDist, RiskSpec, make_loss, risk_minimizer, risk_value
@@ -117,7 +119,7 @@ def test_chains_match_single_runs_bitwise():
         cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, r), d, steps, 2.0)
         all_targets = np.random.default_rng(d).uniform(-1.0, 1.0, size=(4, d))
         all_targets[3] = 0.0
-        for chains in (1, 4):
+        for chains in (1, 2, 4):
             targets = all_targets[:chains]
             seen = []
             run = mirror_descent_l1(oracle_for(targets, seen), cfg, 99, chains=chains)
@@ -174,6 +176,81 @@ def test_mirror_descent_matches_log_renormalized_reference(d, chains, r):
     want = _mirror_descent_reference(oracle, cfg, 5, chains=chains)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _replay(grads):
+    """An oracle that answers its t-th query with grads[t], whatever theta."""
+    steps = iter(grads)
+    return lambda theta, rng: next(steps)
+
+
+def _spy_rescales(monkeypatch):
+    """Record, for each rescale, which chains' lift sums were out of range
+    and whether any was below the range."""
+    calls = []
+    inner = optimizers._rescale
+
+    def spy(lw, w, s):
+        calls.append((~((optimizers._SUM_LO < s) & (s < optimizers._SUM_HI)),
+                      bool(np.any(s <= optimizers._SUM_LO))))
+        return inner(lw, w, s)
+
+    monkeypatch.setattr(optimizers, "_rescale", spy)
+    return calls
+
+
+@pytest.mark.parametrize("chains", [None, 50])
+def test_mirror_descent_rescale_matches_reference_and_single_runs(chains, monkeypatch):
+    # a small grad_bound makes each step move the log-weights by up to 4.5,
+    # so a chain with a steady pull leaves the sum's range about every 50
+    # steps and is rescaled; with R = 50 only the even chains pull hard
+    d, n, r = 4, 2048, 1.0
+    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, r), d, n, 0.01)
+    cols = () if chains is None else (chains,)
+    rng = np.random.default_rng(8)
+    grads = np.array([1.0, -0.5, 0.25, 0.0]) + 0.5 * rng.standard_normal((n,) + cols + (d,))
+    hard = np.arange(chains or 1) % 2 == 0
+    if chains is not None:
+        grads[:, ~hard] *= 1e-3
+    calls = _spy_rescales(monkeypatch)
+    got = mirror_descent_l1(_replay(grads), cfg, 0, chains=chains).averaged
+    assert len(calls) >= n // 100
+    rescaled = np.logical_or.reduce([np.atleast_1d(out) for out, _ in calls])
+    assert np.array_equal(rescaled, hard)
+    with np.errstate(divide="ignore"):  # the reference takes the log of 0
+        want = _mirror_descent_reference(_replay(grads), cfg, 0, chains=chains)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    if chains is not None:
+        for row in range(chains):
+            single = mirror_descent_l1(_replay(grads[:, row]), cfg, 0).averaged
+            assert np.array_equal(got[row], single)
+
+
+@pytest.mark.parametrize("chains", [None, 3])
+def test_mirror_descent_survives_one_huge_gradient(chains, monkeypatch):
+    # one gradient of -1e5 overflows the exp of one half of the lift and
+    # flushes the other to 0; the steady pull back afterwards then drags
+    # the sum below the range, so both checks fire, and neither warns
+    d, n = 2, 4096
+    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), d, n, 1.0)
+    cols = () if chains is None else (chains,)
+    grads = np.full((n,) + cols + (d,), 4.0)
+    grads[0] = -1e5
+    if chains is not None:
+        grads[:, 1] = 0.5  # a chain that never leaves the range
+    calls = _spy_rescales(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mirror_descent_l1(_replay(grads), cfg, 0, chains=chains).averaged
+    assert [below for _, below in calls] == [False, True]
+    with np.errstate(divide="ignore"):  # the reference takes the log of 0
+        want = _mirror_descent_reference(_replay(grads), cfg, 0, chains=chains)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    if chains is not None:
+        for row in range(chains):
+            single = mirror_descent_l1(_replay(grads[:, row]), cfg, 0).averaged
+            assert np.array_equal(got[row], single)
 
 
 def test_mirror_descent_rejects_gradients_not_shaped_like_theta():
