@@ -785,29 +785,42 @@ def worst_case_mi(kind: str, d: int, L: float, M: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# JSON config round-trip
+# the channel document: a certify config, and the channel block certify prints
 
 
 def channel_to_json(ch: Channel) -> str:
-    doc = {"kind": ch.kind, "d": ch.d, "L": ch.source.radius,
-           "M_or_eps": None if ch.budget is None else ch.privacy_param}
+    """The channel document: kind, d and L; the budget under its own name,
+    M or eps, for the kinds that have one; bias and noise for biased_demo."""
+    doc = {"kind": ch.kind, "d": ch.d, "L": ch.source.radius}
+    if ch.budget is not None:
+        doc[ch.budget] = ch.privacy_param
     if "bias" in ch.calibration:
         doc["bias"] = list(ch.calibration["bias"])
         doc["noise"] = ch.calibration["noise"]
     return json.dumps(doc, sort_keys=True)
 
 
+def _real(key: str, v) -> float:
+    """v as a float; a bool, a string or null is an error, never a number."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {v!r}")
+    return float(v)
+
+
 def channel_from_json(doc) -> Channel:
+    """The channel a document (a dict or its JSON text) describes, read by
+    the keys channel_to_json writes: kind, d, L (default 1.0), the kind's
+    budget M or eps, bias and noise (default: none and L).  Other keys are
+    ignored.  A missing kind, d or budget raises KeyError; a bool, string
+    or null where a number goes raises ValueError."""
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
     kind = doc["kind"]
     if kind not in CHANNEL_KINDS:
         raise ValueError(f"unknown channel kind {kind!r}")
     budget = _KINDS[kind].budget
-    raw = doc.get("M_or_eps")
-    if budget is None:
-        # documents without a bias vector carry one scalar bias in M_or_eps
-        extra = {"bias": doc.get("bias", raw), "noise": doc.get("noise")}
-    else:
-        extra = {budget: float(raw)}
-    return make_channel(kind, doc["d"], L=float(doc.get("L", 1.0)), **extra)
+    extra = {} if budget is None else {budget: _real(budget, doc[budget])}
+    noise = doc.get("noise")
+    return make_channel(kind, doc["d"], L=_real("L", doc.get("L", 1.0)),
+                        bias=doc.get("bias"),
+                        noise=None if noise is None else _real("noise", noise), **extra)

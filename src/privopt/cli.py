@@ -16,7 +16,8 @@ import sys
 
 import numpy as np
 
-from .channels import channel_to_json, dp_ratio_max, eps_star, make_channel
+from .channels import (channel_from_json, channel_to_json, dp_ratio_max, eps_star,
+                       make_channel)
 from .geometry import NormBall
 from .information import (MI_MC_MIN_N, certificate_for, certify_channel,
                           extreme_point_source, mutual_information_exact, nats_to_bits)
@@ -82,25 +83,13 @@ def _slope(xs, ys):
 # certify
 
 
-def _channel_from_config(cfg: dict):
-    try:
-        return make_channel(
-            kind=cfg["kind"],
-            d=cfg["d"],
-            L=float(cfg.get("L", 1.0)),
-            M=None if cfg.get("M") is None else float(cfg["M"]),
-            eps=None if cfg.get("eps") is None else float(cfg["eps"]),
-            bias=cfg.get("bias"),
-            noise=None if cfg.get("noise") is None else float(cfg["noise"]),
-        )
-    except KeyError as e:
-        raise UsageError(f"certify config needs {e.args[0]!r}") from e
-
-
 def cmd_certify(cfg: dict, seed: int, check: bool) -> tuple:
     if check:
         return _certify_selfcheck()
-    ch = _channel_from_config(cfg)
+    try:
+        ch = channel_from_json(cfg)
+    except KeyError as e:
+        raise UsageError(f"certify config needs {e.args[0]!r}") from e
     n_mc = _as_int("n_mc", cfg.get("n_mc", 10**5))
     if n_mc < MI_MC_MIN_N:
         raise UsageError(f"n_mc must be >= {MI_MC_MIN_N}")

@@ -32,14 +32,10 @@ __all__ = [
     "MiClosedForm",
     "binary_entropy",
     "nats_to_bits",
-    "bits_to_nats",
-    "kl_divergence",
-    "tv_distance",
     "mutual_information_exact",
     "mi_from_conditionals",
     "mi_closed_form",
     "mi_monte_carlo",
-    "information_to_radius",
     "certify_channel",
     "certificate_for",
     "MI_MC_MIN_N",
@@ -50,10 +46,6 @@ _LN2 = math.log(2.0)
 
 def nats_to_bits(x: float) -> float:
     return x / _LN2
-
-
-def bits_to_nats(x: float) -> float:
-    return x * _LN2
 
 
 @dataclass(frozen=True)
@@ -84,33 +76,6 @@ class DiscreteDist:
     def sample_indices(self, rng, size: int) -> np.ndarray:
         rng = np.random.default_rng(rng)
         return rng.choice(len(self.support), size=size, p=self.probs)
-
-
-def _require_same_support(p: DiscreteDist, q: DiscreteDist) -> None:
-    if len(p) != len(q):
-        raise ValueError("mismatched supports")
-    for a, b in zip(p.support, q.support):
-        if a.shape != b.shape or not np.allclose(a, b, rtol=0.0, atol=1e-12):
-            raise ValueError("mismatched supports")
-
-
-def kl_divergence(p: DiscreteDist, q: DiscreteDist) -> float:
-    """KL(p || q) in nats over a shared support enumeration; +inf when
-    absolute continuity fails."""
-    _require_same_support(p, q)
-    total = 0.0
-    for pi, qi in zip(p.probs, q.probs):
-        if pi == 0.0:
-            continue
-        if qi == 0.0:
-            return math.inf
-        total += pi * math.log(pi / qi)
-    return total
-
-
-def tv_distance(p: DiscreteDist, q: DiscreteDist) -> float:
-    _require_same_support(p, q)
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -150,38 +115,6 @@ def mi_closed_form(kind: str, d: int, L: float, M: float) -> MiClosedForm:
         raise ValueError("need d >= 1 and positive L, M")
     upper = d * L * L / (M * M)
     return MiClosedForm(worst_case_mi(kind, d, L, M), upper, 0.5 * upper)
-
-
-def information_to_radius(kind: str, d: int, L: float, I_star: float) -> float:
-    """Invert mi_closed_form(kind, d, L, .).exact = I_star (nats) for M.
-
-    The exact MI is strictly decreasing in M, so bisection applies; the
-    bracket grows geometrically until it straddles I_star.
-    """
-    try:
-        lo = L
-        max_info = mi_closed_form(kind, d, L, lo).exact
-        if I_star == max_info:
-            return L
-    except ValueError:  # the kind needs M > L, or has no closed form
-        lo = L * (1.0 + 1e-12)
-        max_info = mi_closed_form(kind, d, L, lo).exact
-    if not 0.0 < I_star < max_info:
-        raise ValueError(f"I_star out of range (0, {max_info:.6g}) nats")
-    hi = 2.0 * L
-    while mi_closed_form(kind, d, L, hi).exact > I_star:
-        hi *= 2.0
-        if hi > 1e18 * L:
-            raise ValueError("I_star too small to invert")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mi_closed_form(kind, d, L, mid).exact > I_star:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * hi:
-            break
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

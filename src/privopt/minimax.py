@@ -1,4 +1,4 @@
-"""Computable minimax machinery: testing lower bounds (Fano, Le Cam),
+"""Computable minimax machinery: the Fano testing lower bound,
 per-sample information lemmas, and the matched lower/upper risk curves.
 
 The universal constants the theory leaves unspecified are 1, so
@@ -35,15 +35,12 @@ __all__ = [
     "lower_bound",
     "upper_bound",
     "fano_bound",
-    "le_cam_bound",
     "mi_lemma_value",
     "lemma8_constants",
     "default_delta",
     "observation_rows",
     "exact_mi_per_sample",
     "empirical_testing_error",
-    "dp_marginal_kl_bound",
-    "dp_nonint_info_bound",
     "t5_middle_term",
 ]
 
@@ -216,13 +213,6 @@ def fano_bound(mi: float, packing_size: int) -> float:
     return min(1.0, max(0.0, 1.0 - (mi + math.log(2.0)) / math.log(packing_size)))
 
 
-def le_cam_bound(tv: float) -> float:
-    """Binary testing error lower bound 1/2 - tv/2."""
-    if not 0.0 <= tv <= 1.0:
-        raise ValueError("tv must lie in [0, 1]")
-    return min(1.0, max(0.0, 0.5 - 0.5 * tv))
-
-
 # ---------------------------------------------------------------------------
 # per-sample information lemmas
 
@@ -281,20 +271,6 @@ _LEMMAS = {
     "L11": lambda n, delta, d, eps, **_: (n * (25.0 * math.exp(eps) / 16.0) * (delta**2 / d)
                                          * _exp_gap(eps) ** 2),
 }
-
-
-def dp_marginal_kl_bound(eps: float, n: int, tv: float) -> float:
-    """KL(M_v^n || M_w^n) <= 4 n (e^eps - 1)^2 TV(P_v, P_w)^2."""
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
-    return 4.0 * n * (math.exp(eps) - 1.0) ** 2 * tv**2
-
-
-def dp_nonint_info_bound(eps: float, n: int, sup_term: float) -> float:
-    """I(Z^n; V) <= e^eps n (e^eps - e^-eps)^2 sup_S avg_v (P_v(S) - Pbar(S))^2."""
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
-    return math.exp(eps) * n * _exp_gap(eps) ** 2 * sup_term
 
 
 # ---------------------------------------------------------------------------

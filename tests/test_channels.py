@@ -849,8 +849,16 @@ def test_channel_json_round_trip():
         back = channel_from_json(doc)
         assert back.kind == ch.kind and back.d == ch.d
         assert back.source == ch.source and back.target == ch.target
+        # the budget sits under its own name, as a certify config has it
+        keys = {"kind", "d", "L"} | ({ch.budget} if ch.budget else set())
+        if kind == "biased_demo":
+            keys |= {"bias", "noise"}
+        assert set(json.loads(doc)) == keys
         assert json.loads(doc)["kind"] == kind
-        assert "seed" not in json.loads(doc)
+        if ch.budget:
+            assert json.loads(doc)[ch.budget] == ch.privacy_param
+        # a dict reads as its text does
+        assert channel_to_json(channel_from_json(json.loads(doc))) == doc
         x = _input_for(ch, np.random.default_rng(3))
         a = ch.sample(x, rng=np.random.default_rng(1), size=8)
         b = back.sample(x, rng=np.random.default_rng(1), size=8)

@@ -8,7 +8,7 @@ import pytest
 
 import privopt.cli as cli
 import privopt.information as information
-from privopt.channels import Channel
+from privopt.channels import CHANNEL_KINDS, Channel, make_channel
 from privopt.information import InfoReport
 
 
@@ -128,6 +128,58 @@ def test_config_errors_exit_1(tmp_path, capsys):
         assert _run(["certify", "--config", _cfg(tmp_path, "small.json", doc)]) == 1, doc
     assert _run(["frobnicate"]) == 1
     assert capsys.readouterr().err.strip() != ""
+
+
+_KIND_CONFIGS = {
+    "linf_maxent": {"M": 2.0},
+    "l1_maxent": {"M": 3.0},
+    "dp_hypercube": {"eps": 0.5},
+    "dp_linf_sampler": {"eps": 0.5, "L": 2.0},
+    "dp_l2_sampler": {"eps": 1.0},
+    "identity": {},
+    "biased_demo": {"bias": [0.5, -0.25, 0.0], "noise": 0.5},
+}
+
+
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_certify_reads_the_channel_document_it_prints(tmp_path, kind):
+    # the printed channel block is itself a certify config: fed back, it
+    # gives the same exit code and the same output at the same seed
+    first = tmp_path / "first.json"
+    cfg = _cfg(tmp_path, "c.json", {"kind": kind, "d": 3, **_KIND_CONFIGS[kind]})
+    code = _run(["certify", "--config", cfg, "--seed", "5", "--out", str(first)])
+    channel = json.loads(first.read_text())["channel"]
+    budget = make_channel(kind, 3, **_KIND_CONFIGS[kind]).budget
+    keys = {"kind", "d", "L"} | ({budget} if budget else set())
+    if kind == "biased_demo":
+        keys |= {"bias", "noise"}
+    assert set(channel) == keys
+    again = tmp_path / "again.json"
+    assert _run(["certify", "--config", _cfg(tmp_path, "back.json", channel),
+                 "--seed", "5", "--out", str(again)]) == code
+    assert json.loads(again.read_text())["channel"] == channel
+    assert again.read_text() == first.read_text()
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "linf_maxent", "d": 2, "M": True},
+    {"kind": "linf_maxent", "d": 2, "M": "2.0"},
+    {"kind": "linf_maxent", "d": 2, "M": None},
+    {"kind": "dp_hypercube", "d": 2, "eps": "0.5"},
+    {"kind": "dp_hypercube", "d": 2, "eps": True},
+    {"kind": "dp_hypercube", "d": 2, "eps": None},
+    {"kind": "dp_hypercube", "d": 2},
+    {"kind": "dp_hypercube", "d": 2, "eps": 0.5, "L": "1"},
+    {"kind": "dp_hypercube", "d": 2, "eps": 0.5, "L": True},
+    {"kind": "dp_hypercube", "d": 2, "eps": 0.5, "L": None},
+    {"kind": "biased_demo", "d": 2, "noise": True},
+    {"kind": "biased_demo", "d": 2, "noise": "0.5"},
+])
+def test_certify_refuses_non_numbers_for_float_keys(tmp_path, capsys, doc):
+    # a bool, a string or a missing required value is a config error (exit
+    # 1), never read as a number
+    assert _run(["certify", "--config", _cfg(tmp_path, "c.json", doc)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("doc", [

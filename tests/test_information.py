@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import privopt.information as information
 from privopt.channels import (
@@ -21,24 +20,19 @@ from privopt.information import (
     DiscreteDist,
     InfoReport,
     binary_entropy,
-    bits_to_nats,
     certificate_for,
     certify_channel,
     extreme_point_source,
-    information_to_radius,
-    kl_divergence,
     mi_closed_form,
     mi_from_conditionals,
     mi_monte_carlo,
     mutual_information_exact,
     nats_to_bits,
-    tv_distance,
 )
 
 # frozen against an mpmath side computation (40 digits, findroot for gamma)
 LINF_MI_D4_M2 = 0.52324814376454783652
 L1_MI_D3_M2 = 0.37807619957370322485
-KL_BERN_75_50 = 0.13081203594113695913
 
 
 def _uniform_corners(d, L=1.0):
@@ -52,7 +46,6 @@ def test_entropy_and_unit_conversions():
     assert binary_entropy(0.5) == pytest.approx(math.log(2.0), abs=1e-15)
     assert binary_entropy(0.25) == binary_entropy(0.75)
     assert nats_to_bits(math.log(2.0)) == pytest.approx(1.0, abs=1e-15)
-    assert bits_to_nats(nats_to_bits(0.37)) == pytest.approx(0.37, abs=1e-15)
 
 
 def test_discrete_dist_validation():
@@ -65,30 +58,6 @@ def test_discrete_dist_validation():
     idx = u.sample_indices(np.random.default_rng(0), 3000)
     counts = np.bincount(idx, minlength=3) / 3000
     assert np.all(np.abs(counts - 1 / 3) < 4 * math.sqrt((1 / 3) * (2 / 3) / 3000))
-
-
-def test_divergences_on_shared_support():
-    sup = (np.array([0.0]), np.array([1.0]))
-    p = DiscreteDist(sup, (0.75, 0.25))
-    q = DiscreteDist(sup, (0.5, 0.5))
-    assert kl_divergence(p, q) == pytest.approx(KL_BERN_75_50, abs=1e-14)
-    assert kl_divergence(p, p) == pytest.approx(0.0, abs=1e-15)
-    assert tv_distance(p, q) == pytest.approx(0.25, abs=1e-15)
-    # Pinsker
-    assert tv_distance(p, q) <= math.sqrt(0.5 * kl_divergence(p, q)) + 1e-12
-
-
-@given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6),
-       st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6))
-@settings(max_examples=50, deadline=None)
-def test_kl_nonnegative(pw, qw):
-    k = min(len(pw), len(qw))
-    pw, qw = np.array(pw[:k]), np.array(qw[:k])
-    sup = tuple(np.array([float(i)]) for i in range(k))
-    p = DiscreteDist(sup, tuple(pw / pw.sum()))
-    q = DiscreteDist(sup, tuple(qw / qw.sum()))
-    assert kl_divergence(p, q) >= -1e-12
-    assert 0.0 <= tv_distance(p, q) <= 1.0 + 1e-12
 
 
 def test_identity_channel_mi_is_source_entropy():
@@ -182,28 +151,6 @@ def test_closed_form_ordering_and_asymptotics(kind, d, m):
     # the exact value approaches dL^2/(2M^2) from below as M grows
     big = mi_closed_form(kind, d, 1.0, 100.0)
     assert big.exact == pytest.approx(big.asymptotic, rel=2e-2)
-
-
-@pytest.mark.parametrize("kind", ["linf_maxent", "l1_maxent"])
-@pytest.mark.parametrize("d", [1, 2, 5])
-@pytest.mark.parametrize("M", [1.5, 3.0, 20.0])
-def test_information_to_radius_inverts_closed_form(kind, d, M):
-    if kind == "l1_maxent" and d == 1 and M == 1.5:
-        pass  # valid, keep
-    I = mi_closed_form(kind, d, 1.0, M).exact
-    assert information_to_radius(kind, d, 1.0, I) == pytest.approx(M, rel=1e-9)
-
-
-def test_information_to_radius_edges():
-    assert information_to_radius("linf_maxent", 3, 1.0, 3 * math.log(2.0)) == 1.0
-    with pytest.raises(ValueError):
-        information_to_radius("linf_maxent", 3, 1.0, 3 * math.log(2.0) + 0.01)
-    with pytest.raises(ValueError):
-        information_to_radius("l1_maxent", 3, 1.0, math.log(6.0))
-    with pytest.raises(ValueError):
-        information_to_radius("linf_maxent", 3, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        information_to_radius("dp_hypercube", 3, 1.0, 0.4)
 
 
 _BRACKET_CHANNELS = [
@@ -384,7 +331,7 @@ def test_certificates_by_kind():
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_worst_case_mi_read_from_kind_table(kind):
     # the certificate and the closed form read one worst-case MI per M kind;
-    # no other kind has one to certify or invert
+    # no other kind has one
     d, L, M = 3, 1.5, 4.0
     ch = make_channel(kind, d, L=L, M=M, eps=0.3)
     if ch.budget == "M":
@@ -392,8 +339,6 @@ def test_worst_case_mi_read_from_kind_table(kind):
     else:
         with pytest.raises(ValueError):
             mi_closed_form(kind, d, L, M)
-        with pytest.raises(ValueError):
-            information_to_radius(kind, d, L, 0.4)
 
 
 def test_extreme_point_source_shapes():

@@ -16,12 +16,9 @@ from privopt.minimax import (
     BoundSpec,
     TestingInstance as Instance,
     default_delta,
-    dp_marginal_kl_bound,
-    dp_nonint_info_bound,
     empirical_testing_error,
     exact_mi_per_sample,
     fano_bound,
-    le_cam_bound,
     lemma8_constants,
     lower_bound,
     mi_lemma_value,
@@ -176,7 +173,7 @@ def test_t5_middle_term_binding():
     assert t5_middle_term(_spec("T3")) is None
 
 
-def test_fano_and_le_cam():
+def test_fano_bound():
     assert fano_bound(0.0, 16) == pytest.approx(0.75, abs=1e-15)
     assert fano_bound(0.0, 2) == 0.0  # |V| = 2 is always vacuous
     assert fano_bound(100.0, 4) == 0.0
@@ -185,10 +182,6 @@ def test_fano_and_le_cam():
         fano_bound(-0.1, 4)
     with pytest.raises(ValueError):
         fano_bound(0.5, 1)
-    assert le_cam_bound(0.0) == 0.5
-    assert le_cam_bound(1.0) == 0.0
-    with pytest.raises(ValueError):
-        le_cam_bound(1.5)
 
 
 def test_lemma8_constants_pin_and_validation():
@@ -263,18 +256,6 @@ def test_mi_lemma_value_refuses_out_of_range_parameters(lemma, p):
 def test_mi_lemma_value_keeps_the_edges():
     assert mi_lemma_value("L4", n=0, delta=0.5, L=1.0, M=2.0) == 0.0
     assert mi_lemma_value("L7", n=3, delta=0.5, d=2, eps=0.0) == 0.0
-
-
-def test_dp_information_contractions():
-    assert dp_marginal_kl_bound(0.5, 10, 0.2) == \
-        pytest.approx(4 * 10 * (math.exp(0.5) - 1) ** 2 * 0.04)
-    e = math.exp(0.3)
-    assert dp_nonint_info_bound(0.3, 7, 0.01) == \
-        pytest.approx(e * 7 * (e - 1 / e) ** 2 * 0.01)
-    with pytest.raises(ValueError):
-        dp_marginal_kl_bound(-0.1, 1, 0.1)
-    with pytest.raises(ValueError):
-        dp_nonint_info_bound(-0.1, 1, 0.1)
 
 
 def test_default_delta_choices():
