@@ -23,9 +23,10 @@ Three production mechanisms plus plumbing:
 
 One private table has a row per kind: the budget it is built from (M,
 eps or none), its calibration, its draw in two parts, its exact pmf when
-the support is finite, its exact conditional mean E[Z | x] (from the law
-parameters the draw reads, at every d) and, for the M kinds, its
-worst-case MI.  make_channel, the Channel methods, channel_pmf,
+the support is finite with the index of a draw among the pmf's points,
+its exact conditional mean E[Z | x] (from the law parameters the draw
+reads, at every d) and, for the M kinds, its worst-case MI.
+make_channel, the Channel methods, channel_pmf, support_index,
 dp_ratio_max, worst_case_mi and the JSON round trip read the row and do
 not branch on the kind; other modules ask a channel for its budget,
 whether it has a pmf, and its mean.
@@ -79,6 +80,7 @@ __all__ = [
     "SupportPmf",
     "make_channel",
     "channel_pmf",
+    "support_index",
     "channel_to_json",
     "channel_from_json",
     "dp_ratio_max",
@@ -183,6 +185,13 @@ def _l2_halfsphere_mean(d: int) -> float:
 
 
 _BALL_TOL = 1e-9
+
+
+def _real(key: str, v) -> float:
+    """v as a float; a bool, a string or null is an error, never a number."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {v!r}")
+    return float(v)
 
 
 def _checked_rows(x, d: int, ball: NormBall) -> np.ndarray:
@@ -413,6 +422,43 @@ def _biased_pmf(ch, X: np.ndarray) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# support indices: for draws Z (n, d) at one checked input x, the index of
+# each draw among the pmf's points at x, read from the draw alone.  A draw
+# off the support still gets an index in range, so a caller can check it
+# against its point.
+
+
+def _corner_index(up: np.ndarray) -> np.ndarray:
+    # the corner whose +1 coordinates are the True entries of each row of up,
+    # in _corner_matrix order: coordinate j is bit d - 1 - j of the index
+    return up @ (1 << np.arange(up.shape[1] - 1, -1, -1))
+
+
+def _sign_index(ch, x: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    return _corner_index(Z > 0.0)  # the points are B times the sign corners
+
+
+def _l1_index(ch, x: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    # the axis j and the sign: +M e_j is atom j, -M e_j is atom d + j.  An
+    # atom has one nonzero entry, so both sums are exact for it; fmin keeps
+    # the index of any other draw in range
+    d = ch.d
+    j = np.fmin((Z != 0.0) @ np.arange(float(d)), d - 1).astype(np.intp)
+    return j + d * (Z @ np.ones(d) < 0.0)
+
+
+def _identity_index(ch, x: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    return np.zeros(len(Z), dtype=np.intp)
+
+
+def _biased_index(ch, x: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    # the noise corner of z - (x + bias): coordinate j is +1 exactly when z_j
+    # is the point x_j + bias_j + noise, computed as the draw and the pmf do
+    c = x + np.asarray(ch.calibration["bias"])
+    return _corner_index(Z == c + ch.calibration["noise"])
+
+
+# ---------------------------------------------------------------------------
 # exact conditional means E[Z | x] at a checked batch X (R, d), from the law
 # parameters the draws use; no enumeration, so every d
 
@@ -553,10 +599,11 @@ def _identity_calibration(d: int, L: float, *_) -> tuple:
 
 
 def _biased_calibration(d: int, L: float, _, bias, noise) -> tuple:
-    bias_vec = np.zeros(d) if bias is None else np.broadcast_to(
-        np.asarray(bias, dtype=float), (d,)
-    )
-    nse = L if noise is None else float(noise)
+    # each entry of bias passes _real, so a bool or a string is refused
+    b = np.asarray(0.0 if bias is None else bias, dtype=object)
+    vals = np.array([_real("bias", v) for v in b.flat]).reshape(b.shape)
+    bias_vec = np.broadcast_to(vals, (d,))
+    nse = L if noise is None else _real("noise", noise)
     reach = L + float(np.max(np.abs(bias_vec))) + nse
     return np.inf, reach, {"bias": tuple(float(b) for b in bias_vec), "noise": nse}
 
@@ -571,24 +618,26 @@ class _Kind(NamedTuple):
     noise: Callable  # (channel, n, rng) -> tuple of arrays with leading dimension n
     apply: Callable  # (channel, x, *noise) -> (n, d)
     pmf: Optional[Callable]  # (channel, X (R, d)) -> (points, probs (R, k)); None if continuous
+    index: Optional[Callable]  # (channel, x (d,), Z (n, d)) -> each draw's pmf point at x (n,)
     mean: Callable  # (channel, X (R, d)) -> exact E[Z | x] per row (R, d), at every d
     worst_mi: Optional[Callable] = None  # (d, L, M) -> nats, for the M budget only
 
 
 _TWO_LEVEL = _Kind("eps", _two_level_calibration, _two_level_noise, _two_level_apply,
-                   _two_level_pmf, _two_level_mean)
+                   _two_level_pmf, _sign_index, _two_level_mean)
 _KINDS = {
     "linf_maxent": _Kind("M", _linf_calibration, _linf_noise, _linf_apply, _linf_pmf,
-                         _linf_mean, _linf_worst_mi),
-    "l1_maxent": _Kind("M", _l1_calibration, _l1_noise, _l1_apply, _l1_pmf, _l1_mean,
-                       _l1_worst_mi),
+                         _sign_index, _linf_mean, _linf_worst_mi),
+    "l1_maxent": _Kind("M", _l1_calibration, _l1_noise, _l1_apply, _l1_pmf, _l1_index,
+                       _l1_mean, _l1_worst_mi),
     "dp_hypercube": _TWO_LEVEL,
     "dp_linf_sampler": _TWO_LEVEL,
-    "dp_l2_sampler": _Kind("eps", _l2_calibration, _l2_noise, _l2_apply, None, _l2_mean),
+    "dp_l2_sampler": _Kind("eps", _l2_calibration, _l2_noise, _l2_apply, None, None,
+                           _l2_mean),
     "identity": _Kind(None, _identity_calibration, _identity_noise, _identity_apply,
-                      _identity_pmf, _identity_mean),
+                      _identity_pmf, _identity_index, _identity_mean),
     "biased_demo": _Kind(None, _biased_calibration, _biased_noise, _biased_apply, _biased_pmf,
-                         _biased_mean),
+                         _biased_index, _biased_mean),
 }
 CHANNEL_KINDS = tuple(_KINDS)
 
@@ -711,17 +760,18 @@ def make_channel(
 # exact pmfs, ratio checks and the worst-case MI
 
 
-def _first_appearance(a: np.ndarray) -> tuple:
+def _first_appearance(a: np.ndarray, block=None) -> tuple:
     """Distinct rows of a (m, d), compared with == (so 0.0 and -0.0 are one
     row), numbered in order of first appearance: returns (first, col), where
     a[first[j]] is the first row of group j and row i belongs to group
-    col[i]."""
+    col[i].  With block (m,), a nondecreasing label per row, the groups are
+    numbered by the block of their first row, then lexicographically."""
     order = np.lexsort(a.T[::-1])
     s = a[order]
     new = np.ones(len(a), dtype=bool)
     np.any(s[1:] != s[:-1], axis=1, out=new[1:])
     heads = order[new]  # the sort is stable, so each group's first row leads it
-    rank = np.argsort(heads)
+    rank = np.argsort(heads if block is None else block[heads], kind="stable")
     col = np.empty(len(a), dtype=np.intp)
     col[order] = np.argsort(rank)[np.cumsum(new) - 1]
     return heads[rank], col
@@ -757,6 +807,22 @@ def channel_pmf(ch: Channel, x) -> SupportPmf:
     cells = (np.arange(R)[:, None] * m + col.reshape(-1, k)).ravel()
     out = np.bincount(cells, weights=probs.ravel(), minlength=R * m).reshape(R, m)
     return SupportPmf(flat[first], out)
+
+
+def support_index(ch: Channel, x, Z) -> np.ndarray:
+    """The index (n,) of each draw Z (n, d) at one input x among
+    channel_pmf(ch, x).points, read from the draw alone: its signs for the
+    sign-cube kinds, its axis and sign for l1_maxent, its noise corner for
+    biased_demo, 0 for identity.  Each index is in range even when a draw
+    is not one of the points, so compare Z with points[index] to check.
+    x takes the check of Channel.sample."""
+    index = _KINDS[ch.kind].index
+    if index is None:
+        raise ValueError(f"{ch.kind} has continuous support; no support index")
+    x = _checked_rows(x, ch.d, ch.source)
+    if x.ndim != 1:
+        raise ValueError("support_index takes one input x (d,)")
+    return index(ch, x, np.asarray(Z, dtype=float).reshape(-1, ch.d))
 
 
 def dp_ratio_max(ch: Channel, inputs=None) -> float:
@@ -800,13 +866,6 @@ def channel_to_json(ch: Channel) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _real(key: str, v) -> float:
-    """v as a float; a bool, a string or null is an error, never a number."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        raise ValueError(f"{key} must be a number, got {v!r}")
-    return float(v)
-
-
 def channel_from_json(doc) -> Channel:
     """The channel a document (a dict or its JSON text) describes, read by
     the keys channel_to_json writes: kind, d, L (default 1.0), the kind's
@@ -820,7 +879,5 @@ def channel_from_json(doc) -> Channel:
         raise ValueError(f"unknown channel kind {kind!r}")
     budget = _KINDS[kind].budget
     extra = {} if budget is None else {budget: _real(budget, doc[budget])}
-    noise = doc.get("noise")
     return make_channel(kind, doc["d"], L=_real("L", doc.get("L", 1.0)),
-                        bias=doc.get("bias"),
-                        noise=None if noise is None else _real("noise", noise), **extra)
+                        bias=doc.get("bias"), noise=doc.get("noise"), **extra)

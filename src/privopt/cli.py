@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from .channels import (channel_from_json, channel_to_json, dp_ratio_max, eps_star,
-                       make_channel)
+from .channels import (_real, channel_from_json, channel_to_json, dp_ratio_max,
+                       eps_star, make_channel)
 from .geometry import NormBall
 from .information import (MI_MC_MIN_N, certificate_for, certify_channel,
                           extreme_point_source, mutual_information_exact, nats_to_bits)
@@ -70,9 +70,23 @@ def _as_int(key: str, v) -> int:
     return int(v)
 
 
+def _grid(cfg: dict, key: str, default) -> list:
+    """cfg[key], which must be a list even of one entry."""
+    grid = cfg.get(key, default)
+    if not isinstance(grid, list):
+        raise UsageError(f"{key} must be a list, got {grid!r}")
+    return grid
+
+
 def _int_grid(cfg: dict, key: str, default) -> list:
     """cfg[key] as a list of ints, each checked by _as_int."""
-    return [_as_int(key, v) for v in cfg.get(key, default)]
+    return [_as_int(key, v) for v in _grid(cfg, key, default)]
+
+
+def _float_grid(cfg: dict, key: str, default) -> list:
+    """cfg[key] as a list of floats, each checked by channels._real: a bool,
+    a string or a null is a config error, never a number."""
+    return [_real(key, v) for v in _grid(cfg, key, default)]
 
 
 def _slope(xs, ys):
@@ -196,16 +210,15 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
     theorem = "T3" if is_dp else "T1b"  # the bound pair that the swept channel achieves
     d_grid = _int_grid(cfg, "d", [2, 8, 32])
     n_grid = _int_grid(cfg, "n", [2**k for k in range(8, 17)])
-    budget_grid = [float(v) for v in
-                   cfg.get("budget", [0.25, 0.5, 1.0] if is_dp else [2.0, 4.0, 8.0])]
+    budget_grid = _float_grid(cfg, "budget", [0.25, 0.5, 1.0] if is_dp else [2.0, 4.0, 8.0])
     if not (d_grid and n_grid and budget_grid):
         raise UsageError("grids must be non-empty")
     reps = _as_int("reps", cfg.get("reps", 50))
     if reps < 1:
         raise UsageError("reps must be >= 1")
-    delta = float(cfg.get("delta", 0.5))
-    L = float(cfg.get("L", 1.0))
-    r = float(cfg.get("r", 1.0))
+    delta = _real("delta", cfg.get("delta", 0.5))
+    L = _real("L", cfg.get("L", 1.0))
+    r = _real("r", cfg.get("r", 1.0))
     if not is_dp and min(budget_grid) < L:
         raise UsageError("linf_maxent budgets are absolute magnitudes M >= L")
 
@@ -303,13 +316,13 @@ def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
         raise UsageError(f"unknown theorems {bad!r}")
     d_grid = _int_grid(cfg, "d", [2, 8, 32])
     n_grid = sorted(_int_grid(cfg, "n", [256, 4096, 65536]))
-    eps_grid = [float(v) for v in cfg.get("eps", [0.25, 0.5, 1.0])]
-    m_grid = [float(v) for v in cfg.get("M", [2.0, 4.0])]
-    i_grid = [float(v) for v in cfg.get("I_star", [0.25, 1.0])]
-    q = float(cfg.get("q", 2.0))
+    eps_grid = _float_grid(cfg, "eps", [0.25, 0.5, 1.0])
+    m_grid = _float_grid(cfg, "M", [2.0, 4.0])
+    i_grid = _float_grid(cfg, "I_star", [0.25, 1.0])
+    q = _real("q", cfg.get("q", 2.0))
     k = _as_int("k", cfg.get("k", 0))
-    L = float(cfg.get("L", 1.0))
-    r = float(cfg.get("r", 1.0))
+    L = _real("L", cfg.get("L", 1.0))
+    r = _real("r", cfg.get("r", 1.0))
 
     lines = [f"# schema={BOUNDS_SCHEMA}", _BOUNDS_COLUMNS]
     sandwich_ok, monotone_ok = True, True
@@ -349,13 +362,13 @@ def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
 
 
 def cmd_bias_demo(cfg: dict, seed: int, check: bool) -> tuple:
-    b = float(cfg.get("slope", 1.0))
-    r = float(cfg.get("r", 1.0))
+    b = _real("slope", cfg.get("slope", 1.0))
+    r = _real("r", cfg.get("r", 1.0))
     n = _as_int("n", cfg.get("n", 4096))
     if b <= 0.0 or r <= 0.0 or n < 1:
         raise UsageError("slope and r must be positive, n >= 1")
     L = b / 2.0  # the 1-d loss theta -> (b/2) theta has |grad| = b/2
-    M = float(cfg.get("M", 4.0 * L))
+    M = _real("M", cfg.get("M", 4.0 * L))
     grad = np.array([b / 2.0])
     dom = NormBall(2, r)
 

@@ -22,6 +22,7 @@ from .channels import (
     binary_entropy,
     channel_pmf,
     dp_ratio_max,
+    support_index,
     worst_case_mi,
 )
 from .geometry import _corner_matrix
@@ -131,17 +132,6 @@ def _plugin_mi(counts: np.ndarray) -> float:
     return float(vals.sum() / n)
 
 
-def _count_rows(a: np.ndarray) -> tuple:
-    """Distinct rows of a (m, d) and their counts, ordered as np.unique(a,
-    axis=0) orders them: lexicographically, column 0 first, comparing with
-    == (so 0.0 and -0.0 are one row)."""
-    a = a[np.lexsort(a.T[::-1])]
-    new = np.ones(len(a), dtype=bool)
-    np.any(a[1:] != a[:-1], axis=1, out=new[1:])
-    starts = np.flatnonzero(new)
-    return a[starts], np.diff(starts, append=len(a))
-
-
 def _xlogx_step(m: np.ndarray) -> np.ndarray:
     """f(m) - f(m - 1) for f(m) = m log m and m >= 1, without the
     cancellation of the difference; 0 at m = 1."""
@@ -153,12 +143,15 @@ MI_MC_MIN_N = 10**4
 
 def mi_monte_carlo(source: DiscreteDist, ch: Channel, n: int, rng) -> tuple:
     """Plug-in MI estimate (nats) from n sampled (X, Z) pairs, with a
-    grouped delete-one jackknife standard error.
+    grouped delete-one jackknife standard error; ch must have a pmf.
 
     The plug-in is biased upward by roughly (|cells| - 1)/(2n)
     (Miller-Madow), so acceptance comparisons widen by that term.
-    Cost is O(n log n + cells): the draws are counted with numeric sorts,
-    and each leave-one-out value is an O(1) update of the plug-in.
+    Cost is O(n d + cells log cells): support_index maps each draw to its
+    point of the kind's pmf, one bincount per source counts them, one sort
+    of the occupied cells numbers the columns, and each leave-one-out value
+    is an O(1) update of the plug-in.  A draw that is not its point, both
+    rounded to 12 decimals and compared with ==, raises ValueError.
     """
     if n < MI_MC_MIN_N:
         raise ValueError("need n >= 1e4 for a stable plug-in estimate")
@@ -170,15 +163,27 @@ def mi_monte_carlo(source: DiscreteDist, ch: Channel, n: int, rng) -> tuple:
         n_i = int(per_source[i])
         if n_i == 0:
             continue
-        zs = ch.sample(source.support[i], rng=rng, size=n_i)
-        keys, counts = _count_rows(np.round(zs, 12))
-        cell_i.append(np.full(len(counts), i))
-        cell_keys.append(keys)
-        cell_n.append(counts)
-    # columns in order of first appearance, merged across sources by ==
-    first, cell_j = _first_appearance(np.concatenate(cell_keys))
-    counts = np.zeros((len(source), len(first)))
-    counts[np.concatenate(cell_i), cell_j] = np.concatenate(cell_n)
+        x = source.support[i]
+        zs = ch.sample(x, rng=rng, size=n_i)
+        points = channel_pmf(ch, x).points
+        at = support_index(ch, x, zs)
+        # each draw must be its point after the 12-decimal rounding that
+        # absorbs float noise, which matters only when they differ before it
+        if not (np.array_equal(zs, points.take(at, axis=0))
+                or np.array_equal(np.round(zs, 12), np.round(points, 12).take(at, axis=0))):
+            raise ValueError(f"a {ch.kind} draw at source {i} is not a point of its pmf")
+        hits = np.bincount(at, minlength=len(points))
+        hit = np.flatnonzero(hits)
+        cell_i.append(np.full(len(hit), i))
+        cell_keys.append(np.round(points[hit], 12))
+        cell_n.append(hits[hit])
+    # columns merged across sources by == (so 0.0 and -0.0 are one), numbered
+    # by the first source that hits them, then lexicographically
+    rows = np.concatenate(cell_i)
+    first, cols = _first_appearance(np.concatenate(cell_keys), block=rows)
+    m = len(first)
+    counts = np.bincount(rows * m + cols, weights=np.concatenate(cell_n),
+                         minlength=len(source) * m).reshape(len(source), m)
     est = _plugin_mi(counts)
     # Delete-one jackknife, grouped by occupied cell. With f(m) = m log m,
     # n * est = T = sum f(c) + f(n) - sum f(rows) - sum f(cols); deleting

@@ -19,6 +19,7 @@ from privopt.channels import (
     eps_star,
     l1_gamma,
     make_channel,
+    support_index,
     two_level_constants,
 )
 from privopt.geometry import _corner_matrix
@@ -874,3 +875,40 @@ def test_biased_demo_json_keeps_bias_vector_and_noise():
     x = np.array([0.2, -0.4])
     a = ch.sample(x, rng=np.random.default_rng(2), size=8)
     assert np.array_equal(a, back.sample(x, rng=np.random.default_rng(2), size=8))
+
+
+@pytest.mark.parametrize("bias", [True, [0.1, True], np.array([False, False]), "0.5", [None, 0.1]])
+def test_biased_demo_refuses_a_bias_that_is_not_a_number(bias):
+    # a bool, a string or a null is never read as a bias
+    with pytest.raises(ValueError, match="bias must be a number"):
+        make_channel("biased_demo", 2, bias=bias)
+    assert make_channel("biased_demo", 2, bias=np.array([0.25, 0])).calibration["bias"] == (0.25, 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+@pytest.mark.parametrize("kind", CHANNEL_KINDS)
+def test_support_index_names_each_draws_point(kind, d):
+    # each draw is the pmf point its index names, the counts track the pmf,
+    # and a draw off the support still gets an index in range
+    ch = _mk(kind, d)
+    rng = np.random.default_rng(d)
+    x = _input_for(ch, rng)
+    Z = ch.sample(x, rng=rng, size=4000)
+    if not ch.has_pmf:
+        with pytest.raises(ValueError, match="continuous"):
+            support_index(ch, x, Z)
+        return
+    for x in (x, _corner_for(ch, rng)):
+        Z = ch.sample(x, rng=rng, size=4000)
+        pmf = channel_pmf(ch, x)
+        at = support_index(ch, x, Z)
+        assert at.shape == (4000,) and np.array_equal(Z, pmf.points[at])
+        freq = np.bincount(at, minlength=len(pmf.probs)) / 4000
+        assert np.all(np.abs(freq - pmf.probs) <= 5.0 * np.sqrt(pmf.probs / 4000) + 1e-12)
+        Z[0] = 0.5 * Z[0] + 0.1
+        Z[1] = np.nan
+        at = support_index(ch, x, Z)
+        assert np.all((0 <= at) & (at < len(pmf.probs)))
+        assert not np.array_equal(Z[:2], pmf.points[at[:2]])
+    with pytest.raises(ValueError):
+        support_index(ch, np.stack([x, x]), Z)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import privopt.channels as channels
 import privopt.cli as cli
 import privopt.information as information
 from privopt.channels import CHANNEL_KINDS, Channel, make_channel
@@ -95,6 +96,26 @@ def test_certify_residual_violation_exits_2(tmp_path, monkeypatch):
     assert _run(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_certify_reports_a_draw_off_the_support(tmp_path, monkeypatch):
+    # a sampler that moves one draw off its kind's support is caught by the
+    # Monte-Carlo count: certify reports the violation and exits 2
+    row = channels._KINDS["linf_maxent"]
+
+    def shifted(ch, x, *noise):
+        z = row.apply(ch, x, *noise)
+        z[-1, 0] = 0.5 * z[-1, 0]
+        return z
+
+    monkeypatch.setitem(channels._KINDS, "linf_maxent", row._replace(apply=shifted))
+    cfg = _cfg(tmp_path, "c.json", {"kind": "linf_maxent", "d": 3, "M": 2.0,
+                                    "n_mc": 10000})
+    out = tmp_path / "o.json"
+    assert _run(["certify", "--config", cfg, "--out", str(out)]) == 2
+    doc = json.loads(out.read_text())
+    assert doc["report"] is None
+    assert doc["violations"] == ["a linf_maxent draw at source 0 is not a point of its pmf"]
+
+
 def test_config_errors_exit_1(tmp_path, capsys):
     assert _run(["certify", "--config", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"
@@ -180,6 +201,14 @@ def test_certify_refuses_non_numbers_for_float_keys(tmp_path, capsys, doc):
     # 1), never read as a number
     assert _run(["certify", "--config", _cfg(tmp_path, "c.json", doc)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bias", [True, [0.5, True], "0.5", [None, 0.5]])
+def test_certify_refuses_a_bias_that_is_not_a_number(tmp_path, capsys, bias):
+    doc = {"kind": "biased_demo", "d": 2, "bias": bias, "n_mc": 10000}
+    assert _run(["certify", "--config", _cfg(tmp_path, "c.json", doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bias must be a number")
 
 
 @pytest.mark.parametrize("doc", [
@@ -324,6 +353,44 @@ def test_bounds_bad_config_exits_1(tmp_path):
 def test_bounds_invalid_budget_exits_1(tmp_path, doc):
     doc = dict(doc, d=[4], n=[256])
     assert _run(["bounds", "--config", _cfg(tmp_path, "b.json", doc)]) == 1
+
+
+@pytest.mark.parametrize("cmd,doc", [
+    ("bounds", {"r": None}),
+    ("bounds", {"L": True}),
+    ("bounds", {"q": "2.0"}),
+    ("bounds", {"eps": [0.5, True]}),
+    ("bounds", {"M": ["2.0"]}),
+    ("bounds", {"I_star": [None]}),
+    ("bias-demo", {"slope": True, "n": 64}),
+    ("bias-demo", {"slope": "1.0", "n": 64}),
+    ("bias-demo", {"r": None, "n": 64}),
+    ("bias-demo", {"M": True, "n": 64}),
+    ("tradeoff", {"d": [2], "n": [256], "reps": 2, "budget": [True]}),
+    ("tradeoff", {"d": [2], "n": [256], "reps": 2, "budget": [0.5], "delta": None}),
+    ("tradeoff", {"d": [2], "n": [256], "reps": 2, "budget": [0.5], "L": "1.0"}),
+    ("tradeoff", {"d": [2], "n": [256], "reps": 2, "budget": [0.5], "r": True}),
+], ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={v[k]!r}" for k in v
+                                                        if k not in ("d", "n", "reps")))
+def test_float_settings_refuse_non_numbers(tmp_path, capsys, cmd, doc):
+    # a bool, a string or a null where a number goes is a config error (exit
+    # 1 with a message), never read as a number and never a traceback
+    assert _run([cmd, "--config", _cfg(tmp_path, "c.json", doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "must be a number" in err
+
+
+@pytest.mark.parametrize("cmd,doc", [
+    ("bounds", {"eps": 0.5}),
+    ("bounds", {"d": 4}),
+    ("tradeoff", {"d": [2], "n": 256, "reps": 2, "budget": [0.5]}),
+    ("tradeoff", {"d": [2], "n": [256], "reps": 2, "budget": 0.5}),
+], ids=["bounds-eps", "bounds-d", "tradeoff-n", "tradeoff-budget"])
+def test_grid_settings_must_be_lists(tmp_path, capsys, cmd, doc):
+    # a grid given as one number is a config error, not a traceback
+    assert _run([cmd, "--config", _cfg(tmp_path, "c.json", doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "must be a list" in err
 
 
 def test_bias_demo_payload_and_check(tmp_path):

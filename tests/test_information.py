@@ -246,6 +246,8 @@ _MC_CHANNELS = (
     + [("dp_hypercube", d, {"eps": 0.5}) for d in (1, 2, 3, 4)]
     + [("l1_maxent", d, {"M": 2.0}) for d in (1, 2, 4, 8)]
     + [("identity", 3, {})]
+    + [("dp_linf_sampler", 3, {"eps": 0.5}), ("biased_demo", 2, {"bias": 0.2, "noise": 0.5}),
+       ("l1_maxent", 16, {"M": 2.0})]
 )
 
 
@@ -284,34 +286,49 @@ def test_mi_monte_carlo_evaluates_plugin_once(monkeypatch):
     assert len(calls) == 1
 
 
-class _SignedZeroChannel:
-    """Emits (x + b, z) with b a fair bit and z = 0.0, or with signed_zero a
-    fair-coin -0.0 / 0.0: the sign carries no information and == ignores it."""
-
-    def __init__(self, signed_zero):
-        self.signed_zero = signed_zero
-
-    def sample(self, x, rng=None, size=None):
-        b = rng.integers(0, 2, size)
-        z = np.where(rng.random(size) < 0.5, -0.0, 0.0)
-        return np.column_stack([x[0] + b, z if self.signed_zero else np.abs(z)])
+def _signed_zero_source(signed):
+    # the second and third points differ from unsigned ones only in the sign
+    # of their zeros; the last is rare
+    z = -0.0 if signed else 0.0
+    pts = ([0.0, 0.0], [z, z], [1.0, z], [5.0, 0.0])
+    return DiscreteDist(tuple(np.array(p) for p in pts), (0.3, 0.2, 0.4999, 0.0001))
 
 
 def test_mi_monte_carlo_dedupe_edge_cases():
-    src = DiscreteDist(tuple(np.array([v]) for v in (0.0, 1.0, 5.0)),
-                       (0.5, 0.4999, 0.0001))
+    # identity draws each source point itself, so signed zeros reach the
+    # draws; the sign carries no information and == ignores it
+    ch = make_channel("identity", 2, L=5.0)
+    src = _signed_zero_source(True)
     seed, n = 3, 10_000
     # this seed draws the rare source exactly once
-    assert np.bincount(src.sample_indices(np.random.default_rng(seed), n))[2] == 1
-    signed = mi_monte_carlo(src, _SignedZeroChannel(True), n, np.random.default_rng(seed))
+    assert np.bincount(src.sample_indices(np.random.default_rng(seed), n))[3] == 1
+    signed = mi_monte_carlo(src, ch, n, np.random.default_rng(seed))
     ref_est, ref_se, counts = _grouped_loop_mi_monte_carlo(
-        src, _SignedZeroChannel(True), n, np.random.default_rng(seed))
-    # 0.0 and -0.0 share a column: first coordinates 0, 1, 2 and one of 5, 6
-    assert counts.shape == (3, 4)
+        src, ch, n, np.random.default_rng(seed))
+    # 0.0 and -0.0 share a column: the draws are (0, 0), (1, 0) and (5, 0)
+    assert counts.shape == (4, 3)
     assert signed[0] == ref_est
     assert signed[1] == pytest.approx(ref_se, rel=1e-10, abs=0.0)
-    assert signed == mi_monte_carlo(src, _SignedZeroChannel(False), n,
+    assert signed == mi_monte_carlo(_signed_zero_source(False), ch, n,
                                     np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("kind,budget", [("linf_maxent", {"M": 2.0}),
+                                         ("dp_hypercube", {"eps": 0.1}),
+                                         ("l1_maxent", {"M": 2.0})])
+def test_mi_monte_carlo_sorts_do_not_grow_with_sources(monkeypatch, kind, budget):
+    # the draws are counted on the kind's support, not sorted per source, so
+    # a run makes as many sorts at d = 5 as at d = 7, with more sources there
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    per_d = []
+    for d in (5, 7):
+        ch = make_channel(kind, d, **budget)
+        sorts.clear()
+        mi_monte_carlo(extreme_point_source(ch), ch, 10_000, np.random.default_rng(0))
+        per_d.append(len(sorts))
+    assert per_d[0] == per_d[1] >= 1
 
 
 def test_certificates_by_kind():
