@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -194,23 +195,45 @@ def _averaged_chains(spec: RiskSpec, channel, steps, reps, rng) -> np.ndarray:
     return mirror_descent_l1(as_grad_oracle(stream), cfg, rng, chains=reps).averaged
 
 
+class _Family(NamedTuple):
+    """What a swept channel kind sets in a tradeoff grid."""
+
+    theorem: str  # the bound pair it achieves; THEOREM_BUDGET names its make_channel keyword
+    budgets: list  # the default budget grid
+    refuses_from: Callable  # d -> the budget from which make_channel refuses (eps_star, or inf)
+    floor: Callable  # L -> the least budget a grid may hold
+    info: Callable  # channel -> per-sample information; the baseline runs n info / d steps
+    checks_budget_slope: bool  # whether --check also holds the budget slope band
+
+
+_FAMILIES = {
+    "dp_hypercube": _Family("T3", [0.25, 0.5, 1.0], eps_star, lambda L: -math.inf,
+                            lambda ch: ch.privacy_param**2, True),
+    "linf_maxent": _Family("T1b", [2.0, 4.0, 8.0], lambda d: math.inf, lambda L: L,
+                           lambda ch: certificate_for(ch).level, False),
+}
+
 _TRADEOFF_COLUMNS = (
     "kind,loss,d,n,budget,eps_star,status,reps,risk_mean,risk_std,"
     "lower,upper,effective_n,nonprivate_risk_mean,np_ratio"
 )
 
+# the row of a cell whose budget the family's channel refuses
+_REFUSED = dict(status="eps_over_star", **dict.fromkeys(
+    ("risk_mean", "risk_std", "lower", "upper", "effective_n", "np_mean"), math.nan))
+
 
 def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
     kind = cfg.get("kind", "dp_hypercube")
-    if kind not in ("dp_hypercube", "linf_maxent"):
-        raise UsageError(f"tradeoff supports dp_hypercube or linf_maxent, not {kind!r}")
+    if kind not in tuple(_FAMILIES):  # a tuple, so an unhashable kind is refused too
+        raise UsageError(f"tradeoff supports {' or '.join(_FAMILIES)}, not {kind!r}")
     if cfg.get("loss", "median") != "median":
         raise UsageError("tradeoff sweeps run the median loss")
-    is_dp = kind == "dp_hypercube"
-    theorem = "T3" if is_dp else "T1b"  # the bound pair that the swept channel achieves
+    fam = _FAMILIES[kind]
+    name = THEOREM_BUDGET[fam.theorem]
     d_grid = _int_grid(cfg, "d", [2, 8, 32])
     n_grid = _int_grid(cfg, "n", [2**k for k in range(8, 17)])
-    budget_grid = _float_grid(cfg, "budget", [0.25, 0.5, 1.0] if is_dp else [2.0, 4.0, 8.0])
+    budget_grid = _float_grid(cfg, "budget", fam.budgets)
     if not (d_grid and n_grid and budget_grid):
         raise UsageError("grids must be non-empty")
     reps = _as_int("reps", cfg.get("reps", 50))
@@ -219,49 +242,39 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
     delta = _real("delta", cfg.get("delta", 0.5))
     L = _real("L", cfg.get("L", 1.0))
     r = _real("r", cfg.get("r", 1.0))
-    if not is_dp and min(budget_grid) < L:
-        raise UsageError("linf_maxent budgets are absolute magnitudes M >= L")
+    if min(budget_grid) < fam.floor(L):
+        raise UsageError(f"{kind} budgets are absolute magnitudes {name} >= L")
 
     lines = [f"# schema={TRADEOFF_SCHEMA}", _TRADEOFF_COLUMNS]
     rows = []
-    idx = 0
     for d in d_grid:
         spec = _median_spec(d, delta, L, r)
         best = risk_minimizer(spec).value
         start_gap = risk_value(spec, np.zeros(d)) - best
+        es = fam.refuses_from(d)
         for n in n_grid:
             for budget in budget_grid:
-                rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-                idx += 1
-                es = eps_star(d) if is_dp else math.inf
-                if is_dp and budget >= es:
-                    rows.append(dict(d=d, n=n, budget=budget, eps_star=es,
-                                     status="eps_over_star", risk_mean=math.nan,
-                                     risk_std=math.nan, lower=math.nan,
-                                     upper=math.nan, effective_n=math.nan,
-                                     np_mean=math.nan, start_gap=start_gap))
+                # each cell appends one row, so the k-th cell draws stream [seed, k]
+                rng = np.random.default_rng(np.random.SeedSequence([seed, len(rows)]))
+                cell = dict(d=d, n=n, budget=budget, eps_star=es, start_gap=start_gap)
+                if budget >= es:
+                    rows.append(dict(cell, **_REFUSED))
                     continue
-                ch = (make_channel(kind, d, L=L, eps=budget) if is_dp
-                      else make_channel(kind, d, L=L, M=budget))
+                ch = make_channel(kind, d, L=L, **{name: budget})
                 avg = _averaged_chains(spec, ch, n, reps, rng)
                 gaps = np.array([risk_value(spec, a) - best for a in avg])
-                if is_dp:
-                    eff = max(1, int(n * budget**2 / d))
-                else:
-                    eff = max(1, int(n * certificate_for(ch).level / d))
+                eff = max(1, int(n * fam.info(ch) / d))
                 np_avg = _averaged_chains(spec, make_channel("identity", d, L=L),
                                           eff, reps, rng)
                 np_mean = float(np.mean([risk_value(spec, a) - best for a in np_avg]))
                 try:
-                    bs = BoundSpec(theorem, d, n, L, r, **{THEOREM_BUDGET[theorem]: budget})
+                    bs = BoundSpec(fam.theorem, d, n, L, r, **{name: budget})
                     lo, up = lower_bound(bs), upper_bound(bs)
                 except ValueError:
                     lo, up = math.nan, math.nan
-                rows.append(dict(d=d, n=n, budget=budget, eps_star=es, status="ok",
-                                 risk_mean=float(gaps.mean()),
+                rows.append(dict(cell, status="ok", risk_mean=float(gaps.mean()),
                                  risk_std=float(gaps.std(ddof=1)) if reps > 1 else math.nan,
-                                 lower=lo, upper=up, effective_n=eff,
-                                 np_mean=np_mean, start_gap=start_gap))
+                                 lower=lo, upper=up, effective_n=eff, np_mean=np_mean))
     for row in rows:
         ratio = row["risk_mean"] / row["np_mean"] if row["np_mean"] else math.nan
         lines.append(",".join(_fmt(v) for v in (
@@ -271,32 +284,26 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
         )))
 
     # log-log rate fits over unsaturated valid cells
-    def usable(row):
-        return (row["status"] == "ok" and row["risk_mean"] > 0.0
-                and row["risk_mean"] <= SATURATION_FRACTION * row["start_gap"])
+    def slopes(x, fixed, grid):
+        """One fit of risk against row[x] per (d, fixed value) with >= 3 usable cells."""
+        out = []
+        for d in d_grid:
+            for v in grid:
+                pts = [(row[x], row["risk_mean"]) for row in rows
+                       if row["d"] == d and row[fixed] == v and row["status"] == "ok"
+                       and 0.0 < row["risk_mean"] <= SATURATION_FRACTION * row["start_gap"]]
+                if len(pts) >= 3:
+                    out.append(_slope(*zip(*pts)))
+                    lines.append(f"# fit,slope_{x},d={d},{fixed}={_fmt(v)},slope={_fmt(out[-1])}")
+        return out
 
-    slope_n, slope_budget = [], []
-    for d in d_grid:
-        for budget in budget_grid:
-            pts = [(row["n"], row["risk_mean"]) for row in rows
-                   if row["d"] == d and row["budget"] == budget and usable(row)]
-            if len(pts) >= 3:
-                s = _slope(*zip(*pts))
-                slope_n.append(s)
-                lines.append(f"# fit,slope_n,d={d},budget={_fmt(budget)},slope={_fmt(s)}")
-    for d in d_grid:
-        for n in n_grid:
-            pts = [(row["budget"], row["risk_mean"]) for row in rows
-                   if row["d"] == d and row["n"] == n and usable(row)]
-            if len(pts) >= 3:
-                s = _slope(*zip(*pts))
-                slope_budget.append(s)
-                lines.append(f"# fit,slope_budget,d={d},n={n},slope={_fmt(s)}")
+    slope_n = slopes("n", "budget", budget_grid)
+    slope_budget = slopes("budget", "n", n_grid)
     code = 0
     if check:
         ok_n = bool(slope_n) and all(-0.6 <= s <= -0.4 for s in slope_n)
-        ok_b = (not is_dp) or (bool(slope_budget)
-                               and all(-1.15 <= s <= -0.85 for s in slope_budget))
+        ok_b = (not fam.checks_budget_slope) or (bool(slope_budget)
+                                                 and all(-1.15 <= s <= -0.85 for s in slope_budget))
         code = 0 if (ok_n and ok_b) else 3
     return "\n".join(lines) + "\n", code
 
@@ -310,7 +317,7 @@ _BOUNDS_COLUMNS = ("theorem,d,n,budget_kind,budget,q,delta,lower,upper,"
 
 
 def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
-    theorems = cfg.get("theorems", list(THEOREMS))
+    theorems = _grid(cfg, "theorems", list(THEOREMS))
     bad = [t for t in theorems if t not in THEOREMS]
     if bad:
         raise UsageError(f"unknown theorems {bad!r}")
@@ -375,10 +382,15 @@ def cmd_bias_demo(cfg: dict, seed: int, check: bool) -> tuple:
     biased_ch = make_channel("biased_demo", 1, L=L, bias=(-b,))
     biased_cfg = OptimizerConfig("sgd_l2", dom, 1, n,
                                  grad_bound=biased_ch.target.radius)
-    run_b = sgd_l2(lambda th, gen: biased_ch.sample(grad, rng=gen),
-                   biased_cfg, np.random.default_rng(np.random.SeedSequence([seed, 0])),
-                   record_iterates=True)
-    final_theta = float(run_b.iterates[-1][0])
+    last = [0.0]  # the biased run's final iterate is the last theta its oracle is handed
+
+    def biased_oracle(th, gen):
+        last[0] = float(th[0])
+        return biased_ch.sample(grad, rng=gen)
+
+    run_b = sgd_l2(biased_oracle, biased_cfg,
+                   np.random.default_rng(np.random.SeedSequence([seed, 0])))
+    final_theta = last[0]
 
     unbiased_ch = make_channel("linf_maxent", 1, L=L, M=M)
     unbiased_cfg = OptimizerConfig("sgd_l2", dom, 1, n, grad_bound=M)

@@ -59,7 +59,6 @@ class OptimizerConfig:
 @dataclass(frozen=True)
 class OptimizerRun:
     averaged: np.ndarray
-    iterates: np.ndarray | None = None
 
 
 def step_size_for(method: str, domain: NormBall, grad_bound: float, n: int,
@@ -192,19 +191,16 @@ def _rescale(lw, w, s):
     return s
 
 
-def sgd_l2(grad_oracle, config: OptimizerConfig, rng,
-           record_iterates: bool = False) -> OptimizerRun:
-    """Projected SGD on the l2 ball, step r2/(M2 sqrt(t)), averaged."""
+def sgd_l2(grad_oracle, config: OptimizerConfig, rng) -> OptimizerRun:
+    """Projected SGD on the l2 ball, step r2/(M2 sqrt(t)), averaged over the
+    n iterates its oracle is handed: the init counts, the last step's point not."""
     gen = _prepare(config, rng, "sgd_l2", 2)
     d, n, r = config.dim, config.steps, config.domain.radius
     base = step_size_for("sgd_l2", config.domain, config.grad_bound, n, d)
     theta = np.zeros(d)
     total = np.zeros(d)
-    trace = np.empty((n, d)) if record_iterates else None
     for t in range(n):
-        if record_iterates:
-            trace[t] = theta
         total += theta
         g = np.asarray(grad_oracle(theta, gen), dtype=float)
         theta = project_l2_ball(theta - (base / math.sqrt(t + 1.0)) * g, r)
-    return OptimizerRun(total / n, trace)
+    return OptimizerRun(total / n)

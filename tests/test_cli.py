@@ -303,6 +303,62 @@ def test_tradeoff_linf_kind(tmp_path):
     assert all(math.isinf(float(r[header.index("eps_star")])) for r in body)
 
 
+@pytest.mark.parametrize("doc,msg", [
+    ({"kind": ["dp_hypercube"]}, "tradeoff supports dp_hypercube or linf_maxent"),
+    ({"kind": "l1_maxent"}, "tradeoff supports dp_hypercube or linf_maxent"),
+    ({"loss": "hinge"}, "tradeoff sweeps run the median loss"),
+    ({"kind": "linf_maxent", "budget": [0.5, 2.0]},
+     "linf_maxent budgets are absolute magnitudes M >= L"),
+], ids=["kind-list", "kind-l1_maxent", "loss-hinge", "linf-budget-below-L"])
+def test_tradeoff_refusals_exit_1_before_any_chain(tmp_path, capsys, monkeypatch, doc, msg):
+    # an unswept family, loss or budget is a config error: one error line,
+    # no traceback, and no chain run first
+    calls = []
+    monkeypatch.setattr(cli, "_averaged_chains", lambda *a: calls.append(a))
+    assert _run(["tradeoff", "--config", _cfg(tmp_path, "t.json", doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {msg}") and err.count("\n") == 1
+    assert calls == []
+
+
+def test_tradeoff_linf_grid_runs_every_cell_from_M_equal_L(tmp_path):
+    # the linf family has no eps_star, and its floor M >= L is inclusive:
+    # every row is run, with eps_star = inf, also at d = 8 where every
+    # budget here is above the dp family's threshold
+    doc = {"kind": "linf_maxent", "d": [2, 8], "n": [256], "budget": [1.0, 64.0],
+           "reps": 2}
+    out = tmp_path / "t.csv"
+    assert _run(["tradeoff", "--config", _cfg(tmp_path, "t.json", doc),
+                 "--out", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()
+            if ln and not ln.startswith("#")]
+    header, body = rows[0], rows[1:]
+    assert len(body) == 4
+    assert [r[header.index("eps_star")] for r in body] == ["inf"] * 4
+    assert [r[header.index("status")] for r in body] == ["ok"] * 4
+
+
+def test_tradeoff_families_match_the_channel_and_theorem_tables():
+    # each swept family's theorem reads the budget its channel is built
+    # from, and each default budget is either constructible at d = 2 or
+    # at or above the family's refusal threshold there
+    assert set(cli._FAMILIES) <= set(CHANNEL_KINDS)
+    for kind, fam in cli._FAMILIES.items():
+        name = cli.THEOREM_BUDGET[fam.theorem]
+        assert fam.budgets and all(b >= fam.floor(1.0) for b in fam.budgets)
+        built = 0
+        for b in fam.budgets:
+            if b >= fam.refuses_from(2):
+                with pytest.raises(ValueError):
+                    make_channel(kind, 2, L=1.0, **{name: b})
+                continue
+            ch = make_channel(kind, 2, L=1.0, **{name: b})
+            assert ch.budget == name and ch.privacy_param == b
+            assert fam.info(ch) > 0.0
+            built += 1
+        assert built >= 1, kind
+
+
 def test_bounds_default_grid_and_check(tmp_path):
     out = tmp_path / "b.csv"
     assert _run(["bounds", "--out", str(out)]) == 0
@@ -383,11 +439,14 @@ def test_float_settings_refuse_non_numbers(tmp_path, capsys, cmd, doc):
 @pytest.mark.parametrize("cmd,doc", [
     ("bounds", {"eps": 0.5}),
     ("bounds", {"d": 4}),
+    ("bounds", {"theorems": 5}),
+    ("bounds", {"theorems": "T1a"}),
     ("tradeoff", {"d": [2], "n": 256, "reps": 2, "budget": [0.5]}),
     ("tradeoff", {"d": [2], "n": [256], "reps": 2, "budget": 0.5}),
-], ids=["bounds-eps", "bounds-d", "tradeoff-n", "tradeoff-budget"])
+], ids=["bounds-eps", "bounds-d", "bounds-theorems-number", "bounds-theorems-string",
+        "tradeoff-n", "tradeoff-budget"])
 def test_grid_settings_must_be_lists(tmp_path, capsys, cmd, doc):
-    # a grid given as one number is a config error, not a traceback
+    # a grid given as one number or string is a config error, not a traceback
     assert _run([cmd, "--config", _cfg(tmp_path, "c.json", doc)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "must be a list" in err

@@ -74,11 +74,18 @@ def test_sgd_quadratic_rate():
     f_star = 0.0
     gap = lambda th: 0.5 * float((th - a) @ (th - a)) - f_star
     cfg = OptimizerConfig("sgd_l2", NormBall(2, r), 2, n, 4.0)
-    run = sgd_l2(lambda theta, rng: theta - a, cfg, 0, record_iterates=True)
+    seen = []
+
+    def oracle(theta, rng):  # the oracle sees every iterate theta_t
+        seen.append(theta.copy())
+        return theta - a
+
+    run = sgd_l2(oracle, cfg, 0)
+    iterates = np.array(seen)
     assert gap(run.averaged) <= 3.0 * r * 4.0 / math.sqrt(n)
-    assert np.all(np.linalg.norm(run.iterates, axis=1) <= r + 1e-9)
-    assert np.allclose(run.iterates.mean(axis=0), run.averaged, atol=1e-12)
-    assert run.iterates[0] @ run.iterates[0] == 0.0
+    assert np.all(np.linalg.norm(iterates, axis=1) <= r + 1e-9)
+    assert np.allclose(iterates.mean(axis=0), run.averaged, atol=1e-12)
+    assert iterates[0] @ iterates[0] == 0.0
 
 
 def test_noisy_oracle_still_converges():
