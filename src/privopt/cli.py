@@ -186,12 +186,16 @@ def _median_spec(d, delta, L, r) -> RiskSpec:
     )
 
 
+def _chain_config(spec: RiskSpec, channel, steps) -> OptimizerConfig:
+    return OptimizerConfig("mirror_descent_l1", spec.domain, channel.d, steps,
+                           grad_bound=channel.target.radius)
+
+
 def _averaged_chains(spec: RiskSpec, channel, steps, reps, rng) -> np.ndarray:
     """reps mirror-descent chains over a population stream through channel,
     stepped together on one rng; returns their (reps, d) averaged iterates."""
     stream = PrivateGradStream.from_population(spec.data, spec.loss, channel, rng=rng)
-    cfg = OptimizerConfig("mirror_descent_l1", spec.domain, channel.d, steps,
-                          grad_bound=channel.target.radius)
+    cfg = _chain_config(spec, channel, steps)
     return mirror_descent_l1(as_grad_oracle(stream), cfg, rng, chains=reps).averaged
 
 
@@ -245,8 +249,10 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
     if min(budget_grid) < fam.floor(L):
         raise UsageError(f"{kind} budgets are absolute magnitudes {name} >= L")
 
-    lines = [f"# schema={TRADEOFF_SCHEMA}", _TRADEOFF_COLUMNS]
-    rows = []
+    # every cell's spec and channel are built, and its chain config checked,
+    # in grid order before the first cell runs: a bad d or n entry fails
+    # with the error its cell would raise, and no cell before it runs
+    cells = []
     for d in d_grid:
         spec = _median_spec(d, delta, L, r)
         best = risk_minimizer(spec).value
@@ -254,27 +260,34 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
         es = fam.refuses_from(d)
         for n in n_grid:
             for budget in budget_grid:
-                # each cell appends one row, so the k-th cell draws stream [seed, k]
-                rng = np.random.default_rng(np.random.SeedSequence([seed, len(rows)]))
                 cell = dict(d=d, n=n, budget=budget, eps_star=es, start_gap=start_gap)
-                if budget >= es:
-                    rows.append(dict(cell, **_REFUSED))
-                    continue
-                ch = make_channel(kind, d, L=L, **{name: budget})
-                avg = _averaged_chains(spec, ch, n, reps, rng)
-                gaps = np.array([risk_value(spec, a) - best for a in avg])
-                eff = max(1, int(n * fam.info(ch) / d))
-                np_avg = _averaged_chains(spec, make_channel("identity", d, L=L),
-                                          eff, reps, rng)
-                np_mean = float(np.mean([risk_value(spec, a) - best for a in np_avg]))
-                try:
-                    bs = BoundSpec(fam.theorem, d, n, L, r, **{name: budget})
-                    lo, up = lower_bound(bs), upper_bound(bs)
-                except ValueError:
-                    lo, up = math.nan, math.nan
-                rows.append(dict(cell, status="ok", risk_mean=float(gaps.mean()),
-                                 risk_std=float(gaps.std(ddof=1)) if reps > 1 else math.nan,
-                                 lower=lo, upper=up, effective_n=eff, np_mean=np_mean))
+                ch = None if budget >= es else make_channel(kind, d, L=L, **{name: budget})
+                if ch is not None:
+                    _chain_config(spec, ch, n)
+                cells.append((spec, best, ch, cell))
+
+    lines = [f"# schema={TRADEOFF_SCHEMA}", _TRADEOFF_COLUMNS]
+    rows = []
+    for spec, best, ch, cell in cells:
+        # each cell appends one row, so the k-th cell draws stream [seed, k]
+        rng = np.random.default_rng(np.random.SeedSequence([seed, len(rows)]))
+        if ch is None:
+            rows.append(dict(cell, **_REFUSED))
+            continue
+        d, n, budget = cell["d"], cell["n"], cell["budget"]
+        avg = _averaged_chains(spec, ch, n, reps, rng)
+        gaps = np.array([risk_value(spec, a) - best for a in avg])
+        eff = max(1, int(n * fam.info(ch) / d))
+        np_avg = _averaged_chains(spec, make_channel("identity", d, L=L), eff, reps, rng)
+        np_mean = float(np.mean([risk_value(spec, a) - best for a in np_avg]))
+        try:
+            bs = BoundSpec(fam.theorem, d, n, L, r, **{name: budget})
+            lo, up = lower_bound(bs), upper_bound(bs)
+        except ValueError:
+            lo, up = math.nan, math.nan
+        rows.append(dict(cell, status="ok", risk_mean=float(gaps.mean()),
+                         risk_std=float(gaps.std(ddof=1)) if reps > 1 else math.nan,
+                         lower=lo, upper=up, effective_n=eff, np_mean=np_mean))
     for row in rows:
         ratio = row["risk_mean"] / row["np_mean"] if row["np_mean"] else math.nan
         lines.append(",".join(_fmt(v) for v in (

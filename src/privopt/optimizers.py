@@ -9,6 +9,14 @@ given (config, seed).
 grad_oracle contract: callable(theta, rng) -> subgradient estimate with
 E[g | theta] in the population subdifferential.  The rng argument is the
 run's own generator; oracles backed by a private stream may ignore it.
+An oracle may also answer ahead, as the stream oracles of
+protocol.as_grad_oracle do: oracle.ahead(theta, most) -> (Z, settle), Z
+(k, *theta.shape) the answers to the next 1 <= k <= most queries all asked
+at theta, and settle(thetas) -> m, given the thetas queries 1..j < k would
+really be asked at, consumes and returns the m >= 1 leading answers equal
+bit for bit to those the calls would give.  mirror_descent_l1 then steps
+k queries at once and keeps m of them, capping each window at twice the
+last m, so at most 3n answers are computed over n steps.
 """
 
 from __future__ import annotations
@@ -90,7 +98,9 @@ def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
     """Entropic mirror descent over the l1 ball of radius r.
 
     PARAMETERS
-      grad_oracle : callable(theta, rng) -> array shaped like theta
+      grad_oracle : callable(theta, rng) -> array shaped like theta; one
+                    that answers ahead is stepped mostly a window at a
+                    time (_window), to the same bits
       config      : method must be mirror_descent_l1; grad_bound is M_inf
       rng         : integer seed or np.random.Generator
       chains      : None steps one chain with theta of shape (dim,); an
@@ -132,34 +142,102 @@ def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
     eta = step_size_for("mirror_descent_l1", config.domain, config.grad_bound, n, d)
     cols = () if chains is None else (int(chains),)
     lw = np.full((2 * d,) + cols, -math.log(2 * d))  # log-weights on the lift, uniform
-    w = np.empty_like(lw)
-    g = np.empty((d,) + cols)  # the scaled gradient
-    lw_u, lw_v, w_u, w_v = lw[:d], lw[d:], w[:d], w[d:]
     theta = np.zeros((d,) + cols)
     total = np.zeros((d,) + cols)
     many = chains is not None and chains > 1  # then s is reduced along a slow axis (see LAYOUT)
+    step = eta * r
+    w = np.empty_like(lw)
+    g = np.empty((d,) + cols)  # the scaled gradient
+    lw_u, lw_v, w_u, w_v = lw[:d], lw[d:], w[:d], w[d:]
     s, acc = (np.empty(cols), None) if many else (None, np.empty_like(lw))
     in_range = _sum_in_range if chains is None else _sums_in_range
-    step = eta * r
+    # an oracle that answers ahead is stepped in windows (see _window).  A
+    # window costs one to three single steps, so one that keeps no guessed
+    # answer (m = 1) or at most half its steps is followed by single steps:
+    # 1 after the first such window in a row, then twice as many after each
+    # next one.  Where subgradients flip every step or two (chains sitting
+    # on a kink) the run is then single steps but for a window per doubling.
+    ahead = getattr(grad_oracle, "ahead", None)
+    done, single, backoff, cap = 0, n if ahead is None else 0, 1, n
     with np.errstate(over="ignore"):  # an exp that overflows fails in_range and is redone
-        for _ in range(n):
-            total += theta
-            grad = np.asarray(grad_oracle(theta.T, gen), dtype=float)
-            if grad.shape != theta.T.shape:
-                raise ValueError(f"oracle gave a gradient of shape {grad.shape} for theta {theta.T.shape}")
-            np.multiply(grad.T, step, out=g)
-            lw_u -= g
-            lw_v += g
-            np.exp(lw, out=w)
-            if many:
-                np.add.reduce(w, axis=0, out=s)
-            else:
-                s = np.add.accumulate(w, axis=0, out=acc)[-1]
-            if not in_range(s):
-                s = _rescale(lw, w, s)
-            theta = w_u - w_v  # a fresh array: an oracle may keep the one it was given
-            theta *= r / s
+        while done < n:
+            single = min(single, n - done)
+            done += single
+            for _ in range(single):
+                total += theta
+                grad = np.asarray(grad_oracle(theta.T, gen), dtype=float)
+                if grad.shape != theta.T.shape:
+                    raise ValueError(f"oracle gave a gradient of shape {grad.shape} "
+                                     f"for theta {theta.T.shape}")
+                np.multiply(grad.T, step, out=g)
+                lw_u -= g
+                lw_v += g
+                np.exp(lw, out=w)
+                if many:
+                    np.add.reduce(w, axis=0, out=s)
+                else:
+                    s = np.add.accumulate(w, axis=0, out=acc)[-1]
+                if not in_range(s):
+                    s = _rescale(lw, w, s)
+                theta = w_u - w_v  # a fresh array: an oracle may keep the one it was given
+                theta *= r / s
+            if done == n:
+                break
+            k, m, theta = _window(ahead, lw, theta, total, min(cap, n - done), step, r, many)
+            done += m
+            cap = 2 * m
+            single, backoff = (backoff, 2 * backoff) if m == 1 or 2 * m <= k else (0, 1)
     return OptimizerRun(np.ascontiguousarray(total.T) / n)
+
+
+def _window(ahead, lw, theta, total, most, step, r, many):
+    """One window of mirror_descent_l1 over an oracle that answers ahead:
+    asks for at most `most` steps, keeps the m whose answers the per-step
+    calls would give, and moves lw and total in place; returns (k, m, the
+    next theta).  Every array has a leading step axis, and every operation
+    of a step runs in the per-step order, so the run equals the per-step
+    one bit for bit:
+
+      the log-weights (k + 1, 2d, *cols) are running sums of the scaled
+        gradients from the current lift, one contiguous add per step
+        (lw + (-g) is lw - g exactly);
+      the lift sums add the 2d weights in lift order: np.add.reduce along
+        a slow axis for R >= 2 chains, np.add.accumulate for one;
+      the window is cut at the first step whose lift sum leaves
+        (_SUM_LO, _SUM_HI), and _rescale is applied there;
+      each iterate (d, *cols) has the per-step layout, so the oracle sees
+        the same arrays;
+      the total adds the kept iterates in step order."""
+    d = len(theta)
+    z, settle = ahead(theta.T, most)
+    k = len(z)
+    g = z.swapaxes(1, -1)  # (k, d, *cols): each step's gradient.T
+    L = np.empty((k + 1, 2 * d) + theta.shape[1:])
+    L[0] = lw
+    np.multiply(g, -step, out=L[1:, :d])
+    np.multiply(g, step, out=L[1:, d:])
+    for t in range(1, k + 1):
+        np.add(L[t - 1], L[t], out=L[t])
+    W = np.exp(L[1:])
+    S = np.add.reduce(W, axis=1) if many else np.add.accumulate(W, axis=1)[:, -1]
+    in_range = (_SUM_LO < S) & (S < _SUM_HI)  # NaN is out
+    fine = np.logical_and.reduce(in_range.reshape(k, -1), axis=1)
+    cut = k if fine.all() else int(fine.argmin()) + 1  # steps up to the first rescale
+    good = cut if fine[cut - 1] else cut - 1  # iterates that need no rescale
+    thetas = np.subtract(W[:good, :d], W[:good, d:])
+    thetas *= r / S[:good, None]
+    m = settle(thetas[:cut - 1].swapaxes(1, -1))
+    total += theta
+    for t in range(m - 1):
+        total += thetas[t]
+    lw[...] = L[m]
+    if fine[m - 1]:
+        return k, m, thetas[m - 1]
+    w = W[m - 1]
+    s = _rescale(lw, w, S[m - 1])
+    theta = w[:d] - w[d:]
+    theta *= r / s
+    return k, m, theta
 
 
 # the range a chain's lift sum may drift in before mirror_descent_l1 rescales it

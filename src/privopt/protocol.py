@@ -12,10 +12,23 @@ or fresh draws from the population) and then draws their noise in one
 call, and each query spends the next rows of it.  Every answer is still
 its own datum through its own draw, and the learner still sees only
 (theta, Z).
+
+The oracle of as_grad_oracle also answers ahead, for a learner that steps
+a block at once: oracle.ahead(theta, most) answers the next k <= most
+queries, the rows left in the block after the refill query would make
+now, all at the one theta, through Channel.apply; the learner then hands
+the thetas it would really have sent for queries 1..j, and the stream
+recomputes those subgradients in one call, keeps the m = 1 + (leading
+ones equal bit for bit) answers, and consumes exactly those m queries.
+Row 0 is asked at its own theta, so m >= 1; every kept answer is the one
+query would give, and no refill is drawn that query would not draw.  When
+the learner caps each window at twice the last one kept, the rows that
+pass through Channel.apply stay under 3 n R over n steps of R rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -85,13 +98,13 @@ class PrivateGradStream:
     def exhausted(self) -> bool:
         return self.population is None and self.cursor >= len(self.data)
 
-    def _take(self, m: int) -> tuple:
-        """The next m (data, noise) rows of the block.  When fewer than m
-        rows are left, a refill takes the next min(_BLOCK_ROWS, owners
-        left) rows of the owner list, or draws m * max(1, _BLOCK_ROWS // m)
-        data from the population with sample_datum; then it draws their
-        channel noise from the stream rng.  Population rows left over (only
-        when m changes) are dropped unserved."""
+    def _fill(self, m: int) -> None:
+        """Refill the block when fewer than m rows are left: a refill takes
+        the next min(_BLOCK_ROWS, owners left) rows of the owner list, or
+        draws m * max(1, _BLOCK_ROWS // m) data from the population with
+        sample_datum; then it draws their channel noise from the stream
+        rng.  Population rows left over (only when m changes) are dropped
+        unserved."""
         if not self._block or self._next + m > len(self._block[0]):
             if self.population is None:
                 X = self.data[self.cursor:self.cursor + _BLOCK_ROWS]
@@ -99,6 +112,10 @@ class PrivateGradStream:
                 X = sample_datum(self.population, self.rng, size=m * max(1, _BLOCK_ROWS // m))
             self._block = (X, self.channel.noise(len(X), self.rng))
             self._next = 0
+
+    def _take(self, m: int) -> tuple:
+        """The next m (data, noise) rows of the block, refilled first."""
+        self._fill(m)
         span = slice(self._next, self._next + m)
         self._next += m
         self.cursor += m
@@ -113,24 +130,67 @@ def query(stream: PrivateGradStream, theta) -> np.ndarray:
     shape (R, d) with R queries."""
     theta = np.asarray(theta, dtype=float)
     batch = theta.ndim == 2
-    if stream.population is None:
-        if batch:
-            raise ValueError("an owner list answers one theta per query")
-        if stream.exhausted():
-            raise RuntimeError("single-pass stream exhausted")
-    elif batch and len(theta) == 0:
-        raise ValueError("a batch query needs at least one row")
-    x, noise = stream._take(len(theta) if batch else 1)
+    x, noise = stream._take(_rows_per_query(stream, theta))
     z = stream.channel.apply(subgrad(stream.loss, x if batch else x[0], theta), noise)
     return z if batch else z[0]
 
 
+def _rows_per_query(stream: PrivateGradStream, theta: np.ndarray) -> int:
+    """The rows one query at theta spends, once query's checks pass."""
+    if theta.ndim != 2:
+        if stream.exhausted():
+            raise RuntimeError("single-pass stream exhausted")
+        return 1
+    if stream.population is None:
+        raise ValueError("an owner list answers one theta per query")
+    if len(theta) == 0:
+        raise ValueError("a batch query needs at least one row")
+    return len(theta)
+
+
+def _ahead(stream: PrivateGradStream, theta, most: int) -> tuple:
+    """The next k <= most queries of stream answered at the one theta: the
+    rows left in the block after the refill query would make now.
+
+    Returns (Z, settle).  Z (k, *theta.shape) holds the k answers, each
+    the channel draw of its datum's subgradient at theta.  settle(thetas),
+    with thetas (j, *theta.shape) for j < k the thetas queries 1..j would
+    really be asked at, recomputes their subgradients in one call, keeps
+    the answers up to the first whose subgradient differs in any bit, and
+    consumes and returns their number m >= 1."""
+    theta = np.asarray(theta, dtype=float)
+    rows = _rows_per_query(stream, theta)
+    stream._fill(rows)
+    X, noise = stream._block
+    k = min(most, (len(X) - stream._next) // rows)
+    span = slice(stream._next, stream._next + k * rows)
+    x = X[span].reshape((k,) + theta.shape)
+    guess = subgrad(stream.loss, x, np.broadcast_to(theta, x.shape))
+    z = stream.channel.apply(guess.reshape(-1, theta.shape[-1]), tuple([a[span] for a in noise]))
+
+    def settle(thetas) -> int:
+        j = len(thetas)
+        # compared as bits, so that a -0.0 guess for a +0.0 subgradient
+        # (which copysign-based channels tell apart) is not kept
+        truth = subgrad(stream.loss, x[1:j + 1], thetas)
+        same = truth.view(np.int64) == guess[1:j + 1].view(np.int64)
+        kept = np.logical_and.reduce(same, axis=tuple(range(1, same.ndim)))
+        m = 1 + (j if kept.all() else int(kept.argmin()))
+        stream._take(m * rows)  # the block holds them: no refill
+        return m
+
+    return z.reshape(x.shape), settle
+
+
 def as_grad_oracle(stream: PrivateGradStream):
-    """Adapt a stream to the optimizer oracle contract (stream rngs rule)."""
+    """Adapt a stream to the optimizer oracle contract (stream rngs rule).
+    The oracle also answers ahead, as oracle.ahead(theta, most); see the
+    module docstring."""
 
     def oracle(theta, rng):
         return query(stream, theta)
 
+    oracle.ahead = functools.partial(_ahead, stream)
     return oracle
 
 

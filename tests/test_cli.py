@@ -9,6 +9,7 @@ import pytest
 import privopt.channels as channels
 import privopt.cli as cli
 import privopt.information as information
+import privopt.protocol as protocol
 from privopt.channels import CHANNEL_KINDS, Channel, make_channel
 from privopt.information import InfoReport
 
@@ -319,6 +320,44 @@ def test_tradeoff_refusals_exit_1_before_any_chain(tmp_path, capsys, monkeypatch
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {msg}") and err.count("\n") == 1
     assert calls == []
+
+
+@pytest.mark.parametrize("doc,msg", [
+    ({"d": [8], "n": [16384, 0], "budget": [0.25], "reps": 50}, "steps must be >= 1"),
+    ({"d": [2, 0], "n": [256], "budget": [0.5], "reps": 2}, "d must be >= 1"),
+], ids=["n-zero-after-a-cell", "d-zero-after-a-cell"])
+def test_tradeoff_bad_grid_entry_exits_1_before_any_chain(tmp_path, capsys, monkeypatch,
+                                                          doc, msg):
+    # every d and n entry is checked before the first cell runs: a bad
+    # entry late in a grid exits with the error the cell would raise,
+    # without running the cells before it
+    calls = []
+    monkeypatch.setattr(cli, "_averaged_chains", lambda *a: calls.append(a))
+    assert _run(["tradeoff", "--config", _cfg(tmp_path, "t.json", doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {msg}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "dp_hypercube", "d": [3, 8], "n": [256, 512, 1024], "budget": [0.5, 1.0],
+     "reps": 6},
+    {"kind": "linf_maxent", "d": [3], "n": [256, 512, 1024], "budget": [2.0, 4.0],
+     "reps": 6},
+], ids=["dp", "linf"])
+def test_tradeoff_stdout_does_not_depend_on_the_oracle_answering_ahead(
+        tmp_path, capsys, monkeypatch, doc):
+    # the stream oracle steps its chains a window at a time; a plain
+    # callable over the same stream steps them one query at a time, and
+    # the command prints the same bytes and exits alike either way
+    cfg = _cfg(tmp_path, "t.json", doc)
+    args = ["tradeoff", "--config", cfg, "--seed", "3", "--check"]
+    code = _run(args)
+    windowed = capsys.readouterr()
+    monkeypatch.setattr(cli, "as_grad_oracle",
+                        lambda stream: lambda theta, rng: protocol.query(stream, theta))
+    assert _run(args) == code
+    assert capsys.readouterr() == windowed
 
 
 def test_tradeoff_linf_grid_runs_every_cell_from_M_equal_L(tmp_path):

@@ -6,17 +6,18 @@ import warnings
 import numpy as np
 import pytest
 
-from privopt import optimizers
-from privopt.channels import make_channel, two_level_constants
+from privopt import optimizers, protocol
+from privopt.channels import Channel, make_channel, two_level_constants
 from privopt.geometry import NormBall
-from privopt.losses import DataDist, RiskSpec, make_loss, risk_minimizer, risk_value
+from privopt.losses import (DataDist, RiskSpec, make_loss, risk_minimizer, risk_value,
+                            sample_datum)
 from privopt.optimizers import (
     OptimizerConfig,
     mirror_descent_l1,
     sgd_l2,
     step_size_for,
 )
-from privopt.protocol import PrivateGradStream, as_grad_oracle
+from privopt.protocol import PrivateGradStream, as_grad_oracle, query
 
 
 def test_config_validation():
@@ -303,3 +304,147 @@ def test_batched_chains_match_sequential_statistically():
 
     se = math.sqrt(gaps_batched.var(ddof=1) / reps + gaps_seq.var(ddof=1) / reps)
     assert abs(gaps_batched.mean() - gaps_seq.mean()) <= 4.0 * se
+
+
+# ---------------------------------------------------------------------------
+# an oracle that answers ahead: the window path against the per-step path
+
+_FAMILIES = {  # (channel kind, its budget, loss, data law)
+    "linf_maxent": ("linf_maxent", {"M": 4.0}, "median", "cube_bernoulli"),
+    "dp_hypercube": ("dp_hypercube", {"eps": 0.5}, "median", "cube_bernoulli"),
+    "identity": ("identity", {}, "median", "cube_bernoulli"),
+    "l1_maxent": ("l1_maxent", {"M": 4.0}, "hinge", "coord_basis"),
+}
+
+
+def _stream_pair(family, d, rng, owners=None, r=1.0):
+    """Two streams with the same seed, the same channel and the same law:
+    from the population, or over the same owners when owners is a count."""
+    kind, budget, loss, law = _FAMILIES[family]
+    ch = make_channel(kind, d, L=1.0, **budget)
+    loss = make_loss(loss, L=1.0, r=r)
+    dist = DataDist(law, d, 0.5, (1,) + (0,) * (d - 1))
+    if owners is None:
+        return ch, [PrivateGradStream.from_population(dist, loss, ch, rng=rng) for _ in range(2)]
+    data = sample_datum(dist, np.random.default_rng(rng), size=owners)
+    return ch, [PrivateGradStream.from_data(data, loss, ch, rng=rng) for _ in range(2)]
+
+
+def _both_paths(streams, cfg, chains=None):
+    """The run over the answering-ahead oracle, and over a plain callable
+    that sends each query to the other stream; exceptions are returned."""
+    outs = []
+    for oracle in (as_grad_oracle(streams[0]),
+                   lambda theta, rng, s=streams[1]: query(s, theta)):
+        try:
+            outs.append(mirror_descent_l1(oracle, cfg, 0, chains=chains).averaged)
+        except Exception as e:  # noqa: BLE001 - compared below
+            outs.append(e)
+    assert streams[0].rng.bit_generator.state == streams[1].rng.bit_generator.state
+    assert streams[0].cursor == streams[1].cursor
+    return outs
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _count_paths(monkeypatch):
+    """Count the windows and the single queries of stream oracles made
+    after this call."""
+    counts = {"windows": 0, "queries": 0}
+    ahead, one = protocol._ahead, protocol.query
+
+    def counted(name, fn):
+        def wrapped(*a):
+            counts[name] += 1
+            return fn(*a)
+        return wrapped
+
+    monkeypatch.setattr(protocol, "_ahead", counted("windows", ahead))
+    monkeypatch.setattr(protocol, "query", counted("queries", one))
+    return counts
+
+
+@pytest.mark.parametrize("chains", [None, 1, 7, 50])
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_window_path_equals_per_step_path_on_population_streams(family, chains, monkeypatch):
+    # d = 8, where an in-order and a pairwise sum of the 16 lift weights
+    # differ in the last bits; 2500 steps span three blocks of one chain
+    d, n = 8, 2500
+    ch, streams = _stream_pair(family, d, 17)
+    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), d, n, ch.target.radius)
+    counts = _count_paths(monkeypatch)
+    windowed, stepped = _both_paths(streams, cfg, chains)
+    assert counts["windows"] > 0
+    _assert_same_bits(windowed, stepped)
+
+
+@pytest.mark.parametrize("family", ["dp_hypercube", "l1_maxent"])
+def test_window_path_equals_per_step_path_on_an_owner_list(family):
+    d, n = 8, 2500
+    ch, streams = _stream_pair(family, d, 23, owners=n)
+    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), d, n, ch.target.radius)
+    windowed, stepped = _both_paths(streams, cfg)
+    _assert_same_bits(windowed, stepped)
+    assert streams[0].exhausted()
+
+
+def test_window_path_raises_like_per_step_path_on_a_short_owner_list():
+    # 2000 owners for 2500 steps: both paths raise at query 2000, after
+    # the same refills
+    d, n = 4, 2500
+    ch, streams = _stream_pair("dp_hypercube", d, 29, owners=2000)
+    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), d, n, ch.target.radius)
+    windowed, stepped = _both_paths(streams, cfg)
+    for e in (windowed, stepped):
+        assert isinstance(e, RuntimeError) and str(e) == "single-pass stream exhausted"
+    assert streams[0].cursor == 2000
+
+
+@pytest.mark.parametrize("chains", [None, 50])
+def test_window_path_keeps_the_verified_prefix_when_subgradients_flip(chains, monkeypatch):
+    # hinge with margin r = 0.02 on the l1 ball of radius 1: the iterates
+    # cross the kink <x, theta> = r again and again, so speculated windows
+    # fail verification and single steps follow the short ones; the run
+    # stays bit for bit the per-step one, and the window cap bounds the
+    # rows drawn through the channel by 3 n R
+    d, n, R = 8, 600, chains or 1
+    ch, streams = _stream_pair("l1_maxent", d, 31, r=0.02)
+    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), d, n, ch.target.radius)
+    rows = []
+    apply = Channel.apply
+
+    def counted(self, x, noise):
+        rows.append(len(noise[0]))
+        return apply(self, x, noise)
+
+    monkeypatch.setattr(Channel, "apply", counted)
+    counts = _count_paths(monkeypatch)
+    windowed = mirror_descent_l1(as_grad_oracle(streams[0]), cfg, 0, chains=chains).averaged
+    drawn = sum(rows)
+    monkeypatch.undo()
+    assert counts["windows"] > 0 and counts["queries"] > 0
+    stepped = mirror_descent_l1(lambda theta, rng: query(streams[1], theta), cfg, 0,
+                                chains=chains).averaged
+    _assert_same_bits(windowed, stepped)
+    assert streams[0].rng.bit_generator.state == streams[1].rng.bit_generator.state
+    assert n * R < drawn <= 3 * n * R  # some answers were redone, within the bound
+
+
+@pytest.mark.parametrize("chains", [None, 50])
+def test_window_path_rescales_inside_a_window(chains, monkeypatch):
+    # grad_bound 0.01 makes each step move the log-weights by up to
+    # 4 / 0.01 times its usual size, so lift sums leave their range within
+    # a window and a rescale cuts it
+    d, n = 4, 1500
+    ch, streams = _stream_pair("linf_maxent", d, 37)
+    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), d, n, 0.01)
+    calls = _spy_rescales(monkeypatch)
+    windowed = mirror_descent_l1(as_grad_oracle(streams[0]), cfg, 0, chains=chains).averaged
+    assert len(calls) >= 10
+    monkeypatch.undo()
+    stepped = mirror_descent_l1(lambda theta, rng: query(streams[1], theta), cfg, 0,
+                                chains=chains).averaged
+    _assert_same_bits(windowed, stepped)
+    assert streams[0].rng.bit_generator.state == streams[1].rng.bit_generator.state
