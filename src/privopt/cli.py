@@ -191,11 +191,11 @@ def _chain_config(spec: RiskSpec, channel, steps) -> OptimizerConfig:
                            grad_bound=channel.target.radius)
 
 
-def _averaged_chains(spec: RiskSpec, channel, steps, reps, rng) -> np.ndarray:
-    """reps mirror-descent chains over a population stream through channel,
-    stepped together on one rng; returns their (reps, d) averaged iterates."""
+def _averaged_chains(spec: RiskSpec, channel, cfg: OptimizerConfig, reps, rng) -> np.ndarray:
+    """reps mirror-descent chains of cfg over a population stream through
+    channel, stepped together on one rng; returns their (reps, d) averaged
+    iterates."""
     stream = PrivateGradStream.from_population(spec.data, spec.loss, channel, rng=rng)
-    cfg = _chain_config(spec, channel, steps)
     return mirror_descent_l1(as_grad_oracle(stream), cfg, rng, chains=reps).averaged
 
 
@@ -249,9 +249,9 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
     if min(budget_grid) < fam.floor(L):
         raise UsageError(f"{kind} budgets are absolute magnitudes {name} >= L")
 
-    # every cell's spec and channel are built, and its chain config checked,
-    # in grid order before the first cell runs: a bad d or n entry fails
-    # with the error its cell would raise, and no cell before it runs
+    # every cell's spec, channel and chain config are built in grid order
+    # before the first cell runs: a bad d or n entry fails with the error
+    # its cell would raise, and no cell before it runs
     cells = []
     for d in d_grid:
         spec = _median_spec(d, delta, L, r)
@@ -261,24 +261,26 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
         for n in n_grid:
             for budget in budget_grid:
                 cell = dict(d=d, n=n, budget=budget, eps_star=es, start_gap=start_gap)
-                ch = None if budget >= es else make_channel(kind, d, L=L, **{name: budget})
-                if ch is not None:
-                    _chain_config(spec, ch, n)
-                cells.append((spec, best, ch, cell))
+                ch = chain_cfg = None
+                if budget < es:
+                    ch = make_channel(kind, d, L=L, **{name: budget})
+                    chain_cfg = _chain_config(spec, ch, n)
+                cells.append((spec, best, ch, chain_cfg, cell))
 
     lines = [f"# schema={TRADEOFF_SCHEMA}", _TRADEOFF_COLUMNS]
     rows = []
-    for spec, best, ch, cell in cells:
+    for spec, best, ch, chain_cfg, cell in cells:
         # each cell appends one row, so the k-th cell draws stream [seed, k]
         rng = np.random.default_rng(np.random.SeedSequence([seed, len(rows)]))
         if ch is None:
             rows.append(dict(cell, **_REFUSED))
             continue
         d, n, budget = cell["d"], cell["n"], cell["budget"]
-        avg = _averaged_chains(spec, ch, n, reps, rng)
+        avg = _averaged_chains(spec, ch, chain_cfg, reps, rng)
         gaps = np.array([risk_value(spec, a) - best for a in avg])
         eff = max(1, int(n * fam.info(ch) / d))
-        np_avg = _averaged_chains(spec, make_channel("identity", d, L=L), eff, reps, rng)
+        ident = make_channel("identity", d, L=L)
+        np_avg = _averaged_chains(spec, ident, _chain_config(spec, ident, eff), reps, rng)
         np_mean = float(np.mean([risk_value(spec, a) - best for a in np_avg]))
         try:
             bs = BoundSpec(fam.theorem, d, n, L, r, **{name: budget})

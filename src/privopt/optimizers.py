@@ -9,14 +9,16 @@ given (config, seed).
 grad_oracle contract: callable(theta, rng) -> subgradient estimate with
 E[g | theta] in the population subdifferential.  The rng argument is the
 run's own generator; oracles backed by a private stream may ignore it.
-An oracle may also answer ahead, as the stream oracles of
+An oracle may also answer ahead, as the population-stream oracles of
 protocol.as_grad_oracle do: oracle.ahead(theta, most) -> (Z, settle), Z
 (k, *theta.shape) the answers to the next 1 <= k <= most queries all asked
 at theta, and settle(thetas) -> m, given the thetas queries 1..j < k would
 really be asked at, consumes and returns the m >= 1 leading answers equal
 bit for bit to those the calls would give.  mirror_descent_l1 then steps
-k queries at once and keeps m of them, capping each window at twice the
-last m, so at most 3n answers are computed over n steps.
+k queries at once and keeps m of them, capping the window after one that
+wasted answers (m < k) at twice that m, so at most 3n answers are computed
+over n steps.  The guessed answers it drops are a simulation shortcut, not
+part of the protocol's transcript (see protocol).
 """
 
 from __future__ import annotations
@@ -152,11 +154,15 @@ def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
     s, acc = (np.empty(cols), None) if many else (None, np.empty_like(lw))
     in_range = _sum_in_range if chains is None else _sums_in_range
     # an oracle that answers ahead is stepped in windows (see _window).  A
-    # window costs one to three single steps, so one that keeps no guessed
-    # answer (m = 1) or at most half its steps is followed by single steps:
-    # 1 after the first such window in a row, then twice as many after each
-    # next one.  Where subgradients flip every step or two (chains sitting
-    # on a kink) the run is then single steps but for a window per doubling.
+    # window that keeps m of its k answers caps the next at 2m, so at most
+    # 3n answers are computed over n steps; one that only the block's end
+    # cut short (m = k < most) wasted nothing and keeps the cap.  A window
+    # costs one to three single steps, so after one whose check found a
+    # wrong guess single steps follow: 1 after the first such window in a
+    # row, then twice as many after each next one, until a window checks
+    # a guess and finds it right.  Where subgradients flip every step or
+    # two the run is then single steps but for a window per doubling;
+    # where they stay put, there are no single steps.
     ahead = getattr(grad_oracle, "ahead", None)
     done, single, backoff, cap = 0, n if ahead is None else 0, 1, n
     with np.errstate(over="ignore"):  # an exp that overflows fails in_range and is redone
@@ -183,20 +189,27 @@ def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
                 theta *= r / s
             if done == n:
                 break
-            k, m, theta = _window(ahead, lw, theta, total, min(cap, n - done), step, r, many)
+            most = min(cap, n - done)
+            k, checked, m, theta = _window(ahead, lw, theta, total, most, step, r, many)
             done += m
-            cap = 2 * m
-            single, backoff = (backoff, 2 * backoff) if m == 1 or 2 * m <= k else (0, 1)
+            if m < k or k == most:
+                cap = 2 * m
+            single = 0
+            if m <= checked:  # a guess failed its check
+                single, backoff = backoff, 2 * backoff
+            elif checked:
+                backoff = 1
     return OptimizerRun(np.ascontiguousarray(total.T) / n)
 
 
 def _window(ahead, lw, theta, total, most, step, r, many):
     """One window of mirror_descent_l1 over an oracle that answers ahead:
     asks for at most `most` steps, keeps the m whose answers the per-step
-    calls would give, and moves lw and total in place; returns (k, m, the
-    next theta).  Every array has a leading step axis, and every operation
-    of a step runs in the per-step order, so the run equals the per-step
-    one bit for bit:
+    calls would give, and moves lw and total in place; returns (k, the
+    guesses checked, m, the next theta); m <= the guesses checked when one
+    failed its check.  Every array
+    has a leading step axis, and every operation of a step runs in the
+    per-step order, so the run equals the per-step one bit for bit:
 
       the log-weights (k + 1, 2d, *cols) are running sums of the scaled
         gradients from the current lift, one contiguous add per step
@@ -232,12 +245,12 @@ def _window(ahead, lw, theta, total, most, step, r, many):
         total += thetas[t]
     lw[...] = L[m]
     if fine[m - 1]:
-        return k, m, thetas[m - 1]
+        return k, cut - 1, m, thetas[m - 1]
     w = W[m - 1]
     s = _rescale(lw, w, S[m - 1])
     theta = w[:d] - w[d:]
     theta *= r / s
-    return k, m, theta
+    return k, cut - 1, m, theta
 
 
 # the range a chain's lift sum may drift in before mirror_descent_l1 rescales it

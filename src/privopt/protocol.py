@@ -13,17 +13,28 @@ call, and each query spends the next rows of it.  Every answer is still
 its own datum through its own draw, and the learner still sees only
 (theta, Z).
 
-The oracle of as_grad_oracle also answers ahead, for a learner that steps
-a block at once: oracle.ahead(theta, most) answers the next k <= most
-queries, the rows left in the block after the refill query would make
-now, all at the one theta, through Channel.apply; the learner then hands
-the thetas it would really have sent for queries 1..j, and the stream
-recomputes those subgradients in one call, keeps the m = 1 + (leading
-ones equal bit for bit) answers, and consumes exactly those m queries.
-Row 0 is asked at its own theta, so m >= 1; every kept answer is the one
-query would give, and no refill is drawn that query would not draw.  When
-the learner caps each window at twice the last one kept, the rows that
-pass through Channel.apply stay under 3 n R over n steps of R rows.
+A population stream's oracle (as_grad_oracle) also answers ahead, for a
+learner that steps a block at once: oracle.ahead(theta, most) answers the
+next k <= most queries, the rows left in the block after the refill query
+would make now, all at the one theta, through Channel.apply; the learner
+then hands the thetas it would really have sent for queries 1..j, and the
+stream recomputes those subgradients in one call, keeps the m = 1 +
+(leading ones equal bit for bit) answers, and consumes exactly those m
+queries.  Row 0 is asked at its own theta, so m >= 1; every kept answer is
+the one query would give, and no refill is drawn that query would not
+draw.  When the learner caps each window at twice the last one kept, the
+rows that pass through Channel.apply stay under 3 n R over n steps of R
+rows.
+
+Answering ahead is a shortcut of the simulation, not a protocol round.
+Its guessed answers for the queries the learner does not keep, and the
+count m that settle computes from the raw data, are not part of the
+(theta, Z) transcript: the rows behind them are answered again, with the
+same noise, at their real theta.  The learner's output depends on the
+kept answers alone and equals the per-step run bit for bit, so it is a
+function of the per-step transcript; the intermediate view is not an LDP
+transcript.  An owner list never answers ahead, so each of its owners
+releases exactly one view.
 """
 
 from __future__ import annotations
@@ -149,8 +160,9 @@ def _rows_per_query(stream: PrivateGradStream, theta: np.ndarray) -> int:
 
 
 def _ahead(stream: PrivateGradStream, theta, most: int) -> tuple:
-    """The next k <= most queries of stream answered at the one theta: the
-    rows left in the block after the refill query would make now.
+    """The next k <= most queries of a population stream answered at the
+    one theta: the rows left in the block after the refill query would
+    make now.
 
     Returns (Z, settle).  Z (k, *theta.shape) holds the k answers, each
     the channel draw of its datum's subgradient at theta.  settle(thetas),
@@ -184,13 +196,15 @@ def _ahead(stream: PrivateGradStream, theta, most: int) -> tuple:
 
 def as_grad_oracle(stream: PrivateGradStream):
     """Adapt a stream to the optimizer oracle contract (stream rngs rule).
-    The oracle also answers ahead, as oracle.ahead(theta, most); see the
-    module docstring."""
+    A population stream's oracle also answers ahead, as
+    oracle.ahead(theta, most); an owner list's only answers query by
+    query.  See the module docstring."""
 
     def oracle(theta, rng):
         return query(stream, theta)
 
-    oracle.ahead = functools.partial(_ahead, stream)
+    if stream.population is not None:
+        oracle.ahead = functools.partial(_ahead, stream)
     return oracle
 
 
@@ -216,6 +230,10 @@ def audit_leakage(stream: PrivateGradStream) -> dict:
     The learner's interface is query(); by construction its view is the
     (theta, Z) sequence.  The report attaches each owner's channel
     certificate (worst-case MI or eps), flagging non-private channels.
+    For a population stream, "(theta, Z) pairs only" describes the
+    per-step protocol: the guessed answers of its oracle's ahead are a
+    simulation shortcut outside that transcript (see the module
+    docstring).
     """
     population = stream.population is not None
     return {

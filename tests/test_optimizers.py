@@ -381,25 +381,99 @@ def test_window_path_equals_per_step_path_on_population_streams(family, chains, 
 
 
 @pytest.mark.parametrize("family", ["dp_hypercube", "l1_maxent"])
-def test_window_path_equals_per_step_path_on_an_owner_list(family):
+def test_owner_list_oracle_answers_one_query_at_a_time(family, monkeypatch):
+    # an owner releases one view of its datum, so an owner list's oracle
+    # does not answer ahead: its run is the per-step loop of a plain
+    # callable over the same owners
     d, n = 8, 2500
     ch, streams = _stream_pair(family, d, 23, owners=n)
     cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), d, n, ch.target.radius)
-    windowed, stepped = _both_paths(streams, cfg)
-    _assert_same_bits(windowed, stepped)
+    assert not hasattr(as_grad_oracle(streams[0]), "ahead")
+    counts = _count_paths(monkeypatch)
+    via_oracle, stepped = _both_paths(streams, cfg)
+    assert counts == {"windows": 0, "queries": n}  # the oracle's queries
+    _assert_same_bits(via_oracle, stepped)
     assert streams[0].exhausted()
 
 
-def test_window_path_raises_like_per_step_path_on_a_short_owner_list():
-    # 2000 owners for 2500 steps: both paths raise at query 2000, after
+def test_owner_list_oracle_raises_like_a_plain_callable_when_short():
+    # 2000 owners for 2500 steps: both oracles raise at query 2000, after
     # the same refills
     d, n = 4, 2500
     ch, streams = _stream_pair("dp_hypercube", d, 29, owners=2000)
     cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), d, n, ch.target.radius)
-    windowed, stepped = _both_paths(streams, cfg)
-    for e in (windowed, stepped):
+    via_oracle, stepped = _both_paths(streams, cfg)
+    for e in (via_oracle, stepped):
         assert isinstance(e, RuntimeError) and str(e) == "single-pass stream exhausted"
     assert streams[0].cursor == 2000
+
+
+class _ScriptedOracle:
+    """An oracle that answers ahead from blocks of `block` queries and
+    answers every query with the gradient g; the guesses for the steps in
+    `wrong` (counted from 0 over the run) fail their check.  The log has
+    ("step",) per single query and ("window", most, k, m) per window."""
+
+    def __init__(self, g, block, wrong=()):
+        self.g, self.block, self.wrong = np.asarray(g, float), block, set(wrong)
+        self.served, self.log = 0, []
+
+    def __call__(self, theta, rng):
+        self.served += 1
+        self.log.append(("step",))
+        return self.g.copy()
+
+    def ahead(self, theta, most):
+        k = min(most, self.block - self.served % self.block)
+        start = self.served
+
+        def settle(thetas):
+            bad = [t for t in range(1, len(thetas) + 1) if start + t in self.wrong]
+            m = bad[0] if bad else len(thetas) + 1
+            self.served += m
+            self.log.append(("window", most, k, m))
+            return m
+
+        return np.broadcast_to(self.g, (k,) + self.g.shape).copy(), settle
+
+
+def _scripted_run(oracle, n=40):
+    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), 2, n, 1.0)
+    mirror_descent_l1(oracle, cfg, 0)
+    return oracle.log
+
+
+def test_window_cut_short_by_the_block_end_keeps_the_cap():
+    # blocks of 5 queries and no wrong guess: every window is a block's
+    # tail, wastes nothing, and asks for all the steps left
+    assert _scripted_run(_ScriptedOracle([1.0, -1.0], 5)) == [
+        ("window", 40 - 5 * i, 5, 5) for i in range(8)]
+
+
+def test_window_after_a_failed_check_is_capped_and_single_steps_follow():
+    # the guess for step 7 fails: 7 steps are kept, one single step
+    # follows, and the next window asks for at most 2 * 7; a window that
+    # checks out resets the single steps, and a full one doubles the cap
+    assert _scripted_run(_ScriptedOracle([1.0, -1.0], 20, wrong={7})) == [
+        ("window", 40, 20, 7), ("step",), ("window", 14, 12, 12),
+        ("window", 14, 14, 14), ("window", 6, 6, 6)]
+
+
+def test_single_steps_double_while_every_check_fails():
+    # every guess fails: each window keeps its first step only, and the
+    # single steps between windows run 1, 2, 4, ...; the window of one
+    # step at a block's tail (step 19) checks no guess and changes nothing
+    log = _scripted_run(_ScriptedOracle([1.0, -1.0], 20, wrong=range(1, 40)), n=40)
+    runs, singles = [], 0
+    for entry in log:
+        if entry[0] == "step":
+            singles += 1
+            continue
+        assert entry[3] == 1
+        runs.append(singles)
+        singles = 0
+    assert ("window", 2, 1, 1) in log
+    assert runs == [0, 1, 2, 4, 8, 0, 16] and singles == 2
 
 
 @pytest.mark.parametrize("chains", [None, 50])
