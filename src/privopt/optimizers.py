@@ -206,10 +206,10 @@ def _window(ahead, lw, theta, total, most, step, r, many):
     """One window of mirror_descent_l1 over an oracle that answers ahead:
     asks for at most `most` steps, keeps the m whose answers the per-step
     calls would give, and moves lw and total in place; returns (k, the
-    guesses checked, m, the next theta); m <= the guesses checked when one
-    failed its check.  Every array
-    has a leading step axis, and every operation of a step runs in the
-    per-step order, so the run equals the per-step one bit for bit:
+    guesses checked, m, the next theta), m <= the guesses checked when one
+    failed its check.  Every array has a leading step axis, and every
+    operation of a step runs in the per-step order, so the run equals the
+    per-step one bit for bit:
 
       the log-weights (k + 1, 2d, *cols) are running sums of the scaled
         gradients from the current lift, one contiguous add per step

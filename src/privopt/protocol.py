@@ -22,9 +22,9 @@ stream recomputes those subgradients in one call, keeps the m = 1 +
 (leading ones equal bit for bit) answers, and consumes exactly those m
 queries.  Row 0 is asked at its own theta, so m >= 1; every kept answer is
 the one query would give, and no refill is drawn that query would not
-draw.  When the learner caps each window at twice the last one kept, the
-rows that pass through Channel.apply stay under 3 n R over n steps of R
-rows.
+draw.  When the learner caps the window after one that wasted answers at
+twice the ones it kept, the rows that pass through Channel.apply stay
+under 3 n R over n steps of R rows.
 
 Answering ahead is a shortcut of the simulation, not a protocol round.
 Its guessed answers for the queries the learner does not keep, and the
@@ -109,24 +109,24 @@ class PrivateGradStream:
     def exhausted(self) -> bool:
         return self.population is None and self.cursor >= len(self.data)
 
-    def _fill(self, m: int) -> None:
-        """Refill the block when fewer than m rows are left: a refill takes
-        the next min(_BLOCK_ROWS, owners left) rows of the owner list, or
-        draws m * max(1, _BLOCK_ROWS // m) data from the population with
-        sample_datum; then it draws their channel noise from the stream
-        rng.  Population rows left over (only when m changes) are dropped
-        unserved."""
-        if not self._block or self._next + m > len(self._block[0]):
-            if self.population is None:
-                X = self.data[self.cursor:self.cursor + _BLOCK_ROWS]
-            else:
-                X = sample_datum(self.population, self.rng, size=m * max(1, _BLOCK_ROWS // m))
-            self._block = (X, self.channel.noise(len(X), self.rng))
-            self._next = 0
+    def _refill(self, m: int) -> None:
+        """A new block for queries of m rows: the next min(_BLOCK_ROWS,
+        owners left) rows of the owner list, or m * max(1, _BLOCK_ROWS // m)
+        data drawn from the population with sample_datum; then their
+        channel noise from the stream rng."""
+        if self.population is None:
+            X = self.data[self.cursor:self.cursor + _BLOCK_ROWS]
+        else:
+            X = sample_datum(self.population, self.rng, size=m * max(1, _BLOCK_ROWS // m))
+        self._block = (X, self.channel.noise(len(X), self.rng))
+        self._next = 0
 
     def _take(self, m: int) -> tuple:
-        """The next m (data, noise) rows of the block, refilled first."""
-        self._fill(m)
+        """The next m (data, noise) rows of the block, after a refill when
+        fewer than m are left.  Population rows left over (only when m
+        changes) are dropped unserved."""
+        if not self._block or self._next + m > len(self._block[0]):
+            self._refill(m)
         span = slice(self._next, self._next + m)
         self._next += m
         self.cursor += m
@@ -141,22 +141,16 @@ def query(stream: PrivateGradStream, theta) -> np.ndarray:
     shape (R, d) with R queries."""
     theta = np.asarray(theta, dtype=float)
     batch = theta.ndim == 2
-    x, noise = stream._take(_rows_per_query(stream, theta))
-    z = stream.channel.apply(subgrad(stream.loss, x if batch else x[0], theta), noise)
-    return z if batch else z[0]
-
-
-def _rows_per_query(stream: PrivateGradStream, theta: np.ndarray) -> int:
-    """The rows one query at theta spends, once query's checks pass."""
-    if theta.ndim != 2:
+    if stream.population is None:
+        if batch:
+            raise ValueError("an owner list answers one theta per query")
         if stream.exhausted():
             raise RuntimeError("single-pass stream exhausted")
-        return 1
-    if stream.population is None:
-        raise ValueError("an owner list answers one theta per query")
-    if len(theta) == 0:
+    elif batch and len(theta) == 0:
         raise ValueError("a batch query needs at least one row")
-    return len(theta)
+    x, noise = stream._take(len(theta) if batch else 1)
+    z = stream.channel.apply(subgrad(stream.loss, x if batch else x[0], theta), noise)
+    return z if batch else z[0]
 
 
 def _ahead(stream: PrivateGradStream, theta, most: int) -> tuple:
@@ -171,8 +165,11 @@ def _ahead(stream: PrivateGradStream, theta, most: int) -> tuple:
     the answers up to the first whose subgradient differs in any bit, and
     consumes and returns their number m >= 1."""
     theta = np.asarray(theta, dtype=float)
-    rows = _rows_per_query(stream, theta)
-    stream._fill(rows)
+    rows = len(theta) if theta.ndim == 2 else 1
+    if rows == 0:
+        raise ValueError("a batch query needs at least one row")
+    if not stream._block or stream._next + rows > len(stream._block[0]):
+        stream._refill(rows)  # the refill query would make now
     X, noise = stream._block
     k = min(most, (len(X) - stream._next) // rows)
     span = slice(stream._next, stream._next + k * rows)
