@@ -71,7 +71,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import NormBall, _corner_matrix
+from .geometry import _CORNER_MAX_D, NormBall, _corner_matrix, _integer
 
 __all__ = [
     "CHANNEL_KINDS",
@@ -353,7 +353,6 @@ def _biased_apply(ch, x: np.ndarray, e: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exact pmfs at a checked batch X (R, d), in the form _Kind.pmf states
 
-_PRODUCT_GUARD_D = 20
 _MIXTURE_GUARD_D = 10
 _JOINT_GUARD = 10**7
 
@@ -364,7 +363,7 @@ def _joint_guard(rows: int, cols: int) -> None:
 
 
 def _product_corners(d: int, rows: int) -> np.ndarray:
-    if d > _PRODUCT_GUARD_D:
+    if d > _CORNER_MAX_D:
         raise ValueError("support too large to enumerate")
     _joint_guard(rows, 2**d)
     return _corner_matrix(d)
@@ -642,6 +641,13 @@ _KINDS = {
 CHANNEL_KINDS = tuple(_KINDS)
 
 
+def _kind(kind) -> _Kind:
+    """The table row of a channel kind; ValueError for any other value."""
+    if kind not in CHANNEL_KINDS:  # a tuple, so an unhashable kind is refused too
+        raise ValueError(f"unknown channel kind {kind!r}")
+    return _KINDS[kind]
+
+
 # ---------------------------------------------------------------------------
 # channel objects
 
@@ -664,8 +670,7 @@ class Channel:
     calibration: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in CHANNEL_KINDS:
-            raise ValueError(f"unknown channel kind {self.kind!r}")
+        _kind(self.kind)
 
     @property
     def budget(self) -> str | None:
@@ -687,7 +692,7 @@ class Channel:
         """The randomness of n draws, which does not depend on the input: a
         tuple of arrays with leading dimension n, drawn from rng (anything
         np.random.default_rng takes) in the order that sample draws it."""
-        return _KINDS[self.kind].noise(self, int(n), np.random.default_rng(rng))
+        return _KINDS[self.kind].noise(self, _integer("n", n), np.random.default_rng(rng))
 
     def apply(self, x, noise: tuple) -> np.ndarray:
         """The draws (n, d) that noise(n, ...) gives at x: n draws at one
@@ -716,7 +721,7 @@ class Channel:
         x = _checked_rows(x, self.d, self.source)
         if x.ndim == 2 and size is not None:
             raise ValueError("pass a batch of inputs or size, not both")
-        n = len(x) if x.ndim == 2 else 1 if size is None else int(size)
+        n = len(x) if x.ndim == 2 else 1 if size is None else _integer("size", size)
         row = _KINDS[self.kind]
         z = row.apply(self, x, *row.noise(self, n, gen))
         return z[0] if x.ndim == 1 and size is None else z
@@ -738,19 +743,15 @@ def make_channel(
     threshold the k = 0 closed form is no longer the LP optimum, so the
     construction refuses rather than silently degrade.
     """
-    if kind not in CHANNEL_KINDS:
-        raise ValueError(f"unknown channel kind {kind!r}")
-    if isinstance(d, bool) or not isinstance(d, numbers.Integral):
-        raise ValueError(f"d must be an integer, got {d!r}")
+    row = _kind(kind)
+    d = _integer("d", d)  # an int: a numpy integer would not serialise to JSON
     if d < 1:
         raise ValueError("d must be >= 1")
     if L <= 0.0:
         raise ValueError("L must be positive")
-    row = _KINDS[kind]
     value = {"M": M, "eps": eps}.get(row.budget)
     if row.budget is not None and value is None:
         raise ValueError(f"{kind} needs {row.budget}")
-    d = int(d)  # a numpy integer would not serialise to JSON
     p, reach, cal = row.calibrate(d, L, value, bias, noise)
     param = math.inf if row.budget is None else float(value)
     return Channel(kind, d, NormBall(p, L), NormBall(p, reach), param, cal)
@@ -825,19 +826,13 @@ def support_index(ch: Channel, x, Z) -> np.ndarray:
     return index(ch, x, np.asarray(Z, dtype=float).reshape(-1, ch.d))
 
 
-def dp_ratio_max(ch: Channel, inputs=None) -> float:
-    """sup over outputs and input pairs of the conditional pmf ratio.
-
-    Defaults to all 2^d corner inputs (the extreme points, where the sup
-    is attained).  Only meaningful for the finite-support dp kinds.
-    """
-    if not (ch.budget == "eps" and ch.has_pmf):
-        raise ValueError("dp_ratio_max applies to the finite-support dp kinds")
-    if inputs is None:
-        if ch.d > _MIXTURE_GUARD_D:
-            raise ValueError("exhaustive ratio check guarded at d <= 10")
-        inputs = ch.source.radius * _corner_matrix(ch.d)
-    probs = channel_pmf(ch, np.reshape(inputs, (len(inputs), -1))).probs
+def dp_ratio_max(ch: Channel) -> float:
+    """max over outputs and over pairs of the 2^d corner inputs (the extreme
+    points, where the sup is attained) of the conditional pmf ratio;
+    ValueError unless ch.exact_dp_ratio."""
+    if not ch.exact_dp_ratio:
+        raise ValueError("dp_ratio_max needs a finite-support dp kind at d <= 10")
+    probs = channel_pmf(ch, ch.source.radius * _corner_matrix(ch.d)).probs
     return float(np.max(probs.max(axis=0) / probs.min(axis=0)))
 
 
@@ -875,9 +870,7 @@ def channel_from_json(doc) -> Channel:
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
     kind = doc["kind"]
-    if kind not in CHANNEL_KINDS:
-        raise ValueError(f"unknown channel kind {kind!r}")
-    budget = _KINDS[kind].budget
+    budget = _kind(kind).budget
     extra = {} if budget is None else {budget: _real(budget, doc[budget])}
     return make_channel(kind, doc["d"], L=_real("L", doc.get("L", 1.0)),
                         bias=doc.get("bias"), noise=doc.get("noise"), **extra)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import sys
 from typing import Callable, NamedTuple
 
@@ -19,12 +18,14 @@ import numpy as np
 
 from .channels import (_real, channel_from_json, channel_to_json, dp_ratio_max,
                        eps_star, make_channel)
-from .geometry import NormBall
-from .information import (MI_MC_MIN_N, certificate_for, certify_channel,
+from .geometry import NormBall, _integer
+from .information import (MI_MC_MIN_N, certificate_for, certificate_violations, certify_channel,
                           extreme_point_source, mutual_information_exact, nats_to_bits)
 from .losses import DataDist, RiskSpec, make_loss, risk_minimizer, risk_value
 from .minimax import (
     DELTA_THEOREMS,
+    LEMMA8_THEOREMS,
+    Q_THEOREMS,
     THEOREM_BUDGET,
     THEOREMS,
     BoundSpec,
@@ -64,13 +65,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _as_int(key: str, v) -> int:
-    """v as an int; a fraction or a bool is a config error, never truncated."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-        raise UsageError(f"{key} must be an integer, got {v!r}")
-    return int(v)
-
-
 def _grid(cfg: dict, key: str, default) -> list:
     """cfg[key], which must be a list even of one entry."""
     grid = cfg.get(key, default)
@@ -80,8 +74,8 @@ def _grid(cfg: dict, key: str, default) -> list:
 
 
 def _int_grid(cfg: dict, key: str, default) -> list:
-    """cfg[key] as a list of ints, each checked by _as_int."""
-    return [_as_int(key, v) for v in _grid(cfg, key, default)]
+    """cfg[key] as a list of ints, each checked by geometry._integer."""
+    return [_integer(key, v) for v in _grid(cfg, key, default)]
 
 
 def _float_grid(cfg: dict, key: str, default) -> list:
@@ -105,28 +99,16 @@ def cmd_certify(cfg: dict, seed: int, check: bool) -> tuple:
         ch = channel_from_json(cfg)
     except KeyError as e:
         raise UsageError(f"certify config needs {e.args[0]!r}") from e
-    n_mc = _as_int("n_mc", cfg.get("n_mc", 10**5))
+    n_mc = _integer("n_mc", cfg.get("n_mc", 10**5))
     if n_mc < MI_MC_MIN_N:
         raise UsageError(f"n_mc must be >= {MI_MC_MIN_N}")
-    rng = np.random.default_rng(seed)
-    violations = []
-    report = None
     try:
-        report = certify_channel(ch, rng=rng, n_mc=n_mc)
-    except ValueError as e:
-        violations.append(str(e))
+        report = certify_channel(ch, rng=np.random.default_rng(seed), n_mc=n_mc)
+    except ValueError as e:  # a draw that is not a point of its kind's pmf
+        report, violations = None, [str(e)]
+    else:
+        violations = certificate_violations(ch, report)
     cert = certificate_for(ch)
-    if report is not None:
-        if cert.kind == "differential_privacy" and report.dp_ratio_max is not None:
-            if report.dp_ratio_max > math.exp(cert.level) * (1.0 + 1e-9):
-                violations.append(
-                    f"dp ratio {report.dp_ratio_max!r} exceeds exp(eps)"
-                )
-        # every kind's residual comes from its exact mean
-        if report.unbiasedness_max_residual > 1e-8:
-            violations.append(
-                f"unbiasedness residual {report.unbiasedness_max_residual!r} exceeds 1e-08"
-            )
     payload = {
         "schema": CERTIFY_SCHEMA,
         "channel": json.loads(channel_to_json(ch)),
@@ -240,7 +222,7 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
     budget_grid = _float_grid(cfg, "budget", fam.budgets)
     if not (d_grid and n_grid and budget_grid):
         raise UsageError("grids must be non-empty")
-    reps = _as_int("reps", cfg.get("reps", 50))
+    reps = _integer("reps", cfg.get("reps", 50))
     if reps < 1:
         raise UsageError("reps must be >= 1")
     delta = _real("delta", cfg.get("delta", 0.5))
@@ -342,7 +324,7 @@ def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
     m_grid = _float_grid(cfg, "M", [2.0, 4.0])
     i_grid = _float_grid(cfg, "I_star", [0.25, 1.0])
     q = _real("q", cfg.get("q", 2.0))
-    k = _as_int("k", cfg.get("k", 0))
+    k = _integer("k", cfg.get("k", 0))
     L = _real("L", cfg.get("L", 1.0))
     r = _real("r", cfg.get("r", 1.0))
 
@@ -350,7 +332,7 @@ def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
     sandwich_ok, monotone_ok = True, True
     for th in theorems:
         bkind = THEOREM_BUDGET[th]
-        q_col = q if th.startswith("T5") else math.nan  # q is the T5 family's exponent
+        q_col = q if th in Q_THEOREMS else math.nan
         budgets = {"M": m_grid, "eps": eps_grid, "I_star": i_grid}[bkind]
         for d in d_grid:
             for budget in budgets:
@@ -362,9 +344,8 @@ def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
                     monotone_ok &= lo <= prev * (1.0 + 1e-12)
                     prev = lo
                     delta = default_delta(spec) if th in DELTA_THEOREMS else math.nan
-                    c8, d8 = math.nan, math.nan
-                    if bkind == "eps" and not math.isnan(delta):
-                        c8, d8 = lemma8_constants(d, k, budget, delta)
+                    c8, d8 = (lemma8_constants(d, k, budget, delta) if th in LEMMA8_THEOREMS
+                              else (math.nan, math.nan))
                     flagged = int(t5_middle_term(spec) is not None)
                     lines.append(",".join(_fmt(v) for v in (
                         th, d, n, bkind, budget, q_col, delta, lo, up, flagged, c8, d8,
@@ -386,7 +367,7 @@ def cmd_bounds(cfg: dict, seed: int, check: bool) -> tuple:
 def cmd_bias_demo(cfg: dict, seed: int, check: bool) -> tuple:
     b = _real("slope", cfg.get("slope", 1.0))
     r = _real("r", cfg.get("r", 1.0))
-    n = _as_int("n", cfg.get("n", 4096))
+    n = _integer("n", cfg.get("n", 4096))
     if b <= 0.0 or r <= 0.0 or n < 1:
         raise UsageError("slope and r must be positive, n >= 1")
     L = b / 2.0  # the 1-d loss theta -> (b/2) theta has |grad| = b/2

@@ -3,12 +3,14 @@
 The l2 optimizer needs the exact Euclidean projection onto its ball for
 its feasibility step, the certificates enumerate the corners of the sign
 hypercube, and a lower-bound construction indexes its hard family of risk
-functions by a Packing of separated points.
+functions by a Packing of separated points.  Every module checks its
+counts (dimensions, steps, draws, chains) with _integer.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,6 +63,17 @@ class Packing:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.points, dtype=float)
+
+
+def _integer(key: str, v) -> int:
+    """v as an int; a fraction or a bool is an error, never truncated."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {v!r}")
+    return int(v)
+
+
+# the largest d whose 2^d corners a pmf or a data support enumerates
+_CORNER_MAX_D = 20
 
 
 @lru_cache(maxsize=None)

@@ -24,14 +24,13 @@ raises UnsupportedFamilyError.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import NormBall, _corner_matrix
+from .geometry import _CORNER_MAX_D, NormBall, _corner_matrix, _integer
 
 __all__ = [
     "LOSS_KINDS",
@@ -116,9 +115,7 @@ class DataDist:
     def __post_init__(self) -> None:
         if self.kind not in DIST_KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        if isinstance(self.d, bool) or not isinstance(self.d, numbers.Integral):
-            raise ValueError(f"d must be an integer, got {self.d!r}")
-        if self.d < 1:
+        if _integer("d", self.d) < 1:
             raise ValueError("d must be >= 1")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
@@ -142,12 +139,13 @@ class DataDist:
 def sample_datum(dist: DataDist, rng, size=None) -> np.ndarray:
     """Draw X ~ dist; shape (d,) or (size, d)."""
     rng = np.random.default_rng(rng)
-    out = _LAWS[dist.kind].sample(dist, rng, 1 if size is None else int(size))
+    out = _LAWS[dist.kind].sample(dist, rng, 1 if size is None else _integer("size", size))
     return out[0] if size is None else out
 
 
 def dist_support(dist: DataDist):
-    """Full support enumeration (points (k, d), probs (k,)); the cube's 2^d at d <= 20."""
+    """Full support enumeration (points (k, d), probs (k,)); the cube's 2^d
+    up to geometry._CORNER_MAX_D."""
     return _LAWS[dist.kind].support(dist)
 
 
@@ -252,7 +250,7 @@ def _linear_separation(spec_v: RiskSpec, spec_w: RiskSpec) -> float:
 
 
 def _cube_support(dist: DataDist):
-    if dist.d > 20:
+    if dist.d > _CORNER_MAX_D:
         raise ValueError("cube support too large to enumerate")
     pts = _corner_matrix(dist.d)
     return pts, np.prod(np.where(pts > 0, dist.p_plus, 1.0 - dist.p_plus), axis=1)

@@ -19,14 +19,13 @@ vertices cannot cycle.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import _corner_matrix
+from .geometry import _corner_matrix, _integer
 
 __all__ = ["MAX_LP_DIM", "DpLpInstance", "DpLpSolution", "solve_dp_lp"]
 
@@ -40,9 +39,7 @@ class DpLpInstance:
     eps: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.d, bool) or not isinstance(self.d, numbers.Integral):
-            raise ValueError(f"d must be an integer, got {self.d!r}")
-        if not 1 <= self.d <= MAX_LP_DIM:
+        if not 1 <= _integer("d", self.d) <= MAX_LP_DIM:
             raise ValueError(f"d must lie in [1, {MAX_LP_DIM}]")
         if not (self.eps > 0.0 and math.isfinite(self.eps)):
             raise ValueError("eps must be positive and finite")

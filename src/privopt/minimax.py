@@ -7,7 +7,9 @@ information quantities are in nats.
 
 `_THEOREMS` has one row per theorem: its budget field, its lower and upper
 bound, its recorded bias choice, its unmatched middle term and its range
-checks.  `_LEMMAS` has one row per information lemma: its MI bound.
+checks; THEOREM_BUDGET, DELTA_THEOREMS, Q_THEOREMS and LEMMA8_THEOREMS are
+read from the rows.  `_LEMMAS` has one row per information lemma: its MI
+bound.
 """
 
 from __future__ import annotations
@@ -16,13 +18,12 @@ import decimal
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .channels import Channel, channel_pmf, l1_gamma
-from .geometry import Packing
+from .geometry import Packing, _integer
 from .information import mi_closed_form, mi_from_conditionals
 from .losses import LOSS_KINDS, DataDist, dist_support, make_loss, subgrad
 
@@ -30,6 +31,8 @@ __all__ = [
     "THEOREMS",
     "THEOREM_BUDGET",
     "DELTA_THEOREMS",
+    "Q_THEOREMS",
+    "LEMMA8_THEOREMS",
     "BoundSpec",
     "TestingInstance",
     "lower_bound",
@@ -69,9 +72,8 @@ class BoundSpec:
         row = _THEOREMS.get(self.theorem)
         if row is None:
             raise ValueError(f"unknown theorem {self.theorem!r}")
-        for v in (self.d, self.n):
-            if not (type(v) is int or type(v) is not bool and isinstance(v, Integral)) or v < 1:
-                raise ValueError(f"d and n must be positive integers, got {self.d!r}, {self.n!r}")
+        if min(_integer("d", self.d), _integer("n", self.n)) < 1:
+            raise ValueError(f"d and n must be positive integers, got {self.d!r}, {self.n!r}")
         if getattr(self, row.budget) is None:
             raise ValueError(f"{self.theorem} needs {row.budget}")
         for v in (self.L, self.r, self.M, self.eps, self.I_star):
@@ -161,7 +163,7 @@ class _Theorem(NamedTuple):
     ranges: tuple = ()  # (holds(spec), message) pairs beyond finite positive values
 
 
-_T5_RANGES = ((lambda s: s.q is not None and s.q >= 1.0, "needs q >= 1"),)
+_Q_RANGE = (lambda s: s.q is not None and s.q >= 1.0, "needs q >= 1")
 # The T-theorem upper bounds are the corollary forms achieved by mirror
 # descent / SGD through the corresponding channel; T1b and T2 use the exact
 # information level of the calibrated channel.
@@ -193,8 +195,8 @@ _THEOREMS = {
             math.sqrt(math.exp(s.eps) * s.n) * _exp_gap(s.eps)), 1.0)),
     "T5_linear": _Theorem(
         "eps", lambda s: s.r * s.L * min(_t5_first(s), _t5_middle(s), 1.0),
-        _t5_rate, middle=_t5_middle, ranges=_T5_RANGES),
-    "T5_general": _Theorem("eps", _t5_rate, ranges=_T5_RANGES),
+        _t5_rate, middle=_t5_middle, ranges=(_Q_RANGE,)),
+    "T5_general": _Theorem("eps", _t5_rate, ranges=(_Q_RANGE,)),
     "C1": _Theorem("I_star", lambda s: _linf_rate(s, s.I_star)),
     "C2": _Theorem("I_star", lambda s: _l1_rate(s, s.I_star)),
     "C3": _Theorem("eps", _dp_rate, delta=_dp_delta),
@@ -202,6 +204,10 @@ _THEOREMS = {
 THEOREMS = tuple(_THEOREMS)
 THEOREM_BUDGET = {th: row.budget for th, row in _THEOREMS.items()}
 DELTA_THEOREMS = frozenset(th for th, row in _THEOREMS.items() if row.delta is not None)
+# the T5 family, whose bounds read the domain exponent q: the rows that check it
+Q_THEOREMS = frozenset(th for th, row in _THEOREMS.items() if _Q_RANGE in row.ranges)
+# the eps theorems with a bias choice, at which lemma8_constants(d, k, eps, delta) applies
+LEMMA8_THEOREMS = frozenset(th for th in DELTA_THEOREMS if _THEOREMS[th].budget == "eps")
 
 
 def fano_bound(mi: float, packing_size: int) -> float:

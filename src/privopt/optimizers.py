@@ -24,12 +24,11 @@ part of the protocol's transcript (see protocol).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NormBall, project_l2_ball
+from .geometry import NormBall, _integer, project_l2_ball
 
 __all__ = [
     "OPTIMIZER_METHODS",
@@ -55,9 +54,7 @@ class OptimizerConfig:
         if self.method not in OPTIMIZER_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         for name in ("dim", "steps"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+            _integer(name, getattr(self, name))
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.grad_bound <= 0.0:
@@ -139,10 +136,10 @@ def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
     """
     gen = _prepare(config, rng, "mirror_descent_l1", 1)
     d, n, r = config.dim, config.steps, config.domain.radius
-    if chains is not None and chains < 1:
+    cols = () if chains is None else (_integer("chains", chains),)
+    if cols and cols[0] < 1:
         raise ValueError("chains must be >= 1")
     eta = step_size_for("mirror_descent_l1", config.domain, config.grad_bound, n, d)
-    cols = () if chains is None else (int(chains),)
     lw = np.full((2 * d,) + cols, -math.log(2 * d))  # log-weights on the lift, uniform
     theta = np.zeros((d,) + cols)
     total = np.zeros((d,) + cols)

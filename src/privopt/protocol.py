@@ -13,18 +13,14 @@ call, and each query spends the next rows of it.  Every answer is still
 its own datum through its own draw, and the learner still sees only
 (theta, Z).
 
-A population stream's oracle (as_grad_oracle) also answers ahead, for a
-learner that steps a block at once: oracle.ahead(theta, most) answers the
-next k <= most queries, the rows left in the block after the refill query
-would make now, all at the one theta, through Channel.apply; the learner
-then hands the thetas it would really have sent for queries 1..j, and the
-stream recomputes those subgradients in one call, keeps the m = 1 +
-(leading ones equal bit for bit) answers, and consumes exactly those m
-queries.  Row 0 is asked at its own theta, so m >= 1; every kept answer is
-the one query would give, and no refill is drawn that query would not
-draw.  When the learner caps the window after one that wasted answers at
-twice the ones it kept, the rows that pass through Channel.apply stay
-under 3 n R over n steps of R rows.
+A population stream's oracle (as_grad_oracle) also answers ahead, under
+the contract the optimizers module docstring states: oracle.ahead(theta,
+most) answers the next k <= most queries at the one theta (the rows left
+in the block after the refill query would make now), and its settle
+consumes the leading answers that query would give at the real thetas.
+No refill is drawn that query would not draw.  How many queries a learner
+asks ahead, and what that costs, is the learner's policy (see
+optimizers.mirror_descent_l1).
 
 Answering ahead is a shortcut of the simulation, not a protocol round.
 Its guessed answers for the queries the learner does not keep, and the
@@ -46,8 +42,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import information
 from .channels import Channel, dp_ratio_max
-from .information import certificate_for
 from .losses import DataDist, LossFn, sample_datum, subgrad
 
 __all__ = [
@@ -206,7 +202,7 @@ def as_grad_oracle(stream: PrivateGradStream):
 
 
 def _channel_entry(ch: Channel) -> dict:
-    cert = certificate_for(ch)
+    cert = information.certificate_for(ch)
     entry = {
         "channel_kind": ch.kind,
         "certificate": "none (non-private)" if math.isinf(cert.level)
@@ -215,9 +211,7 @@ def _channel_entry(ch: Channel) -> dict:
     if ch.exact_dp_ratio:
         ratio = dp_ratio_max(ch)
         entry["dp_ratio_max"] = ratio
-        entry["dp_ratio_verified"] = bool(
-            ratio <= math.exp(ch.privacy_param) * (1.0 + 1e-9)
-        )
+        entry["dp_ratio_verified"] = information.dp_ratio_verified(ch, ratio)
     return entry
 
 

@@ -337,9 +337,26 @@ def test_dp_ratio_exact(d, eps):
 
 
 def test_dp_ratio_rejects_non_dp_kinds():
+    # dp_ratio_max runs exactly where Channel.exact_dp_ratio says it can
+    for ch in (make_channel("linf_maxent", 2, M=2.0), make_channel("dp_l2_sampler", 2, eps=1.0),
+               make_channel("dp_hypercube", 11, eps=0.1)):
+        assert not ch.exact_dp_ratio
+        with pytest.raises(ValueError, match="finite-support dp kind"):
+            dp_ratio_max(ch)
+    assert make_channel("dp_linf_sampler", 10, eps=0.1).exact_dp_ratio
+
+
+def test_draw_counts_are_integers_never_truncated():
+    # a fraction or a bool is refused, not truncated; a numpy integer passes
     ch = make_channel("linf_maxent", 2, M=2.0)
-    with pytest.raises(ValueError):
-        dp_ratio_max(ch)
+    x = np.zeros(2)
+    for size in (2.5, True):
+        with pytest.raises(ValueError, match="size must be an integer"):
+            ch.sample(x, rng=0, size=size)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        ch.noise(2.5, rng=0)
+    assert ch.sample(x, rng=0, size=np.int64(3)).shape == (3, 2)
+    assert len(ch.noise(np.int32(2), rng=0)[0]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +441,6 @@ def test_input_outside_source_ball_rejected():
                make_channel("dp_hypercube", 2, eps=0.5), make_channel("identity", 2)):
         with pytest.raises(ValueError, match="source radius"):
             channel_pmf(ch, far)
-    with pytest.raises(ValueError, match="source radius"):
-        dp_ratio_max(make_channel("dp_hypercube", 2, eps=0.5), inputs=[far, -far])
 
 
 # ---------------------------------------------------------------------------

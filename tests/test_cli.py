@@ -12,6 +12,7 @@ import privopt.information as information
 import privopt.protocol as protocol
 from privopt.channels import CHANNEL_KINDS, Channel, make_channel
 from privopt.information import InfoReport
+from privopt.losses import make_loss
 
 
 def _cfg(tmp_path, name, doc):
@@ -95,6 +96,38 @@ def test_certify_residual_violation_exits_2(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "certify_channel", fake)
     cfg = _cfg(tmp_path, "c.json", {"kind": "linf_maxent", "d": 2, "M": 2.0})
     assert _run(["certify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_one_dp_ratio_rule_for_certify_and_the_audit(tmp_path, monkeypatch):
+    # certify and audit_leakage read the one rule, information.dp_ratio_verified:
+    # made to refuse, it fails both
+    monkeypatch.setattr(information, "dp_ratio_verified", lambda ch, ratio: False)
+    cfg = _cfg(tmp_path, "c.json", {"kind": "dp_hypercube", "d": 3, "eps": 1.0,
+                                    "n_mc": 10000})
+    out = tmp_path / "o.json"
+    assert _run(["certify", "--config", cfg, "--out", str(out)]) == 2
+    doc = json.loads(out.read_text())
+    ratio = doc["report"]["dp_ratio_max"]
+    assert doc["violations"] == [f"dp ratio {ratio!r} exceeds exp(eps)"]
+    ch = make_channel("dp_hypercube", 2, eps=0.5)
+    stream = protocol.PrivateGradStream.from_data([[1.0, -1.0]], make_loss("median"), ch, rng=0)
+    assert protocol.audit_leakage(stream)["owners"][0]["dp_ratio_verified"] is False
+
+
+def test_certify_prints_a_report_whose_mi_values_disagree(tmp_path, monkeypatch):
+    # the exact and closed-form MI differ by 1e-6: a violation, and the
+    # report is still printed
+    def fake(ch, rng=None, n_mc=10**5):
+        return InfoReport(0.5, 0.5 + 1e-6, None, None, 0.0)
+
+    monkeypatch.setattr(cli, "certify_channel", fake)
+    cfg = _cfg(tmp_path, "c.json", {"kind": "linf_maxent", "d": 2, "M": 2.0})
+    out = tmp_path / "o.json"
+    assert _run(["certify", "--config", cfg, "--out", str(out)]) == 2
+    doc = json.loads(out.read_text())
+    assert doc["violations"] == ["exact and closed-form MI disagree beyond 1e-8"]
+    assert doc["report"]["mi_exact_nats"] == 0.5
+    assert doc["report"]["mi_closed_form_nats"] == 0.5 + 1e-6
 
 
 def test_certify_reports_a_draw_off_the_support(tmp_path, monkeypatch):

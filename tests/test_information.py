@@ -21,6 +21,7 @@ from privopt.information import (
     InfoReport,
     binary_entropy,
     certificate_for,
+    certificate_violations,
     certify_channel,
     extreme_point_source,
     mi_closed_form,
@@ -395,6 +396,15 @@ def test_certify_channel_sphere_sampler_and_bias():
     assert rep.unbiasedness_max_residual <= 1e-10
 
 
-def test_inforeport_rejects_inconsistent_values():
-    with pytest.raises(ValueError):
-        InfoReport(0.5, 0.5 + 1e-6, None, None, 0.0)
+def test_certificate_violations_lists_each_broken_rule():
+    # InfoReport is plain data: a report that breaks every rule is built,
+    # and certificate_violations lists the rules in order
+    ch = make_channel("dp_hypercube", 2, eps=0.5)
+    bad = InfoReport(0.5, 0.5 + 1e-6, None, 2.0, 0.5)
+    assert certificate_violations(ch, bad) == [
+        "exact and closed-form MI disagree beyond 1e-8",
+        "dp ratio 2.0 exceeds exp(eps)",
+        "unbiasedness residual 0.5 exceeds 1e-08",
+    ]
+    ok = InfoReport(0.5, 0.5 + 1e-9, None, math.exp(0.5) * (1.0 + 1e-10), 1e-9)
+    assert certificate_violations(ch, ok) == []

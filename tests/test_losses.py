@@ -218,6 +218,11 @@ def test_sample_datum_single_shape():
     dist = DataDist("cube_bernoulli", 5, 0.0, (0,) * 5)
     x = sample_datum(dist, np.random.default_rng(0))
     assert x.shape == (5,)
+    # size is an integer: a fraction or a bool is refused, a numpy integer passes
+    for size in (2.5, True):
+        with pytest.raises(ValueError, match="size must be an integer"):
+            sample_datum(dist, np.random.default_rng(0), size=size)
+    assert sample_datum(dist, np.random.default_rng(0), size=np.int64(2)).shape == (2, 5)
 
 
 def test_data_dist_is_a_hashable_value():

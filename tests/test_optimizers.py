@@ -143,6 +143,19 @@ def test_chains_match_single_runs_bitwise():
         mirror_descent_l1(oracle_for(all_targets, []), cfg, 99, chains=0)
 
 
+def test_chains_is_an_integer_never_truncated():
+    # a fraction or a bool is refused, not run as int(chains); a numpy integer passes
+    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), 2, 4, 1.0)
+
+    def oracle(theta, rng):
+        return np.ones_like(theta)
+
+    for chains in (2.5, True):
+        with pytest.raises(ValueError, match="chains must be an integer"):
+            mirror_descent_l1(oracle, cfg, 0, chains=chains)
+    assert mirror_descent_l1(oracle, cfg, 0, chains=np.int64(2)).averaged.shape == (2, 2)
+
+
 def _mirror_descent_reference(grad_oracle, config, rng, chains=None):
     """mirror_descent_l1's averaged iterate with a log-renormalized lift:
     each step divides the weights by their sum and stores their log."""
