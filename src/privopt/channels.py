@@ -71,7 +71,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import _CORNER_MAX_D, NormBall, _corner_matrix, _integer
+from .geometry import _CORNER_MAX_D, _CORNER_PAIRS_MAX_D, NormBall, _corner_matrix, _integer
 
 __all__ = [
     "CHANNEL_KINDS",
@@ -353,7 +353,6 @@ def _biased_apply(ch, x: np.ndarray, e: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exact pmfs at a checked batch X (R, d), in the form _Kind.pmf states
 
-_MIXTURE_GUARD_D = 10
 _JOINT_GUARD = 10**7
 
 
@@ -399,8 +398,8 @@ def _two_level_pmf(ch, X: np.ndarray) -> tuple:
     corners = _product_corners(ch.d, len(X))
     # a corner input (every |x_j| within 1e-12 L of L) has the class law of its signs
     inner = np.flatnonzero(np.any(np.abs(np.abs(X) - L) >= 1e-12 * L, axis=1))
-    if inner.size and ch.d > _MIXTURE_GUARD_D:
-        raise ValueError("interior-input mixture needs d <= 10")
+    if inner.size and ch.d > _CORNER_PAIRS_MAX_D:
+        raise ValueError(f"interior-input mixture needs d <= {_CORNER_PAIRS_MAX_D}")
     levels = lambda agree: np.where(agree > 0.0, cal["q_plus"], cal["q_minus"])
     probs = levels(np.sign(X) @ corners.T)
     if inner.size:  # mix the corner laws by the rounding law; a matmul would reorder the sum
@@ -686,7 +685,7 @@ class Channel:
     @property
     def exact_dp_ratio(self) -> bool:
         """True when dp_ratio_max(ch) can check eps over every corner input."""
-        return self.budget == "eps" and self.has_pmf and self.d <= _MIXTURE_GUARD_D
+        return self.budget == "eps" and self.has_pmf and self.d <= _CORNER_PAIRS_MAX_D
 
     def noise(self, n: int, rng=None) -> tuple:
         """The randomness of n draws, which does not depend on the input: a
@@ -761,18 +760,17 @@ def make_channel(
 # exact pmfs, ratio checks and the worst-case MI
 
 
-def _first_appearance(a: np.ndarray, block=None) -> tuple:
+def _first_appearance(a: np.ndarray) -> tuple:
     """Distinct rows of a (m, d), compared with == (so 0.0 and -0.0 are one
     row), numbered in order of first appearance: returns (first, col), where
     a[first[j]] is the first row of group j and row i belongs to group
-    col[i].  With block (m,), a nondecreasing label per row, the groups are
-    numbered by the block of their first row, then lexicographically."""
+    col[i]."""
     order = np.lexsort(a.T[::-1])
     s = a[order]
     new = np.ones(len(a), dtype=bool)
     np.any(s[1:] != s[:-1], axis=1, out=new[1:])
     heads = order[new]  # the sort is stable, so each group's first row leads it
-    rank = np.argsort(heads if block is None else block[heads], kind="stable")
+    rank = np.argsort(heads, kind="stable")
     col = np.empty(len(a), dtype=np.intp)
     col[order] = np.argsort(rank)[np.cumsum(new) - 1]
     return heads[rank], col
@@ -831,7 +829,7 @@ def dp_ratio_max(ch: Channel) -> float:
     points, where the sup is attained) of the conditional pmf ratio;
     ValueError unless ch.exact_dp_ratio."""
     if not ch.exact_dp_ratio:
-        raise ValueError("dp_ratio_max needs a finite-support dp kind at d <= 10")
+        raise ValueError(f"dp_ratio_max needs a finite-support dp kind at d <= {_CORNER_PAIRS_MAX_D}")
     probs = channel_pmf(ch, ch.source.radius * _corner_matrix(ch.d)).probs
     return float(np.max(probs.max(axis=0) / probs.min(axis=0)))
 

@@ -45,10 +45,9 @@ class NormBall:
 
 @dataclass(frozen=True)
 class Packing:
-    """A finite set of vectors with a guaranteed pairwise l1 separation."""
+    """A finite set of vectors of one dimension."""
 
     points: tuple
-    min_l1_separation: float
 
     def __post_init__(self) -> None:
         pts = tuple(np.asarray(p, dtype=float) for p in self.points)
@@ -61,9 +60,6 @@ class Packing:
     def dim(self) -> int:
         return int(self.points[0].size)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.points, dtype=float)
-
 
 def _integer(key: str, v) -> int:
     """v as an int; a fraction or a bool is an error, never truncated."""
@@ -74,6 +70,10 @@ def _integer(key: str, v) -> int:
 
 # the largest d whose 2^d corners a pmf or a data support enumerates
 _CORNER_MAX_D = 20
+# the largest d at which 2^d corner inputs are each set against the 2^d
+# corners: certify's exact-MI source, the exhaustive DP ratio and the
+# two-level law at an interior input
+_CORNER_PAIRS_MAX_D = 10
 
 
 @lru_cache(maxsize=None)

@@ -2,8 +2,9 @@
 
 Everything internal is in nats; nats_to_bits converts for reporting.
 Exact mutual information is a double sum over the joint law of a finite
-source and a finite-support channel; the Monte-Carlo estimator exists to
-validate samplers against the closed forms, not the other way around.
+source and a finite-support channel.  Sampled draws validate the sampler
+against that law, through check_draws_on_support; no MI is estimated from
+them.
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ import numpy as np
 from .channels import (
     Channel,
     PrivacyCertificate,
-    _first_appearance,
     binary_entropy,
     channel_pmf,
     dp_ratio_max,
     support_index,
     worst_case_mi,
 )
-from .geometry import _corner_matrix
+from .geometry import _CORNER_PAIRS_MAX_D, _corner_matrix, _integer
 
 __all__ = [
     "DiscreteDist",
@@ -36,7 +36,7 @@ __all__ = [
     "mutual_information_exact",
     "mi_from_conditionals",
     "mi_closed_form",
-    "mi_monte_carlo",
+    "check_draws_on_support",
     "certify_channel",
     "certificate_for",
     "certificate_violations",
@@ -121,85 +121,37 @@ def mi_closed_form(kind: str, d: int, L: float, M: float) -> MiClosedForm:
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo estimate with jackknife error
-
-
-def _plugin_mi(counts: np.ndarray) -> float:
-    n = counts.sum()
-    nz = counts > 0
-    rows = counts.sum(axis=1, keepdims=True)
-    cols = counts.sum(axis=0, keepdims=True)
-    outer = rows * cols
-    vals = counts[nz] * np.log(counts[nz] * n / outer[nz])
-    return float(vals.sum() / n)
-
-
-def _xlogx_step(m: np.ndarray) -> np.ndarray:
-    """f(m) - f(m - 1) for f(m) = m log m and m >= 1, without the
-    cancellation of the difference; 0 at m = 1."""
-    return np.log(m) + (m - 1.0) * np.log1p(1.0 / np.maximum(m - 1.0, 1.0))
+# the sampler against the exact support
 
 
 MI_MC_MIN_N = 10**4
 
 
-def mi_monte_carlo(source: DiscreteDist, ch: Channel, n: int, rng) -> tuple:
-    """Plug-in MI estimate (nats) from n sampled (X, Z) pairs, with a
-    grouped delete-one jackknife standard error; ch must have a pmf.
+def check_draws_on_support(source: DiscreteDist, ch: Channel, n: int, rng) -> None:
+    """Draw n (X, Z) pairs, X from source and then, source point by source
+    point, Z from ch at X, and check that each draw is a point of the
+    kind's exact pmf at X; ch must have a pmf and n >= MI_MC_MIN_N.
 
-    The plug-in is biased upward by roughly (|cells| - 1)/(2n)
-    (Miller-Madow), so acceptance comparisons widen by that term.
-    Cost is O(n d + cells log cells): support_index maps each draw to its
-    point of the kind's pmf, one bincount per source counts them, one sort
-    of the occupied cells numbers the columns, and each leave-one-out value
-    is an O(1) update of the plug-in.  A draw that is not its point, both
-    rounded to 12 decimals and compared with ==, raises ValueError.
+    support_index maps each draw to its point of channel_pmf(ch, x); a draw
+    that is not its point, both rounded to 12 decimals and compared with
+    ==, raises ValueError.  Cost is O(n d) plus one pmf per source point.
     """
+    n = _integer("n", n)
     if n < MI_MC_MIN_N:
-        raise ValueError("need n >= 1e4 for a stable plug-in estimate")
+        raise ValueError(f"n must be >= {MI_MC_MIN_N}, got {n}")
     rng = np.random.default_rng(rng)
-    idx = source.sample_indices(rng, n)
-    per_source = np.bincount(idx, minlength=len(source))
-    cell_i, cell_keys, cell_n = [], [], []
-    for i in range(len(source)):
-        n_i = int(per_source[i])
+    per_source = np.bincount(source.sample_indices(rng, n), minlength=len(source))
+    for i, n_i in enumerate(per_source.tolist()):
         if n_i == 0:
             continue
         x = source.support[i]
         zs = ch.sample(x, rng=rng, size=n_i)
-        points = channel_pmf(ch, x).points
-        at = support_index(ch, x, zs)
+        points = channel_pmf(ch, x).points.take(support_index(ch, x, zs), axis=0)
         # each draw must be its point after the 12-decimal rounding that
         # absorbs float noise, which matters only when they differ before it
-        if not (np.array_equal(zs, points.take(at, axis=0))
-                or np.array_equal(np.round(zs, 12), np.round(points, 12).take(at, axis=0))):
+        if not (np.array_equal(zs, points)
+                or np.array_equal(np.round(zs, 12), np.round(points, 12))):
             raise ValueError(f"a {ch.kind} draw at source {i} is not a point of its pmf")
-        hits = np.bincount(at, minlength=len(points))
-        hit = np.flatnonzero(hits)
-        cell_i.append(np.full(len(hit), i))
-        cell_keys.append(np.round(points[hit], 12))
-        cell_n.append(hits[hit])
-    # columns merged across sources by == (so 0.0 and -0.0 are one), numbered
-    # by the first source that hits them, then lexicographically
-    rows = np.concatenate(cell_i)
-    first, cols = _first_appearance(np.concatenate(cell_keys), block=rows)
-    m = len(first)
-    counts = np.bincount(rows * m + cols, weights=np.concatenate(cell_n),
-                         minlength=len(source) * m).reshape(len(source), m)
-    est = _plugin_mi(counts)
-    # Delete-one jackknife, grouped by occupied cell. With f(m) = m log m,
-    # n * est = T = sum f(c) + f(n) - sum f(rows) - sum f(cols); deleting
-    # one draw from cell (i, j) gives (T + D)/(n - 1), where D = step(r_i)
-    # + step(s_j) - step(c_ij) - step(n) and step = _xlogx_step. step(n) is
-    # common to every cell and cancels on centring, so the variance
-    # (n-1)/n sum c (loo - mean)^2 is sum c (D - mean D)^2 / (n (n - 1)).
-    i, j = np.nonzero(counts)
-    c = counts[i, j]
-    D = (_xlogx_step(counts.sum(axis=1)[i]) + _xlogx_step(counts.sum(axis=0)[j])
-         - _xlogx_step(c))
-    dev = D - float((c * D).sum()) / n
-    var = float((c * dev * dev).sum()) / (n * (n - 1.0))
-    return est, math.sqrt(var)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +165,6 @@ class InfoReport:
 
     mi_exact: float | None
     mi_closed_form: float | None
-    mi_monte_carlo: tuple | None
     dp_ratio_max: float | None
     unbiasedness_max_residual: float
 
@@ -221,8 +172,6 @@ class InfoReport:
         doc = {
             "mi_exact_nats": self.mi_exact,
             "mi_closed_form_nats": self.mi_closed_form,
-            "mi_monte_carlo_nats": None if self.mi_monte_carlo is None else
-                {"estimate": self.mi_monte_carlo[0], "std_err": self.mi_monte_carlo[1]},
             "dp_ratio_max": self.dp_ratio_max,
             "unbiasedness_max_residual": self.unbiasedness_max_residual,
         }
@@ -237,7 +186,7 @@ def extreme_point_source(ch: Channel) -> DiscreteDist | None:
     if ch.source.p == 1:
         pts = [L * e for e in np.vstack([np.eye(d), -np.eye(d)])]
         return DiscreteDist.uniform(pts)
-    if ch.source.p == 2 or d > 10:
+    if ch.source.p == 2 or d > _CORNER_PAIRS_MAX_D:
         return None
     return DiscreteDist.uniform(list(L * _corner_matrix(d)))
 
@@ -278,26 +227,27 @@ def certify_channel(ch: Channel, rng=None, n_mc: int = 10**5) -> InfoReport:
     """Measure a channel against its own contract.
 
     Computes whatever is available for the kind: exact MI at the
-    saddle-point source, the closed form, a Monte-Carlo MI from n_mc
-    draws, the exhaustive DP ratio, and the worst unbiasedness residual of
-    the kind's exact mean E[Z | x] at five probe inputs, which draws no
-    sample at any d.
+    saddle-point source, the closed form, the exhaustive DP ratio, and the
+    worst unbiasedness residual of the kind's exact mean E[Z | x] at five
+    probe inputs, which draws no sample at any d.  For a kind with a pmf
+    at a source of corner inputs, n_mc draws at that source also go through
+    check_draws_on_support, whose ValueError for a draw off the pmf
+    propagates.
     """
     rng = np.random.default_rng(rng)
     source = extreme_point_source(ch)
     mi_exact = None
-    mc = None
     if ch.has_pmf and source is not None:
         try:
             mi_exact = mutual_information_exact(source, ch)
         except ValueError:
             mi_exact = None  # support over the enumeration guard
-        mc = mi_monte_carlo(source, ch, n_mc, rng)
+        check_draws_on_support(source, ch, n_mc, rng)
     closed = None
     if ch.budget == "M":
         closed = certificate_for(ch).level
     ratio = dp_ratio_max(ch) if ch.exact_dp_ratio else None
-    return InfoReport(mi_exact, closed, mc, ratio, _unbiasedness_residual(ch, rng))
+    return InfoReport(mi_exact, closed, ratio, _unbiasedness_residual(ch, rng))
 
 
 def _unbiasedness_residual(ch: Channel, rng) -> float:

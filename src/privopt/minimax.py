@@ -226,7 +226,8 @@ def fano_bound(mi: float, packing_size: int) -> float:
 def lemma8_constants(d: int, k: int, eps: float, delta: float) -> tuple:
     """(C_d(k), Delta) for the two-level threshold-k channel, in 50-digit
     decimal arithmetic.  C_d(k) counts corners above the threshold; Delta
-    bounds the per-sample root-information."""
+    bounds the per-sample root-information.  d and k are integers."""
+    d, k = _integer("d", d), _integer("k", k)
     if k < 0 or k % 2 != 0 or k > 2 * math.ceil(d / 2) - 2:
         raise ValueError("k must be even with 0 <= k <= 2 ceil(d/2) - 2")
     half = math.ceil((d - k) / 2)

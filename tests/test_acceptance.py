@@ -75,17 +75,17 @@ def _corners(d):
 def _two_point(d):
     e1 = np.zeros(d)
     e1[0] = 1.0
-    return Packing((tuple(e1), tuple(-e1)), 2.0)
+    return Packing((tuple(e1), tuple(-e1)))
 
 
 def _signed_basis(d):
     eye = np.eye(d)
     pts = tuple(tuple(s * eye[j]) for j in range(d) for s in (1.0, -1.0))
-    return Packing(pts, 2.0)
+    return Packing(pts)
 
 
 def _corner_packing(d):
-    return Packing(tuple(map(tuple, _corners(d))), 2.0)
+    return Packing(tuple(map(tuple, _corners(d))))
 
 
 # ---------------------------------------------------------------------------

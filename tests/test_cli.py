@@ -67,7 +67,7 @@ def test_certify_selfcheck_draws_nothing(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("certify --check drew a sample")
 
-    monkeypatch.setattr(information, "mi_monte_carlo", refuse)
+    monkeypatch.setattr(information, "check_draws_on_support", refuse)
     monkeypatch.setattr(Channel, "sample", refuse)
     outs = []
     for seed in ("0", "3"):
@@ -79,7 +79,7 @@ def test_certify_selfcheck_draws_nothing(monkeypatch, capsys):
 def test_certify_violation_exits_2(tmp_path, monkeypatch):
     # inject a report contradicting the dp contract: wiring must exit 2
     def fake(ch, rng=None, n_mc=10**5):
-        return InfoReport(None, None, None, 3.0 * math.e, 0.0)
+        return InfoReport(None, None, 3.0 * math.e, 0.0)
 
     monkeypatch.setattr(cli, "certify_channel", fake)
     cfg = _cfg(tmp_path, "c.json", {"kind": "dp_hypercube", "d": 3, "eps": 1.0})
@@ -91,7 +91,7 @@ def test_certify_violation_exits_2(tmp_path, monkeypatch):
 
 def test_certify_residual_violation_exits_2(tmp_path, monkeypatch):
     def fake(ch, rng=None, n_mc=10**5):
-        return InfoReport(None, None, None, None, 0.5)
+        return InfoReport(None, None, None, 0.5)
 
     monkeypatch.setattr(cli, "certify_channel", fake)
     cfg = _cfg(tmp_path, "c.json", {"kind": "linf_maxent", "d": 2, "M": 2.0})
@@ -118,7 +118,7 @@ def test_certify_prints_a_report_whose_mi_values_disagree(tmp_path, monkeypatch)
     # the exact and closed-form MI differ by 1e-6: a violation, and the
     # report is still printed
     def fake(ch, rng=None, n_mc=10**5):
-        return InfoReport(0.5, 0.5 + 1e-6, None, None, 0.0)
+        return InfoReport(0.5, 0.5 + 1e-6, None, 0.0)
 
     monkeypatch.setattr(cli, "certify_channel", fake)
     cfg = _cfg(tmp_path, "c.json", {"kind": "linf_maxent", "d": 2, "M": 2.0})
@@ -554,7 +554,7 @@ def test_outputs_bitwise_deterministic(tmp_path, args, cfg_doc):
     assert outs[0] == outs[1]
 
 
-def test_seed_changes_monte_carlo_output(tmp_path):
+def test_seed_changes_tradeoff_output(tmp_path):
     cfg_doc = {"kind": "dp_hypercube", "d": [2], "n": [256], "budget": [0.5],
                "reps": 5}
     texts = []

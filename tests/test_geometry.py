@@ -78,6 +78,5 @@ def test_norm_ball_membership():
 
 
 def test_packing_container():
-    pk = Packing((np.array([1.0, 0.0]), np.array([0.0, 1.0])), 2.0)
+    pk = Packing((np.array([1.0, 0.0]), np.array([0.0, 1.0])))
     assert pk.dim == 2 and len(pk) == 2
-    assert pk.as_array().shape == (2, 2)

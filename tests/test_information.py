@@ -8,9 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-import privopt.information as information
 from privopt.channels import (
     CHANNEL_KINDS,
+    Channel,
     channel_pmf,
     make_channel,
     two_level_constants,
@@ -23,10 +23,10 @@ from privopt.information import (
     certificate_for,
     certificate_violations,
     certify_channel,
+    check_draws_on_support,
     extreme_point_source,
     mi_closed_form,
     mi_from_conditionals,
-    mi_monte_carlo,
     mutual_information_exact,
     nats_to_bits,
 )
@@ -154,10 +154,11 @@ def test_closed_form_ordering_and_asymptotics(kind, d, m):
     assert big.exact == pytest.approx(big.asymptotic, rel=2e-2)
 
 
-_BRACKET_CHANNELS = [
+_FINITE_CHANNELS = [
     ("linf_maxent", 2, {"M": 2.0}),
     ("linf_maxent", 4, {"M": 2.0}),
     ("l1_maxent", 3, {"M": 2.0}),
+    ("l1_maxent", 16, {"M": 2.0}),
     ("dp_hypercube", 3, {"eps": 1.0}),
     ("dp_linf_sampler", 4, {"eps": 0.5}),
     ("identity", 3, {}),
@@ -165,171 +166,61 @@ _BRACKET_CHANNELS = [
 ]
 
 
-@pytest.mark.parametrize("kind,d,params", _BRACKET_CHANNELS,
-                         ids=[f"{kind}-d{d}" for kind, d, _ in _BRACKET_CHANNELS])
-def test_mi_monte_carlo_brackets_exact(kind, d, params):
+@pytest.mark.parametrize("kind,d,params", _FINITE_CHANNELS,
+                         ids=[f"{kind}-d{d}" for kind, d, _ in _FINITE_CHANNELS])
+def test_check_draws_on_support_passes_each_finite_sampler(kind, d, params):
     ch = make_channel(kind, d, **params)
-    src = extreme_point_source(ch)
-    exact = mutual_information_exact(src, ch)
-    est, se = mi_monte_carlo(src, ch, 50_000, np.random.default_rng(11))
-    cells = np.count_nonzero(channel_pmf(ch, np.stack(src.support)).probs)
-    miller_madow = (cells - 1) / (2 * 50_000)
-    assert abs(est - exact) <= 4.0 * se + miller_madow
-    with pytest.raises(ValueError):
-        mi_monte_carlo(src, ch, 100, np.random.default_rng(0))
+    assert check_draws_on_support(extreme_point_source(ch), ch, 10_000,
+                                  np.random.default_rng(11)) is None
 
 
-def _grouped_loop_mi_monte_carlo(source, ch, n, rng):
-    """The plug-in MI with its grouped jackknife as first written: np.unique
-    per source and one full plug-in re-evaluation per occupied cell.
-    Returns (est, std_err, counts)."""
-    rng = np.random.default_rng(rng)
-    idx = source.sample_indices(rng, n)
-    per_source = np.bincount(idx, minlength=len(source))
-    col_of = {}
-    joint = {}
-    for i in range(len(source)):
-        n_i = int(per_source[i])
-        if n_i == 0:
-            continue
-        zs = ch.sample(source.support[i], rng=rng, size=n_i)
-        keys, counts = np.unique(np.round(zs, 12), axis=0, return_counts=True)
-        for z, c in zip(keys, counts):
-            j = col_of.setdefault(tuple(z.tolist()), len(col_of))
-            joint[(i, j)] = joint.get((i, j), 0) + int(c)
-    counts = np.zeros((len(source), len(col_of)))
-    for (i, j), c in joint.items():
-        counts[i, j] = c
-    est = information._plugin_mi(counts)
-    cells = [(i, j, counts[i, j]) for (i, j) in joint]
-    loo = np.empty(len(cells))
-    for k, (i, j, _) in enumerate(cells):
-        counts[i, j] -= 1.0
-        loo[k] = information._plugin_mi(counts)
-        counts[i, j] += 1.0
-    weights = np.array([c for (_, _, c) in cells])
-    mean_loo = float((weights * loo).sum() / n)
-    var = (n - 1.0) / n * float((weights * (loo - mean_loo) ** 2).sum())
-    return est, math.sqrt(max(var, 0.0)), counts
-
-
-def _mp_jackknife_se(counts, digits=50):
-    """Grouped delete-one jackknife of the plug-in MI, straight from its
-    definition, in `digits`-digit arithmetic."""
-    mpmath = pytest.importorskip("mpmath")
-    table = [[int(c) for c in row] for row in counts]
-    cells = [(i, j) for i, row in enumerate(table) for j, c in enumerate(row) if c]
-
-    def plugin(t):
-        n = sum(map(sum, t))
-        rows = [sum(row) for row in t]
-        cols = [sum(col) for col in zip(*t)]
-        return mpmath.fsum(c * mpmath.log(mpmath.mpf(c) * n / (rows[i] * cols[j]))
-                           for i, row in enumerate(t) for j, c in enumerate(row)
-                           if c) / n
-
-    with mpmath.workdps(digits):
-        n = sum(map(sum, table))
-        loo = []
-        for i, j in cells:
-            table[i][j] -= 1
-            loo.append(plugin(table))
-            table[i][j] += 1
-        w = [table[i][j] for i, j in cells]
-        mean = mpmath.fsum(wk * lk for wk, lk in zip(w, loo)) / n
-        var = mpmath.mpf(n - 1) / n * mpmath.fsum(
-            wk * (lk - mean) ** 2 for wk, lk in zip(w, loo))
-        return float(mpmath.sqrt(var))
-
-
-_MC_CHANNELS = (
-    [("linf_maxent", d, {"M": 2.0}) for d in (1, 2, 3, 4)]
-    + [("dp_hypercube", d, {"eps": 0.5}) for d in (1, 2, 3, 4)]
-    + [("l1_maxent", d, {"M": 2.0}) for d in (1, 2, 4, 8)]
-    + [("identity", 3, {})]
-    + [("dp_linf_sampler", 3, {"eps": 0.5}), ("biased_demo", 2, {"bias": 0.2, "noise": 0.5}),
-       ("l1_maxent", 16, {"M": 2.0})]
-)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("kind,d,budget", _MC_CHANNELS)
-def test_mi_monte_carlo_matches_grouped_loop(kind, d, budget, seed):
-    ch = make_channel(kind, d, **budget)
-    src = extreme_point_source(ch)
-    est, se = mi_monte_carlo(src, ch, 10_000, np.random.default_rng(seed))
-    ref_est, ref_se, _ = _grouped_loop_mi_monte_carlo(src, ch, 10_000,
-                                                      np.random.default_rng(seed))
-    assert est == ref_est  # same counts, same columns, same summation order
-    assert se == pytest.approx(ref_se, rel=1e-10, abs=0.0)
-
-
-@pytest.mark.parametrize("kind,d,budget", [
-    ("identity", 3, {}), ("linf_maxent", 2, {"M": 2.0}), ("linf_maxent", 3, {"M": 4.0}),
-    ("dp_hypercube", 2, {"eps": 0.5}), ("l1_maxent", 2, {"M": 2.0}),
-])
-def test_mi_monte_carlo_std_err_matches_50_digit_jackknife(kind, d, budget):
-    ch = make_channel(kind, d, **budget)
-    src = extreme_point_source(ch)
-    _, se = mi_monte_carlo(src, ch, 10_000, np.random.default_rng(5))
-    *_, counts = _grouped_loop_mi_monte_carlo(src, ch, 10_000, np.random.default_rng(5))
-    assert se == pytest.approx(_mp_jackknife_se(counts), rel=1e-13, abs=0.0)
-
-
-def test_mi_monte_carlo_evaluates_plugin_once(monkeypatch):
-    # the jackknife is an O(1) update per cell, not a plug-in per cell
-    calls = []
-    plugin = information._plugin_mi
-    monkeypatch.setattr(information, "_plugin_mi",
-                        lambda counts: calls.append(1) or plugin(counts))
+def test_check_draws_on_support_reads_the_rng_as_its_draws():
+    # the source indices first, then each source point's draws in order, so
+    # whatever reads the rng next sees the same state; a numpy integer is a count
     ch = make_channel("linf_maxent", 3, M=2.0)
-    mi_monte_carlo(extreme_point_source(ch), ch, 10_000, np.random.default_rng(0))
-    assert len(calls) == 1
+    src = extreme_point_source(ch)
+    rng = np.random.default_rng(4)
+    check_draws_on_support(src, ch, np.int64(10_000), rng)
+    ref = np.random.default_rng(4)
+    per_source = np.bincount(src.sample_indices(ref, 10_000), minlength=len(src))
+    for x, n_i in zip(src.support, per_source):
+        if n_i:
+            ch.sample(x, rng=ref, size=int(n_i))
+    assert rng.random() == ref.random()
 
 
-def _signed_zero_source(signed):
-    # the second and third points differ from unsigned ones only in the sign
-    # of their zeros; the last is rare
-    z = -0.0 if signed else 0.0
-    pts = ([0.0, 0.0], [z, z], [1.0, z], [5.0, 0.0])
-    return DiscreteDist(tuple(np.array(p) for p in pts), (0.3, 0.2, 0.4999, 0.0001))
+@pytest.mark.parametrize("n", [100, 9_999, 20_000.5, True, 1e5])
+def test_check_draws_on_support_needs_an_integer_n_of_at_least_1e4(n):
+    ch = make_channel("dp_hypercube", 3, eps=1.0)
+    with pytest.raises(ValueError, match="^n must be"):
+        check_draws_on_support(extreme_point_source(ch), ch, n, np.random.default_rng(0))
 
 
-def test_mi_monte_carlo_dedupe_edge_cases():
+def test_check_draws_on_support_takes_signed_zeros():
     # identity draws each source point itself, so signed zeros reach the
-    # draws; the sign carries no information and == ignores it
+    # draws; == ignores the sign. The second and third points differ from
+    # unsigned ones only in the sign of their zeros; the last is rare
     ch = make_channel("identity", 2, L=5.0)
-    src = _signed_zero_source(True)
-    seed, n = 3, 10_000
+    pts = ([0.0, 0.0], [-0.0, -0.0], [1.0, -0.0], [5.0, 0.0])
+    src = DiscreteDist(tuple(np.array(p) for p in pts), (0.3, 0.2, 0.4999, 0.0001))
     # this seed draws the rare source exactly once
-    assert np.bincount(src.sample_indices(np.random.default_rng(seed), n))[3] == 1
-    signed = mi_monte_carlo(src, ch, n, np.random.default_rng(seed))
-    ref_est, ref_se, counts = _grouped_loop_mi_monte_carlo(
-        src, ch, n, np.random.default_rng(seed))
-    # 0.0 and -0.0 share a column: the draws are (0, 0), (1, 0) and (5, 0)
-    assert counts.shape == (4, 3)
-    assert signed[0] == ref_est
-    assert signed[1] == pytest.approx(ref_se, rel=1e-10, abs=0.0)
-    assert signed == mi_monte_carlo(_signed_zero_source(False), ch, n,
-                                    np.random.default_rng(seed))
+    assert np.bincount(src.sample_indices(np.random.default_rng(3), 10_000))[3] == 1
+    check_draws_on_support(src, ch, 10_000, np.random.default_rng(3))
 
 
-@pytest.mark.parametrize("kind,budget", [("linf_maxent", {"M": 2.0}),
-                                         ("dp_hypercube", {"eps": 0.1}),
-                                         ("l1_maxent", {"M": 2.0})])
-def test_mi_monte_carlo_sorts_do_not_grow_with_sources(monkeypatch, kind, budget):
-    # the draws are counted on the kind's support, not sorted per source, so
-    # a run makes as many sorts at d = 5 as at d = 7, with more sources there
-    sorts = []
-    lexsort = np.lexsort
-    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
-    per_d = []
-    for d in (5, 7):
-        ch = make_channel(kind, d, **budget)
-        sorts.clear()
-        mi_monte_carlo(extreme_point_source(ch), ch, 10_000, np.random.default_rng(0))
-        per_d.append(len(sorts))
-    assert per_d[0] == per_d[1] >= 1
+def test_check_draws_on_support_refuses_a_draw_off_the_pmf(monkeypatch):
+    # one draw moved off the support names the kind and its source point
+    ch = make_channel("l1_maxent", 3, M=2.0)
+    sample = Channel.sample
+
+    def shifted(self, x, rng=None, size=None):
+        z = sample(self, x, rng=rng, size=size)
+        z[-1] *= 0.5
+        return z
+
+    monkeypatch.setattr(Channel, "sample", shifted)
+    with pytest.raises(ValueError, match="^a l1_maxent draw at source 0 is not a point of its pmf$"):
+        check_draws_on_support(extreme_point_source(ch), ch, 10_000, np.random.default_rng(0))
 
 
 def test_certificates_by_kind():
@@ -379,8 +270,8 @@ def test_certify_channel_finite_kinds():
     assert rep.unbiasedness_max_residual <= 1e-10
 
     doc = json.loads(rep.to_json())
-    assert set(doc) == {"mi_exact_nats", "mi_closed_form_nats", "mi_monte_carlo_nats",
-                        "dp_ratio_max", "unbiasedness_max_residual"}
+    assert set(doc) == {"mi_exact_nats", "mi_closed_form_nats", "dp_ratio_max",
+                        "unbiasedness_max_residual"}
 
 
 def test_certify_channel_sphere_sampler_and_bias():
@@ -400,11 +291,11 @@ def test_certificate_violations_lists_each_broken_rule():
     # InfoReport is plain data: a report that breaks every rule is built,
     # and certificate_violations lists the rules in order
     ch = make_channel("dp_hypercube", 2, eps=0.5)
-    bad = InfoReport(0.5, 0.5 + 1e-6, None, 2.0, 0.5)
+    bad = InfoReport(0.5, 0.5 + 1e-6, 2.0, 0.5)
     assert certificate_violations(ch, bad) == [
         "exact and closed-form MI disagree beyond 1e-8",
         "dp ratio 2.0 exceeds exp(eps)",
         "unbiasedness residual 0.5 exceeds 1e-08",
     ]
-    ok = InfoReport(0.5, 0.5 + 1e-9, None, math.exp(0.5) * (1.0 + 1e-10), 1e-9)
+    ok = InfoReport(0.5, 0.5 + 1e-9, math.exp(0.5) * (1.0 + 1e-10), 1e-9)
     assert certificate_violations(ch, ok) == []

@@ -197,6 +197,17 @@ def test_lemma8_constants_pin_and_validation():
         lemma8_constants(3, 4, 1.0, 1.0)  # above 2 ceil(d/2) - 2
 
 
+@pytest.mark.parametrize("d,k", [(4.0, 0), (True, 0), (4, 0.0), (4, False), (4.5, 0)])
+def test_lemma8_constants_counts_are_integers(d, k):
+    # d and k are counts: a fraction or a bool is an error, never read as a number
+    with pytest.raises(ValueError, match="must be an integer"):
+        lemma8_constants(d, k, 0.5, 0.1)
+
+
+def test_lemma8_constants_take_numpy_integers():
+    assert lemma8_constants(np.int64(4), np.int32(2), 1.0, 1.0) == lemma8_constants(4, 2, 1.0, 1.0)
+
+
 def test_lemma8_constants_match_50_digit_mpmath():
     mpmath = pytest.importorskip("mpmath")
     for d in (1, 2, 3, 4, 5, 7, 8, 16, 31, 32, 63, 64):
@@ -294,7 +305,7 @@ def test_default_delta_raises_value_error_without_a_recorded_choice():
 def _two_point(d):
     e1 = tuple([1] + [0] * (d - 1))
     m1 = tuple([-1] + [0] * (d - 1))
-    return Packing((e1, m1), 2.0)
+    return Packing((e1, m1))
 
 
 def test_instance_validation_and_properties():
@@ -359,7 +370,7 @@ def test_empirical_error_vanishes_with_many_samples():
 def test_empirical_error_respects_fano_nonvacuous():
     # all 8 sign corners at d = 3: log |V| large enough for Fano to bite
     corners = [tuple(s) for s in np.array(np.meshgrid(*[[-1, 1]] * 3)).T.reshape(-1, 3)]
-    pk = Packing(tuple(corners), 2.0)
+    pk = Packing(tuple(corners))
     ch = make_channel("dp_hypercube", 3, eps=0.25)
     inst = Instance(pk, 0.2, "median", ch)
     mi = exact_mi_per_sample(inst)
