@@ -7,7 +7,7 @@ certification tools, and a desk-scale experiment harness.
 
 __version__ = "0.1.0"
 
-from .geometry import NormBall, Packing, project_l2_ball
+from .geometry import NormBall, project_l2_ball
 from .losses import LossFn, DataDist, RiskSpec, make_loss, subgrad, risk_value, risk_minimizer, separation
 from .channels import Channel, PrivacyCertificate, make_channel, channel_from_json, channel_to_json, eps_star
 from .information import DiscreteDist, InfoReport, mutual_information_exact, mi_closed_form, certify_channel
@@ -18,7 +18,6 @@ from .lp_oracle import DpLpInstance, DpLpSolution, solve_dp_lp
 
 __all__ = [
     "NormBall",
-    "Packing",
     "project_l2_ball",
     "LossFn",
     "DataDist",

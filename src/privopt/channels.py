@@ -71,7 +71,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import _CORNER_MAX_D, _CORNER_PAIRS_MAX_D, NormBall, _corner_matrix, _integer
+from .geometry import (_CORNER_MAX_D, _CORNER_PAIRS_MAX_D, NormBall, _corner_index,
+                       _corner_matrix, _integer, _signed_basis)
 
 __all__ = [
     "CHANNEL_KINDS",
@@ -231,13 +232,13 @@ def _rademacher(rng, shape) -> np.ndarray:
 def _linf_noise(ch, n: int, rng) -> tuple:
     # one threshold v_j uniform on [-M, M) per coin: Z_j = +M exactly when
     # v_j <= x_j, which has probability 1/2 + x_j/(2M)
-    M = ch.calibration["B"]
+    M = ch.target.radius
     return (rng.uniform(-M, M, (n, ch.d)),)
 
 
 def _linf_apply(ch, x: np.ndarray, v: np.ndarray) -> np.ndarray:
     z = np.subtract(x, v)
-    return np.copysign(ch.calibration["B"], z, out=z)
+    return np.copysign(ch.target.radius, z, out=z)
 
 
 def _l1_output_pmf(ch, x: np.ndarray) -> np.ndarray:
@@ -295,10 +296,10 @@ def _two_level_noise(ch, n: int, rng) -> tuple:
     # picks the agreement class k from its exact cdf (no rejection), so W is
     # k entries +B and d - k entries -B, shuffled per row; the other d round
     # x to a corner, T_j = +1 exactly when v_j <= x_j
-    d, cal, L = ch.d, ch.calibration, ch.source.radius
+    d, L, B = ch.d, ch.source.radius, ch.target.radius
     v = rng.uniform(-L, L, (n, d + 1))
-    k = np.searchsorted(cal["class_cuts"], v[:, d:], side="right")
-    W = np.where(np.arange(d) < k, cal["B"], -cal["B"])
+    k = np.searchsorted(ch.calibration["class_cuts"], v[:, d:], side="right")
+    W = np.where(np.arange(d) < k, B, -B)
     rng.permuted(W, axis=1, out=W)
     return v[:, :d], W
 
@@ -307,7 +308,7 @@ def _two_level_apply(ch, x: np.ndarray, v: np.ndarray, W: np.ndarray) -> np.ndar
     # Z = W T: the sign of (x - v) W, at magnitude B
     z = np.subtract(x, v)
     z *= W
-    return np.copysign(ch.calibration["B"], z, out=z)
+    return np.copysign(ch.target.radius, z, out=z)
 
 
 def _l2_noise(ch, n: int, rng) -> tuple:
@@ -330,7 +331,7 @@ def _l2_apply(ch, x: np.ndarray, toward: np.ndarray, near: np.ndarray,
     # the draw is uniform on the sphere, the law of every pole.
     nrm = np.sqrt(np.vecdot(x, x))
     flip = (np.vecdot(U, x) < 0.0) == ((toward <= nrm) == near)
-    B = ch.calibration["B"]
+    B = ch.target.radius
     return np.where(flip, -B, B)[:, None] * U
 
 
@@ -354,6 +355,9 @@ def _biased_apply(ch, x: np.ndarray, e: np.ndarray) -> np.ndarray:
 # exact pmfs at a checked batch X (R, d), in the form _Kind.pmf states
 
 _JOINT_GUARD = 10**7
+# support atoms are exact multiples of the calibrated magnitudes, so rounding
+# them to this many decimals only absorbs the float noise of equal computations
+_SUPPORT_DECIMALS = 12
 
 
 def _joint_guard(rows: int, cols: int) -> None:
@@ -383,7 +387,7 @@ def _coin_law(X: np.ndarray, M: float) -> np.ndarray:
 
 
 def _linf_pmf(ch, X: np.ndarray) -> tuple:
-    M = ch.calibration["B"]
+    M = ch.target.radius
     corners = _product_corners(ch.d, len(X))
     return M * corners, _coin_law(X, M)
 
@@ -406,7 +410,7 @@ def _two_level_pmf(ch, X: np.ndarray) -> tuple:
         mix = levels(corners @ corners.T)
         for r, w in zip(inner, _coin_law(X[inner], L)):
             probs[r] = (mix * w).sum(axis=1)
-    return cal["B"] * corners, probs
+    return ch.target.radius * corners, probs
 
 
 def _identity_pmf(ch, X: np.ndarray) -> tuple:
@@ -424,12 +428,6 @@ def _biased_pmf(ch, X: np.ndarray) -> tuple:
 # each draw among the pmf's points at x, read from the draw alone.  A draw
 # off the support still gets an index in range, so a caller can check it
 # against its point.
-
-
-def _corner_index(up: np.ndarray) -> np.ndarray:
-    # the corner whose +1 coordinates are the True entries of each row of up,
-    # in _corner_matrix order: coordinate j is bit d - 1 - j of the index
-    return up @ (1 << np.arange(up.shape[1] - 1, -1, -1))
 
 
 def _sign_index(ch, x: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -462,7 +460,7 @@ def _biased_index(ch, x: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 
 def _linf_mean(ch, X: np.ndarray) -> np.ndarray:
-    M = ch.calibration["B"]
+    M = ch.target.radius
     return M * (2.0 * (0.5 + X / (2.0 * M)) - 1.0)
 
 
@@ -475,13 +473,13 @@ def _two_level_mean(ch, X: np.ndarray) -> np.ndarray:
     # draw reads; the rounding to a corner T has E[T] = x/L
     d, cal = ch.d, ch.calibration
     t = np.diff(cal["class_cdf"], prepend=0.0) @ ((2.0 * np.arange(d + 1) - d) / d)
-    return cal["B"] * t * X / ch.source.radius
+    return ch.target.radius * t * X / ch.source.radius
 
 
 def _l2_mean(ch, X: np.ndarray) -> np.ndarray:
     # each cap has mean +-B c_d times its pole, and the pole +-u has mean x/L
-    cal = ch.calibration
-    return cal["B"] * (2.0 * cal["pi_eps"] - 1.0) * cal["halfsphere_mean"] * X / ch.source.radius
+    cal, B = ch.calibration, ch.target.radius
+    return B * (2.0 * cal["pi_eps"] - 1.0) * cal["halfsphere_mean"] * X / ch.source.radius
 
 
 def _identity_mean(ch, X: np.ndarray) -> np.ndarray:
@@ -525,7 +523,7 @@ def _l1_worst_mi(d: int, L: float, M: float) -> float:
 def _linf_calibration(d: int, L: float, M, *_) -> tuple:
     if M < L:
         raise ValueError("linf_maxent needs M >= L")
-    return np.inf, float(M), {"B": float(M)}
+    return np.inf, float(M), {}
 
 
 def _l1_calibration(d: int, L: float, M, *_) -> tuple:
@@ -533,7 +531,7 @@ def _l1_calibration(d: int, L: float, M, *_) -> tuple:
         raise ValueError("l1_maxent needs M > L")
     gamma = l1_gamma(d, M / L)
     D = math.exp(gamma) + math.exp(-gamma) + 2 * d - 2
-    atoms = float(M) * np.vstack([np.eye(d), -np.eye(d)])
+    atoms = float(M) * _signed_basis(d)
     cycle = np.vstack([atoms, atoms])  # row a + o is atom a + o mod 2d
     # the tilt offset of each cell of [0, D): the 2d - 2 other offsets, then
     # the mirror d (up to keep_from), then keep 0
@@ -542,7 +540,6 @@ def _l1_calibration(d: int, L: float, M, *_) -> tuple:
     for a in (atoms, cycle, offsets, ramp):
         a.setflags(write=False)
     return 1, float(M), {
-        "B": float(M),
         "gamma": gamma,
         "D_gamma": D,
         "tilt_up": math.exp(gamma) - 1.0,
@@ -557,8 +554,7 @@ def _l1_calibration(d: int, L: float, M, *_) -> tuple:
 
 
 def _two_level_calibration(d: int, L: float, eps, *_) -> tuple:
-    cal = dict(two_level_constants(d, eps))
-    cal["B"] = L / cal["t"]
+    q = two_level_constants(d, eps)
     # cdf of the agreement class k = #{i: W_i = +1}, of mass C(d, k) q+ for
     # 2k > d and C(d, k) q- otherwise, with e^eps = num/den exactly: summed
     # in integers and rounded once (int / int is correctly rounded), so the
@@ -572,9 +568,8 @@ def _two_level_calibration(d: int, L: float, eps, *_) -> tuple:
     cuts = 2.0 * L * cdf[:-1] - L
     for a in (cdf, cuts):
         a.setflags(write=False)
-    cal["class_cdf"] = cdf
-    cal["class_cuts"] = cuts
-    return np.inf, cal["B"], cal
+    return np.inf, L / q["t"], {"q_plus": q["q_plus"], "q_minus": q["q_minus"],
+                                "class_cdf": cdf, "class_cuts": cuts}
 
 
 def _l2_calibration(d: int, L: float, eps, *_) -> tuple:
@@ -584,16 +579,12 @@ def _l2_calibration(d: int, L: float, eps, *_) -> tuple:
         raise ValueError("dp_l2_sampler needs d >= 2")
     e = math.exp(eps)
     c_d = _l2_halfsphere_mean(d)
-    cal = {
-        "pi_eps": e / (e + 1.0),
-        "halfsphere_mean": c_d,
-        "B": L * (e + 1.0) / ((e - 1.0) * c_d),
-    }
-    return 2, cal["B"], cal
+    cal = {"pi_eps": e / (e + 1.0), "halfsphere_mean": c_d}
+    return 2, L * (e + 1.0) / ((e - 1.0) * c_d), cal
 
 
 def _identity_calibration(d: int, L: float, *_) -> tuple:
-    return np.inf, L, {"B": L}
+    return np.inf, L, {}
 
 
 def _biased_calibration(d: int, L: float, _, bias, noise) -> tuple:
@@ -656,9 +647,9 @@ class Channel:
     """Immutable calibrated channel.
 
     privacy_param is M (maxent kinds), eps (dp kinds), or +inf for the
-    non-private kinds; budget names which.  calibration holds the derived
-    constants (gamma, q_plus/q_minus, B, pi_eps, ...) satisfying their
-    defining equations.
+    non-private kinds; budget names which.  target.radius bounds the
+    outputs, and is their magnitude B for a private kind.  calibration holds
+    the other derived constants (gamma, q_plus/q_minus, pi_eps, ...).
     """
 
     kind: str
@@ -782,7 +773,7 @@ def channel_pmf(ch: Channel, x) -> SupportPmf:
     x takes the same check as Channel.sample.  One input x (d,) gives
     points (k, d) and probs (k,), which sum to 1 to 1e-12 with a mean
     within 1e-10 of x.  A batch X (R, d) gives the R laws over one shared
-    enumeration: points (k, d), rounded to 12 decimals, merged with == and
+    enumeration: points (k, d), rounded to _SUPPORT_DECIMALS, merged with == and
     numbered in order of first appearance, and probs (R, k).  R k over 10^7
     raises before the kind's batch law is built, R times the merged count
     before the matrix; dp interior inputs need d <= 10, corners d <= 20.
@@ -795,9 +786,7 @@ def channel_pmf(ch: Channel, x) -> SupportPmf:
     R, k = probs.shape
     if x.ndim == 1:
         return SupportPmf(points.reshape(-1, ch.d)[:k], probs[0])
-    # support atoms are exact multiples of the calibrated magnitudes; round
-    # only to absorb float noise from equivalent computations
-    flat = np.round(points.reshape(-1, ch.d), 12)
+    flat = np.round(points.reshape(-1, ch.d), _SUPPORT_DECIMALS)
     first, col = _first_appearance(flat)
     _joint_guard(R, len(first))
     # one bincount over the flat (row, column) index adds each probability

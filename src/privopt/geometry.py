@@ -1,10 +1,10 @@
-"""Norm-ball geometry: the balls, the l2 projection and the sign-hypercube corners.
+"""Norm-ball geometry: the balls, the l2 projection and the finite point sets.
 
 The l2 optimizer needs the exact Euclidean projection onto its ball for
-its feasibility step, the certificates enumerate the corners of the sign
-hypercube, and a lower-bound construction indexes its hard family of risk
-functions by a Packing of separated points.  Every module checks its
-counts (dimensions, steps, draws, chains) with _integer.
+its feasibility step.  The sign-cube corners and the signed basis are
+built here once each, as read-only (k, d) float arrays, the one format of
+every finite point set (a lower bound's packing too).  Every module checks
+its counts (dimensions, steps, draws, chains) with _integer.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "NormBall",
-    "Packing",
     "project_l2_ball",
 ]
 
@@ -43,24 +42,6 @@ class NormBall:
         return self.norm(x) <= self.radius + tol
 
 
-@dataclass(frozen=True)
-class Packing:
-    """A finite set of vectors of one dimension."""
-
-    points: tuple
-
-    def __post_init__(self) -> None:
-        pts = tuple(np.asarray(p, dtype=float) for p in self.points)
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def dim(self) -> int:
-        return int(self.points[0].size)
-
-
 def _integer(key: str, v) -> int:
     """v as an int; a fraction or a bool is an error, never truncated."""
     if isinstance(v, bool) or not isinstance(v, numbers.Integral):
@@ -82,6 +63,20 @@ def _corner_matrix(d: int) -> np.ndarray:
     idx = np.arange(2**d, dtype=np.int64)
     bits = (idx[:, None] >> np.arange(d - 1, -1, -1)) & 1
     out = bits.astype(float) * 2.0 - 1.0
+    out.setflags(write=False)
+    return out
+
+
+def _corner_index(up: np.ndarray) -> np.ndarray:
+    """The index in _corner_matrix order of the corner whose +1 coordinates
+    are the True entries of each row of up: coordinate j is bit d - 1 - j."""
+    return up @ (1 << np.arange(up.shape[1] - 1, -1, -1))
+
+
+@lru_cache(maxsize=None)
+def _signed_basis(d: int) -> np.ndarray:
+    """The 2d rows +e_0, ..., +e_(d-1), -e_0, ..., -e_(d-1); every zero is +0.0."""
+    out = np.eye(2 * d, d) - np.eye(2 * d, d, k=-d)
     out.setflags(write=False)
     return out
 

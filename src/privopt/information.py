@@ -19,13 +19,14 @@ import numpy as np
 from .channels import (
     Channel,
     PrivacyCertificate,
+    _SUPPORT_DECIMALS,
     binary_entropy,
     channel_pmf,
     dp_ratio_max,
     support_index,
     worst_case_mi,
 )
-from .geometry import _CORNER_PAIRS_MAX_D, _corner_matrix, _integer
+from .geometry import _CORNER_PAIRS_MAX_D, _corner_matrix, _integer, _signed_basis
 
 __all__ = [
     "DiscreteDist",
@@ -51,18 +52,18 @@ def nats_to_bits(x: float) -> float:
     return x / _LN2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDist:
-    """Finitely supported law: support points and matching probabilities."""
+    """Finitely supported law: support points (k, d), one per row, and probs (k,)."""
 
-    support: tuple
-    probs: tuple
+    support: np.ndarray
+    probs: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = tuple(np.asarray(s, dtype=float) for s in self.support)
+        pts = np.asarray(self.support, dtype=float)
         pr = np.asarray(self.probs, dtype=float)
-        if len(pts) != pr.size or len(pts) == 0:
-            raise ValueError("support and probs must align and be non-empty")
+        if pts.ndim != 2 or len(pts) != pr.size or len(pts) == 0:
+            raise ValueError("support must be a (k, d) array aligned with probs, k >= 1")
         if np.any(pr < -1e-15) or abs(pr.sum() - 1.0) > 1e-12:
             raise ValueError("probs must be nonnegative and sum to 1 within 1e-12")
         object.__setattr__(self, "support", pts)
@@ -73,8 +74,7 @@ class DiscreteDist:
 
     @staticmethod
     def uniform(points) -> "DiscreteDist":
-        points = list(points)
-        return DiscreteDist(tuple(points), tuple([1.0 / len(points)] * len(points)))
+        return DiscreteDist(points, np.full(len(points), 1.0 / len(points)))
 
     def sample_indices(self, rng, size: int) -> np.ndarray:
         rng = np.random.default_rng(rng)
@@ -99,7 +99,7 @@ def mi_from_conditionals(prior, rows) -> float:
 
 def mutual_information_exact(source: DiscreteDist, ch: Channel) -> float:
     """I(X; Z) in nats by double summation over the joint pmf."""
-    return mi_from_conditionals(source.probs, channel_pmf(ch, np.stack(source.support)).probs)
+    return mi_from_conditionals(source.probs, channel_pmf(ch, source.support).probs)
 
 
 class MiClosedForm(NamedTuple):
@@ -133,8 +133,8 @@ def check_draws_on_support(source: DiscreteDist, ch: Channel, n: int, rng) -> No
     kind's exact pmf at X; ch must have a pmf and n >= MI_MC_MIN_N.
 
     support_index maps each draw to its point of channel_pmf(ch, x); a draw
-    that is not its point, both rounded to 12 decimals and compared with
-    ==, raises ValueError.  Cost is O(n d) plus one pmf per source point.
+    that is not its point, both rounded to _SUPPORT_DECIMALS and compared
+    with ==, raises ValueError.  Cost is O(n d) plus one pmf per source point.
     """
     n = _integer("n", n)
     if n < MI_MC_MIN_N:
@@ -147,10 +147,10 @@ def check_draws_on_support(source: DiscreteDist, ch: Channel, n: int, rng) -> No
         x = source.support[i]
         zs = ch.sample(x, rng=rng, size=n_i)
         points = channel_pmf(ch, x).points.take(support_index(ch, x, zs), axis=0)
-        # each draw must be its point after the 12-decimal rounding that
-        # absorbs float noise, which matters only when they differ before it
+        # the rounding absorbs float noise, so it matters only when they differ
         if not (np.array_equal(zs, points)
-                or np.array_equal(np.round(zs, 12), np.round(points, 12))):
+                or np.array_equal(np.round(zs, _SUPPORT_DECIMALS),
+                                  np.round(points, _SUPPORT_DECIMALS))):
             raise ValueError(f"a {ch.kind} draw at source {i} is not a point of its pmf")
 
 
@@ -179,33 +179,32 @@ class InfoReport:
 
 
 def extreme_point_source(ch: Channel) -> DiscreteDist | None:
-    """Uniform distribution on the extreme points of the channel's source
-    ball: the saddle-point worst case for the maxent kinds."""
+    """Uniform law on the extreme points of the channel's source ball, the
+    saddle-point worst case for the maxent kinds: L times the signed basis
+    (l1) or the sign corners (l-inf, d <= _CORNER_PAIRS_MAX_D); else None."""
     L = ch.source.radius
-    d = ch.d
     if ch.source.p == 1:
-        pts = [L * e for e in np.vstack([np.eye(d), -np.eye(d)])]
-        return DiscreteDist.uniform(pts)
-    if ch.source.p == 2 or d > _CORNER_PAIRS_MAX_D:
+        return DiscreteDist.uniform(L * _signed_basis(ch.d))
+    if ch.source.p == 2 or ch.d > _CORNER_PAIRS_MAX_D:
         return None
-    return DiscreteDist.uniform(list(L * _corner_matrix(d)))
+    return DiscreteDist.uniform(L * _corner_matrix(ch.d))
 
 
 def certificate_for(ch: Channel) -> PrivacyCertificate:
     """The privacy guarantee the channel carries: worst-case MI (nats) for
     an M budget, eps for an eps budget, +inf leakage without one."""
     if ch.budget == "M":
-        level = worst_case_mi(ch.kind, ch.d, ch.source.radius, ch.calibration["B"])
+        level = worst_case_mi(ch.kind, ch.d, ch.source.radius, ch.privacy_param)
         return PrivacyCertificate("mutual_information", level)
     if ch.budget == "eps":
         return PrivacyCertificate("differential_privacy", ch.privacy_param)
     return PrivacyCertificate("mutual_information", math.inf)
 
 
-def dp_ratio_verified(ch: Channel, ratio: float) -> bool:
-    """The DP-ratio rule of certify and the audit: a measured ratio
-    certifies ch's eps when it is at most exp(eps) (1 + 1e-9)."""
-    return bool(ratio <= math.exp(ch.privacy_param) * (1.0 + 1e-9))
+def dp_ratio_verified(eps: float, ratio: float) -> bool:
+    """The DP-ratio rule of certify, the audit and the LP oracle: a measured
+    ratio certifies the budget eps when it is at most exp(eps) (1 + 1e-9)."""
+    return bool(ratio <= math.exp(eps) * (1.0 + 1e-9))
 
 
 def certificate_violations(ch: Channel, report: InfoReport) -> list:
@@ -216,7 +215,8 @@ def certificate_violations(ch: Channel, report: InfoReport) -> list:
     if (report.mi_exact is not None and report.mi_closed_form is not None
             and abs(report.mi_exact - report.mi_closed_form) > 1e-8):
         out.append("exact and closed-form MI disagree beyond 1e-8")
-    if report.dp_ratio_max is not None and not dp_ratio_verified(ch, report.dp_ratio_max):
+    if (report.dp_ratio_max is not None
+            and not dp_ratio_verified(ch.privacy_param, report.dp_ratio_max)):
         out.append(f"dp ratio {report.dp_ratio_max!r} exceeds exp(eps)")
     if report.unbiasedness_max_residual > 1e-8:
         out.append(f"unbiasedness residual {report.unbiasedness_max_residual!r} exceeds 1e-08")

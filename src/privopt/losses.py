@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import _CORNER_MAX_D, NormBall, _corner_matrix, _integer
+from .geometry import _CORNER_MAX_D, NormBall, _corner_matrix, _integer, _signed_basis
 
 __all__ = [
     "LOSS_KINDS",
@@ -109,8 +109,8 @@ class DataDist:
 
     kind: str
     d: int
-    delta: float = 0.0
-    nu: tuple = ()
+    delta: float
+    nu: tuple
 
     def __post_init__(self) -> None:
         if self.kind not in DIST_KINDS:
@@ -144,8 +144,8 @@ def sample_datum(dist: DataDist, rng, size=None) -> np.ndarray:
 
 
 def dist_support(dist: DataDist):
-    """Full support enumeration (points (k, d), probs (k,)); the cube's 2^d
-    up to geometry._CORNER_MAX_D."""
+    """Full support enumeration (points (k, d), read-only, probs (k,)); the
+    cube's 2^d up to geometry._CORNER_MAX_D."""
     return _LAWS[dist.kind].support(dist)
 
 
@@ -264,10 +264,8 @@ def _basis_sample(dist: DataDist, rng, n: int) -> np.ndarray:
 
 
 def _basis_support(dist: DataDist):
-    # rows +e_0..+e_{d-1}, then -e_0..-e_{d-1}, every zero +0.0
-    d, w = dist.d, dist.delta * dist.nu_array
-    pts = np.eye(2 * d, d) - np.eye(2 * d, d, k=-d)
-    return pts, np.concatenate([1.0 + w, 1.0 - w]) / (2.0 * d)
+    w = dist.delta * dist.nu_array
+    return _signed_basis(dist.d), np.concatenate([1.0 + w, 1.0 - w]) / (2.0 * dist.d)
 
 
 class _Loss(NamedTuple):

@@ -26,6 +26,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import _corner_matrix, _integer
+from .information import dp_ratio_verified
 
 __all__ = ["MAX_LP_DIM", "DpLpInstance", "DpLpSolution", "solve_dp_lp"]
 
@@ -69,10 +70,9 @@ class DpLpSolution:
         if abs(q.sum() - 1.0) > 1e-9:
             raise ValueError("q must sum to 1")
         ratio = q.max() / q.min() if q.min() > 0.0 else math.inf
-        if ratio > math.exp(self.eps) + 1e-9:
+        if not dp_ratio_verified(self.eps, ratio):
             raise ValueError("pairwise ratio exceeds exp(eps)")
-        corners = np.asarray(_corner_matrix(self.d))
-        mean = corners.T @ q
+        mean = _corner_matrix(self.d).T @ q
         if np.max(np.abs(mean - self.t_star * np.asarray(self.x))) > 1e-9:
             raise ValueError("mean constraint violated")
 
@@ -221,7 +221,7 @@ def solve_dp_lp(inst: DpLpInstance, x: Optional[Sequence[float]] = None) -> DpLp
                 or np.any(np.abs(np.abs(x_arr) - 1.0) > 1e-12)):
             raise ValueError("x must be a sign corner of dimension d")
     t_star, q_class = _solve_classes(d, eps)
-    agree = (np.asarray(_corner_matrix(d)) == np.sign(x_arr)).sum(axis=1)
+    agree = (_corner_matrix(d) == np.sign(x_arr)).sum(axis=1)
     q = np.array([float(qk) for qk in q_class])[agree]
     levels = tuple(
         float(val) for val in sorted(np.unique(np.round(q, 10)), reverse=True)

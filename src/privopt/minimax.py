@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .channels import Channel, channel_pmf, l1_gamma
-from .geometry import Packing, _integer
+from .geometry import _integer
 from .information import mi_closed_form, mi_from_conditionals
 from .losses import LOSS_KINDS, DataDist, dist_support, make_loss, subgrad
 
@@ -284,23 +284,28 @@ _LEMMAS = {
 # canonical testing construction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestingInstance:
     """Nature draws nu uniformly from the packing, the learner sees n
     channel outputs of the per-sample subgradient, then must identify nu.
 
+    packing is a (k, d) float array, one sign vector nu per row, k >= 2.
     family names a loss kind, and the data law at bias delta toward nu is
     the one it is tabled with (the sign cube for median and linear, the
     signed basis for hinge).  The per-sample subgradient at the reference
     theta is +-L X, so the observation law is channel(sign * L * X).
     """
 
-    packing: Packing
+    packing: np.ndarray
     delta: float
     family: str
     channel: Channel
 
     def __post_init__(self) -> None:
+        packing = np.asarray(self.packing, dtype=float)
+        if packing.ndim != 2 or len(packing) < 2:
+            raise ValueError("packing must be a (k, d) array of k >= 2 points")
+        object.__setattr__(self, "packing", packing)
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
         if self.family not in LOSS_KINDS:
@@ -316,7 +321,7 @@ class TestingInstance:
         return float(subgrad(make_loss(self.family), np.ones(1), np.zeros(1))[0])
 
     def data_dist(self, nu) -> DataDist:
-        return DataDist(self.data_kind, self.packing.dim, self.delta, tuple(nu))
+        return DataDist(self.data_kind, self.packing.shape[1], self.delta, nu)
 
 
 def observation_rows(inst: TestingInstance) -> tuple:
@@ -328,9 +333,9 @@ def observation_rows(inst: TestingInstance) -> tuple:
     """
     L = inst.channel.source.radius
     # the atoms of the data law do not depend on nu, only their probabilities
-    atoms, _ = dist_support(inst.data_dist(inst.packing.points[0]))
+    atoms, _ = dist_support(inst.data_dist(inst.packing[0]))
     cond = channel_pmf(inst.channel, inst.grad_sign * L * atoms)
-    rows = [dist_support(inst.data_dist(nu))[1] @ cond.probs for nu in inst.packing.points]
+    rows = [dist_support(inst.data_dist(nu))[1] @ cond.probs for nu in inst.packing]
     return np.array(rows), cond.points
 
 
@@ -372,12 +377,11 @@ def empirical_testing_error(inst: TestingInstance, n: int, reps: int, rng) -> fl
                 errors += 1
         return errors / reps
     L = inst.channel.source.radius
-    dirs = np.vstack([np.asarray(nu, dtype=float) for nu in inst.packing.points])
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = inst.packing / np.linalg.norm(inst.packing, axis=1, keepdims=True)
     for rep in range(reps):
         v = int(nu_draws[rep])
         signs = np.where(rng.random(n) < 0.5 * (1.0 + inst.delta), 1.0, -1.0)
-        total = np.zeros(inst.packing.dim)
+        total = np.zeros(inst.packing.shape[1])
         for s in (1.0, -1.0):
             cnt = int(np.sum(signs == s))
             if cnt == 0:

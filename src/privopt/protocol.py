@@ -211,7 +211,7 @@ def _channel_entry(ch: Channel) -> dict:
     if ch.exact_dp_ratio:
         ratio = dp_ratio_max(ch)
         entry["dp_ratio_max"] = ratio
-        entry["dp_ratio_verified"] = information.dp_ratio_verified(ch, ratio)
+        entry["dp_ratio_verified"] = information.dp_ratio_verified(ch.privacy_param, ratio)
     return entry
 
 

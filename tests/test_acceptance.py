@@ -22,7 +22,7 @@ from privopt.channels import (
     two_level_constants,
     _corner_matrix,
 )
-from privopt.geometry import NormBall, Packing
+from privopt.geometry import NormBall
 from privopt.information import (
     DiscreteDist,
     mi_closed_form,
@@ -75,17 +75,12 @@ def _corners(d):
 def _two_point(d):
     e1 = np.zeros(d)
     e1[0] = 1.0
-    return Packing((tuple(e1), tuple(-e1)))
+    return np.array([e1, -e1])
 
 
 def _signed_basis(d):
     eye = np.eye(d)
-    pts = tuple(tuple(s * eye[j]) for j in range(d) for s in (1.0, -1.0))
-    return Packing(pts)
-
-
-def _corner_packing(d):
-    return Packing(tuple(map(tuple, _corners(d))))
+    return np.array([s * eye[j] for j in range(d) for s in (1.0, -1.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +203,7 @@ def test_criterion_04_lp_matches_family(criterion_recorder):
             ch = make_channel("dp_hypercube", d, L=1.0, eps=eps)
             worst_t = max(worst_t,
                           abs(sol.t_star - cal["t"]),
-                          abs(sol.t_star - 1.0 / ch.calibration["B"]))
+                          abs(sol.t_star - 1.0 / ch.target.radius))
             ratio = float(sol.q.max() / sol.q.min())
             worst_ratio = max(worst_ratio, abs(ratio - math.exp(eps)))
 
@@ -265,7 +260,7 @@ def test_criterion_05_lemma_bounds(criterion_recorder):
                                    make_channel("linf_maxent", d, L=1.0, M=M))
             cases.append((f"L4 d={d} M={M}", exact_mi_per_sample(inst),
                           mi_lemma_value("L4", n=1, delta=0.5, L=1.0, M=M)))
-            inst = Instance(_corner_packing(d), 0.5, "median",
+            inst = Instance(_corners(d), 0.5, "median",
                                    make_channel("linf_maxent", d, L=1.0, M=M))
             cases.append((f"L5 d={d} M={M}", exact_mi_per_sample(inst),
                           mi_lemma_value("L5", n=1, delta=0.5, L=1.0, M=M, d=d)))
@@ -425,10 +420,10 @@ def test_criterion_08_sandwich_and_fano(criterion_recorder):
     reps = 2000
     sigma = math.sqrt(0.25 / reps)
     instances = [
-        (Instance(_corner_packing(3), 0.2, "median",
+        (Instance(_corners(3), 0.2, "median",
                          make_channel("dp_hypercube", 3, L=1.0, eps=0.25)),
          (1, 3)),
-        (Instance(_corner_packing(4), 0.15, "median",
+        (Instance(_corners(4), 0.15, "median",
                          make_channel("linf_maxent", 4, L=1.0, M=4.0)),
          (1, 4)),
         (Instance(_signed_basis(2), 0.3, "hinge",

@@ -420,12 +420,12 @@ def test_sampler_outputs_live_on_declared_support():
 
     ch = make_channel("dp_l2_sampler", 3, eps=1.0)
     z = ch.sample(np.array([0.1, 0.2, -0.1]), rng=rng, size=1000)
-    B = ch.calibration["B"]
+    B = ch.target.radius
     assert np.allclose(np.linalg.norm(z, axis=1), B, rtol=1e-9)
 
     ch = make_channel("dp_hypercube", 3, eps=1.0)
     z = ch.sample(np.array([0.3, -0.8, 0.0]), rng=rng, size=1000)
-    assert np.allclose(np.abs(z), ch.calibration["B"], rtol=1e-12)
+    assert np.allclose(np.abs(z), ch.target.radius, rtol=1e-12)
 
 
 def test_input_outside_source_ball_rejected():
@@ -800,7 +800,7 @@ def test_sphere_sampler_law_conformance(d, eps, cdf):
     near = int((dot > 0.0).sum())
     pi = ch.calibration["pi_eps"]
     assert _g_test([near, SPHERE_DRAWS - near], [pi, 1.0 - pi]) >= SPHERE_ALPHA, near
-    mag = np.abs(dot) / ch.calibration["B"]
+    mag = np.abs(dot) / ch.target.radius
     assert _ks_sf(mag, cdf) >= SPHERE_ALPHA
     # teeth: the same draws with 1% of the mass moved must be rejected
     shift = rng.binomial(near, 0.01)
@@ -829,7 +829,7 @@ def test_sphere_sampler_origin_law_is_uniform():
     dot = ch.sample(np.zeros(3), rng=rng, size=ORIGIN_DRAWS) @ e
     pos = int((dot > 0.0).sum())
     assert _g_test([pos, ORIGIN_DRAWS - pos], [0.5, 0.5]) >= ORIGIN_ALPHA, pos
-    mag = np.abs(dot) / ch.calibration["B"]
+    mag = np.abs(dot) / ch.target.radius
     assert _ks_sf(mag, lambda a: a) >= ORIGIN_ALPHA
     shift = rng.binomial(pos, 0.01)
     assert _g_test([pos - shift, ORIGIN_DRAWS - pos + shift], [0.5, 0.5]) < ORIGIN_ALPHA

@@ -1,4 +1,4 @@
-"""Projection exactness, norm balls and the packing container."""
+"""Projection exactness, norm balls and the finite point sets."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from privopt.geometry import NormBall, Packing, project_l2_ball
+from privopt.geometry import NormBall, _corner_index, _corner_matrix, _signed_basis, project_l2_ball
 
 vectors = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
@@ -77,6 +77,16 @@ def test_norm_ball_membership():
         NormBall(2, 0.0)
 
 
-def test_packing_container():
-    pk = Packing((np.array([1.0, 0.0]), np.array([0.0, 1.0])))
-    assert pk.dim == 2 and len(pk) == 2
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_signed_basis(d):
+    basis = _signed_basis(d)
+    assert basis.shape == (2 * d, d)
+    assert np.array_equal(basis, np.vstack([np.eye(d), -np.eye(d)]))
+    # every zero is +0.0, so the sign of a coordinate never reads -0.0
+    assert not np.any(np.signbit(basis[basis == 0.0]))
+    assert not basis.flags.writeable and _signed_basis(d) is basis
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_corner_index_inverts_the_corner_matrix(d):
+    assert np.array_equal(_corner_index(_corner_matrix(d) > 0.0), np.arange(2**d))

@@ -54,6 +54,10 @@ def test_discrete_dist_validation():
         DiscreteDist((np.zeros(2), np.ones(2)), (0.7, 0.7))
     with pytest.raises(ValueError):
         DiscreteDist((np.zeros(2), np.ones(2)), (1.2, -0.2))
+    # the support is a (k, d) array: one point per row
+    for support in (np.zeros(2), np.zeros((2, 1, 1)), [[0.0], [1.0, 1.0]]):
+        with pytest.raises(ValueError):
+            DiscreteDist(support, (0.5, 0.5))
     u = DiscreteDist.uniform([np.zeros(1), np.ones(1), -np.ones(1)])
     assert len(u) == 3 and sum(u.probs) == pytest.approx(1.0)
     idx = u.sample_indices(np.random.default_rng(0), 3000)

@@ -249,7 +249,7 @@ def test_distribution_validation():
         DataDist("coord_basis", 0, 0.5, ())
     for kind in ("nonsense", "custom_empirical"):
         with pytest.raises(ValueError):
-            DataDist(kind, 2)
+            DataDist(kind, 2, 0.5, (1, 1))
     # sample_datum needs an integer d
     for d, nu in ((2.0, (1, 1)), (True, (1,))):
         with pytest.raises(ValueError):

@@ -185,3 +185,15 @@ def test_solution_invariants_enforced():
     with pytest.raises(ValueError):
         # ratio cap violated for a tighter eps than the pmf was built for
         DpLpSolution(sol.t_star, sol.q, sol.levels, 2, 0.05, sol.x)
+
+
+def test_solution_ratio_cap_is_the_relative_rule():
+    # the cap is information.dp_ratio_verified's exp(eps) (1 + 1e-9): at
+    # eps = 3 a ratio 5e-10 above exp(eps), relatively, passes it, though it
+    # lies above exp(eps) + 1e-9
+    eps = 3.0
+    r = math.exp(eps) * (1.0 + 5e-10)
+    q = np.array([1.0, r]) / (1.0 + r)
+    assert math.exp(eps) + 1e-9 < q.max() / q.min() <= math.exp(eps) * (1.0 + 1e-9)
+    sol = DpLpSolution((r - 1.0) / (r + 1.0), q, (q[1], q[0]), 1, eps, (1.0,))
+    assert sol.eps == eps

@@ -8,7 +8,6 @@ import pytest
 
 from privopt import minimax
 from privopt.channels import make_channel
-from privopt.geometry import Packing
 from privopt.information import certificate_for
 from privopt.minimax import (
     THEOREM_BUDGET,
@@ -303,9 +302,8 @@ def test_default_delta_raises_value_error_without_a_recorded_choice():
 
 
 def _two_point(d):
-    e1 = tuple([1] + [0] * (d - 1))
-    m1 = tuple([-1] + [0] * (d - 1))
-    return Packing((e1, m1))
+    e1 = [1] + [0] * (d - 1)
+    return np.array([e1, [-v for v in e1]])
 
 
 def test_instance_validation_and_properties():
@@ -320,6 +318,15 @@ def test_instance_validation_and_properties():
     assert inst.data_kind == "cube_bernoulli" and inst.grad_sign == 1.0
     dist = inst.data_dist(np.array([1, 0]))
     assert dist.kind == "cube_bernoulli" and dist.delta == 0.5
+
+
+def test_instance_refuses_a_malformed_packing():
+    ch = make_channel("linf_maxent", 2, M=2.0)
+    # ragged, one-dimensional, a single point
+    for packing in ([[1.0, 0.0], [-1.0]], [1.0, -1.0], [[1.0, 0.0]]):
+        with pytest.raises(ValueError):
+            Instance(packing, 0.5, "median", ch)
+    assert Instance([[1, 0], [-1, 0]], 0.5, "median", ch).packing.dtype == float
 
 
 def test_observation_rows_are_pmfs():
@@ -369,8 +376,7 @@ def test_empirical_error_vanishes_with_many_samples():
 
 def test_empirical_error_respects_fano_nonvacuous():
     # all 8 sign corners at d = 3: log |V| large enough for Fano to bite
-    corners = [tuple(s) for s in np.array(np.meshgrid(*[[-1, 1]] * 3)).T.reshape(-1, 3)]
-    pk = Packing(tuple(corners))
+    pk = np.array(np.meshgrid(*[[-1, 1]] * 3)).T.reshape(-1, 3)
     ch = make_channel("dp_hypercube", 3, eps=0.25)
     inst = Instance(pk, 0.2, "median", ch)
     mi = exact_mi_per_sample(inst)
