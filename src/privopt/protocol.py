@@ -13,24 +13,38 @@ call, and each query spends the next rows of it.  Every answer is still
 its own datum through its own draw, and the learner still sees only
 (theta, Z).
 
+A population stream answers its one-theta queries ahead: the query that
+refills the block answers every row of it at its theta (the block's
+guess: one subgrad over the rows, then one Channel.apply), and each later
+one-theta query of the block returns its guessed row when its own
+subgradient, at its real theta, equals the guessed one bit for bit.  Row
+i of a batch apply is the one-row apply of row i, so that is its
+per-step answer; any other query applies its row's noise to its real
+subgradient.  No draw is added, so the rng and cursor end as per step.
+R-row queries answer per step.
+
 A population stream's oracle (as_grad_oracle) also answers ahead, under
 the contract the optimizers module docstring states: oracle.ahead(theta,
 most) answers the next k <= most queries at the one theta (the rows left
 in the block after the refill query would make now), and its settle
 consumes the leading answers that query would give at the real thetas.
-No refill is drawn that query would not draw.  How many queries a learner
-asks ahead, and what that costs, is the learner's policy (see
-optimizers.mirror_descent_l1).
+No refill is drawn that query would not draw.  It drops the block's
+guess, so the single queries of that block answer per step.  How many
+queries a learner asks ahead, and what that costs, is the learner's
+policy (see optimizers.mirror_descent_l1).
+
+Neither guess answers past a row whose subgradient the channel refuses:
+that query raises at its real theta, as its step does.
 
 Answering ahead is a shortcut of the simulation, not a protocol round.
-Its guessed answers for the queries the learner does not keep, and the
-count m that settle computes from the raw data, are not part of the
-(theta, Z) transcript: the rows behind them are answered again, with the
-same noise, at their real theta.  The learner's output depends on the
-kept answers alone and equals the per-step run bit for bit, so it is a
-function of the per-step transcript; the intermediate view is not an LDP
-transcript.  An owner list never answers ahead, so each of its owners
-releases exactly one view.
+Its guessed answers for the queries the learner does not keep or that do
+not match, and the count m that settle computes from the raw data, are
+not part of the (theta, Z) transcript: the rows behind them are answered
+again, with the same noise, at their real theta.  The learner's output
+depends on the kept answers alone and equals the per-step run bit for
+bit, so it is a function of the per-step transcript; the intermediate
+view is not an LDP transcript.  An owner list never answers ahead, so
+each of its owners releases exactly one view.
 """
 
 from __future__ import annotations
@@ -43,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from . import information
-from .channels import Channel, dp_ratio_max
+from .channels import Channel, _checked_prefix, dp_ratio_max
 from .losses import DataDist, LossFn, sample_datum, subgrad
 
 __all__ = [
@@ -56,6 +70,8 @@ __all__ = [
 # rows a stream draws per refill; a population rounds it down to a multiple
 # of the rows per query (at least one query)
 _BLOCK_ROWS = 1024
+# a block with no guessed rows: empty subgradients G and draws Z
+_NO_GUESS = ((), ())
 
 
 @dataclass(eq=False)
@@ -72,6 +88,9 @@ class PrivateGradStream:
     # the block: data (rows, d), channel noise, next unread row
     _block: tuple = field(default=(), init=False, repr=False)
     _next: int = field(default=0, init=False, repr=False)
+    # the block's guess (see query): subgradients G and draws Z of its
+    # leading rows at the refilling query's theta
+    _guess: tuple = field(default=_NO_GUESS, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.rng = np.random.default_rng(self.rng)
@@ -105,36 +124,75 @@ class PrivateGradStream:
     def exhausted(self) -> bool:
         return self.population is None and self.cursor >= len(self.data)
 
-    def _refill(self, m: int) -> None:
-        """A new block for queries of m rows: the next min(_BLOCK_ROWS,
-        owners left) rows of the owner list, or m * max(1, _BLOCK_ROWS // m)
-        data drawn from the population with sample_datum; then their
-        channel noise from the stream rng."""
+    def _ready(self, m: int) -> bool:
+        """Refill the block when fewer than m rows are left in it: the next
+        min(_BLOCK_ROWS, owners left) rows of the owner list, or
+        m * max(1, _BLOCK_ROWS // m) data drawn from the population with
+        sample_datum; then their channel noise from the stream rng.  Rows
+        left over in a population block (only when m changes) are dropped
+        unserved.  True when it refilled."""
+        if self._block and self._next + m <= len(self._block[0]):
+            return False
         if self.population is None:
             X = self.data[self.cursor:self.cursor + _BLOCK_ROWS]
         else:
             X = sample_datum(self.population, self.rng, size=m * max(1, _BLOCK_ROWS // m))
         self._block = (X, self.channel.noise(len(X), self.rng))
         self._next = 0
+        self._guess = _NO_GUESS
+        return True
 
-    def _take(self, m: int) -> tuple:
-        """The next m (data, noise) rows of the block, after a refill when
-        fewer than m are left.  Population rows left over (only when m
-        changes) are dropped unserved."""
-        if not self._block or self._next + m > len(self._block[0]):
-            self._refill(m)
+    def _take(self, m: int) -> slice:
+        """The span of the block's next m rows, consumed; the block holds
+        them (see _ready)."""
         span = slice(self._next, self._next + m)
         self._next += m
         self.cursor += m
-        X, noise = self._block
-        return X[span], tuple([a[span] for a in noise])
+        return span
+
+
+def _answer(stream: PrivateGradStream, theta: np.ndarray, start: int, k: int) -> tuple:
+    """Up to k queries of the block from row start, each of theta's rows,
+    answered at the one theta: their subgradients G and channel draws Z,
+    both (j, *theta.shape).  j < k only when a later query's subgradient
+    fails the channel's input check: neither it nor any query after it is
+    answered, so each raises at its real theta as its step would.  The
+    first query is always answered, and raises here when it fails."""
+    X, noise = stream._block
+    ch = stream.channel
+    rows = theta.size // ch.d
+    x = X[start:start + k * rows].reshape((k,) + theta.shape)
+    G = subgrad(stream.loss, x, np.broadcast_to(theta, x.shape))
+    flat = G.reshape(-1, ch.d)
+
+    def draws(flat):
+        return ch.apply(flat, tuple([a[start:start + len(flat)] for a in noise]))
+
+    try:
+        return G, draws(flat).reshape(G.shape)
+    except ValueError:
+        # a row the channel refuses: only then is the check run row by row,
+        # so that the rows that pass are not checked twice
+        ok = _checked_prefix(ch, flat)
+        if ok == len(flat):
+            raise
+    j = max(1, ok // rows)  # the first failing query
+    G = G[:j]
+    return G, draws(flat[:j * rows]).reshape(G.shape)
 
 
 def query(stream: PrivateGradStream, theta) -> np.ndarray:
     """One protocol round: route theta to the next owner, return its Z.
     An owner list answers one theta (d,) per query and raises RuntimeError
     once every owner has answered; a population stream answers theta of
-    shape (R, d) with R queries."""
+    shape (R, d) with R queries.
+
+    A one-theta query that refills a population stream's block also
+    answers every row of the new block at its theta (the guess).  Each
+    one-theta query of the block returns its row's guessed answer when its
+    own subgradient equals the guessed one bit for bit, and applies its
+    row's noise to that subgradient otherwise: both are its per-step
+    answer (see the module docstring)."""
     theta = np.asarray(theta, dtype=float)
     batch = theta.ndim == 2
     if stream.population is None:
@@ -144,54 +202,68 @@ def query(stream: PrivateGradStream, theta) -> np.ndarray:
             raise RuntimeError("single-pass stream exhausted")
     elif batch and len(theta) == 0:
         raise ValueError("a batch query needs at least one row")
-    x, noise = stream._take(len(theta) if batch else 1)
-    z = stream.channel.apply(subgrad(stream.loss, x if batch else x[0], theta), noise)
-    return z if batch else z[0]
+    m = len(theta) if batch else 1
+    refilled = stream._ready(m)
+    span = stream._take(m)
+    X, noise = stream._block
+    if batch:
+        return stream.channel.apply(subgrad(stream.loss, X[span], theta),
+                                    tuple([a[span] for a in noise]))
+    i = span.start
+    g = subgrad(stream.loss, X[i], theta)
+    if refilled and stream.population is not None:
+        stream._guess = _answer(stream, theta, i, len(X))
+    G, Z = stream._guess
+    if i < len(G) and g.tobytes() == G[i].tobytes():
+        return Z[i]
+    return stream.channel.apply(g, tuple([a[span] for a in noise]))[0]
 
 
 def _ahead(stream: PrivateGradStream, theta, most: int) -> tuple:
     """The next k <= most queries of a population stream answered at the
     one theta: the rows left in the block after the refill query would
-    make now.
+    make now, up to the first query whose subgradient fails the channel's
+    input check (it raises at its real theta, as its step does).
 
     Returns (Z, settle).  Z (k, *theta.shape) holds the k answers, each
     the channel draw of its datum's subgradient at theta.  settle(thetas),
     with thetas (j, *theta.shape) for j < k the thetas queries 1..j would
     really be asked at, recomputes their subgradients in one call, keeps
     the answers up to the first whose subgradient differs in any bit, and
-    consumes and returns their number m >= 1."""
+    consumes and returns their number m >= 1.  The block's guess is
+    dropped: until the next refill, single queries are answered per
+    step."""
     theta = np.asarray(theta, dtype=float)
     rows = len(theta) if theta.ndim == 2 else 1
     if rows == 0:
         raise ValueError("a batch query needs at least one row")
-    if not stream._block or stream._next + rows > len(stream._block[0]):
-        stream._refill(rows)  # the refill query would make now
-    X, noise = stream._block
-    k = min(most, (len(X) - stream._next) // rows)
-    span = slice(stream._next, stream._next + k * rows)
-    x = X[span].reshape((k,) + theta.shape)
-    guess = subgrad(stream.loss, x, np.broadcast_to(theta, x.shape))
-    z = stream.channel.apply(guess.reshape(-1, theta.shape[-1]), tuple([a[span] for a in noise]))
+    stream._ready(rows)  # the refill query would make now
+    start = stream._take(rows).start  # query 0 is always kept
+    stream._guess = _NO_GUESS
+    X = stream._block[0]
+    guess, z = _answer(stream, theta, start, min(most, (len(X) - start) // rows))
 
     def settle(thetas) -> int:
         j = len(thetas)
         # compared as bits, so that a -0.0 guess for a +0.0 subgradient
         # (which copysign-based channels tell apart) is not kept
-        truth = subgrad(stream.loss, x[1:j + 1], thetas)
+        x = X[start + rows:start + (j + 1) * rows].reshape((j,) + theta.shape)
+        truth = subgrad(stream.loss, x, thetas)
         same = truth.view(np.int64) == guess[1:j + 1].view(np.int64)
         kept = np.logical_and.reduce(same, axis=tuple(range(1, same.ndim)))
         m = 1 + (j if kept.all() else int(kept.argmin()))
-        stream._take(m * rows)  # the block holds them: no refill
+        stream._take((m - 1) * rows)  # the block holds them: no refill
         return m
 
-    return z.reshape(x.shape), settle
+    return z, settle
 
 
 def as_grad_oracle(stream: PrivateGradStream):
     """Adapt a stream to the optimizer oracle contract (stream rngs rule).
     A population stream's oracle also answers ahead, as
-    oracle.ahead(theta, most); an owner list's only answers query by
-    query.  See the module docstring."""
+    oracle.ahead(theta, most), and its one-theta calls read the block's
+    guess as query does; an owner list's only answers query by query.
+    See the module docstring."""
 
     def oracle(theta, rng):
         return query(stream, theta)
@@ -222,9 +294,9 @@ def audit_leakage(stream: PrivateGradStream) -> dict:
     (theta, Z) sequence.  The report attaches each owner's channel
     certificate (worst-case MI or eps), flagging non-private channels.
     For a population stream, "(theta, Z) pairs only" describes the
-    per-step protocol: the guessed answers of its oracle's ahead are a
-    simulation shortcut outside that transcript (see the module
-    docstring).
+    per-step protocol: the guessed answers of its one-theta queries and of
+    its oracle's ahead are a simulation shortcut outside that transcript
+    (see the module docstring); an owner list's queries never guess.
     """
     population = stream.population is not None
     return {

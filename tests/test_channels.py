@@ -512,6 +512,32 @@ def test_sample_is_apply_of_noise(kind):
             ch.apply(bad, noise)
 
 
+# row i of a batch apply is the one-row apply of row i, bit for bit: a
+# population stream answers a block's one-theta queries from one batch apply
+# (protocol.query), so each answer must be the one its step would give
+@pytest.mark.parametrize("kind, d", [(k, d) for k in CHANNEL_KINDS for d in (1, 2, 4, 8, 32)
+                                     if (k, d) != ("dp_l2_sampler", 1)])  # needs d >= 2
+def test_batch_row_is_the_one_row_apply_bitwise(kind, d):
+    # eps 0.3 lies below eps_star(32), which the two-level kinds need
+    ch = make_channel(kind, d, eps=0.3) if kind in PERTURBING[2:] else _mk(kind, d)
+    rng = np.random.default_rng(50 + d)
+    X = np.array([_input_for(ch, rng) for _ in range(64)])
+    # signed zeros, which the copysign-based kinds tell apart: scattered
+    # entries, whole rows, and (outside the l2 source) extreme points
+    X[:20] = np.where(rng.random((20, d)) < 0.5, 0.0, X[:20])
+    X[20:40] = np.where(rng.random((20, d)) < 0.5, -0.0, X[20:40])
+    X[40], X[41] = 0.0, -0.0
+    if ch.source.p != 2:
+        for i in range(42, 50):
+            X[i] = _corner_for(ch, rng)
+            X[i][X[i] == 0.0] = -0.0 if i % 2 else 0.0
+    noise = ch.noise(len(X), rng)
+    Z = ch.apply(X, noise)
+    for i, x in enumerate(X):
+        one = ch.apply(x, tuple(a[i:i + 1] for a in noise))
+        assert one.shape == (1, d) and one.tobytes() == Z[i:i + 1].tobytes(), i
+
+
 # ---------------------------------------------------------------------------
 # law conformance: draws of the two-level kinds against their exact law
 #

@@ -10,7 +10,7 @@ from privopt import optimizers, protocol
 from privopt.channels import Channel, make_channel, two_level_constants
 from privopt.geometry import NormBall
 from privopt.losses import (DataDist, RiskSpec, make_loss, risk_minimizer, risk_value,
-                            sample_datum)
+                            sample_datum, subgrad)
 from privopt.optimizers import (
     OptimizerConfig,
     mirror_descent_l1,
@@ -327,34 +327,68 @@ _FAMILIES = {  # (channel kind, its budget, loss, data law)
     "dp_hypercube": ("dp_hypercube", {"eps": 0.5}, "median", "cube_bernoulli"),
     "identity": ("identity", {}, "median", "cube_bernoulli"),
     "l1_maxent": ("l1_maxent", {"M": 4.0}, "hinge", "coord_basis"),
+    "dp_l2_sampler": ("dp_l2_sampler", {"eps": 1.0}, "hinge", "coord_basis"),
 }
 
 
-def _stream_pair(family, d, rng, owners=None, r=1.0):
-    """Two streams with the same seed, the same channel and the same law:
-    from the population, or over the same owners when owners is a count."""
+def _stream_pair(family, d, rng, owners=None, r=1.0, count=2):
+    """count (two) streams with the same seed, the same channel and the same
+    law: from the population, or over the same owners when owners is a
+    count."""
     kind, budget, loss, law = _FAMILIES[family]
     ch = make_channel(kind, d, L=1.0, **budget)
     loss = make_loss(loss, L=1.0, r=r)
     dist = DataDist(law, d, 0.5, (1,) + (0,) * (d - 1))
     if owners is None:
-        return ch, [PrivateGradStream.from_population(dist, loss, ch, rng=rng) for _ in range(2)]
+        return ch, [PrivateGradStream.from_population(dist, loss, ch, rng=rng)
+                    for _ in range(count)]
     data = sample_datum(dist, np.random.default_rng(rng), size=owners)
-    return ch, [PrivateGradStream.from_data(data, loss, ch, rng=rng) for _ in range(2)]
+    return ch, [PrivateGradStream.from_data(data, loss, ch, rng=rng) for _ in range(count)]
+
+
+class _Replay:
+    """The per-step reference of a stream, built on an unused one: its
+    blocks replayed as the stream's refills draw them (owners or data, then
+    noise, from its rng), and every query answered with
+    Channel.apply(subgrad(...)) of its own rows.  It never guesses; it
+    keeps its own cursor and advances the stream's rng."""
+
+    def __init__(self, stream):
+        self.stream, self.rng, self.cursor = stream, stream.rng, 0
+        self.x, self.noise, self.next = np.empty((0, stream.channel.d)), (), 0
+
+    def __call__(self, theta, rng=None):
+        s, theta = self.stream, np.asarray(theta, dtype=float)
+        m = len(theta) if theta.ndim == 2 else 1
+        if s.population is None and self.cursor >= len(s.data):
+            raise RuntimeError("single-pass stream exhausted")
+        if self.next + m > len(self.x):
+            if s.population is None:
+                self.x = s.data[self.cursor:self.cursor + protocol._BLOCK_ROWS]
+            else:
+                self.x = sample_datum(s.population, self.rng,
+                                      size=m * max(1, protocol._BLOCK_ROWS // m))
+            self.noise, self.next = s.channel.noise(len(self.x), self.rng), 0
+        span = slice(self.next, self.next + m)
+        self.next += m
+        self.cursor += m
+        x = self.x[span] if theta.ndim == 2 else self.x[span.start]
+        z = s.channel.apply(subgrad(s.loss, x, theta), tuple(a[span] for a in self.noise))
+        return z if theta.ndim == 2 else z[0]
 
 
 def _both_paths(streams, cfg, chains=None):
-    """The run over the answering-ahead oracle, and over a plain callable
-    that sends each query to the other stream; exceptions are returned."""
+    """The run over the answering-ahead oracle, and over the per-step
+    replay of the other stream; exceptions are returned."""
+    replay = _Replay(streams[1])
     outs = []
-    for oracle in (as_grad_oracle(streams[0]),
-                   lambda theta, rng, s=streams[1]: query(s, theta)):
+    for oracle in (as_grad_oracle(streams[0]), replay):
         try:
             outs.append(mirror_descent_l1(oracle, cfg, 0, chains=chains).averaged)
         except Exception as e:  # noqa: BLE001 - compared below
             outs.append(e)
-    assert streams[0].rng.bit_generator.state == streams[1].rng.bit_generator.state
-    assert streams[0].cursor == streams[1].cursor
+    assert streams[0].rng.bit_generator.state == replay.rng.bit_generator.state
+    assert streams[0].cursor == replay.cursor
     return outs
 
 
@@ -419,6 +453,70 @@ def test_owner_list_oracle_raises_like_a_plain_callable_when_short():
     for e in (via_oracle, stepped):
         assert isinstance(e, RuntimeError) and str(e) == "single-pass stream exhausted"
     assert streams[0].cursor == 2000
+
+
+@pytest.mark.parametrize("method", [mirror_descent_l1, sgd_l2])
+@pytest.mark.parametrize("d", [4, 8])
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_per_step_queries_equal_the_replay(family, d, method):
+    # a wrapped oracle has no ahead, so every step is one query, answered
+    # from its block's guess when its subgradient is the guessed one; both
+    # optimizers step bit for bit as over the replay, which never guesses,
+    # and so does mirror descent in windows.  2500 steps span three blocks
+    n = 2500
+    ch, streams = _stream_pair(family, d, 41, count=3)
+    domain = NormBall(1 if method is mirror_descent_l1 else 2, 1.0)
+    cfg = OptimizerConfig(method.__name__, domain, d, n, ch.target.radius)
+    oracle = as_grad_oracle(streams[0])
+    replay = _Replay(streams[2])
+    stepped = method(replay, cfg, 0).averaged
+    for s, run in ((streams[0], method(lambda theta, rng: oracle(theta, rng), cfg, 0)),
+                   (streams[1], method(as_grad_oracle(streams[1]), cfg, 0))):
+        _assert_same_bits(run.averaged, stepped)
+        assert s.rng.bit_generator.state == replay.rng.bit_generator.state
+        assert s.cursor == replay.cursor == n
+
+
+@pytest.mark.parametrize("method", [mirror_descent_l1, sgd_l2])
+def test_per_step_queries_equal_the_replay_when_subgradients_flip(method, monkeypatch):
+    # the hinge r = 0.02 flip configuration, one query per step: many
+    # steps leave the guess and are redone with their row's own noise, and
+    # the run is still bit for bit the replay's
+    d, n = 8, 2500
+    ch, streams = _stream_pair("l1_maxent", d, 31, r=0.02)
+    domain = NormBall(1 if method is mirror_descent_l1 else 2, 1.0)
+    cfg = OptimizerConfig(method.__name__, domain, d, n, ch.target.radius)
+    rows = []
+    apply = Channel.apply
+
+    def counted(self, x, noise):
+        rows.append(len(noise[0]))
+        return apply(self, x, noise)
+
+    monkeypatch.setattr(Channel, "apply", counted)
+    run = method(lambda theta, rng: query(streams[0], theta), cfg, 0).averaged
+    monkeypatch.undo()
+    assert rows.count(protocol._BLOCK_ROWS) == 3 and 0 < rows.count(1) < n
+    replay = _Replay(streams[1])
+    _assert_same_bits(run, method(replay, cfg, 0).averaged)
+    assert streams[0].rng.bit_generator.state == replay.rng.bit_generator.state
+    assert streams[0].cursor == replay.cursor
+
+
+def test_answering_ahead_raises_where_the_per_step_replay_does():
+    # l1_maxent with source radius 0.5 under the hinge with L = 1: every
+    # nonzero subgradient is refused, and at theta = 0 every subgradient is
+    # nonzero, so both runs raise at the first query, after consuming it
+    d = 4
+    ch = make_channel("l1_maxent", d, L=0.5, M=2.0)
+    loss = make_loss("hinge", L=1.0, r=0.1)
+    dist = DataDist("coord_basis", d, 0.5, (1,) + (0,) * (d - 1))
+    streams = [PrivateGradStream.from_population(dist, loss, ch, rng=43) for _ in range(2)]
+    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), d, 100, ch.target.radius)
+    windowed, stepped = _both_paths(streams, cfg)
+    for e in (windowed, stepped):
+        assert isinstance(e, ValueError) and "exceeds source radius" in str(e)
+    assert str(windowed) == str(stepped) and streams[0].cursor == 1
 
 
 class _ScriptedOracle:
@@ -512,10 +610,11 @@ def test_window_path_keeps_the_verified_prefix_when_subgradients_flip(chains, mo
     drawn = sum(rows)
     monkeypatch.undo()
     assert counts["windows"] > 0 and counts["queries"] > 0
-    stepped = mirror_descent_l1(lambda theta, rng: query(streams[1], theta), cfg, 0,
-                                chains=chains).averaged
+    replay = _Replay(streams[1])
+    stepped = mirror_descent_l1(replay, cfg, 0, chains=chains).averaged
     _assert_same_bits(windowed, stepped)
-    assert streams[0].rng.bit_generator.state == streams[1].rng.bit_generator.state
+    assert streams[0].rng.bit_generator.state == replay.rng.bit_generator.state
+    assert streams[0].cursor == replay.cursor
     assert n * R < drawn <= 3 * n * R  # some answers were redone, within the bound
 
 
@@ -531,7 +630,8 @@ def test_window_path_rescales_inside_a_window(chains, monkeypatch):
     windowed = mirror_descent_l1(as_grad_oracle(streams[0]), cfg, 0, chains=chains).averaged
     assert len(calls) >= 10
     monkeypatch.undo()
-    stepped = mirror_descent_l1(lambda theta, rng: query(streams[1], theta), cfg, 0,
-                                chains=chains).averaged
+    replay = _Replay(streams[1])
+    stepped = mirror_descent_l1(replay, cfg, 0, chains=chains).averaged
     _assert_same_bits(windowed, stepped)
-    assert streams[0].rng.bit_generator.state == streams[1].rng.bit_generator.state
+    assert streams[0].rng.bit_generator.state == replay.rng.bit_generator.state
+    assert streams[0].cursor == replay.cursor

@@ -155,18 +155,22 @@ def test_population_stream_answers_a_batch():
 @pytest.mark.parametrize("m", [50, 1])
 def test_population_stream_refills_without_reusing_noise(m, monkeypatch):
     # m rows per query; 50 does not divide _BLOCK_ROWS, so each refill draws
-    # 50 * (_BLOCK_ROWS // 50) rows and every query spends m unread ones
+    # 50 * (_BLOCK_ROWS // 50) rows and every query spends m unread ones.
+    # One-theta queries answer from their block's guess (one apply over the
+    # whole block), so each answer is traced to the apply that drew it and
+    # to the noise rows behind it: no noise row serves two queries
     loss, ch = _parts(d=3, kind="dp_hypercube")
     dist = DataDist("cube_bernoulli", 3, 0.5, (1, 0, 0))
     per_block = _BLOCK_ROWS // m
     queries = 3 * per_block + 2  # three refills after the first block
     theta = np.random.default_rng(4).uniform(-0.3, 0.3, (m, 3))
-    served = []
+    applied = []  # (noise rows, draws) of each Channel.apply
     apply = Channel.apply
 
     def spy(self, x, noise):
-        served.append(noise[0])
-        return apply(self, x, noise)
+        z = apply(self, x, noise)
+        applied.append((noise[0], z))
+        return z
 
     monkeypatch.setattr(Channel, "apply", spy)
     stream = PrivateGradStream.from_population(dist, loss, ch, rng=21)
@@ -183,8 +187,120 @@ def test_population_stream_refills_without_reusing_noise(m, monkeypatch):
             z = ch.apply(g, tuple(a[i:i + m] for a in noise))
             want.append(z if m > 1 else z[0])
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    served = []
+    for a in got:  # each answer is m rows of one apply's draws
+        noise_rows, z = next((n, z) for n, z in applied if np.shares_memory(a, z))
+        i = (a.__array_interface__["data"][0] - z.__array_interface__["data"][0]) // z.strides[0]
+        served.append(noise_rows[i:i + m])
     u = np.concatenate(served)
     assert len(u) == queries * m and len(np.unique(u, axis=0)) == len(u)
+
+
+def _spy_apply_rows(monkeypatch) -> list:
+    """The rows of each Channel.apply call made after this call."""
+    rows, apply = [], Channel.apply
+
+    def counted(self, x, noise):
+        rows.append(len(noise[0]))
+        return apply(self, x, noise)
+
+    monkeypatch.setattr(Channel, "apply", counted)
+    return rows
+
+
+def test_one_theta_queries_apply_each_block_once_while_subgradients_hold(monkeypatch):
+    # the median loss at |theta_j| < r has the subgradient L sign(theta - r x)
+    # = -L x whatever theta is: every query reads its block's guess, so each
+    # block costs one apply of its rows, and no query is redone
+    loss, ch = _parts(d=4, kind="linf_maxent")
+    dist = DataDist("cube_bernoulli", 4, 0.5, (1, 0, 0, 0))
+    thetas = np.random.default_rng(5).uniform(-0.9, 0.9, (2 * _BLOCK_ROWS + 300, 4))
+    rows = _spy_apply_rows(monkeypatch)
+    stream = PrivateGradStream.from_population(dist, loss, ch, rng=6)
+    for t in thetas:
+        query(stream, t)
+    assert rows == [_BLOCK_ROWS] * 3
+
+
+def test_one_theta_queries_redo_only_rows_whose_subgradient_changed(monkeypatch):
+    # hinge with margin r = 0.02 and thetas near 0: <x, theta> = +-theta_j
+    # crosses r often, so many rows leave their block's guess.  The rows
+    # through Channel.apply are the blocks' rows, plus one per redone query,
+    # and those are the queries whose subgradient differs from the guessed
+    # one (found by a replay of the blocks)
+    d, n = 8, 2 * _BLOCK_ROWS + 300
+    ch = make_channel("l1_maxent", d, L=1.0, M=4.0)
+    loss = make_loss("hinge", L=1.0, r=0.02)
+    dist = DataDist("coord_basis", d, 0.5, (1,) + (0,) * (d - 1))
+    thetas = np.random.default_rng(7).uniform(-0.05, 0.05, (n, d))
+    rows = _spy_apply_rows(monkeypatch)
+    stream = PrivateGradStream.from_population(dist, loss, ch, rng=8)
+    got = np.array([query(stream, t) for t in thetas])
+    monkeypatch.undo()
+    rng, want, redone = np.random.default_rng(8), [], 0
+    for start in range(0, n, _BLOCK_ROWS):
+        x = sample_datum(dist, rng, size=_BLOCK_ROWS)
+        noise = ch.noise(_BLOCK_ROWS, rng)
+        for j, t in enumerate(thetas[start:start + _BLOCK_ROWS]):
+            g = subgrad(loss, x[j], t)
+            redone += g.tobytes() != subgrad(loss, x[j], thetas[start]).tobytes()
+            want.append(ch.apply(g, tuple(a[j:j + 1] for a in noise))[0])
+    assert got.tobytes() == np.array(want).tobytes()
+    assert 0 < redone < n // 2
+    assert sum(rows) == 3 * _BLOCK_ROWS + redone
+    assert rows.count(1) == redone and len(rows) == 3 + redone
+
+
+def _refused_row_parts():
+    # l1_maxent with source radius 0.5 under the hinge with L = 1: a
+    # subgradient is 0 or -x, of l1 norm 1, which the channel refuses.  At
+    # theta = (0.9, 0) the datum +e_0 (probability 1/2 at delta = 1) has
+    # subgradient 0 and the data +-e_1 have -x.  Seed 1 draws +e_0 first
+    # and +-e_1 second
+    ch = make_channel("l1_maxent", 2, L=0.5, M=2.0)
+    loss = make_loss("hinge", L=1.0, r=0.1)
+    dist = DataDist("coord_basis", 2, 1.0, (1, 0))
+    return ch, loss, dist, np.array([0.9, 0.0])
+
+
+def test_answering_ahead_raises_only_where_the_step_does():
+    # the window's second query has a subgradient the channel refuses: the
+    # step answers the first query and raises at the second, and so does
+    # the oracle's ahead, which used to raise at once for the whole window
+    ch, loss, dist, theta = _refused_row_parts()
+    rng = np.random.default_rng(1)
+    x = sample_datum(dist, rng, size=_BLOCK_ROWS)
+    noise = ch.noise(_BLOCK_ROWS, rng)
+    assert x[0].tolist() == [1.0, 0.0] and x[1][0] == 0.0
+    first = ch.apply(subgrad(loss, x[0], theta), tuple(a[:1] for a in noise))[0]
+    streams = [PrivateGradStream.from_population(dist, loss, ch, rng=1) for _ in range(2)]
+    assert query(streams[0], theta).tobytes() == first.tobytes()
+    z, settle = as_grad_oracle(streams[1]).ahead(theta, 10)
+    assert z.shape == (1, 2) and z[0].tobytes() == first.tobytes()
+    assert settle(np.empty((0, 2))) == 1
+    for s in streams:
+        with pytest.raises(ValueError, match="exceeds source radius 0.5"):
+            query(s, theta)
+        assert s.cursor == 2
+    assert streams[0].rng.bit_generator.state == streams[1].rng.bit_generator.state
+
+
+def test_block_guess_stops_before_a_row_the_channel_refuses():
+    # the refilling query guesses its block at theta = (0.9, 0), where the
+    # second row's subgradient is refused: that row is not guessed, and at
+    # a theta where its subgradient is 0 it is answered per step, as are
+    # the rows after it
+    ch, loss, dist, theta = _refused_row_parts()
+    rng = np.random.default_rng(1)
+    x = sample_datum(dist, rng, size=_BLOCK_ROWS)
+    noise = ch.noise(_BLOCK_ROWS, rng)
+    stream = PrivateGradStream.from_population(dist, loss, ch, rng=1)
+    query(stream, theta)
+    assert len(stream._guess[0]) == 1
+    for j in range(1, 6):
+        t = np.array([0.9, 0.5]) * x[j].sum() if x[j][0] == 0.0 else theta
+        want = ch.apply(subgrad(loss, x[j], t), tuple(a[j:j + 1] for a in noise))[0]
+        assert query(stream, t).tobytes() == want.tobytes()
 
 
 def test_stream_determinism_and_owner_rng_isolation():
