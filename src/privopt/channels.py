@@ -195,45 +195,27 @@ def _real(key: str, v) -> float:
     return float(v)
 
 
-def _norm_terms(x: np.ndarray, p: float) -> np.ndarray:
-    """The l_p norm of each row of x by np.linalg.norm's own formulas,
-    without its dispatch; at p = inf the entries |x|, whose max along the
-    last axis is the norm, left for the caller's own max."""
-    if p == 2:
-        return np.sqrt(np.add.reduce(x * x, axis=-1))
-    top = np.abs(x)
-    return np.add.reduce(top, axis=-1) if p == 1 else top
-
-
-def _in_ball(top, ball: NormBall):
-    """top <= the ball's radius, within _BALL_TOL; False at NaN."""
-    return top <= ball.radius * (1.0 + _BALL_TOL) + _BALL_TOL
-
-
 def _checked_rows(x, d: int, ball: NormBall) -> np.ndarray:
     """x as one input (d,) or a batch (R, d) in C order (so row sums round
     alike for every layout), every row finite and in the source ball; one
-    reduction checks both, as NaN survives the norm and the max."""
+    reduction checks both, as NaN survives the norm and the max.  The norms
+    are np.linalg.norm's own formulas, without its dispatch."""
     x = np.ascontiguousarray(x, dtype=float)
     if x.ndim > 2 or x.shape[-1] != d:
         raise ValueError(f"expected a vector or rows of dimension {d}, got shape {x.shape}")
-    top = np.maximum.reduce(_norm_terms(x, ball.p), axis=None)
+    if ball.p == 2:
+        top = np.sqrt(np.add.reduce(x * x, axis=-1))
+    else:
+        top = np.abs(x)
+        if ball.p == 1:
+            top = np.add.reduce(top, axis=-1)
+    top = np.maximum.reduce(top, axis=None)
     L = ball.radius
-    if not _in_ball(top, ball):
+    if not top <= L * (1.0 + _BALL_TOL) + _BALL_TOL:
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite input")
         raise ValueError(f"input l{ball.p} norm {top:.6g} exceeds source radius {L:.6g}")
     return x
-
-
-def _checked_prefix(ch, X: np.ndarray) -> int:
-    """How many leading rows of X (R, d) pass the input check of ch.apply:
-    finite and in the source ball."""
-    top = _norm_terms(X, ch.source.p)
-    if top.ndim == 2:  # the entries |x| at p = inf
-        top = np.maximum.reduce(top, axis=-1)
-    ok = _in_ball(top, ch.source)
-    return len(X) if ok.all() else int(ok.argmin())
 
 
 # ---------------------------------------------------------------------------

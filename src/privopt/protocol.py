@@ -28,13 +28,13 @@ the contract the optimizers module docstring states: oracle.ahead(theta,
 most) answers the next k <= most queries at the one theta (the rows left
 in the block after the refill query would make now), and its settle
 consumes the leading answers that query would give at the real thetas.
-No refill is drawn that query would not draw.  It drops the block's
-guess, so the single queries of that block answer per step.  How many
-queries a learner asks ahead, and what that costs, is the learner's
-policy (see optimizers.mirror_descent_l1).
+No refill is drawn that query would not draw.  How many queries a
+learner asks ahead, and what that costs, is the learner's policy (see
+optimizers.mirror_descent_l1).
 
-Neither guess answers past a row whose subgradient the channel refuses:
-that query raises at its real theta, as its step does.
+When the channel refuses a guessed subgradient, either guess keeps its
+first query alone: each later query is answered, or raises, at its real
+theta, as its step does.
 
 Answering ahead is a shortcut of the simulation, not a protocol round.
 Its guessed answers for the queries the learner does not keep or that do
@@ -57,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from . import information
-from .channels import Channel, _checked_prefix, dp_ratio_max
+from .channels import Channel, dp_ratio_max
 from .losses import DataDist, LossFn, sample_datum, subgrad
 
 __all__ = [
@@ -154,10 +154,10 @@ class PrivateGradStream:
 def _answer(stream: PrivateGradStream, theta: np.ndarray, start: int, k: int) -> tuple:
     """Up to k queries of the block from row start, each of theta's rows,
     answered at the one theta: their subgradients G and channel draws Z,
-    both (j, *theta.shape).  j < k only when a later query's subgradient
-    fails the channel's input check: neither it nor any query after it is
-    answered, so each raises at its real theta as its step would.  The
-    first query is always answered, and raises here when it fails."""
+    both (j, *theta.shape).  j = 1 < k when the channel refuses one of
+    the subgradients: only the first query is answered, and raises here
+    when it is refused; each later query is answered, or raises, at its
+    real theta, as its step would."""
     X, noise = stream._block
     ch = stream.channel
     rows = theta.size // ch.d
@@ -165,20 +165,13 @@ def _answer(stream: PrivateGradStream, theta: np.ndarray, start: int, k: int) ->
     G = subgrad(stream.loss, x, np.broadcast_to(theta, x.shape))
     flat = G.reshape(-1, ch.d)
 
-    def draws(flat):
-        return ch.apply(flat, tuple([a[start:start + len(flat)] for a in noise]))
+    def draws(j):
+        return ch.apply(flat[:j * rows], tuple([a[start:start + j * rows] for a in noise]))
 
     try:
-        return G, draws(flat).reshape(G.shape)
+        return G, draws(k).reshape(G.shape)
     except ValueError:
-        # a row the channel refuses: only then is the check run row by row,
-        # so that the rows that pass are not checked twice
-        ok = _checked_prefix(ch, flat)
-        if ok == len(flat):
-            raise
-    j = max(1, ok // rows)  # the first failing query
-    G = G[:j]
-    return G, draws(flat[:j * rows]).reshape(G.shape)
+        return G[:1], draws(1).reshape(G[:1].shape)
 
 
 def query(stream: PrivateGradStream, theta) -> np.ndarray:
@@ -222,24 +215,21 @@ def query(stream: PrivateGradStream, theta) -> np.ndarray:
 def _ahead(stream: PrivateGradStream, theta, most: int) -> tuple:
     """The next k <= most queries of a population stream answered at the
     one theta: the rows left in the block after the refill query would
-    make now, up to the first query whose subgradient fails the channel's
-    input check (it raises at its real theta, as its step does).
+    make now, or only the first when the channel refuses one of their
+    subgradients (see _answer).
 
     Returns (Z, settle).  Z (k, *theta.shape) holds the k answers, each
     the channel draw of its datum's subgradient at theta.  settle(thetas),
     with thetas (j, *theta.shape) for j < k the thetas queries 1..j would
     really be asked at, recomputes their subgradients in one call, keeps
     the answers up to the first whose subgradient differs in any bit, and
-    consumes and returns their number m >= 1.  The block's guess is
-    dropped: until the next refill, single queries are answered per
-    step."""
+    consumes and returns their number m >= 1."""
     theta = np.asarray(theta, dtype=float)
     rows = len(theta) if theta.ndim == 2 else 1
     if rows == 0:
         raise ValueError("a batch query needs at least one row")
     stream._ready(rows)  # the refill query would make now
     start = stream._take(rows).start  # query 0 is always kept
-    stream._guess = _NO_GUESS
     X = stream._block[0]
     guess, z = _answer(stream, theta, start, min(most, (len(X) - start) // rows))
 

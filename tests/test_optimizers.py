@@ -618,6 +618,42 @@ def test_window_path_keeps_the_verified_prefix_when_subgradients_flip(chains, mo
     assert n * R < drawn <= 3 * n * R  # some answers were redone, within the bound
 
 
+def test_single_steps_that_refill_a_block_add_at_most_that_block(monkeypatch):
+    # the one-chain flip config over four blocks: single steps follow the
+    # failed windows, and one that refills a block applies all its rows as
+    # the block's guess, which a later window of that block applies again.
+    # The run stays the per-step one, and the rows drawn through the
+    # channel are at most 3 n plus one block per such refill (seed 38:
+    # single steps refill two of the four blocks)
+    d, n = 8, 4000
+    ch, streams = _stream_pair("l1_maxent", d, 38, r=0.02)
+    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), d, n, ch.target.radius)
+    rows = []
+    apply, answer = Channel.apply, protocol._answer
+    answers = [0]
+
+    def counted(self, x, noise):
+        rows.append(len(noise[0]))
+        return apply(self, x, noise)
+
+    def answered(*a):
+        answers[0] += 1
+        return answer(*a)
+
+    monkeypatch.setattr(Channel, "apply", counted)
+    monkeypatch.setattr(protocol, "_answer", answered)
+    counts = _count_paths(monkeypatch)
+    windowed = mirror_descent_l1(as_grad_oracle(streams[0]), cfg, 0).averaged
+    monkeypatch.undo()
+    refills = answers[0] - counts["windows"]  # the block guesses of single steps
+    assert refills > 0
+    assert sum(rows) <= 3 * n + protocol._BLOCK_ROWS * refills
+    replay = _Replay(streams[1])
+    _assert_same_bits(windowed, mirror_descent_l1(replay, cfg, 0).averaged)
+    assert streams[0].rng.bit_generator.state == replay.rng.bit_generator.state
+    assert streams[0].cursor == replay.cursor
+
+
 @pytest.mark.parametrize("chains", [None, 50])
 def test_window_path_rescales_inside_a_window(chains, monkeypatch):
     # grad_bound 0.01 makes each step move the log-weights by up to
