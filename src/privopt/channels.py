@@ -132,15 +132,12 @@ def l1_gamma(d: int, m: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _upper_count(d: int) -> int:
-    # atoms of the sign cube with <z, 1> > 0
-    return sum(math.comb(d, i) for i in range(math.ceil(d / 2)))
-
-
-@lru_cache(maxsize=None)
-def _mean_coeff(d: int) -> int:
-    # sum over the upper half-cube of z equals this coefficient times 1
-    return math.comb(d - 1, math.ceil(d / 2) - 1)
+def _threshold_counts(d: int, k: int) -> tuple:
+    """(C_d(k), N_d(k)) of the two-level threshold-k channel: C_d(k) counts
+    the corners z of {-1, 1}^d with <z, 1> > k, those with fewer than
+    ceil((d - k)/2) entries -1, and their sum is N_d(k) times 1."""
+    half = math.ceil((d - k) / 2)
+    return sum(math.comb(d, i) for i in range(half)), math.comb(d - 1, half - 1)
 
 
 def eps_star(d: int) -> float:
@@ -148,8 +145,8 @@ def eps_star(d: int) -> float:
     infinite at d = 1, where the two-level family never changes shape."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    C = _upper_count(d)
-    K = d * _mean_coeff(d)
+    C, N = _threshold_counts(d, 0)
+    K = d * N
     if K == C:
         return math.inf
     return math.log((K + 2**d - C) / (K - C))
@@ -159,8 +156,7 @@ def two_level_constants(d: int, eps: float) -> dict:
     """All derived constants of the k = 0 optimally-DP hypercube channel."""
     if not 0.0 < eps < eps_star(d):
         raise ValueError(f"need 0 < eps < eps_star({d}) = {eps_star(d):.6g}")
-    C = _upper_count(d)
-    N = _mean_coeff(d)
+    C, N = _threshold_counts(d, 0)
     e = math.exp(eps)
     q_plus = e / (e * C + 2**d - C)
     q_minus = q_plus / e

@@ -187,15 +187,14 @@ class _Family(NamedTuple):
     theorem: str  # the bound pair it achieves; THEOREM_BUDGET names its make_channel keyword
     budgets: list  # the default budget grid
     refuses_from: Callable  # d -> the budget from which make_channel refuses (eps_star, or inf)
-    floor: Callable  # L -> the least budget a grid may hold
     info: Callable  # channel -> per-sample information; the baseline runs n info / d steps
     checks_budget_slope: bool  # whether --check also holds the budget slope band
 
 
 _FAMILIES = {
-    "dp_hypercube": _Family("T3", [0.25, 0.5, 1.0], eps_star, lambda L: -math.inf,
+    "dp_hypercube": _Family("T3", [0.25, 0.5, 1.0], eps_star,
                             lambda ch: ch.privacy_param**2, True),
-    "linf_maxent": _Family("T1b", [2.0, 4.0, 8.0], lambda d: math.inf, lambda L: L,
+    "linf_maxent": _Family("T1b", [2.0, 4.0, 8.0], lambda d: math.inf,
                            lambda ch: certificate_for(ch).level, False),
 }
 
@@ -228,12 +227,10 @@ def cmd_tradeoff(cfg: dict, seed: int, check: bool) -> tuple:
     delta = _real("delta", cfg.get("delta", 0.5))
     L = _real("L", cfg.get("L", 1.0))
     r = _real("r", cfg.get("r", 1.0))
-    if min(budget_grid) < fam.floor(L):
-        raise UsageError(f"{kind} budgets are absolute magnitudes {name} >= L")
 
     # every cell's spec, channel and chain config are built in grid order
-    # before the first cell runs: a bad d or n entry fails with the error
-    # its cell would raise, and no cell before it runs
+    # before the first cell runs: a bad d, n or budget entry fails with the
+    # error its cell would raise, and no cell before it runs
     cells = []
     for d in d_grid:
         spec = _median_spec(d, delta, L, r)

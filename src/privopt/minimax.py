@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .channels import Channel, channel_pmf, l1_gamma
+from .channels import Channel, _threshold_counts, channel_pmf, l1_gamma
 from .geometry import _integer
 from .information import mi_closed_form, mi_from_conditionals
 from .losses import LOSS_KINDS, DataDist, dist_support, make_loss, subgrad
@@ -230,16 +230,14 @@ def lemma8_constants(d: int, k: int, eps: float, delta: float) -> tuple:
     d, k = _integer("d", d), _integer("k", k)
     if k < 0 or k % 2 != 0 or k > 2 * math.ceil(d / 2) - 2:
         raise ValueError("k must be even with 0 <= k <= 2 ceil(d/2) - 2")
-    half = math.ceil((d - k) / 2)
-    C_dk = sum(math.comb(d, i) for i in range(half))
+    C_dk, N_dk = _threshold_counts(d, k)
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         # Decimal(float) is exact; e^-eps keeps a large or infinite eps in range
         r = (-decimal.Decimal(float(eps))).exp()
         Delta = (
             decimal.Decimal(float(delta)) * (1 - r)
-            / ((1 + r) * C_dk + 2**d * r)
-            * math.comb(d - 1, half - 1)
+            / ((1 + r) * C_dk + 2**d * r) * N_dk
         )
         return C_dk, float(Delta)
 

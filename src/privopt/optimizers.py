@@ -19,6 +19,11 @@ k queries at once and keeps m of them, capping the window after one that
 wasted answers (m < k) at twice that m, so at most 3n answers are computed
 over n steps.  The guessed answers it drops are a simulation shortcut, not
 part of the protocol's transcript (see protocol).
+
+The answer rule holds alike for sgd_l2's and mirror_descent_l1's per-step
+calls and for mirror_descent_l1's windows, through one check (_checked):
+an answer has theta's shape, and a window's Z is (k, *theta.shape) with
+1 <= k <= most; any other answer raises ValueError.
 """
 
 from __future__ import annotations
@@ -82,6 +87,19 @@ def step_size_for(method: str, domain: NormBall, grad_bound: float, n: int,
     if method == "sgd_l2":
         return domain.radius / grad_bound
     raise ValueError(f"unknown method {method!r}")
+
+
+def _checked(answer, shape: tuple, most: int | None = None) -> np.ndarray:
+    """An oracle's answer as a float array, checked by the answer rule (see
+    the module docstring): one answer to theta of this shape, or with most
+    given a window of at most that many."""
+    answer = np.asarray(answer, dtype=float)
+    got = answer.shape if most is None else answer.shape[1:]
+    if got != shape:
+        raise ValueError(f"oracle gave a gradient of shape {got} for theta {shape}")
+    if most is not None and not 1 <= len(answer) <= most:
+        raise ValueError(f"oracle answered {len(answer)} queries ahead, not 1 to {most}")
+    return answer
 
 
 def _prepare(config: OptimizerConfig, rng, method: str, p: int) -> np.random.Generator:
@@ -168,10 +186,7 @@ def mirror_descent_l1(grad_oracle, config: OptimizerConfig, rng,
             done += single
             for _ in range(single):
                 total += theta
-                grad = np.asarray(grad_oracle(theta.T, gen), dtype=float)
-                if grad.shape != theta.T.shape:
-                    raise ValueError(f"oracle gave a gradient of shape {grad.shape} "
-                                     f"for theta {theta.T.shape}")
+                grad = _checked(grad_oracle(theta.T, gen), theta.T.shape)
                 np.multiply(grad.T, step, out=g)
                 lw_u -= g
                 lw_v += g
@@ -220,6 +235,7 @@ def _window(ahead, lw, theta, total, most, step, r, many):
       the total adds the kept iterates in step order."""
     d = len(theta)
     z, settle = ahead(theta.T, most)
+    z = _checked(z, theta.T.shape, most)
     k = len(z)
     g = z.swapaxes(1, -1)  # (k, d, *cols): each step's gradient.T
     L = np.empty((k + 1, 2 * d) + theta.shape[1:])
@@ -289,6 +305,6 @@ def sgd_l2(grad_oracle, config: OptimizerConfig, rng) -> OptimizerRun:
     total = np.zeros(d)
     for t in range(n):
         total += theta
-        g = np.asarray(grad_oracle(theta, gen), dtype=float)
+        g = _checked(grad_oracle(theta, gen), theta.shape)
         theta = project_l2_ball(theta - (base / math.sqrt(t + 1.0)) * g, r)
     return OptimizerRun(total / n)

@@ -23,6 +23,9 @@ per-step answer; any other query applies its row's noise to its real
 subgradient.  No draw is added, so the rng and cursor end as per step.
 R-row queries answer per step.
 
+Every query, and every answer ahead, first checks theta against one rule
+(PrivateGradStream._rows), so a theta it refuses moves nothing.
+
 A population stream's oracle (as_grad_oracle) also answers ahead, under
 the contract the optimizers module docstring states: oracle.ahead(theta,
 most) answers the next k <= most queries at the one theta (the rows left
@@ -124,17 +127,35 @@ class PrivateGradStream:
     def exhausted(self) -> bool:
         return self.population is None and self.cursor >= len(self.data)
 
+    def _rows(self, theta: np.ndarray) -> int:
+        """The queries theta asks, under the theta rule: one theta (d,), or
+        for a population a non-empty batch (R, d) of R queries, d the
+        channel's.  Any other theta raises ValueError before the block, the
+        cursor or the rng moves."""
+        d = self.channel.d
+        if theta.shape == (d,):
+            return 1
+        if self.population is None or theta.ndim != 2 or theta.shape[1] != d:
+            raise ValueError(f"a stream answers one theta ({d},), and a population also "
+                             f"a batch (R, {d}); got shape {theta.shape}")
+        if len(theta) == 0:
+            raise ValueError("a batch query needs at least one row")
+        return len(theta)
+
     def _ready(self, m: int) -> bool:
         """Refill the block when fewer than m rows are left in it: the next
         min(_BLOCK_ROWS, owners left) rows of the owner list, or
         m * max(1, _BLOCK_ROWS // m) data drawn from the population with
         sample_datum; then their channel noise from the stream rng.  Rows
         left over in a population block (only when m changes) are dropped
-        unserved.  True when it refilled."""
+        unserved.  True when it refilled; RuntimeError, with nothing moved,
+        when every owner of the list has answered."""
         if self._block and self._next + m <= len(self._block[0]):
             return False
         if self.population is None:
             X = self.data[self.cursor:self.cursor + _BLOCK_ROWS]
+            if len(X) == 0:
+                raise RuntimeError("single-pass stream exhausted")
         else:
             X = sample_datum(self.population, self.rng, size=m * max(1, _BLOCK_ROWS // m))
         self._block = (X, self.channel.noise(len(X), self.rng))
@@ -176,9 +197,9 @@ def _answer(stream: PrivateGradStream, theta: np.ndarray, start: int, k: int) ->
 
 def query(stream: PrivateGradStream, theta) -> np.ndarray:
     """One protocol round: route theta to the next owner, return its Z.
-    An owner list answers one theta (d,) per query and raises RuntimeError
-    once every owner has answered; a population stream answers theta of
-    shape (R, d) with R queries.
+    theta follows the theta rule (PrivateGradStream._rows): one theta (d,)
+    is one query, and a population stream's batch (R, d) is R queries.  An
+    owner list raises RuntimeError once every owner has answered.
 
     A one-theta query that refills a population stream's block also
     answers every row of the new block at its theta (the guess).  Each
@@ -187,19 +208,11 @@ def query(stream: PrivateGradStream, theta) -> np.ndarray:
     row's noise to that subgradient otherwise: both are its per-step
     answer (see the module docstring)."""
     theta = np.asarray(theta, dtype=float)
-    batch = theta.ndim == 2
-    if stream.population is None:
-        if batch:
-            raise ValueError("an owner list answers one theta per query")
-        if stream.exhausted():
-            raise RuntimeError("single-pass stream exhausted")
-    elif batch and len(theta) == 0:
-        raise ValueError("a batch query needs at least one row")
-    m = len(theta) if batch else 1
+    m = stream._rows(theta)
     refilled = stream._ready(m)
     span = stream._take(m)
     X, noise = stream._block
-    if batch:
+    if theta.ndim == 2:
         return stream.channel.apply(subgrad(stream.loss, X[span], theta),
                                     tuple([a[span] for a in noise]))
     i = span.start
@@ -214,9 +227,9 @@ def query(stream: PrivateGradStream, theta) -> np.ndarray:
 
 def _ahead(stream: PrivateGradStream, theta, most: int) -> tuple:
     """The next k <= most queries of a population stream answered at the
-    one theta: the rows left in the block after the refill query would
-    make now, or only the first when the channel refuses one of their
-    subgradients (see _answer).
+    one theta, which follows query's theta rule: the rows left in the
+    block after the refill query would make now, or only the first when
+    the channel refuses one of their subgradients (see _answer).
 
     Returns (Z, settle).  Z (k, *theta.shape) holds the k answers, each
     the channel draw of its datum's subgradient at theta.  settle(thetas),
@@ -225,9 +238,7 @@ def _ahead(stream: PrivateGradStream, theta, most: int) -> tuple:
     the answers up to the first whose subgradient differs in any bit, and
     consumes and returns their number m >= 1."""
     theta = np.asarray(theta, dtype=float)
-    rows = len(theta) if theta.ndim == 2 else 1
-    if rows == 0:
-        raise ValueError("a batch query needs at least one row")
+    rows = stream._rows(theta)
     stream._ready(rows)  # the refill query would make now
     start = stream._take(rows).start  # query 0 is always kept
     X = stream._block[0]

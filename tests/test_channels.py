@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privopt import channels
 from privopt.channels import (
     CHANNEL_KINDS,
     _coin_law,
@@ -104,6 +105,22 @@ def test_eps_star_values():
     # decreasing in d (within each parity pair it is flat)
     vals = [eps_star(d) for d in range(2, 40)]
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
+
+
+def test_threshold_counts_match_the_corners_and_their_closed_forms():
+    # C_d(k) counts the corners z with <z, 1> > k and N_d(k) 1 is their sum,
+    # for every even 0 <= k <= 2 ceil(d/2) - 2: by enumeration up to d = 10,
+    # and by the closed forms up to d = 24
+    for d in range(1, 25):
+        Z = _corner_matrix(d) if d <= 10 else None
+        for k in range(0, 2 * math.ceil(d / 2) - 1, 2):
+            half = math.ceil((d - k) / 2)
+            C, N = channels._threshold_counts(d, k)
+            assert (C, N) == (sum(math.comb(d, i) for i in range(half)),
+                              math.comb(d - 1, half - 1)), (d, k)
+            if Z is not None:
+                above = Z[Z.sum(axis=1) > k]
+                assert len(above) == C and np.all(above.sum(axis=0) == N), (d, k)
 
 
 def test_dp_construction_refuses_eps_at_or_above_star():

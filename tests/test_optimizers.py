@@ -274,13 +274,40 @@ def test_mirror_descent_survives_one_huge_gradient(chains, monkeypatch):
             assert np.array_equal(got[row], single)
 
 
-def test_mirror_descent_rejects_gradients_not_shaped_like_theta():
-    # one gradient (d,) for R = d chains would broadcast along the chains
+_NARROW = r"^oracle gave a gradient of shape \(1,\) for theta \(3,\)$"
+
+
+def test_optimizers_reject_gradients_not_shaped_like_theta():
+    # one gradient (d,) for R = d chains would broadcast along the chains,
+    # and sgd_l2 used to broadcast a (1,) gradient over theta (3,)
     cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), 3, 4, 1.0)
     with pytest.raises(ValueError, match="shape"):
         mirror_descent_l1(lambda theta, rng: np.ones(3), cfg, 0, chains=3)
     with pytest.raises(ValueError, match="shape"):
         mirror_descent_l1(lambda theta, rng: np.ones((1, 3)), cfg, 0)
+    with pytest.raises(ValueError, match=_NARROW):
+        mirror_descent_l1(lambda theta, rng: np.array([1.0]), cfg, 0)
+    cfg = OptimizerConfig("sgd_l2", NormBall(2, 1.0), 3, 10, 1.0)
+    with pytest.raises(ValueError, match=_NARROW):
+        sgd_l2(lambda theta, rng: np.array([1.0]), cfg, 0)
+
+
+@pytest.mark.parametrize("window,msg", [
+    (lambda most: np.ones((most, 1)), _NARROW),
+    (lambda most: np.ones((0, 3)), "^oracle answered 0 queries ahead, not 1 to 10$"),
+    (lambda most: np.ones((most + 1, 3)), "^oracle answered 11 queries ahead, not 1 to 10$"),
+], ids=["narrow", "none", "too-many"])
+def test_window_answers_follow_the_per_step_answer_rule(window, msg):
+    # a window's answers are (k, *theta.shape) with 1 <= k <= most; a (k, 1)
+    # window for theta (3,) used to broadcast and run to the end, while the
+    # per-step path refuses each (1,) answer with the same message
+    def oracle(theta, rng):
+        raise AssertionError("the first window is refused before any single step")
+
+    oracle.ahead = lambda theta, most: (window(most), lambda thetas: len(thetas) + 1)
+    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), 3, 10, 1.0)
+    with pytest.raises(ValueError, match=msg):
+        mirror_descent_l1(oracle, cfg, 0)
 
 
 def _median_gap(d, delta, L, r):

@@ -152,6 +152,52 @@ def test_population_stream_answers_a_batch():
         query(owners, theta)
 
 
+_THETA_RULE = (r"a stream answers one theta \(4,\), and a population also a batch \(R, 4\); "
+               r"got shape ")
+
+
+@pytest.mark.parametrize("ask", ["query", "ahead"])
+@pytest.mark.parametrize("shape,msg", [
+    ((2, 8), _THETA_RULE + r"\(2, 8\)"),
+    ((3,), _THETA_RULE + r"\(3,\)"),
+    ((2, 3), _THETA_RULE + r"\(2, 3\)"),
+    ((2, 2, 4), _THETA_RULE + r"\(2, 2, 4\)"),
+    ((), _THETA_RULE + r"\(\)"),
+    ((0, 4), "a batch query needs at least one row"),
+], ids=["wide-batch", "narrow", "narrow-batch", "three-axes", "scalar", "empty-batch"])
+def test_population_theta_outside_the_rule_is_refused_before_the_stream_moves(ask, shape, msg):
+    # a population stream takes one theta (d,) or a non-empty batch (R, d),
+    # d the channel's, and query and the oracle's ahead refuse any other
+    # theta alike, before the block, the cursor or the rng moves.  ahead
+    # used to answer (2, 8) as two rows and fail on (3,) inside a reshape,
+    # and query consumed a row before its subgradient saw the width
+    loss, ch = _parts(d=4, kind="dp_hypercube")
+    dist = DataDist("cube_bernoulli", 4, 0.5, (1, 0, 0, 0))
+    stream = PrivateGradStream.from_population(dist, loss, ch, rng=1)
+    state = stream.rng.bit_generator.state
+    with pytest.raises(ValueError, match=msg):
+        if ask == "query":
+            query(stream, np.zeros(shape))
+        else:
+            as_grad_oracle(stream).ahead(np.zeros(shape), 5)
+    assert stream.cursor == 0 and stream._block == ()
+    assert stream.rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 4), (1, 4), ()],
+                         ids=["narrow", "batch", "batch-of-one", "scalar"])
+def test_owner_list_theta_outside_the_rule_is_refused_before_the_stream_moves(shape):
+    # an owner list takes one theta (d,); a (3,) theta used to consume an
+    # owner before its subgradient saw the width
+    loss, ch = _parts(d=4, kind="dp_hypercube")
+    stream = PrivateGradStream.from_data(np.ones((3, 4)), loss, ch, rng=1)
+    state = stream.rng.bit_generator.state
+    with pytest.raises(ValueError, match=_THETA_RULE):
+        query(stream, np.zeros(shape))
+    assert stream.cursor == 0 and stream._block == ()
+    assert stream.rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("m", [50, 1])
 def test_population_stream_refills_without_reusing_noise(m, monkeypatch):
     # m rows per query; 50 does not divide _BLOCK_ROWS, so each refill draws
