@@ -71,8 +71,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import (_CORNER_MAX_D, _CORNER_PAIRS_MAX_D, NormBall, _corner_index,
-                       _corner_matrix, _integer, _signed_basis)
+from .geometry import (_CORNER_MAX_D, _CORNER_PAIRS_MAX_D, NormBall, _coin_signs,
+                       _corner_index, _corner_matrix, _integer, _signed_basis)
 
 __all__ = [
     "CHANNEL_KINDS",
@@ -222,7 +222,9 @@ def _checked_rows(x, d: int, ball: NormBall) -> np.ndarray:
 
 
 def _rademacher(rng, shape) -> np.ndarray:
-    return np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    # -1.0 exactly where the uniform is below 1/2
+    s = _coin_signs(rng.random(shape), 0.5)
+    return np.negative(s, out=s)
 
 
 def _linf_noise(ch, n: int, rng) -> tuple:
@@ -763,6 +765,16 @@ def _first_appearance(a: np.ndarray) -> tuple:
     return heads[rank], col
 
 
+def _kind_pmf(ch: Channel, x) -> tuple:
+    """x after the check of Channel.sample, and the kind's pmf at its rows:
+    (x, points, probs (R, k)) in the form _Kind.pmf states."""
+    pmf = _KINDS[ch.kind].pmf
+    if pmf is None:
+        raise ValueError(f"{ch.kind} has continuous support; no exact pmf")
+    x = _checked_rows(x, ch.d, ch.source)
+    return (x,) + pmf(ch, x.reshape(-1, ch.d))
+
+
 def channel_pmf(ch: Channel, x) -> SupportPmf:
     """Exact conditional law of Z given x, for the kinds with finite support.
 
@@ -774,11 +786,7 @@ def channel_pmf(ch: Channel, x) -> SupportPmf:
     raises before the kind's batch law is built, R times the merged count
     before the matrix; dp interior inputs need d <= 10, corners d <= 20.
     """
-    pmf = _KINDS[ch.kind].pmf
-    if pmf is None:
-        raise ValueError(f"{ch.kind} has continuous support; no exact pmf")
-    x = _checked_rows(x, ch.d, ch.source)
-    points, probs = pmf(ch, x.reshape(-1, ch.d))
+    x, points, probs = _kind_pmf(ch, x)
     R, k = probs.shape
     if x.ndim == 1:
         return SupportPmf(points.reshape(-1, ch.d)[:k], probs[0])
@@ -791,6 +799,16 @@ def channel_pmf(ch: Channel, x) -> SupportPmf:
     cells = (np.arange(R)[:, None] * m + col.reshape(-1, k)).ravel()
     out = np.bincount(cells, weights=probs.ravel(), minlength=R * m).reshape(R, m)
     return SupportPmf(flat[first], out)
+
+
+def _pmf_points(ch: Channel, X) -> np.ndarray:
+    """The points of the exact law at each input row of X (R, d), unmerged
+    and numbered as support_index numbers them at that row: (R, k, d), a
+    broadcast view where every row shares them.  X takes the check of
+    Channel.sample, and the kind's enumeration guard covers the batch."""
+    _, points, probs = _kind_pmf(ch, X)
+    shape = probs.shape + (ch.d,)
+    return np.broadcast_to(points.reshape((-1,) + shape[1:]), shape)
 
 
 def support_index(ch: Channel, x, Z) -> np.ndarray:

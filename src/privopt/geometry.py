@@ -4,7 +4,8 @@ The l2 optimizer needs the exact Euclidean projection onto its ball for
 its feasibility step.  The sign-cube corners and the signed basis are
 built here once each, as read-only (k, d) float arrays, the one format of
 every finite point set (a lower bound's packing too).  Every module checks
-its counts (dimensions, steps, draws, chains) with _integer.
+its counts (dimensions, steps, draws, chains) with _integer, and maps the
+uniforms of its coin flips to signs with _coin_signs.
 """
 
 from __future__ import annotations
@@ -47,6 +48,18 @@ def _integer(key: str, v) -> int:
     if isinstance(v, bool) or not isinstance(v, numbers.Integral):
         raise ValueError(f"{key} must be an integer, got {v!r}")
     return int(v)
+
+
+def _coin_signs(u: np.ndarray, p) -> np.ndarray:
+    """Coins with P(+1) = p from uniforms u on [0, 1): +1.0 exactly where
+    u < p and -1.0 elsewhere, u == p included, the bits of
+    np.where(u < p, 1.0, -1.0), written over u's buffer.  u - p is +0.0 at
+    u == p and otherwise has the sign of the exact difference (an IEEE
+    subtraction of unequal numbers never rounds to 0), so copysign makes
+    -1.0 exactly where u < p, and the negation flips it."""
+    np.subtract(u, p, out=u)
+    np.copysign(1.0, u, out=u)
+    return np.negative(u, out=u)
 
 
 # the largest d whose 2^d corners a pmf or a data support enumerates

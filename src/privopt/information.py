@@ -20,6 +20,7 @@ from .channels import (
     Channel,
     PrivacyCertificate,
     _SUPPORT_DECIMALS,
+    _pmf_points,
     binary_entropy,
     channel_pmf,
     dp_ratio_max,
@@ -77,8 +78,39 @@ class DiscreteDist:
         return DiscreteDist(points, np.full(len(points), 1.0 / len(points)))
 
     def sample_indices(self, rng, size: int) -> np.ndarray:
+        """size indices drawn from probs: the draws and the indices of
+        rng.choice(len(self), size, p=probs), whose inverse cdf this is.
+        cdf = probs.cumsum() divided by its last entry, one rng.random(size)
+        uniform u per index, and the index #{cdf <= u}."""
         rng = np.random.default_rng(rng)
-        return rng.choice(len(self.support), size=size, p=self.probs)
+        cdf = self.probs.cumsum()
+        cdf /= cdf[-1]
+        u = rng.random(size)
+        out = np.empty(size, dtype=np.int64)
+        for lo in range(0, size, _INDEX_CHUNK):
+            out[lo:lo + _INDEX_CHUNK] = _inverse_cdf(cdf, u[lo:lo + _INDEX_CHUNK])
+        return out
+
+
+# uniforms _inverse_cdf maps at once, so its temporaries stay small
+_INDEX_CHUNK = 1 << 14
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """#{cdf <= u} for each uniform u, cdf ascending with last entry 1.0:
+    cdf.searchsorted(u, side="right") without its binary search on most
+    keys.  The bucket guess floor(u k) is moved one step up where
+    cdf[guess] <= u, or one down where cdf[guess - 1] > u, and verified;
+    searchsorted runs on the keys it misses (most of them only when the
+    law is far from uniform).  The index is below k, as u < 1.0."""
+    k = len(cdf)
+    below = np.concatenate(([-np.inf], cdf[:-1]))  # below[i] = cdf[i - 1]
+    g = np.minimum((u * k).astype(np.int64), k - 1)  # u k may round up to k
+    g += cdf[g] <= u
+    g -= below[g] > u
+    miss = np.flatnonzero((below[g] > u) | (cdf[g] <= u))
+    g[miss] = cdf.searchsorted(u[miss], side="right")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -134,19 +166,21 @@ def check_draws_on_support(source: DiscreteDist, ch: Channel, n: int, rng) -> No
 
     support_index maps each draw to its point of channel_pmf(ch, x); a draw
     that is not its point, both rounded to _SUPPORT_DECIMALS and compared
-    with ==, raises ValueError.  Cost is O(n d) plus one pmf per source point.
+    with ==, raises ValueError.  The points of every source point drawn
+    come from one batched pmf, so the kind's enumeration guard covers them
+    together.  Cost is O(n d) plus that pmf.
     """
     n = _integer("n", n)
     if n < MI_MC_MIN_N:
         raise ValueError(f"n must be >= {MI_MC_MIN_N}, got {n}")
     rng = np.random.default_rng(rng)
     per_source = np.bincount(source.sample_indices(rng, n), minlength=len(source))
-    for i, n_i in enumerate(per_source.tolist()):
-        if n_i == 0:
-            continue
+    drawn = np.flatnonzero(per_source)
+    for i, n_i, pts in zip(drawn.tolist(), per_source[drawn].tolist(),
+                           _pmf_points(ch, source.support[drawn])):
         x = source.support[i]
         zs = ch.sample(x, rng=rng, size=n_i)
-        points = channel_pmf(ch, x).points.take(support_index(ch, x, zs), axis=0)
+        points = pts.take(support_index(ch, x, zs), axis=0)
         # the rounding absorbs float noise, so it matters only when they differ
         if not (np.array_equal(zs, points)
                 or np.array_equal(np.round(zs, _SUPPORT_DECIMALS),

@@ -15,9 +15,10 @@ out how strongly the data leans toward the corner nu.
   cube_bernoulli  X in {-1,1}^d, independent coordinates, P(X_j = 1) = (1 + delta nu_j)/2
   coord_basis     X in {+-e_j}, P(X = s e_j) = (1 + s delta nu_j)/(2d)
 
-`_LOSSES` has one row per loss: its value, its subgradient, its data law,
-and that pair's closed-form risk, minimizer and separation.  `_LAWS` has
-one row per data law: its sampler and support.  A pair outside the table
+`_LOSSES` has one row per loss: its value, its subgradient, the region of
+theta where that subgradient does not depend on theta, its data law, and
+that pair's closed-form risk, minimizer and separation.  `_LAWS` has one
+row per data law: its sampler and support.  A pair outside the table
 raises UnsupportedFamilyError.
 """
 
@@ -30,7 +31,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import _CORNER_MAX_D, NormBall, _corner_matrix, _integer, _signed_basis
+from .geometry import (_CORNER_MAX_D, NormBall, _coin_signs, _corner_matrix, _integer,
+                       _signed_basis)
 
 __all__ = [
     "LOSS_KINDS",
@@ -101,6 +103,14 @@ def subgrad(loss: LossFn, x, theta) -> np.ndarray:
     """
     x, theta = _pair(x, theta)
     return _LOSSES[loss.kind].grad(loss, x, theta)
+
+
+def _fixed_subgrad(loss: LossFn, dist: DataDist, theta: np.ndarray) -> bool:
+    """True when dist is loss's own law and every theta (..., d) lies in
+    the loss's fixed region (_Loss.fixed): there each datum of the law has
+    one subgradient, the same bits at every theta."""
+    row = _LOSSES[loss.kind]
+    return dist.kind == row.data and row.fixed(loss, theta)
 
 
 @dataclass(frozen=True)
@@ -217,6 +227,12 @@ def _hinge_grad(loss, x, theta) -> np.ndarray:
     return np.where(active[..., None], -loss.lipschitz_L * x, 0.0)
 
 
+def _in_open_box(loss, theta) -> bool:
+    # every |theta_j| < r; min and max read theta once each, and NaN fails
+    return bool(-loss.r < np.minimum.reduce(theta, axis=None)
+                and np.maximum.reduce(theta, axis=None) < loss.r)
+
+
 def _corner(spec: RiskSpec) -> np.ndarray:
     theta = spec.loss.r * spec.data.nu_array
     if not spec.domain.contains(theta, tol=1e-12):
@@ -259,7 +275,7 @@ def _cube_support(dist: DataDist):
 def _basis_sample(dist: DataDist, rng, n: int) -> np.ndarray:
     j = rng.integers(0, dist.d, size=n)
     out = np.zeros((n, dist.d))
-    out[np.arange(n), j] = np.where(rng.random(n) < dist.p_plus[j], 1.0, -1.0)
+    out[np.arange(n), j] = _coin_signs(rng.random(n), dist.p_plus[j])
     return out
 
 
@@ -269,8 +285,26 @@ def _basis_support(dist: DataDist):
 
 
 class _Loss(NamedTuple):
+    """One loss of the family table.
+
+    fixed(loss, theta (..., d)) is True when every theta lies in a region
+    where each datum of the loss's own law has one subgradient, the same
+    bits at every theta of the region.  Where it holds, a subgradient
+    computed at one theta of the region is the subgradient at any other:
+      median on cube_bernoulli, every |theta_j| < r (open): r x_j is
+        exactly +-r, so theta_j - r x_j is nonzero with the sign of -x_j
+        (an IEEE subtraction of unequal numbers never rounds to 0), and
+        the subgradient is L sign(theta - r x) = -L x.  At |theta_j| = r
+        that difference is 0 for one sign of x_j, so the box is open.
+      hinge on coord_basis, the same box: x = s e_j, so x . theta is
+        exactly s theta_j (every other product is a zero), the margin
+        r - s theta_j is positive, and the subgradient is -L x.
+      linear, every theta: the subgradient L x does not read theta.
+    """
+
     value: Callable  # (loss, x (d,), theta (d,)) -> float
     grad: Callable  # (loss, x, theta), both (d,) or both (R, d) -> the same shape
+    fixed: Callable  # (loss, theta (..., d)) -> bool, see above
     data: str  # the one data law this loss is paired with
     risk: Callable  # (loss, data, theta (d,)) -> exact E[loss(X, theta)]
     argmin: Callable  # (spec) -> theta*, or UnsupportedFamilyError
@@ -287,13 +321,13 @@ _LOSSES = {
     "median": _Loss(
         lambda loss, x, theta: loss.lipschitz_L * float(np.abs(loss.r * x - theta).sum()),
         lambda loss, x, theta: loss.lipschitz_L * np.sign(theta - loss.r * x),
-        "cube_bernoulli",
+        _in_open_box, "cube_bernoulli",
         lambda loss, data, theta: loss.lipschitz_L * float(np.sum(
             data.p_plus * np.abs(theta - loss.r) + (1.0 - data.p_plus) * np.abs(theta + loss.r))),
         _corner, _corner_unique, _corner_separation),
     "hinge": _Loss(
         lambda loss, x, theta: loss.lipschitz_L * max(loss.r - float(x @ theta), 0.0),
-        _hinge_grad, "coord_basis",
+        _hinge_grad, _in_open_box, "coord_basis",
         lambda loss, data, theta: loss.lipschitz_L * float(np.sum(
             data.p_plus * np.maximum(loss.r - theta, 0.0)
             + (1.0 - data.p_plus) * np.maximum(loss.r + theta, 0.0))) / data.d,
@@ -306,13 +340,13 @@ _LOSSES = {
     "linear": _Loss(
         lambda loss, x, theta: loss.lipschitz_L * float(x @ theta),
         lambda loss, x, theta: loss.lipschitz_L * x,
-        "cube_bernoulli",
+        lambda loss, theta: True, "cube_bernoulli",
         lambda loss, data, theta: loss.lipschitz_L * data.delta * float(data.nu_array @ theta),
         _linear_argmin, lambda spec: spec.data.delta > 0.0, _linear_separation),
 }
 _LAWS = {
     "cube_bernoulli": _Law(
-        lambda dist, rng, n: np.where(rng.random((n, dist.d)) < dist.p_plus, 1.0, -1.0),
+        lambda dist, rng, n: _coin_signs(rng.random((n, dist.d)), dist.p_plus),
         _cube_support),
     "coord_basis": _Law(_basis_sample, _basis_support),
 }

@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .channels import Channel, _threshold_counts, channel_pmf, l1_gamma
-from .geometry import _integer
+from .geometry import _coin_signs, _integer
 from .information import mi_closed_form, mi_from_conditionals
 from .losses import LOSS_KINDS, DataDist, dist_support, make_loss, subgrad
 
@@ -378,7 +378,7 @@ def empirical_testing_error(inst: TestingInstance, n: int, reps: int, rng) -> fl
     dirs = inst.packing / np.linalg.norm(inst.packing, axis=1, keepdims=True)
     for rep in range(reps):
         v = int(nu_draws[rep])
-        signs = np.where(rng.random(n) < 0.5 * (1.0 + inst.delta), 1.0, -1.0)
+        signs = _coin_signs(rng.random(n), 0.5 * (1.0 + inst.delta))
         total = np.zeros(inst.packing.shape[1])
         for s in (1.0, -1.0):
             cnt = int(np.sum(signs == s))

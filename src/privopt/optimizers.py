@@ -14,8 +14,11 @@ protocol.as_grad_oracle do: oracle.ahead(theta, most) -> (Z, settle), Z
 (k, *theta.shape) the answers to the next 1 <= k <= most queries all asked
 at theta, and settle(thetas) -> m, given the thetas queries 1..j < k would
 really be asked at, consumes and returns the m >= 1 leading answers equal
-bit for bit to those the calls would give.  mirror_descent_l1 then steps
-k queries at once and keeps m of them, capping the window after one that
+bit for bit to those the calls would give (how it finds them is the
+oracle's business: protocol's compares subgradient bits, or only the
+thetas where the loss's subgradient cannot change).  mirror_descent_l1
+then steps k queries at once, in passes over arrays with a leading step
+axis, and keeps m of them, capping the window after one that
 wasted answers (m < k) at twice that m, so at most 3n answers are computed
 over n steps.  The guessed answers it drops are a simulation shortcut, not
 part of the protocol's transcript (see protocol).
@@ -232,7 +235,13 @@ def _window(ahead, lw, theta, total, most, step, r, many):
         (_SUM_LO, _SUM_HI), and _rescale is applied there;
       each iterate (d, *cols) has the per-step layout, so the oracle sees
         the same arrays;
-      the total adds the kept iterates in step order."""
+      the total adds the kept iterates in step order, in one np.add.reduce
+        along the slow step axis of a buffer whose rows 0 and 1 are the
+        total and theta; over a total of one entry, where that reduce
+        would add pairwise, the last entry of np.add.accumulate.  (The
+        running log-weight sums keep their per-step loop: at R = 50 chains
+        np.add.accumulate along the strided step axis was 2 to 7 times
+        slower.)"""
     d = len(theta)
     z, settle = ahead(theta.T, most)
     z = _checked(z, theta.T.shape, most)
@@ -250,12 +259,16 @@ def _window(ahead, lw, theta, total, most, step, r, many):
     fine = np.logical_and.reduce(in_range.reshape(k, -1), axis=1)
     cut = k if fine.all() else int(fine.argmin()) + 1  # steps up to the first rescale
     good = cut if fine[cut - 1] else cut - 1  # iterates that need no rescale
-    thetas = np.subtract(W[:good, :d], W[:good, d:])
+    T = np.empty((good + 2,) + theta.shape)  # the total, theta, then the iterates
+    T[0] = total
+    T[1] = theta
+    thetas = np.subtract(W[:good, :d], W[:good, d:], out=T[2:])
     thetas *= r / S[:good, None]
     m = settle(thetas[:cut - 1].swapaxes(1, -1))
-    total += theta
-    for t in range(m - 1):
-        total += thetas[t]
+    if total.size > 1:
+        np.add.reduce(T[:m + 1], axis=0, out=total)
+    else:
+        total[...] = np.add.accumulate(T[:m + 1], axis=0)[-1]
     lw[...] = L[m]
     if fine[m - 1]:
         return k, cut - 1, m, thetas[m - 1]

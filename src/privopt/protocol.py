@@ -33,7 +33,13 @@ in the block after the refill query would make now), and its settle
 consumes the leading answers that query would give at the real thetas.
 No refill is drawn that query would not draw.  How many queries a
 learner asks ahead, and what that costs, is the learner's policy (see
-optimizers.mirror_descent_l1).
+optimizers.mirror_descent_l1).  Where the population is the loss's own
+law and the guessed theta and every real theta lie in the loss's fixed
+region (losses._Loss), each datum's subgradient is the same bits at all
+of them, so settle keeps every answer on the thetas alone; elsewhere it
+recomputes the subgradients and compares their bits.  A one-theta query
+always compares its own subgradient's bits: there the region check
+costs about what the subgradient does.
 
 When the channel refuses a guessed subgradient, either guess keeps its
 first query alone: each later query is answered, or raises, at its real
@@ -61,7 +67,7 @@ import numpy as np
 
 from . import information
 from .channels import Channel, dp_ratio_max
-from .losses import DataDist, LossFn, sample_datum, subgrad
+from .losses import DataDist, LossFn, _fixed_subgrad, sample_datum, subgrad
 
 __all__ = [
     "PrivateGradStream",
@@ -234,25 +240,33 @@ def _ahead(stream: PrivateGradStream, theta, most: int) -> tuple:
     Returns (Z, settle).  Z (k, *theta.shape) holds the k answers, each
     the channel draw of its datum's subgradient at theta.  settle(thetas),
     with thetas (j, *theta.shape) for j < k the thetas queries 1..j would
-    really be asked at, recomputes their subgradients in one call, keeps
-    the answers up to the first whose subgradient differs in any bit, and
-    consumes and returns their number m >= 1."""
+    really be asked at, keeps the answers up to the first whose
+    subgradient at its theta differs from the guessed one in any bit, and
+    consumes and returns their number m >= 1.  It keeps all j + 1 without
+    reading the data when the population is the loss's own law and theta
+    and every one of thetas lie in the loss's fixed region (see
+    losses._Loss), where every datum's subgradient is the same bits at
+    each theta; otherwise it recomputes the j subgradients in one call and
+    compares their bits."""
     theta = np.asarray(theta, dtype=float)
     rows = stream._rows(theta)
     stream._ready(rows)  # the refill query would make now
     start = stream._take(rows).start  # query 0 is always kept
     X = stream._block[0]
     guess, z = _answer(stream, theta, start, min(most, (len(X) - start) // rows))
+    fixed = _fixed_subgrad(stream.loss, stream.population, theta)
 
     def settle(thetas) -> int:
         j = len(thetas)
-        # compared as bits, so that a -0.0 guess for a +0.0 subgradient
-        # (which copysign-based channels tell apart) is not kept
-        x = X[start + rows:start + (j + 1) * rows].reshape((j,) + theta.shape)
-        truth = subgrad(stream.loss, x, thetas)
-        same = truth.view(np.int64) == guess[1:j + 1].view(np.int64)
-        kept = np.logical_and.reduce(same, axis=tuple(range(1, same.ndim)))
-        m = 1 + (j if kept.all() else int(kept.argmin()))
+        m = j + 1
+        if j and not (fixed and _fixed_subgrad(stream.loss, stream.population, thetas)):
+            # compared as bits, so that a -0.0 guess for a +0.0 subgradient
+            # (which copysign-based channels tell apart) is not kept
+            x = X[start + rows:start + m * rows].reshape((j,) + theta.shape)
+            truth = subgrad(stream.loss, x, thetas)
+            same = truth.view(np.int64) == guess[1:m].view(np.int64)
+            kept = np.logical_and.reduce(same, axis=tuple(range(1, same.ndim)))
+            m = 1 + (j if kept.all() else int(kept.argmin()))
         stream._take((m - 1) * rows)  # the block holds them: no refill
         return m
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from privopt.geometry import NormBall, _corner_index, _corner_matrix, _signed_basis, project_l2_ball
+from privopt.geometry import (NormBall, _coin_signs, _corner_index, _corner_matrix, _signed_basis,
+                              project_l2_ball)
 
 vectors = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
@@ -90,3 +91,19 @@ def test_signed_basis(d):
 @pytest.mark.parametrize("d", [1, 3, 6])
 def test_corner_index_inverts_the_corner_matrix(d):
     assert np.array_equal(_corner_index(_corner_matrix(d) > 0.0), np.arange(2**d))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
+def test_coin_signs_are_where_u_below_p_in_u_buffer(p):
+    # the edges of the rule: u == p is -1, the neighbours of p on each side,
+    # and u = 0, which is +1 only when p > 0; then p per entry
+    u = np.array([p, np.nextafter(p, -1.0), np.nextafter(p, 2.0), 0.0, 0.5, 1.0 - 2**-53])
+    u = u[(0.0 <= u) & (u < 1.0)]
+    want = np.where(u < p, 1.0, -1.0)
+    got = _coin_signs(u.copy(), p)
+    assert got.tobytes() == want.tobytes()
+    buf = np.random.default_rng(3).random((200, 5))
+    ps = np.array([0.0, 0.25, p, 0.75, 1.0])
+    buf[0] = ps
+    want = np.where(buf < ps, 1.0, -1.0)
+    assert _coin_signs(buf, ps) is buf and buf.tobytes() == want.tobytes()

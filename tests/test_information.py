@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from privopt import information
 from privopt.channels import (
     CHANNEL_KINDS,
     Channel,
@@ -303,3 +304,19 @@ def test_certificate_violations_lists_each_broken_rule():
     ]
     ok = InfoReport(0.5, 0.5 + 1e-9, math.exp(0.5) * (1.0 + 1e-10), 1e-9)
     assert certificate_violations(ch, ok) == []
+
+
+def test_sample_indices_are_rng_choice_bit_for_bit():
+    # random laws with zero-probability entries, near-uniform and skewed
+    # (where most bucket guesses miss), and sizes around the chunk length
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        k = int(rng.integers(1, 301))
+        p = rng.random(k) ** rng.choice([1, 4, 20])
+        p[rng.random(k) < 0.3] = 0.0
+        p[rng.integers(k)] += 0.1
+        dist = DiscreteDist(np.zeros((k, 1)), p / p.sum())
+        n = int(rng.choice([0, 1, 3000, information._INDEX_CHUNK + 1]))
+        got = dist.sample_indices(np.random.default_rng(trial), n)
+        want = np.random.default_rng(trial).choice(k, size=n, p=dist.probs)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

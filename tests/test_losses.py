@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from privopt.geometry import NormBall
 from privopt.losses import (
+    _LOSSES,
     DataDist,
     RiskSpec,
     UnsupportedFamilyError,
@@ -20,6 +21,7 @@ from privopt.losses import (
     sample_datum,
     separation,
     subgrad,
+    _fixed_subgrad,
 )
 
 KINDS = ("median", "hinge", "linear")
@@ -266,3 +268,55 @@ def test_distribution_validation():
         risk_minimizer(untabled)
     with pytest.raises(UnsupportedFamilyError):
         separation(untabled, untabled)
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("kind,law", PAIRS)
+def test_subgradients_in_the_fixed_region_are_the_ones_at_zero(kind, law, d, r):
+    # over the law's whole support, at in-region thetas (signed zeros and
+    # the neighbours of +-r among them) every subgradient has the bits of
+    # its subgradient at theta = 0, row by row and one pair at a time
+    loss = make_loss(kind, L=1.5, r=r)
+    dist = DataDist(law, d, 0.5, (1,) + (0,) * (d - 1))
+    pts, _ = dist_support(dist)
+    edge = np.nextafter(r, 0.0)
+    rng = np.random.default_rng([d, int(4 * r)])
+    thetas = [np.full(d, 0.0), np.full(d, -0.0), np.full(d, edge), np.full(d, -edge),
+              np.resize([edge, -0.0, -edge, 0.0], d)]
+    thetas += list(rng.uniform(-r, r, (20, d)))
+    at_zero = subgrad(loss, pts, np.zeros_like(pts))
+    for theta in thetas:
+        assert _fixed_subgrad(loss, dist, theta)
+        rows = subgrad(loss, pts, np.broadcast_to(theta, pts.shape))
+        assert rows.tobytes() == at_zero.tobytes()
+        for x, g in zip(pts, at_zero):
+            assert subgrad(loss, x, theta).tobytes() == g.tobytes()
+    assert _fixed_subgrad(loss, dist, np.array(thetas))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_fixed_region_is_open_and_only_on_the_own_law(d):
+    # at |theta_1| = r some datum's median subgradient is 0, not -x_1, so
+    # the box is open; off the box, or off the loss's own law, no theta is
+    # fixed (the linear loss is fixed everywhere, on its law only)
+    r = 1.0
+    median = make_loss("median", r=r)
+    cube = DataDist("cube_bernoulli", d, 0.5, (1,) + (0,) * (d - 1))
+    basis = DataDist("coord_basis", d, 0.5, (1,) + (0,) * (d - 1))
+    pts, _ = dist_support(cube)
+    for edge in (r, -r):
+        theta = np.zeros(d)
+        theta[0] = edge
+        assert not _fixed_subgrad(median, cube, theta)
+        assert not _fixed_subgrad(make_loss("hinge", r=r), basis, theta)
+        moved = subgrad(median, pts, np.broadcast_to(theta, pts.shape))
+        assert moved.tobytes() != subgrad(median, pts, np.zeros_like(pts)).tobytes()
+    assert not _fixed_subgrad(median, cube, np.full(d, np.nan))
+    assert not _fixed_subgrad(median, basis, np.zeros(d))
+    assert not _fixed_subgrad(make_loss("median", r=0.0), cube, np.zeros(d))
+    linear = make_loss("linear")
+    assert _fixed_subgrad(linear, cube, np.full(d, 1e300))
+    assert not _fixed_subgrad(linear, basis, np.zeros(d))
+    # every row of the table has its region tested above
+    assert {kind for kind, _ in PAIRS} == set(_LOSSES)

@@ -698,3 +698,63 @@ def test_window_path_rescales_inside_a_window(chains, monkeypatch):
     _assert_same_bits(windowed, stepped)
     assert streams[0].rng.bit_generator.state == replay.rng.bit_generator.state
     assert streams[0].cursor == replay.cursor
+
+
+def _spy_settles(monkeypatch):
+    """Count, after this call, the guesses answered (protocol._answer), the
+    single queries, the subgradient calls, and the settle calls that had
+    thetas to check."""
+    counts = {"answers": 0, "queries": 0, "subgrads": 0, "settles": 0}
+    ahead, answer, one, grad = protocol._ahead, protocol._answer, protocol.query, protocol.subgrad
+
+    def counted(name, fn):
+        def wrapped(*a):
+            counts[name] += 1
+            return fn(*a)
+        return wrapped
+
+    def spied_ahead(*a):
+        z, settle = ahead(*a)
+
+        def spied_settle(thetas):
+            counts["settles"] += len(thetas) > 0
+            return settle(thetas)
+
+        return z, spied_settle
+
+    monkeypatch.setattr(protocol, "_ahead", spied_ahead)
+    monkeypatch.setattr(protocol, "_answer", counted("answers", answer))
+    monkeypatch.setattr(protocol, "query", counted("queries", one))
+    monkeypatch.setattr(protocol, "subgrad", counted("subgrads", grad))
+    return counts
+
+
+@pytest.mark.parametrize("chains", [None, 1, 50])
+@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize("loss,law,fixed", [
+    ("median", "cube_bernoulli", True), ("hinge", "coord_basis", True),
+    ("linear", "cube_bernoulli", True), ("median", "coord_basis", False)])
+def test_settle_reads_no_data_only_where_the_loss_is_fixed(loss, law, fixed, d, chains,
+                                                           monkeypatch):
+    # r = 2 on the l1 ball of radius 1 keeps every theta inside the open
+    # box |theta_j| < r: settle then recomputes no subgradient when the
+    # stream draws the loss's own law, and recomputes every window's
+    # subgradients when it does not (median over coord_basis); both runs
+    # are the per-step replay's bit for bit.  At d = 1 with one chain the
+    # total has one entry, which the window adds with np.add.accumulate
+    n = 2500
+    ch = make_channel("linf_maxent", d, L=1.0, M=4.0)
+    dist = DataDist(law, d, 0.5, (1,) + (0,) * (d - 1))
+    streams = [PrivateGradStream.from_population(dist, make_loss(loss, L=1.0, r=2.0), ch, rng=47)
+               for _ in range(2)]
+    cfg = OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), d, n, ch.target.radius)
+    counts = _spy_settles(monkeypatch)
+    windowed = mirror_descent_l1(as_grad_oracle(streams[0]), cfg, 0, chains=chains).averaged
+    monkeypatch.undo()
+    recomputed = counts["subgrads"] - counts["answers"] - counts["queries"]
+    assert counts["settles"] > 0
+    assert recomputed == (0 if fixed else counts["settles"])
+    replay = _Replay(streams[1])
+    _assert_same_bits(windowed, mirror_descent_l1(replay, cfg, 0, chains=chains).averaged)
+    assert streams[0].rng.bit_generator.state == replay.rng.bit_generator.state
+    assert streams[0].cursor == replay.cursor
