@@ -604,7 +604,9 @@ class _Kind(NamedTuple):
     calibrate: Callable  # (d, L, budget value, bias, noise) -> (p, target radius, calibration)
     noise: Callable  # (channel, n, rng) -> tuple of arrays with leading dimension n
     apply: Callable  # (channel, x, *noise) -> (n, d)
-    pmf: Optional[Callable]  # (channel, X (R, d)) -> (points, probs (R, k)); None if continuous
+    # (channel, X (R, d)) -> (points, probs (R, k)), points (k, d) when every row
+    # shares them, else (R, k, d); None if continuous
+    pmf: Optional[Callable]
     index: Optional[Callable]  # (channel, x (d,), Z (n, d)) -> each draw's pmf point at x (n,)
     mean: Callable  # (channel, X (R, d)) -> exact E[Z | x] per row (R, d), at every d
     worst_mi: Optional[Callable] = None  # (d, L, M) -> nats, for the M budget only
@@ -801,14 +803,17 @@ def channel_pmf(ch: Channel, x) -> SupportPmf:
     return SupportPmf(flat[first], out)
 
 
-def _pmf_points(ch: Channel, X) -> np.ndarray:
+def _pmf_points(ch: Channel, X) -> list:
     """The points of the exact law at each input row of X (R, d), unmerged
-    and numbered as support_index numbers them at that row: (R, k, d), a
-    broadcast view where every row shares them.  X takes the check of
-    Channel.sample, and the kind's enumeration guard covers the batch."""
-    _, points, probs = _kind_pmf(ch, X)
-    shape = probs.shape + (ch.d,)
-    return np.broadcast_to(points.reshape((-1,) + shape[1:]), shape)
+    and numbered as support_index numbers them at that row: one (k, d)
+    array per row.  X takes the check of Channel.sample.  A kind whose
+    points every row shares builds its law at the first row only; the
+    others build it row by row, so the enumeration guard sees one row."""
+    X = _checked_rows(X, ch.d, ch.source).reshape(-1, ch.d)
+    first = _kind_pmf(ch, X[:1])[1]
+    if first.ndim == 2:  # (k, d), shared by every row
+        return [first] * len(X)
+    return [_kind_pmf(ch, x)[1][0] for x in X]
 
 
 def support_index(ch: Channel, x, Z) -> np.ndarray:

@@ -166,9 +166,10 @@ def check_draws_on_support(source: DiscreteDist, ch: Channel, n: int, rng) -> No
 
     support_index maps each draw to its point of channel_pmf(ch, x); a draw
     that is not its point, both rounded to _SUPPORT_DECIMALS and compared
-    with ==, raises ValueError.  The points of every source point drawn
-    come from one batched pmf, so the kind's enumeration guard covers them
-    together.  Cost is O(n d) plus that pmf.
+    with ==, raises ValueError.  The points come from channels._pmf_points,
+    which builds the kind's law once when every source point shares its
+    points and once per drawn source point otherwise.  Cost is O(n d) plus
+    those pmfs.
     """
     n = _integer("n", n)
     if n < MI_MC_MIN_N:

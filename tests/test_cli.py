@@ -260,6 +260,15 @@ def test_certify_residual_over_pmf_guard_is_exact(tmp_path, doc):
     assert doc["report"]["unbiasedness_max_residual"] <= 1e-12
 
 
+def test_certify_support_check_past_the_pmf_guard(tmp_path):
+    # nearly all 2d = 3200 sources are drawn and (2d)^2 exceeds the guard,
+    # so the support check must not build their laws in one batch
+    cfg = _cfg(tmp_path, "c.json", {"kind": "l1_maxent", "d": 1600, "M": 2.0})
+    out = tmp_path / "o.json"
+    assert _run(["certify", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["violations"] == []
+
+
 def test_certify_sphere_sampler_draws_nothing(tmp_path, monkeypatch):
     # dp_l2_sampler has no pmf, so no MI draws, and its residual is exact
     def refuse(*args, **kwargs):

@@ -8,10 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from privopt import information
+from privopt import channels, information
 from privopt.channels import (
     CHANNEL_KINDS,
     Channel,
+    _pmf_points,
     channel_pmf,
     make_channel,
     two_level_constants,
@@ -177,6 +178,31 @@ def test_check_draws_on_support_passes_each_finite_sampler(kind, d, params):
     ch = make_channel(kind, d, **params)
     assert check_draws_on_support(extreme_point_source(ch), ch, 10_000,
                                   np.random.default_rng(11)) is None
+
+
+@pytest.mark.parametrize("kind,d,params", _FINITE_CHANNELS,
+                         ids=[f"{kind}-d{d}" for kind, d, _ in _FINITE_CHANNELS])
+def test_pmf_points_are_each_rows_pmf_points(monkeypatch, kind, d, params):
+    # each row's points are channel_pmf's at that row; a kind whose rows
+    # share their points builds its law once, the others once per row
+    ch = make_channel(kind, d, **params)
+    X = extreme_point_source(ch).support
+    X = np.concatenate([X, 0.5 * X])
+    want = [channel_pmf(ch, x).points for x in X]
+    row = channels._KINDS[kind]
+    calls = []
+
+    def pmf(ch, X):
+        calls.append(len(X))
+        return row.pmf(ch, X)
+
+    monkeypatch.setitem(channels._KINDS, kind, row._replace(pmf=pmf))
+    got = _pmf_points(ch, X)
+    assert len(got) == len(X)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    shared = kind not in ("identity", "biased_demo")
+    assert calls == [1] if shared else calls == [1] * (len(X) + 1)
 
 
 def test_check_draws_on_support_reads_the_rng_as_its_draws():
