@@ -65,8 +65,8 @@ class OptimizerConfig:
             _integer(name, getattr(self, name))
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.grad_bound <= 0.0:
-            raise ValueError("grad_bound must be positive")
+        if not (math.isfinite(self.grad_bound) and self.grad_bound > 0.0):
+            raise ValueError("grad_bound must be positive and finite")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 

@@ -13,15 +13,16 @@ call, and each query spends the next rows of it.  Every answer is still
 its own datum through its own draw, and the learner still sees only
 (theta, Z).
 
-A population stream answers its one-theta queries ahead: the query that
-refills the block answers every row of it at its theta (the block's
-guess: one subgrad over the rows, then one Channel.apply), and each later
-one-theta query of the block returns its guessed row when its own
-subgradient, at its real theta, equals the guessed one bit for bit.  Row
-i of a batch apply is the one-row apply of row i, so that is its
-per-step answer; any other query applies its row's noise to its real
-subgradient.  No draw is added, so the rng and cursor end as per step.
-R-row queries answer per step.
+Every stream answers its one-theta queries ahead, a population and an
+owner list alike: the query that refills the block answers every row of
+it at its theta (the block's guess: one subgrad over the rows, then one
+Channel.apply), and each later one-theta query of the block returns its
+guessed row when its own subgradient, at its real theta, equals the
+guessed one bit for bit.  Row i of a batch apply is the one-row apply of
+row i, so that is its per-step answer; any other query applies its row's
+noise to its real subgradient.  No draw is added, so the rng, the cursor
+and an owner list's exhaustion end as per step.  R-row queries answer
+per step.
 
 Every query, and every answer ahead, first checks theta against one rule
 (PrivateGradStream._rows), so a theta it refuses moves nothing.
@@ -52,8 +53,10 @@ not part of the (theta, Z) transcript: the rows behind them are answered
 again, with the same noise, at their real theta.  The learner's output
 depends on the kept answers alone and equals the per-step run bit for
 bit, so it is a function of the per-step transcript; the intermediate
-view is not an LDP transcript.  An owner list never answers ahead, so
-each of its owners releases exactly one view.
+view is not an LDP transcript.  An owner list's block guess is such a
+shortcut too, and an owner list never answers ahead (its oracle has no
+ahead), so each of its owners releases exactly one view to the learner:
+its answer at its real theta.
 """
 
 from __future__ import annotations
@@ -207,12 +210,12 @@ def query(stream: PrivateGradStream, theta) -> np.ndarray:
     is one query, and a population stream's batch (R, d) is R queries.  An
     owner list raises RuntimeError once every owner has answered.
 
-    A one-theta query that refills a population stream's block also
-    answers every row of the new block at its theta (the guess).  Each
-    one-theta query of the block returns its row's guessed answer when its
-    own subgradient equals the guessed one bit for bit, and applies its
-    row's noise to that subgradient otherwise: both are its per-step
-    answer (see the module docstring)."""
+    A one-theta query that refills the block, of a population or of an
+    owner list, also answers every row of the new block at its theta (the
+    guess).  Each one-theta query of the block returns its row's guessed
+    answer when its own subgradient equals the guessed one bit for bit,
+    and applies its row's noise to that subgradient otherwise: both are
+    its per-step answer (see the module docstring)."""
     theta = np.asarray(theta, dtype=float)
     m = stream._rows(theta)
     refilled = stream._ready(m)
@@ -223,7 +226,7 @@ def query(stream: PrivateGradStream, theta) -> np.ndarray:
                                     tuple([a[span] for a in noise]))
     i = span.start
     g = subgrad(stream.loss, X[i], theta)
-    if refilled and stream.population is not None:
+    if refilled:
         stream._guess = _answer(stream, theta, i, len(X))
     G, Z = stream._guess
     if i < len(G) and g.tobytes() == G[i].tobytes():
@@ -275,10 +278,10 @@ def _ahead(stream: PrivateGradStream, theta, most: int) -> tuple:
 
 def as_grad_oracle(stream: PrivateGradStream):
     """Adapt a stream to the optimizer oracle contract (stream rngs rule).
-    A population stream's oracle also answers ahead, as
-    oracle.ahead(theta, most), and its one-theta calls read the block's
-    guess as query does; an owner list's only answers query by query.
-    See the module docstring."""
+    Its one-theta calls read the block's guess as query does.  A
+    population stream's oracle also answers ahead, as
+    oracle.ahead(theta, most); an owner list's has no ahead, so it steps
+    query by query.  See the module docstring."""
 
     def oracle(theta, rng):
         return query(stream, theta)
@@ -308,10 +311,11 @@ def audit_leakage(stream: PrivateGradStream) -> dict:
     The learner's interface is query(); by construction its view is the
     (theta, Z) sequence.  The report attaches each owner's channel
     certificate (worst-case MI or eps), flagging non-private channels.
-    For a population stream, "(theta, Z) pairs only" describes the
-    per-step protocol: the guessed answers of its one-theta queries and of
-    its oracle's ahead are a simulation shortcut outside that transcript
-    (see the module docstring); an owner list's queries never guess.
+    "(theta, Z) pairs only" describes the per-step protocol: the guessed
+    answers of a stream's one-theta queries, and of a population stream's
+    ahead, are a simulation shortcut outside that transcript (see the
+    module docstring).  An owner list has no ahead, and each of its owners
+    still releases one view, its answer at its real theta.
     """
     population = stream.population is not None
     return {

@@ -9,8 +9,12 @@ iterate.  The runs are
                 owner list) at seeds 1, 7, 11, each through as_grad_oracle
                 (population chains step in windows) and through a plain
                 wrapper without `ahead` (every chain steps per query)
+  adversarial   an owner list whose guessed answers nearly all miss: 20000
+                owners uniform on [-0.02, 0.02]^8 under the median loss,
+                dp_hypercube eps = 0.5, mirror descent, seed 1
   certify       five pinned channels at seeds 1, 7, and `certify --check`
   bounds        `bounds --check`
+  bias-demo     `bias-demo --seed 1`
 
 The table records the environment it was made in: the numpy version and
 the SIMD targets numpy dispatches to on this CPU, since ufunc bits can
@@ -57,6 +61,7 @@ CERTIFY_CONFIGS = {
 CHAIN_D, CHAIN_N, CHAIN_DELTA = 4, 16384, 0.5
 CHAIN_NAMES = ("dp_hypercube", "linf_maxent", "l1_maxent", "dp_l2_sampler",
                "single_pass_owners")
+ADVERSARIAL_D, ADVERSARIAL_N, ADVERSARIAL_SPREAD = 8, 20000, 0.02
 
 
 def environment() -> dict:
@@ -123,6 +128,24 @@ def _chain(i: int, seed: int, plain: bool) -> bytes:
     return np.asarray(run.averaged, dtype=float).tobytes()
 
 
+def _adversarial_owners(seed: int) -> bytes:
+    """The adversarial owner list's chain at this seed: thetas near 0 move
+    the median loss's sign(theta - x) on most owners between the query that
+    refills a block and the later ones; its averaged iterate's bytes."""
+    d = ADVERSARIAL_D
+    data = np.random.default_rng([seed, 0]).uniform(
+        -ADVERSARIAL_SPREAD, ADVERSARIAL_SPREAD, (ADVERSARIAL_N, d))
+    ch = channels.make_channel("dp_hypercube", d, L=1.0, eps=0.5)
+    stream = protocol.PrivateGradStream.from_data(
+        data, losses.make_loss("median", L=1.0, r=1.0), ch,
+        rng=np.random.SeedSequence([seed, 1]))
+    cfg = optimizers.OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), d, ADVERSARIAL_N,
+                                     grad_bound=ch.target.radius)
+    run = optimizers.mirror_descent_l1(protocol.as_grad_oracle(stream), cfg,
+                                       np.random.SeedSequence([seed, 2]))
+    return np.asarray(run.averaged, dtype=float).tobytes()
+
+
 def compute(tmp: Path) -> dict:
     """Every run's digest, keyed by the run's name."""
     out = {}
@@ -135,6 +158,8 @@ def compute(tmp: Path) -> dict:
                                                      config=cfg)
     out["certify/check"] = _cli(tmp, "", "certify", "--check", "--seed", 1)
     out["bounds/check"] = _cli(tmp, "", "bounds", "--check", "--seed", 1)
+    out["bias-demo/seed1"] = _cli(tmp, "", "bias-demo", "--seed", 1)
+    out["chain/adversarial_owners/seed1"] = _adversarial_owners(1)
     for seed in (1, 7, 11):
         for i, name in enumerate(CHAIN_NAMES):
             for plain in (False, True):

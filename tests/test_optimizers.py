@@ -36,6 +36,14 @@ def test_config_validation():
             OptimizerConfig("sgd_l2", ball, dim, steps, 1.0)
 
 
+@pytest.mark.parametrize("grad_bound", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_config_refuses_a_grad_bound_outside_zero_to_inf(grad_bound):
+    # nan made mirror descent return an all-NaN average, and inf a step
+    # size of 0, so both optimizers ignored every gradient and returned 0
+    with pytest.raises(ValueError, match="grad_bound must be positive and finite"):
+        OptimizerConfig("mirror_descent_l1", NormBall(1, 1.0), 2, 10, grad_bound)
+
+
 def test_step_size_formulas():
     assert step_size_for("mirror_descent_l1", NormBall(1, 2.0), 3.0, 100, 4) == \
         pytest.approx(math.sqrt(2 * math.log(8)) / (2.0 * 3.0 * 10.0), rel=1e-15)
@@ -468,6 +476,35 @@ def test_owner_list_oracle_answers_one_query_at_a_time(family, monkeypatch):
     assert counts == {"windows": 0, "queries": n}  # the oracle's queries
     _assert_same_bits(via_oracle, stepped)
     assert streams[0].exhausted()
+
+
+@pytest.mark.parametrize("method", [mirror_descent_l1, sgd_l2])
+@pytest.mark.parametrize("d", [4, 8])
+@pytest.mark.parametrize("family,r,spread", [(f, 1.0, None) for f in _FAMILIES] + [
+    ("l1_maxent", 0.02, None), ("dp_hypercube", 1.0, 0.02)],
+    ids=list(_FAMILIES) + ["l1_maxent-flip", "dp_hypercube-uniform"])
+def test_owner_list_queries_equal_the_replay(family, r, spread, d, method):
+    # an owner list's one-theta queries read their block's guess as a
+    # population's do; both optimizers step bit for bit as over the replay,
+    # which never guesses, and the rng, the cursor and the error of the
+    # query past the last owner end as per step.  2500 owners span three
+    # blocks, the last short.  The hinge r = 0.02 flips many subgradients
+    # within a block, and owners uniform on [-0.02, 0.02]^d under the
+    # median loss miss nearly every guess
+    n = 2500
+    ch, streams = _stream_pair(family, d, 53, owners=n, r=r)
+    if spread is not None:
+        data = np.random.default_rng(53).uniform(-spread, spread, (n, d))
+        streams = [PrivateGradStream.from_data(data, s.loss, ch, rng=53) for s in streams]
+    domain = NormBall(1 if method is mirror_descent_l1 else 2, 1.0)
+    cfg = OptimizerConfig(method.__name__, domain, d, n, ch.target.radius)
+    oracle, replay = as_grad_oracle(streams[0]), _Replay(streams[1])
+    _assert_same_bits(method(oracle, cfg, 0).averaged, method(replay, cfg, 0).averaged)
+    for ask in (oracle, replay):
+        with pytest.raises(RuntimeError, match="single-pass stream exhausted"):
+            ask(np.zeros(d), None)
+    assert streams[0].rng.bit_generator.state == replay.rng.bit_generator.state
+    assert streams[0].cursor == replay.cursor == n
 
 
 def test_owner_list_oracle_raises_like_a_plain_callable_when_short():

@@ -254,46 +254,63 @@ def _spy_apply_rows(monkeypatch) -> list:
     return rows
 
 
-def test_one_theta_queries_apply_each_block_once_while_subgradients_hold(monkeypatch):
+def _one_theta_stream(owners, dist, loss, ch, n, rng):
+    """A population stream, or an owner list of n owners drawn from the
+    population's law (from a generator of its own)."""
+    if not owners:
+        return PrivateGradStream.from_population(dist, loss, ch, rng=rng)
+    data = sample_datum(dist, np.random.default_rng([rng, 1]), size=n)
+    return PrivateGradStream.from_data(data, loss, ch, rng=rng)
+
+
+@pytest.mark.parametrize("owners", [False, True], ids=["population", "owner-list"])
+def test_one_theta_queries_apply_each_block_once_while_subgradients_hold(owners, monkeypatch):
     # the median loss at |theta_j| < r has the subgradient L sign(theta - r x)
     # = -L x whatever theta is: every query reads its block's guess, so each
-    # block costs one apply of its rows, and no query is redone
+    # block costs one apply of its rows, and no query is redone.  An owner
+    # list's last block holds the 300 owners left
+    n = 2 * _BLOCK_ROWS + 300
     loss, ch = _parts(d=4, kind="linf_maxent")
     dist = DataDist("cube_bernoulli", 4, 0.5, (1, 0, 0, 0))
-    thetas = np.random.default_rng(5).uniform(-0.9, 0.9, (2 * _BLOCK_ROWS + 300, 4))
+    thetas = np.random.default_rng(5).uniform(-0.9, 0.9, (n, 4))
     rows = _spy_apply_rows(monkeypatch)
-    stream = PrivateGradStream.from_population(dist, loss, ch, rng=6)
+    stream = _one_theta_stream(owners, dist, loss, ch, n, 6)
     for t in thetas:
         query(stream, t)
-    assert rows == [_BLOCK_ROWS] * 3
+    assert rows == [_BLOCK_ROWS] * 2 + [300 if owners else _BLOCK_ROWS]
 
 
-def test_one_theta_queries_redo_only_rows_whose_subgradient_changed(monkeypatch):
+@pytest.mark.parametrize("owners", [False, True], ids=["population", "owner-list"])
+def test_one_theta_queries_redo_only_rows_whose_subgradient_changed(owners, monkeypatch):
     # hinge with margin r = 0.02 and thetas near 0: <x, theta> = +-theta_j
     # crosses r often, so many rows leave their block's guess.  The rows
-    # through Channel.apply are the blocks' rows, plus one per redone query,
-    # and those are the queries whose subgradient differs from the guessed
-    # one (found by a replay of the blocks)
+    # through Channel.apply are the blocks' rows (for an owner list, its
+    # owners), plus one per redone query, and those are the queries whose
+    # subgradient differs from the guessed one (found by a replay of the
+    # blocks)
     d, n = 8, 2 * _BLOCK_ROWS + 300
     ch = make_channel("l1_maxent", d, L=1.0, M=4.0)
     loss = make_loss("hinge", L=1.0, r=0.02)
     dist = DataDist("coord_basis", d, 0.5, (1,) + (0,) * (d - 1))
     thetas = np.random.default_rng(7).uniform(-0.05, 0.05, (n, d))
     rows = _spy_apply_rows(monkeypatch)
-    stream = PrivateGradStream.from_population(dist, loss, ch, rng=8)
+    stream = _one_theta_stream(owners, dist, loss, ch, n, 8)
     got = np.array([query(stream, t) for t in thetas])
     monkeypatch.undo()
-    rng, want, redone = np.random.default_rng(8), [], 0
+    rng, want, redone, block_rows = np.random.default_rng(8), [], 0, 0
     for start in range(0, n, _BLOCK_ROWS):
-        x = sample_datum(dist, rng, size=_BLOCK_ROWS)
-        noise = ch.noise(_BLOCK_ROWS, rng)
+        x = stream.data[start:start + _BLOCK_ROWS] if owners \
+            else sample_datum(dist, rng, size=_BLOCK_ROWS)
+        noise = ch.noise(len(x), rng)
+        block_rows += len(x)
         for j, t in enumerate(thetas[start:start + _BLOCK_ROWS]):
             g = subgrad(loss, x[j], t)
             redone += g.tobytes() != subgrad(loss, x[j], thetas[start]).tobytes()
             want.append(ch.apply(g, tuple(a[j:j + 1] for a in noise))[0])
     assert got.tobytes() == np.array(want).tobytes()
     assert 0 < redone < n // 2
-    assert sum(rows) == 3 * _BLOCK_ROWS + redone
+    assert block_rows == (n if owners else 3 * _BLOCK_ROWS)
+    assert sum(rows) == block_rows + redone
     assert rows.count(1) == redone and len(rows) == 3 + redone
 
 
@@ -331,16 +348,36 @@ def test_answering_ahead_raises_only_where_the_step_does():
     assert streams[0].rng.bit_generator.state == streams[1].rng.bit_generator.state
 
 
-def test_block_guess_stops_before_a_row_the_channel_refuses():
+@pytest.mark.parametrize("owners", [False, True], ids=["population", "owner-list"])
+def test_block_guess_stops_before_a_row_the_channel_refuses(owners):
     # the refilling query guesses its block at theta = (0.9, 0), where the
-    # second row's subgradient is refused: that row is not guessed, and at
-    # a theta where its subgradient is 0 it is answered per step, as are
-    # the rows after it
+    # second row's subgradient is refused: the first query is still
+    # answered, and the second row is not guessed.  Asked at theta, it
+    # raises there as its step does; at a theta where its subgradient is 0
+    # it is answered per step, as are the rows after it.  The owner list
+    # holds the population's first block as its owners, and its rng draws
+    # only their noise
     ch, loss, dist, theta = _refused_row_parts()
     rng = np.random.default_rng(1)
     x = sample_datum(dist, rng, size=_BLOCK_ROWS)
-    noise = ch.noise(_BLOCK_ROWS, rng)
-    stream = PrivateGradStream.from_population(dist, loss, ch, rng=1)
+    noise_rng = np.random.default_rng(1) if owners else rng
+    noise = ch.noise(_BLOCK_ROWS, noise_rng)
+
+    def fresh():
+        if owners:
+            return PrivateGradStream.from_data(x, loss, ch, rng=1)
+        return PrivateGradStream.from_population(dist, loss, ch, rng=1)
+
+    first = ch.apply(subgrad(loss, x[0], theta), tuple(a[:1] for a in noise))[0]
+    with pytest.raises(ValueError, match="exceeds source radius 0.5"):
+        ch.apply(subgrad(loss, x[1], theta), tuple(a[1:2] for a in noise))
+    refused = fresh()
+    assert query(refused, theta).tobytes() == first.tobytes()
+    with pytest.raises(ValueError, match="exceeds source radius 0.5"):
+        query(refused, theta)
+    assert refused.cursor == 2
+    assert refused.rng.bit_generator.state == noise_rng.bit_generator.state
+    stream = fresh()
     query(stream, theta)
     assert len(stream._guess[0]) == 1
     for j in range(1, 6):
