@@ -18,7 +18,8 @@ out how strongly the data leans toward the corner nu.
 `_LOSSES` has one row per loss: its value, its subgradient, the region of
 theta where that subgradient does not depend on theta, its data law, and
 that pair's closed-form risk, minimizer and separation.  `_LAWS` has one
-row per data law: its sampler and support.  A pair outside the table
+row per data law: its sampler, its support, and a test of whether rows
+are points of that support.  A pair outside the table
 raises UnsupportedFamilyError.
 """
 
@@ -105,12 +106,24 @@ def subgrad(loss: LossFn, x, theta) -> np.ndarray:
     return _LOSSES[loss.kind].grad(loss, x, theta)
 
 
-def _fixed_subgrad(loss: LossFn, dist: DataDist, theta: np.ndarray) -> bool:
-    """True when dist is loss's own law and every theta (..., d) lies in
-    the loss's fixed region (_Loss.fixed): there each datum of the law has
-    one subgradient, the same bits at every theta."""
+def _in_fixed_region(loss: LossFn, theta: np.ndarray) -> bool:
+    """True when every theta (..., d) lies in the loss's fixed region
+    (_Loss.fixed)."""
+    return _LOSSES[loss.kind].fixed(loss, theta)
+
+
+def _fixed_subgrad(loss: LossFn, data, theta: np.ndarray) -> bool:
+    """True when every theta (..., d) lies in the loss's fixed region and
+    data are points of the loss's own law: a DataDist by its kind, owner
+    rows (n, d) when every row is a point of the law's support
+    (_Law.contains).  There each datum has one subgradient, the same bits
+    at every theta of the region."""
     row = _LOSSES[loss.kind]
-    return dist.kind == row.data and row.fixed(loss, theta)
+    if not row.fixed(loss, theta):
+        return False
+    if isinstance(data, DataDist):
+        return data.kind == row.data
+    return _LAWS[row.data].contains(data)
 
 
 @dataclass(frozen=True)
@@ -228,9 +241,15 @@ def _hinge_grad(loss, x, theta) -> np.ndarray:
 
 
 def _in_open_box(loss, theta) -> bool:
-    # every |theta_j| < r; min and max read theta once each, and NaN fails
-    return bool(-loss.r < np.minimum.reduce(theta, axis=None)
-                and np.maximum.reduce(theta, axis=None) < loss.r)
+    # every |theta_j| < r, and NaN fails
+    r = loss.r
+    if theta.ndim == 1:
+        # one theta, the per-step call of a single chain: Python floats, in
+        # a list (at d = 4 a generator takes half as long again)
+        return all([-r < t < r for t in theta.tolist()])
+    # min and max read theta once each
+    return bool(-r < np.minimum.reduce(theta, axis=None)
+                and np.maximum.reduce(theta, axis=None) < r)
 
 
 def _corner(spec: RiskSpec) -> np.ndarray:
@@ -279,6 +298,17 @@ def _basis_sample(dist: DataDist, rng, n: int) -> np.ndarray:
     return out
 
 
+def _on_cube(x: np.ndarray) -> bool:
+    # every entry +-1.0; NaN fails
+    return bool(np.all(np.abs(x) == 1.0))
+
+
+def _on_basis(x: np.ndarray) -> bool:
+    # every entry +-1.0 or +-0.0, and one +-1.0 per row; NaN fails
+    a = np.abs(x)
+    return bool(np.all((a == 0.0) | (a == 1.0)) and np.all(a.sum(axis=1) == 1.0))
+
+
 def _basis_support(dist: DataDist):
     w = dist.delta * dist.nu_array
     return _signed_basis(dist.d), np.concatenate([1.0 + w, 1.0 - w]) / (2.0 * dist.d)
@@ -300,6 +330,13 @@ class _Loss(NamedTuple):
         exactly s theta_j (every other product is a zero), the margin
         r - s theta_j is positive, and the subgradient is -L x.
       linear, every theta: the subgradient L x does not read theta.
+    A datum of the law is a point of its support: a population of the
+    law's kind draws only those, and owner rows are checked by the law's
+    contains.  Where the data and a theta qualify
+    (_fixed_subgrad), a stream keeps a subgradient it guessed at one theta
+    of the region for any other theta of it, on the thetas alone: for a
+    population's answers ahead (protocol._ahead) and for every stream's
+    one-theta queries (protocol.query).
     """
 
     value: Callable  # (loss, x (d,), theta (d,)) -> float
@@ -315,6 +352,7 @@ class _Loss(NamedTuple):
 class _Law(NamedTuple):
     sample: Callable  # (dist, rng, n) -> (n, d)
     support: Callable  # (dist) -> (points (k, d), probs (k,))
+    contains: Callable  # (x (n, d)) -> whether every row is a point of the support
 
 
 _LOSSES = {
@@ -347,8 +385,8 @@ _LOSSES = {
 _LAWS = {
     "cube_bernoulli": _Law(
         lambda dist, rng, n: _coin_signs(rng.random((n, dist.d)), dist.p_plus),
-        _cube_support),
-    "coord_basis": _Law(_basis_sample, _basis_support),
+        _cube_support, _on_cube),
+    "coord_basis": _Law(_basis_sample, _basis_support, _on_basis),
 }
 LOSS_KINDS = tuple(_LOSSES)
 DIST_KINDS = tuple(_LAWS)

@@ -12,6 +12,11 @@ iterate.  The runs are
   adversarial   an owner list whose guessed answers nearly all miss: 20000
                 owners uniform on [-0.02, 0.02]^8 under the median loss,
                 dp_hypercube eps = 0.5, mirror descent, seed 1
+  owners        three more d = 4, n = 16384 owner lists at seed 1: hinge
+                owners from coord_basis under l1_maxent with mirror descent
+                and under dp_l2_sampler with sgd_l2, and median cube owners
+                whose first coordinate is scaled by 0.5 (off the cube, so
+                their subgradients move with theta_0 near 0.5)
   certify       five pinned channels at seeds 1, 7, and `certify --check`
   bounds        `bounds --check`
   bias-demo     `bias-demo --seed 1`
@@ -62,6 +67,7 @@ CHAIN_D, CHAIN_N, CHAIN_DELTA = 4, 16384, 0.5
 CHAIN_NAMES = ("dp_hypercube", "linf_maxent", "l1_maxent", "dp_l2_sampler",
                "single_pass_owners")
 ADVERSARIAL_D, ADVERSARIAL_N, ADVERSARIAL_SPREAD = 8, 20000, 0.02
+OWNER_CHAINS = ("basis_owners_l1_maxent", "basis_owners_dp_l2_sampler", "scaled_owners")
 
 
 def environment() -> dict:
@@ -128,6 +134,30 @@ def _chain(i: int, seed: int, plain: bool) -> bytes:
     return np.asarray(run.averaged, dtype=float).tobytes()
 
 
+def _owner_chain(name: str, seed: int) -> bytes:
+    """Owner list name of OWNER_CHAINS at this seed, freshly built; its
+    averaged iterate's bytes."""
+    mk = channels.make_channel
+    spec, ch, method = {
+        "basis_owners_l1_maxent": (_spec("hinge", "coord_basis", 1),
+                                   mk("l1_maxent", CHAIN_D, L=1.0, M=4.0), "mirror_descent_l1"),
+        "basis_owners_dp_l2_sampler": (_spec("hinge", "coord_basis", 2),
+                                       mk("dp_l2_sampler", CHAIN_D, L=1.0, eps=1.0), "sgd_l2"),
+        "scaled_owners": (_spec("median", "cube_bernoulli", 1),
+                          mk("dp_hypercube", CHAIN_D, L=1.0, eps=1.0), "mirror_descent_l1"),
+    }[name]
+    data = losses.sample_datum(spec.data, np.random.default_rng([seed, 5]), size=CHAIN_N)
+    if name == "scaled_owners":
+        data[:, 0] *= 0.5
+    stream = protocol.PrivateGradStream.from_data(
+        data, spec.loss, ch, rng=np.random.SeedSequence([seed, 5, 1]))
+    cfg = optimizers.OptimizerConfig(method, spec.domain, CHAIN_D, CHAIN_N,
+                                     grad_bound=ch.target.radius)
+    run = getattr(optimizers, method)(protocol.as_grad_oracle(stream), cfg,
+                                      np.random.SeedSequence([seed, 5]))
+    return np.asarray(run.averaged, dtype=float).tobytes()
+
+
 def _adversarial_owners(seed: int) -> bytes:
     """The adversarial owner list's chain at this seed: thetas near 0 move
     the median loss's sign(theta - x) on most owners between the query that
@@ -160,6 +190,8 @@ def compute(tmp: Path) -> dict:
     out["bounds/check"] = _cli(tmp, "", "bounds", "--check", "--seed", 1)
     out["bias-demo/seed1"] = _cli(tmp, "", "bias-demo", "--seed", 1)
     out["chain/adversarial_owners/seed1"] = _adversarial_owners(1)
+    for name in OWNER_CHAINS:
+        out[f"chain/{name}/seed1"] = _owner_chain(name, 1)
     for seed in (1, 7, 11):
         for i, name in enumerate(CHAIN_NAMES):
             for plain in (False, True):

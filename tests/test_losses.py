@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from privopt.geometry import NormBall
 from privopt.losses import (
+    _LAWS,
     _LOSSES,
     DataDist,
     RiskSpec,
@@ -22,6 +23,7 @@ from privopt.losses import (
     separation,
     subgrad,
     _fixed_subgrad,
+    _in_open_box,
 )
 
 KINDS = ("median", "hinge", "linear")
@@ -320,3 +322,44 @@ def test_fixed_region_is_open_and_only_on_the_own_law(d):
     assert not _fixed_subgrad(linear, basis, np.zeros(d))
     # every row of the table has its region tested above
     assert {kind for kind, _ in PAIRS} == set(_LOSSES)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_open_box_one_theta_and_batch_branches_agree(d):
+    # the one-theta branch compares Python floats, the batch branch reads
+    # min and max; both say every |theta_j| < r, and both refuse NaN in any
+    # position (where max(...) alone would not)
+    for r in (1.0, 0.0):
+        loss = make_loss("median", r=r)
+        values = (0.0, -0.0, np.nextafter(r, 0.0), np.nextafter(-r, 0.0), r, -r,
+                  np.inf, -np.inf, np.nan)
+        for v, pos in itertools.product(values, sorted({0, d // 2, d - 1})):
+            theta = np.full(d, 0.5 * r)
+            theta[pos] = v
+            want = bool(np.all(np.abs(theta) < r))
+            assert _in_open_box(loss, theta) is want
+            assert _in_open_box(loss, theta[None]) is want
+            assert _in_open_box(loss, np.stack([np.zeros(d), theta])) is want
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("law", list(_LAWS))
+def test_law_support_test_holds_on_its_draws_only(law, delta):
+    # every draw of the law is a point of its support, a basis row with
+    # -0.0 zeros among them; an entry 0.5, a basis row with two nonzeros,
+    # a zero row and a NaN are not
+    d = 4
+    dist = DataDist(law, d, delta, (1, -1, 0, 1))
+    x = sample_datum(dist, np.random.default_rng(int(4 * delta)), size=500)
+    contains = _LAWS[law].contains
+    assert contains(x) and contains(-x) and contains(x[:1])
+    assert contains(dist_support(dist)[0])
+    if law == "coord_basis":
+        assert np.signbit(-x[x == 0.0]).all()
+    one = np.eye(d)[0] if law == "coord_basis" else np.ones(d)
+    bad = [np.r_[0.5, one[1:]], np.r_[1.0, -1.0, np.zeros(d - 2)], np.zeros(d),
+           np.r_[one[:-1], np.nan]]
+    for row in bad:
+        y = x.copy()
+        y[7] = row
+        assert not contains(y), row

@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from test_optimizers import _Replay
 
+from privopt import protocol
 from privopt.channels import Channel, make_channel
 from privopt.geometry import NormBall
 from privopt.losses import DataDist, make_loss, sample_datum, subgrad
@@ -384,6 +386,97 @@ def test_block_guess_stops_before_a_row_the_channel_refuses(owners):
         t = np.array([0.9, 0.5]) * x[j].sum() if x[j][0] == 0.0 else theta
         want = ch.apply(subgrad(loss, x[j], t), tuple(a[j:j + 1] for a in noise))[0]
         assert query(stream, t).tobytes() == want.tobytes()
+
+
+def _spy_subgrad(monkeypatch) -> list:
+    """The rows of each protocol.subgrad call made after this call: 1 for
+    one (d,) pair."""
+    rows, grad = [], protocol.subgrad
+
+    def counted(loss, x, theta):
+        rows.append(len(x) if np.ndim(x) == 2 else 1)
+        return grad(loss, x, theta)
+
+    monkeypatch.setattr(protocol, "subgrad", counted)
+    return rows
+
+
+# streams whose data are points of the loss's own law, over three blocks
+# (an owner list's last block holds the 300 owners left)
+_FIXED_CASES = {
+    "median-cube": ("median", "cube_bernoulli", "linf_maxent", {"M": 2.0}),
+    "hinge-basis": ("hinge", "coord_basis", "l1_maxent", {"M": 4.0}),
+}
+
+
+def _fixed_pair(case, owners, d=4, n=2 * _BLOCK_ROWS + 300, r=1.0):
+    """Two like streams of case (the second for the replay), the loss's
+    margin r, and n thetas inside the box |theta_j| < r."""
+    loss, law, kind, budget = _FIXED_CASES[case]
+    ch = make_channel(kind, d, L=1.0, **budget)
+    loss = make_loss(loss, L=1.0, r=r)
+    dist = DataDist(law, d, 0.5, (1,) + (0,) * (d - 1))
+    streams = [_one_theta_stream(owners, dist, loss, ch, n, 9) for _ in range(2)]
+    return streams, np.random.default_rng(10).uniform(-0.9 * r, 0.9 * r, (n, d))
+
+
+def _assert_replayed(stream, replay, got, thetas):
+    want = np.array([replay(t) for t in thetas])
+    assert got.tobytes() == want.tobytes()
+    assert stream.rng.bit_generator.state == replay.rng.bit_generator.state
+    assert stream.cursor == replay.cursor == len(thetas)
+
+
+@pytest.mark.parametrize("owners", [False, True], ids=["population", "owner-list"])
+@pytest.mark.parametrize("case", list(_FIXED_CASES))
+def test_fixed_blocks_keep_their_guess_on_theta_alone(case, owners, monkeypatch):
+    # every theta lies in the box and every datum is a point of the loss's
+    # own law, so each subgradient is the same bits at every query's theta:
+    # the block's guess is its one subgrad call, and no query computes one
+    (stream, other), thetas = _fixed_pair(case, owners)
+    calls = _spy_subgrad(monkeypatch)
+    got = np.array([query(stream, t) for t in thetas])
+    monkeypatch.undo()
+    assert calls == [_BLOCK_ROWS] * 2 + [300 if owners else _BLOCK_ROWS]
+    _assert_replayed(stream, _Replay(other), got, thetas)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("owners", [False, True], ids=["population", "owner-list"])
+@pytest.mark.parametrize("case", list(_FIXED_CASES))
+def test_thetas_off_the_open_box_compare_bits_in_a_fixed_block(case, owners, monkeypatch):
+    # each block refills at a theta inside the box, so it is fixed; a third
+    # of the later queries ask at theta_1 = +-r, +-1.5 r or +-inf, off the
+    # open box, where the median's subgradient is 0 for one sign of x_1 and
+    # the hinge's is 0 past r.  Those queries, and only those, compute their
+    # own subgradient and compare its bits, and every answer is the replay's
+    r = 0.5
+    (stream, other), thetas = _fixed_pair(case, owners, r=r)
+    off = np.arange(len(thetas)) % 3 == 1
+    off[::_BLOCK_ROWS] = False
+    edges = np.array([r, -r, 1.5 * r, -1.5 * r, np.inf, -np.inf])
+    thetas[off, 1] = np.resize(edges, off.sum())
+    blocks = -(-len(thetas) // _BLOCK_ROWS)
+    calls = _spy_subgrad(monkeypatch)
+    got = np.array([query(stream, t) for t in thetas])
+    monkeypatch.undo()
+    assert len(calls) == blocks + off.sum() and calls.count(1) == off.sum()
+    _assert_replayed(stream, _Replay(other), got, thetas)
+
+
+def test_owner_rows_off_the_law_compare_bits_inside_the_box(monkeypatch):
+    # median owners whose first coordinate is scaled by 0.5 are not points
+    # of the cube: theta_0 - 0.5 x_0 changes sign at theta_0 = +-0.5, inside
+    # the box, so no block is fixed, every query computes its subgradient,
+    # and the answers are the replay's
+    (stream, other), thetas = _fixed_pair("median-cube", True)
+    for s in (stream, other):
+        s.data[:, 0] *= 0.5
+    calls = _spy_subgrad(monkeypatch)
+    got = np.array([query(stream, t) for t in thetas])
+    monkeypatch.undo()
+    assert calls.count(1) == len(thetas) and len(calls) == len(thetas) + 3
+    _assert_replayed(stream, _Replay(other), got, thetas)
 
 
 def test_stream_determinism_and_owner_rng_isolation():
