@@ -9,8 +9,8 @@ __version__ = "0.1.0"
 
 from .geometry import NormBall, project_l2_ball
 from .losses import LossFn, DataDist, RiskSpec, make_loss, subgrad, risk_value, risk_minimizer, separation
-from .channels import Channel, PrivacyCertificate, make_channel, channel_from_json, channel_to_json, eps_star
-from .information import DiscreteDist, InfoReport, mutual_information_exact, mi_closed_form, certify_channel
+from .channels import Channel, PrivacyCertificate, make_channel, channel_from_json, channel_to_json, eps_star, worst_case_mi
+from .information import DiscreteDist, InfoReport, mutual_information_exact, certify_channel
 from .optimizers import OptimizerConfig, OptimizerRun, mirror_descent_l1, sgd_l2, step_size_for
 from .protocol import PrivateGradStream, audit_leakage
 from .minimax import BoundSpec, TestingInstance, lower_bound, upper_bound, fano_bound
@@ -32,10 +32,10 @@ __all__ = [
     "make_channel",
     "channel_from_json",
     "channel_to_json",
+    "worst_case_mi",
     "DiscreteDist",
     "InfoReport",
     "mutual_information_exact",
-    "mi_closed_form",
     "certify_channel",
     "OptimizerConfig",
     "OptimizerRun",

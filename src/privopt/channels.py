@@ -1,6 +1,6 @@
 """Privacy-preserving randomized channels Z | x with E[Z | x] = x.
 
-Three production mechanisms plus plumbing:
+Four production mechanisms plus plumbing:
 
   linf_maxent    max-entropy unbiased channel on the scaled sign cube
                  {-M, M}^d for inputs with ||x||_inf <= L <= M; independent
@@ -12,8 +12,6 @@ Three production mechanisms plus plumbing:
                  x rounds to a corner T; Z = B W T, where W has k ones placed
                  uniformly at random and the agreement class k has its exact
                  law C(d, k) q+ for 2k > d, C(d, k) q- otherwise
-  dp_linf_sampler  the sampler view of the same two-level channel (an
-                 alias: both names map to one row of the kind table)
   dp_l2_sampler  eps-DP hemisphere sampler on the radius-B sphere: x rounds
                  to +-x/||x||_2; Z is uniform on the cap around it with
                  probability e^eps/(e^eps + 1), on the opposite cap otherwise
@@ -44,7 +42,7 @@ that does not read x is in U, so apply is a few passes over x:
   l1_maxent      (u, o): rounding uniforms (n,) and tilt offsets (n,) in
                  [0, 2d); apply rounds x to an atom a with u and returns
                  atom a + o of the cycle +M e_0, ..., +M e_d-1, -M e_0, ...
-  dp kinds       (v, W): thresholds (n, d) uniform on [-L, L) and the
+  dp_hypercube   (v, W): thresholds (n, d) uniform on [-L, L) and the
                  shuffled class rows W (n, d) in {+-B}; Z = W where
                  v <= x, -W elsewhere
   dp_l2_sampler  (toward, near, U): rounding thresholds (n,) uniform on
@@ -86,6 +84,7 @@ __all__ = [
     "channel_from_json",
     "dp_ratio_max",
     "worst_case_mi",
+    "binary_entropy",
     "eps_star",
     "l1_gamma",
     "two_level_constants",
@@ -612,15 +611,13 @@ class _Kind(NamedTuple):
     worst_mi: Optional[Callable] = None  # (d, L, M) -> nats, for the M budget only
 
 
-_TWO_LEVEL = _Kind("eps", _two_level_calibration, _two_level_noise, _two_level_apply,
-                   _two_level_pmf, _sign_index, _two_level_mean)
 _KINDS = {
     "linf_maxent": _Kind("M", _linf_calibration, _linf_noise, _linf_apply, _linf_pmf,
                          _sign_index, _linf_mean, _linf_worst_mi),
     "l1_maxent": _Kind("M", _l1_calibration, _l1_noise, _l1_apply, _l1_pmf, _l1_index,
                        _l1_mean, _l1_worst_mi),
-    "dp_hypercube": _TWO_LEVEL,
-    "dp_linf_sampler": _TWO_LEVEL,
+    "dp_hypercube": _Kind("eps", _two_level_calibration, _two_level_noise, _two_level_apply,
+                          _two_level_pmf, _sign_index, _two_level_mean),
     "dp_l2_sampler": _Kind("eps", _l2_calibration, _l2_noise, _l2_apply, None, None,
                            _l2_mean),
     "identity": _Kind(None, _identity_calibration, _identity_noise, _identity_apply,
@@ -728,8 +725,8 @@ def make_channel(
 ) -> Channel:
     """Construct and calibrate a channel.
 
-    Maxent kinds take M (the output magnitude); dp kinds take eps.  The
-    hypercube dp kinds require eps < eps_star(d); at or beyond the
+    Maxent kinds take M (the output magnitude); dp kinds take eps.
+    dp_hypercube requires eps < eps_star(d); at or beyond the
     threshold the k = 0 closed form is no longer the LP optimum, so the
     construction refuses rather than silently degrade.
     """
@@ -843,11 +840,15 @@ def dp_ratio_max(ch: Channel) -> float:
 
 
 def worst_case_mi(kind: str, d: int, L: float, M: float) -> float:
-    """Worst-case (saddle-point) MI in nats of an M-budget kind at magnitude
-    M; ValueError for the other kinds and for an M below the kind's edge."""
+    """Worst-case (saddle-point) MI in nats of an M-budget kind at dimension
+    d, source radius L and magnitude M; ValueError for the other kinds, for
+    a d that is not an integer >= 1, an L or M that is not positive, and an
+    M below the kind's edge."""
     worst_mi = _KINDS[kind].worst_mi if kind in _KINDS else None
     if worst_mi is None:
         raise ValueError(f"no closed form for kind {kind!r}")
+    if _integer("d", d) < 1 or not (L > 0.0 and M > 0.0):
+        raise ValueError("need d >= 1 and positive L, M")
     return worst_mi(d, L, M)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .channels import (
     PrivacyCertificate,
     _SUPPORT_DECIMALS,
     _pmf_points,
-    binary_entropy,
     channel_pmf,
     dp_ratio_max,
     support_index,
@@ -32,12 +30,9 @@ from .geometry import _CORNER_PAIRS_MAX_D, _corner_matrix, _integer, _signed_bas
 __all__ = [
     "DiscreteDist",
     "InfoReport",
-    "MiClosedForm",
-    "binary_entropy",
     "nats_to_bits",
     "mutual_information_exact",
     "mi_from_conditionals",
-    "mi_closed_form",
     "check_draws_on_support",
     "certify_channel",
     "certificate_for",
@@ -134,24 +129,6 @@ def mutual_information_exact(source: DiscreteDist, ch: Channel) -> float:
     return mi_from_conditionals(source.probs, channel_pmf(ch, source.support).probs)
 
 
-class MiClosedForm(NamedTuple):
-    exact: float
-    upper: float
-    asymptotic: float
-
-
-def mi_closed_form(kind: str, d: int, L: float, M: float) -> MiClosedForm:
-    """Worst-case (saddle-point) MI of an M-budget kind, in nats.
-
-    Returns the exact value (the kind's worst_case_mi), the dL^2/M^2 upper
-    bound, and the dL^2/(2M^2) large-M approximation.
-    """
-    if d < 1 or L <= 0.0 or M <= 0.0:
-        raise ValueError("need d >= 1 and positive L, M")
-    upper = d * L * L / (M * M)
-    return MiClosedForm(worst_case_mi(kind, d, L, M), upper, 0.5 * upper)
-
-
 # ---------------------------------------------------------------------------
 # the sampler against the exact support
 
@@ -196,7 +173,8 @@ def check_draws_on_support(source: DiscreteDist, ch: Channel, n: int, rng) -> No
 @dataclass(frozen=True)
 class InfoReport:
     """Everything the certify command measures about one channel; the
-    verdicts on it are certificate_violations(channel, report)."""
+    verdicts on it are certificate_violations(channel, report).
+    mi_closed_form is the worst_case_mi of an M-budget kind."""
 
     mi_exact: float | None
     mi_closed_form: float | None

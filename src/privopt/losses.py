@@ -231,12 +231,33 @@ def separation(spec_v: RiskSpec, spec_w: RiskSpec) -> float:
 # the family table
 
 
+def _nonzero_dot(x, theta):
+    """x . theta over the nonzero entries of x, per row: an infinite theta_j
+    meets a zero x_j as 0, not as the NaN of 0 * inf.  The hinge margin reads
+    it only where the plain dot product is NaN, so a finite theta keeps the
+    plain product's bits."""
+    return np.vecdot(x, np.where(x != 0.0, theta, 0.0))
+
+
+def _hinge_dot(x, theta) -> float:
+    """The hinge margin's x . theta for one pair (d,)."""
+    m = float(x @ theta)
+    return float(_nonzero_dot(x, theta)) if m != m else m
+
+
 def _hinge_grad(loss, x, theta) -> np.ndarray:
     if x.ndim == 1:
-        # one pair, the per-step call of a single chain: Python floats, no mask
-        return -loss.lipschitz_L * x if loss.r - float(x @ theta) >= 0.0 else np.zeros_like(x)
+        # one pair, the per-step call of a single chain: _hinge_dot inline,
+        # Python floats and one compare
+        m = float(x @ theta)
+        m = float(_nonzero_dot(x, theta)) if m != m else m
+        return -loss.lipschitz_L * x if loss.r - m >= 0.0 else np.zeros_like(x)
     # np.vecdot runs the same dot kernel per row as x @ theta on one pair
-    active = loss.r - np.vecdot(x, theta) >= 0.0
+    m = np.vecdot(x, theta)
+    nan = np.isnan(m)
+    if nan.any():
+        m[nan] = _nonzero_dot(x[nan], theta[nan])
+    active = loss.r - m >= 0.0
     return np.where(active[..., None], -loss.lipschitz_L * x, 0.0)
 
 
@@ -364,7 +385,7 @@ _LOSSES = {
             data.p_plus * np.abs(theta - loss.r) + (1.0 - data.p_plus) * np.abs(theta + loss.r))),
         _corner, _corner_unique, _corner_separation),
     "hinge": _Loss(
-        lambda loss, x, theta: loss.lipschitz_L * max(loss.r - float(x @ theta), 0.0),
+        lambda loss, x, theta: loss.lipschitz_L * max(loss.r - _hinge_dot(x, theta), 0.0),
         _hinge_grad, _in_open_box, "coord_basis",
         lambda loss, data, theta: loss.lipschitz_L * float(np.sum(
             data.p_plus * np.maximum(loss.r - theta, 0.0)

@@ -22,9 +22,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .channels import Channel, _threshold_counts, channel_pmf, l1_gamma
+from .channels import Channel, _threshold_counts, channel_pmf, l1_gamma, worst_case_mi
 from .geometry import _coin_signs, _integer
-from .information import mi_closed_form, mi_from_conditionals
+from .information import mi_from_conditionals
 from .losses import LOSS_KINDS, DataDist, dist_support, make_loss, subgrad
 
 __all__ = [
@@ -174,14 +174,14 @@ _THEOREMS = {
     "T1b": _Theorem(
         "M", lambda s: 0.125 * min(
             s.r * s.L, s.M * s.r * math.sqrt(math.log(2 * s.d)) / (2.0 * math.sqrt(s.n))),
-        lambda s: _linf_rate(s, mi_closed_form("linf_maxent", s.d, s.L, s.M).exact),
+        lambda s: _linf_rate(s, worst_case_mi("linf_maxent", s.d, s.L, s.M)),
         delta=lambda s: min(
             s.M * math.sqrt(math.log(2 * s.d)) / (2.0 * s.L * math.sqrt(s.n)), 1.0),
         ranges=((lambda s: s.M >= s.L, "needs M >= L"),)),
     "T2": _Theorem(
         "M", lambda s: 0.05 * min(s.r * s.L, s.r * s.L * math.sqrt(s.d) / (
             9.0 * math.sqrt(s.n) * _l1_contraction(s.d, s.L, s.M))),
-        lambda s: _l1_rate(s, mi_closed_form("l1_maxent", s.d, s.L, s.M).exact),
+        lambda s: _l1_rate(s, worst_case_mi("l1_maxent", s.d, s.L, s.M)),
         ranges=((lambda s: s.M > s.L, "needs M > L"),)),
     "T3": _Theorem(
         "eps", lambda s: 0.125 * min(s.r * s.L, (math.sqrt(s.d) / s.eps) * s.r * s.L

@@ -27,7 +27,7 @@ from privopt.geometry import _corner_matrix
 from privopt.losses import DataDist, dist_support, make_loss
 from privopt.protocol import PrivateGradStream, query
 
-PERTURBING = ("linf_maxent", "l1_maxent", "dp_hypercube", "dp_linf_sampler", "dp_l2_sampler")
+PERTURBING = ("linf_maxent", "l1_maxent", "dp_hypercube", "dp_l2_sampler")
 
 
 def _mk(kind, d, L=1.0):
@@ -130,11 +130,11 @@ def test_dp_construction_refuses_eps_at_or_above_star():
         with pytest.raises(ValueError):
             make_channel("dp_hypercube", d, eps=star)
         with pytest.raises(ValueError):
-            make_channel("dp_linf_sampler", d, eps=star * 1.01)
+            make_channel("dp_hypercube", d, eps=star * 1.01)
 
 
 def test_make_channel_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown channel kind"):
         make_channel("unknown", 2)
     with pytest.raises(ValueError):
         make_channel("linf_maxent", 2, L=1.0, M=0.5)
@@ -166,7 +166,7 @@ def test_l1_gamma_solves_calibration_identity(d, m):
 # exact conditional pmfs
 
 
-@given(st.sampled_from(["linf_maxent", "l1_maxent", "dp_hypercube", "dp_linf_sampler"]),
+@given(st.sampled_from(["linf_maxent", "l1_maxent", "dp_hypercube"]),
        st.integers(1, 6), st.integers(0, 10**6), st.integers(1, 5))
 @settings(max_examples=60, deadline=None)
 def test_pmf_is_unbiased_distribution(kind, d, seed, rows):
@@ -186,14 +186,13 @@ def test_pmf_is_unbiased_distribution(kind, d, seed, rows):
     assert np.max(np.abs(probs @ pts - X)) <= 1e-10
 
 
-@pytest.mark.parametrize("kind", ["dp_hypercube", "dp_linf_sampler"])
-def test_two_level_pmf_near_corner_and_at_tiny_radius(kind):
+def test_two_level_pmf_near_corner_and_at_tiny_radius():
     cases = (
         # within the corner tolerance of a corner: the class law of the signs
         # of x, so the probs sum to 1 and the mean is the corner, 1e-13 from x
-        (make_channel(kind, 2, eps=0.5), np.array([1.0, -(1.0 - 1e-13)])),
+        (make_channel("dp_hypercube", 2, eps=0.5), np.array([1.0, -(1.0 - 1e-13)])),
         # at L = 1e-13 the origin is interior, not within 1e-12 of a corner
-        (make_channel(kind, 3, L=1e-13, eps=0.5), np.zeros(3)),
+        (make_channel("dp_hypercube", 3, L=1e-13, eps=0.5), np.zeros(3)),
     )
     for ch, x in cases:
         pts, probs = channel_pmf(ch, x)
@@ -348,9 +347,8 @@ def test_joint_guard_raises_before_the_law_is_built(kind):
 def test_dp_ratio_exact(d, eps):
     if eps >= eps_star(d):
         pytest.skip("construction domain ends at eps_star")
-    for kind in ("dp_hypercube", "dp_linf_sampler"):
-        ch = make_channel(kind, d, eps=eps)
-        assert dp_ratio_max(ch) == pytest.approx(math.exp(eps), abs=1e-10)
+    ch = make_channel("dp_hypercube", d, eps=eps)
+    assert dp_ratio_max(ch) == pytest.approx(math.exp(eps), abs=1e-10)
 
 
 def test_dp_ratio_rejects_non_dp_kinds():
@@ -360,7 +358,7 @@ def test_dp_ratio_rejects_non_dp_kinds():
         assert not ch.exact_dp_ratio
         with pytest.raises(ValueError, match="finite-support dp kind"):
             dp_ratio_max(ch)
-    assert make_channel("dp_linf_sampler", 10, eps=0.1).exact_dp_ratio
+    assert make_channel("dp_hypercube", 10, eps=0.1).exact_dp_ratio
 
 
 def test_draw_counts_are_integers_never_truncated():
@@ -384,8 +382,7 @@ def test_draw_counts_are_integers_never_truncated():
 @pytest.mark.parametrize("kind", FINITE_KINDS)
 def test_mean_matches_pmf_mean(kind, d):
     # eps = 0.5 stays below eps_star(10)
-    two_level = kind in ("dp_hypercube", "dp_linf_sampler")
-    ch = make_channel(kind, d, eps=0.5) if two_level else _mk(kind, d)
+    ch = make_channel(kind, d, eps=0.5) if kind == "dp_hypercube" else _mk(kind, d)
     rng = np.random.default_rng([11, d])
     X = np.array([f(ch, rng) for f in (_corner_for, _input_for) for _ in range(4)])
     mean = ch.mean(X)
@@ -571,18 +568,18 @@ def test_batch_row_is_the_one_row_apply_bitwise(kind, d):
 # below round those up.
 
 FAMILY_ALPHA = 1e-6
-CORNER_CASES = [  # (kind, d, eps, draws)
-    ("dp_hypercube", 1, 1.0, 300_000),
-    ("dp_linf_sampler", 3, 1.0, 400_000),
-    ("dp_hypercube", 4, 1.0, 700_000),
-    ("dp_hypercube", 8, 0.5, 1_400_000),
-    ("dp_hypercube", 16, 0.5, 2_000_000),
+CORNER_CASES = [  # (d, eps, draws)
+    (1, 1.0, 300_000),
+    (3, 1.0, 400_000),
+    (4, 1.0, 700_000),
+    (8, 0.5, 1_400_000),
+    (16, 0.5, 2_000_000),
 ]
-INTERIOR_CASES = [  # (kind, eps, x); coins (1 + x/L)/2 between 0.10 and 0.67
-    ("dp_hypercube", 1.0, (0.3, -0.8)),
-    ("dp_linf_sampler", 0.5, (-0.5, 0.0, 0.34)),
-    ("dp_hypercube", 1.0, (0.2, -0.8, 0.0, 0.34, -0.3)),
-    ("dp_hypercube", 0.8, (-0.8, -0.2, 0.0, 0.1, 0.3, 0.34)),
+INTERIOR_CASES = [  # (eps, x); coins (1 + x/L)/2 between 0.10 and 0.67
+    (1.0, (0.3, -0.8)),
+    (0.5, (-0.5, 0.0, 0.34)),
+    (1.0, (0.2, -0.8, 0.0, 0.34, -0.3)),
+    (0.8, (-0.8, -0.2, 0.0, 0.1, 0.3, 0.34)),
 ]
 INTERIOR_DRAWS = 400_000  # every atom expects >= 5000 draws
 TEST_ALPHA = FAMILY_ALPHA / (len(CORNER_CASES) + len(INTERIOR_CASES))
@@ -623,9 +620,9 @@ def test_chi2_sf_closed_forms():
     assert _chi2_sf(139.58288444108064, 63) == pytest.approx(1e-7, rel=1e-9)
 
 
-@pytest.mark.parametrize("kind,d,eps,n", CORNER_CASES, ids=[f"d{c[1]}" for c in CORNER_CASES])
-def test_two_level_corner_law_conformance(kind, d, eps, n):
-    ch = make_channel(kind, d, L=2.0, eps=eps)
+@pytest.mark.parametrize("d,eps,n", CORNER_CASES, ids=[f"d{c[0]}" for c in CORNER_CASES])
+def test_two_level_corner_law_conformance(d, eps, n):
+    ch = make_channel("dp_hypercube", d, L=2.0, eps=eps)
     rng = np.random.default_rng([7, d])
     counts = np.zeros(d + 1, dtype=np.int64)
     for start in range(0, n, 1 << 18):
@@ -647,11 +644,10 @@ def test_two_level_corner_law_conformance(kind, d, eps, n):
             assert _g_test(moved, probs) < TEST_ALPHA, (k, j)
 
 
-@pytest.mark.parametrize("kind,eps,x", INTERIOR_CASES,
-                         ids=[f"d{len(c[2])}" for c in INTERIOR_CASES])
-def test_two_level_interior_law_conformance(kind, eps, x):
+@pytest.mark.parametrize("eps,x", INTERIOR_CASES, ids=[f"d{len(c[1])}" for c in INTERIOR_CASES])
+def test_two_level_interior_law_conformance(eps, x):
     d = len(x)
-    ch = make_channel(kind, d, eps=eps)
+    ch = make_channel("dp_hypercube", d, eps=eps)
     x = np.array(x)
     z = ch.sample(x, rng=np.random.default_rng([8, d]), size=INTERIOR_DRAWS)
     # atom index in channel_pmf's corner order: coordinate 0 is the top bit

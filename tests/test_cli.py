@@ -189,22 +189,25 @@ _KIND_CONFIGS = {
     "linf_maxent": {"M": 2.0},
     "l1_maxent": {"M": 3.0},
     "dp_hypercube": {"eps": 0.5},
-    "dp_linf_sampler": {"eps": 0.5, "L": 2.0},
     "dp_l2_sampler": {"eps": 1.0},
     "identity": {},
     "biased_demo": {"bias": [0.5, -0.25, 0.0], "noise": 0.5},
 }
+# every kind at its config, and dp_hypercube again at a source radius L != 1
+_CERTIFY_CASES = [(kind, _KIND_CONFIGS[kind]) for kind in CHANNEL_KINDS]
+_CERTIFY_CASES.append(("dp_hypercube", {"eps": 0.5, "L": 2.0}))
 
 
-@pytest.mark.parametrize("kind", CHANNEL_KINDS)
-def test_certify_reads_the_channel_document_it_prints(tmp_path, kind):
+@pytest.mark.parametrize("kind,params", _CERTIFY_CASES,
+                         ids=list(CHANNEL_KINDS) + ["dp_hypercube-L2"])
+def test_certify_reads_the_channel_document_it_prints(tmp_path, kind, params):
     # the printed channel block is itself a certify config: fed back, it
     # gives the same exit code and the same output at the same seed
     first = tmp_path / "first.json"
-    cfg = _cfg(tmp_path, "c.json", {"kind": kind, "d": 3, **_KIND_CONFIGS[kind]})
+    cfg = _cfg(tmp_path, "c.json", {"kind": kind, "d": 3, **params})
     code = _run(["certify", "--config", cfg, "--seed", "5", "--out", str(first)])
     channel = json.loads(first.read_text())["channel"]
-    budget = make_channel(kind, 3, **_KIND_CONFIGS[kind]).budget
+    budget = make_channel(kind, 3, **params).budget
     keys = {"kind", "d", "L"} | ({budget} if budget else set())
     if kind == "biased_demo":
         keys |= {"bias", "noise"}

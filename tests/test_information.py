@@ -13,6 +13,7 @@ from privopt.channels import (
     CHANNEL_KINDS,
     Channel,
     _pmf_points,
+    binary_entropy,
     channel_pmf,
     make_channel,
     two_level_constants,
@@ -21,13 +22,11 @@ from privopt.channels import (
 from privopt.information import (
     DiscreteDist,
     InfoReport,
-    binary_entropy,
     certificate_for,
     certificate_violations,
     certify_channel,
     check_draws_on_support,
     extreme_point_source,
-    mi_closed_form,
     mi_from_conditionals,
     mutual_information_exact,
     nats_to_bits,
@@ -77,15 +76,13 @@ def test_exact_mi_matches_frozen_closed_forms():
     ch = make_channel("linf_maxent", 4, L=1.0, M=2.0)
     got = mutual_information_exact(_uniform_corners(4), ch)
     assert got == pytest.approx(LINF_MI_D4_M2, abs=1e-10)
-    assert mi_closed_form("linf_maxent", 4, 1.0, 2.0).exact == pytest.approx(
-        LINF_MI_D4_M2, abs=1e-12)
+    assert worst_case_mi("linf_maxent", 4, 1.0, 2.0) == pytest.approx(LINF_MI_D4_M2, abs=1e-12)
 
     ch = make_channel("l1_maxent", 3, L=1.0, M=2.0)
     basis = [e for e in np.vstack([np.eye(3), -np.eye(3)])]
     got = mutual_information_exact(DiscreteDist.uniform(basis), ch)
     assert got == pytest.approx(L1_MI_D3_M2, abs=1e-10)
-    assert mi_closed_form("l1_maxent", 3, 1.0, 2.0).exact == pytest.approx(
-        L1_MI_D3_M2, abs=1e-12)
+    assert worst_case_mi("l1_maxent", 3, 1.0, 2.0) == pytest.approx(L1_MI_D3_M2, abs=1e-12)
 
 
 def _row_loop_mi(prior, rows):
@@ -150,14 +147,25 @@ def test_exact_mi_at_d10_is_lean_and_matches_references(kind, budget):
 @pytest.mark.parametrize("d", [1, 2, 3, 6])
 @pytest.mark.parametrize("m", [1.25, 2.0, 4.0, 10.0])
 def test_closed_form_ordering_and_asymptotics(kind, d, m):
-    if kind == "l1_maxent" and m <= 1.0:
-        return
-    cf = mi_closed_form(kind, d, 1.0, m)
-    assert 0.0 < cf.exact <= cf.upper + 1e-15
-    assert cf.asymptotic == pytest.approx(0.5 * cf.upper, rel=1e-15)
-    # the exact value approaches dL^2/(2M^2) from below as M grows
-    big = mi_closed_form(kind, d, 1.0, 100.0)
-    assert big.exact == pytest.approx(big.asymptotic, rel=2e-2)
+    # 0 < I <= d L^2/M^2, and I approaches d L^2/(2 M^2) as M grows
+    L = 1.0
+    mi = worst_case_mi(kind, d, L, m)
+    assert 0.0 < mi <= d * L * L / (m * m) + 1e-15
+    assert worst_case_mi(kind, d, L, 100.0) == pytest.approx(d * L * L / (2.0 * 100.0**2), rel=2e-2)
+
+
+@pytest.mark.parametrize("kind", ["linf_maxent", "l1_maxent"])
+def test_worst_case_mi_refuses_a_dimension_or_radius_out_of_range(kind):
+    # an integer d >= 1 and positive L and M, or ValueError: a negative L is
+    # not read as |L|, nor d = 0 as a channel with no coordinates
+    for d, L, M in ((0, 1.0, 2.0), (-1, 1.0, 2.0), (2, -1.0, 2.0), (2, 0.0, 2.0),
+                    (2, 1.0, 0.0), (2, 1.0, -2.0), (2, -1.0, -2.0), (2, math.nan, 2.0)):
+        with pytest.raises(ValueError, match="^need d >= 1 and positive L, M$"):
+            worst_case_mi(kind, d, L, M)
+    for d in (2.0, 2.5, True):
+        with pytest.raises(ValueError, match="^d must be an integer"):
+            worst_case_mi(kind, d, 1.0, 2.0)
+    assert worst_case_mi(kind, np.int64(2), 1.0, 2.0) == worst_case_mi(kind, 2, 1.0, 2.0)
 
 
 _FINITE_CHANNELS = [
@@ -166,7 +174,7 @@ _FINITE_CHANNELS = [
     ("l1_maxent", 3, {"M": 2.0}),
     ("l1_maxent", 16, {"M": 2.0}),
     ("dp_hypercube", 3, {"eps": 1.0}),
-    ("dp_linf_sampler", 4, {"eps": 0.5}),
+    ("dp_hypercube", 4, {"eps": 0.5}),
     ("identity", 3, {}),
     ("biased_demo", 2, {"bias": 0.2, "noise": 0.5}),
 ]
@@ -270,15 +278,15 @@ def test_certificates_by_kind():
 
 @pytest.mark.parametrize("kind", CHANNEL_KINDS)
 def test_worst_case_mi_read_from_kind_table(kind):
-    # the certificate and the closed form read one worst-case MI per M kind;
-    # no other kind has one
+    # the certificate reads the one worst-case MI of each M kind; no other
+    # kind has one
     d, L, M = 3, 1.5, 4.0
     ch = make_channel(kind, d, L=L, M=M, eps=0.3)
     if ch.budget == "M":
-        assert certificate_for(ch).level == mi_closed_form(kind, d, L, M).exact
+        assert certificate_for(ch).level == worst_case_mi(kind, d, L, M)
     else:
-        with pytest.raises(ValueError):
-            mi_closed_form(kind, d, L, M)
+        with pytest.raises(ValueError, match="no closed form"):
+            worst_case_mi(kind, d, L, M)
 
 
 def test_extreme_point_source_shapes():

@@ -88,6 +88,28 @@ def test_subgradient_kink_conventions():
     assert np.allclose(subgrad(hinge, e1, np.array([2.0, 0.0])), 0.0)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_hinge_margin_reads_an_infinite_theta_only_where_x_is_nonzero():
+    # x = e_0 meets theta_1 = inf only through a zero of x, so the margin is
+    # r - theta_0 = 0.4, not the NaN of 0 * inf: -L x on the one-pair and the
+    # row branch alike.  Where x is nonzero, a NaN theta_j gives no
+    # subgradient and an infinite one a margin of -inf (none); a finite theta
+    # gives the plain dot product's bits
+    L = 1.5
+    loss = make_loss("hinge", L=L, r=0.5)
+    x = np.eye(4)[0]
+    theta = np.array([0.1, np.inf, 0.0, 0.0])
+    assert subgrad(loss, x, theta).tobytes() == (-L * x).tobytes()
+    assert loss_value(loss, x, theta) == L * (loss.r - theta[0])
+    X = np.stack([x, -x, x, x, np.eye(4)[1], x])
+    T = np.stack([theta, theta, np.r_[0.6, -np.inf, 0.0, 0.0], np.r_[np.nan, np.inf, 0.0, 0.0],
+                  theta, np.r_[0.1, 0.3, -0.2, 0.0]])
+    want = np.stack([-L * x, L * x, np.zeros(4), np.zeros(4), np.zeros(4), -L * x])
+    assert subgrad(loss, X, T).tobytes() == want.tobytes()
+    for xr, tr, w in zip(X, T, want):
+        assert subgrad(loss, xr, tr).tobytes() == w.tobytes()
+
+
 def test_median_subgradient_takes_paired_rows():
     # every loss answers (R, d) rows with the per-pair subgradients, bit for
     # bit, for C-ordered rows and for the transposed view theta.T that
