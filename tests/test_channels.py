@@ -154,6 +154,16 @@ def test_make_channel_validation():
     assert make_channel("linf_maxent", np.int64(2), M=2.0).d == 2
 
 
+def test_the_two_level_channel_has_one_kind_name():
+    # dp_linf_sampler was a second name for the dp_hypercube row; it is no
+    # kind now, by name or by document
+    assert "dp_linf_sampler" not in CHANNEL_KINDS
+    with pytest.raises(ValueError, match="unknown channel kind"):
+        make_channel("dp_linf_sampler", 3, eps=0.5)
+    with pytest.raises(ValueError, match="unknown channel kind"):
+        channel_from_json({"kind": "dp_linf_sampler", "d": 3, "eps": 0.5})
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 8])
 @pytest.mark.parametrize("m", [1.5, 2.0, 10.0, 100.0])
 def test_l1_gamma_solves_calibration_identity(d, m):

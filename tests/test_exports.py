@@ -38,6 +38,24 @@ def test_each_channel_kind_has_its_own_row():
     assert [kinds for kinds in kinds_of.values() if len(kinds) > 1] == []
 
 
+# each removed second name, and the module that offered it: the one
+# remaining name is channels.worst_case_mi or channels.binary_entropy
+_SECOND_NAMES = [
+    ("privopt", "mi_closed_form"),
+    ("privopt.information", "mi_closed_form"),
+    ("privopt.information", "MiClosedForm"),
+    ("privopt.information", "binary_entropy"),
+]
+
+
+@pytest.mark.parametrize("name,second", _SECOND_NAMES, ids=[f"{m}.{n}" for m, n in _SECOND_NAMES])
+def test_no_second_public_name(name, second):
+    mod = importlib.import_module(name)
+    assert second not in mod.__all__
+    if second != "binary_entropy":  # information still calls it, from channels
+        assert not hasattr(mod, second)
+
+
 def test_star_import():
     ns = {}
     exec("from privopt import *", ns)

@@ -168,6 +168,23 @@ def test_worst_case_mi_refuses_a_dimension_or_radius_out_of_range(kind):
     assert worst_case_mi(kind, np.int64(2), 1.0, 2.0) == worst_case_mi(kind, 2, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("kind,M", [("linf_maxent", 0.5), ("l1_maxent", 0.5), ("l1_maxent", 1.0)])
+def test_worst_case_mi_refuses_an_m_below_the_kinds_edge(kind, M):
+    # the l-inf channel needs M >= L, the l1 channel M > L, as make_channel
+    with pytest.raises(ValueError, match="M1? >= L|M1? > L"):
+        worst_case_mi(kind, 2, 1.0, M)
+    with pytest.raises(ValueError):
+        make_channel(kind, 2, L=1.0, M=M)
+
+
+def test_linf_worst_case_mi_at_its_edge_is_every_sign():
+    # at M = L each output coordinate is the sign of its input corner, so a
+    # uniform corner source leaks all d log 2 nats
+    for d in (1, 3):
+        assert worst_case_mi("linf_maxent", d, 1.0, 1.0) == pytest.approx(d * math.log(2.0),
+                                                                         rel=1e-15)
+
+
 _FINITE_CHANNELS = [
     ("linf_maxent", 2, {"M": 2.0}),
     ("linf_maxent", 4, {"M": 2.0}),

@@ -8,7 +8,7 @@ import pytest
 
 from privopt import minimax
 from privopt.channels import make_channel
-from privopt.information import certificate_for
+from privopt.information import certificate_for, extreme_point_source, mutual_information_exact
 from privopt.minimax import (
     THEOREM_BUDGET,
     THEOREMS,
@@ -139,6 +139,19 @@ def test_sandwich_and_monotonicity(theorem, n):
     assert 0.0 < lo <= up * (1.0 + 1e-12)
     more = _spec(theorem, n=4 * n)
     assert lower_bound(more) <= lo + 1e-15
+
+
+@pytest.mark.parametrize("theorem,kind", [("T1b", "linf_maxent"), ("T2", "l1_maxent")])
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_maxent_upper_bound_is_the_rate_at_the_channels_exact_mi(theorem, kind, d):
+    # T1b and T2 read the worst-case MI of the channel they name: the rate at
+    # the exact MI of its extreme-point source, computed from the pmfs
+    L, M, n = 1.5, 4.0, 1024
+    ch = make_channel(kind, d, L=L, M=M)
+    I = mutual_information_exact(extreme_point_source(ch), ch)
+    width = math.sqrt(math.log(2 * d)) if kind == "linf_maxent" else math.sqrt(d)
+    rate = math.sqrt(d / I) * L * width / math.sqrt(n)
+    assert upper_bound(BoundSpec(theorem, d=d, n=n, L=L, M=M)) == pytest.approx(rate, rel=1e-9)
 
 
 def test_t5_general_lower_never_exceeds_upper():
