@@ -130,6 +130,15 @@ def l1_gamma(d: int, m: float) -> float:
     return math.log(u)
 
 
+def _l1_tilt(d: int, L: float, M: float) -> tuple:
+    """(gamma, e^gamma, e^-gamma, D) of the l1 channel: its tilt exponent
+    at M/L (l1_gamma), the two tilts, and the normalizer of the tilted law,
+    D = e^gamma + e^-gamma + 2d - 2."""
+    gamma = l1_gamma(d, M / L)
+    up, down = math.exp(gamma), math.exp(-gamma)
+    return gamma, up, down, up + down + 2 * d - 2
+
+
 @lru_cache(maxsize=None)
 def _threshold_counts(d: int, k: int) -> tuple:
     """(C_d(k), N_d(k)) of the two-level threshold-k channel: C_d(k) counts
@@ -508,9 +517,8 @@ def _linf_worst_mi(d: int, L: float, M: float) -> float:
 
 
 def _l1_worst_mi(d: int, L: float, M: float) -> float:
-    gamma = l1_gamma(d, M / L)
-    D = math.exp(gamma) + math.exp(-gamma) + 2 * d - 2
-    return math.log(2 * d) - math.log(D) + gamma * (math.exp(gamma) - math.exp(-gamma)) / D
+    gamma, up, down, D = _l1_tilt(d, L, M)
+    return math.log(2 * d) - math.log(D) + gamma * (up - down) / D
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +534,7 @@ def _linf_calibration(d: int, L: float, M, *_) -> tuple:
 def _l1_calibration(d: int, L: float, M, *_) -> tuple:
     if M <= L:
         raise ValueError("l1_maxent needs M > L")
-    gamma = l1_gamma(d, M / L)
-    D = math.exp(gamma) + math.exp(-gamma) + 2 * d - 2
+    gamma, up, down, D = _l1_tilt(d, L, M)
     atoms = float(M) * _signed_basis(d)
     cycle = np.vstack([atoms, atoms])  # row a + o is atom a + o mod 2d
     # the tilt offset of each cell of [0, D): the 2d - 2 other offsets, then
@@ -539,13 +546,13 @@ def _l1_calibration(d: int, L: float, M, *_) -> tuple:
     return 1, float(M), {
         "gamma": gamma,
         "D_gamma": D,
-        "tilt_up": math.exp(gamma) - 1.0,
-        "tilt_down": math.exp(-gamma) - 1.0,
+        "tilt_up": up - 1.0,
+        "tilt_down": down - 1.0,
         "mirror": np.r_[d:2 * d, 0:d],  # atom +-M e_j <-> -+M e_j
         "atoms": atoms,
         "atom_cycle": cycle,
         "offsets": offsets,
-        "keep_from": 2 * d - 2 + math.exp(-gamma),
+        "keep_from": 2 * d - 2 + down,
         "ramp": ramp,
     }
 

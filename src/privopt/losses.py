@@ -19,8 +19,8 @@ out how strongly the data leans toward the corner nu.
 theta where that subgradient does not depend on theta, its data law, and
 that pair's closed-form risk, minimizer and separation.  `_LAWS` has one
 row per data law: its sampler, its support, and a test of whether rows
-are points of that support.  A pair outside the table
-raises UnsupportedFamilyError.
+are points of that support, which _on_law reads for a loss.  A pair
+outside the table raises UnsupportedFamilyError.
 """
 
 from __future__ import annotations
@@ -112,18 +112,11 @@ def _in_fixed_region(loss: LossFn, theta: np.ndarray) -> bool:
     return _LOSSES[loss.kind].fixed(loss, theta)
 
 
-def _fixed_subgrad(loss: LossFn, data, theta: np.ndarray) -> bool:
-    """True when every theta (..., d) lies in the loss's fixed region and
-    data are points of the loss's own law: a DataDist by its kind, owner
-    rows (n, d) when every row is a point of the law's support
-    (_Law.contains).  There each datum has one subgradient, the same bits
-    at every theta of the region."""
-    row = _LOSSES[loss.kind]
-    if not row.fixed(loss, theta):
-        return False
-    if isinstance(data, DataDist):
-        return data.kind == row.data
-    return _LAWS[row.data].contains(data)
+def _on_law(loss: LossFn, x: np.ndarray) -> bool:
+    """True when every row of x (n, d) is a point of the support of the
+    loss's own data law (_Law.contains); a population is on it by its kind
+    (LossFn.data_kind)."""
+    return _LAWS[_LOSSES[loss.kind].data].contains(x)
 
 
 @dataclass(frozen=True)
@@ -231,33 +224,30 @@ def separation(spec_v: RiskSpec, spec_w: RiskSpec) -> float:
 # the family table
 
 
-def _nonzero_dot(x, theta):
-    """x . theta over the nonzero entries of x, per row: an infinite theta_j
-    meets a zero x_j as 0, not as the NaN of 0 * inf.  The hinge margin reads
-    it only where the plain dot product is NaN, so a finite theta keeps the
-    plain product's bits."""
-    return np.vecdot(x, np.where(x != 0.0, theta, 0.0))
-
-
-def _hinge_dot(x, theta) -> float:
-    """The hinge margin's x . theta for one pair (d,)."""
-    m = float(x @ theta)
-    return float(_nonzero_dot(x, theta)) if m != m else m
+def _hinge_margin(loss, x, theta):
+    """The hinge margin r - x . theta: a float for one pair (d,), one per
+    row for paired (R, d) arrays.  Where the plain dot product is NaN it is
+    taken again over the nonzero entries of x alone, so an infinite theta_j
+    meets a zero x_j as 0, not as the NaN of 0 * inf; every other margin
+    keeps the plain product's bits.  No floating-point warning is raised."""
+    if x.ndim == 1:
+        # one pair, the per-step call of a single chain: np.vdot runs the dot
+        # kernel of x @ theta, in less time, and checks no floating-point flag
+        m = float(np.vdot(x, theta))
+        return loss.r - m if m == m else float(_hinge_margin(loss, x[None], theta[None])[0])
+    # np.vecdot runs the same dot kernel per row
+    with np.errstate(invalid="ignore"):
+        m = np.vecdot(x, theta)
+        nan = np.isnan(m)
+        if nan.any():
+            m[nan] = np.vecdot(x[nan], np.where(x[nan] != 0.0, theta[nan], 0.0))
+    return loss.r - m
 
 
 def _hinge_grad(loss, x, theta) -> np.ndarray:
+    active = _hinge_margin(loss, x, theta) >= 0.0
     if x.ndim == 1:
-        # one pair, the per-step call of a single chain: _hinge_dot inline,
-        # Python floats and one compare
-        m = float(x @ theta)
-        m = float(_nonzero_dot(x, theta)) if m != m else m
-        return -loss.lipschitz_L * x if loss.r - m >= 0.0 else np.zeros_like(x)
-    # np.vecdot runs the same dot kernel per row as x @ theta on one pair
-    m = np.vecdot(x, theta)
-    nan = np.isnan(m)
-    if nan.any():
-        m[nan] = _nonzero_dot(x[nan], theta[nan])
-    active = loss.r - m >= 0.0
+        return -loss.lipschitz_L * x if active else np.zeros_like(x)
     return np.where(active[..., None], -loss.lipschitz_L * x, 0.0)
 
 
@@ -353,11 +343,13 @@ class _Loss(NamedTuple):
       linear, every theta: the subgradient L x does not read theta.
     A datum of the law is a point of its support: a population of the
     law's kind draws only those, and owner rows are checked by the law's
-    contains.  Where the data and a theta qualify
-    (_fixed_subgrad), a stream keeps a subgradient it guessed at one theta
-    of the region for any other theta of it, on the thetas alone: for a
-    population's answers ahead (protocol._ahead) and for every stream's
-    one-theta queries (protocol.query).
+    contains (_on_law).  Where a block's data are on the law and a theta
+    lies in the region (_in_fixed_region), a stream keeps a subgradient it
+    guessed at one theta of the region for any other theta of it, on the
+    thetas alone (protocol.PrivateGradStream._ready records the data's
+    part with the block): for a population's answers ahead
+    (protocol._ahead) and for every stream's one-theta queries
+    (protocol.query).
     """
 
     value: Callable  # (loss, x (d,), theta (d,)) -> float
@@ -385,7 +377,7 @@ _LOSSES = {
             data.p_plus * np.abs(theta - loss.r) + (1.0 - data.p_plus) * np.abs(theta + loss.r))),
         _corner, _corner_unique, _corner_separation),
     "hinge": _Loss(
-        lambda loss, x, theta: loss.lipschitz_L * max(loss.r - _hinge_dot(x, theta), 0.0),
+        lambda loss, x, theta: loss.lipschitz_L * max(_hinge_margin(loss, x, theta), 0.0),
         _hinge_grad, _in_open_box, "coord_basis",
         lambda loss, data, theta: loss.lipschitz_L * float(np.sum(
             data.p_plus * np.maximum(loss.r - theta, 0.0)

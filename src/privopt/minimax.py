@@ -22,9 +22,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .channels import Channel, _threshold_counts, channel_pmf, l1_gamma, worst_case_mi
+from .channels import Channel, _l1_tilt, _threshold_counts, channel_pmf, worst_case_mi
 from .geometry import _coin_signs, _integer
-from .information import mi_from_conditionals
+from .information import DiscreteDist, mi_from_conditionals
 from .losses import LOSS_KINDS, DataDist, dist_support, make_loss, subgrad
 
 __all__ = [
@@ -85,11 +85,11 @@ class BoundSpec:
 
 
 def _l1_contraction(d: int, L: float, M: float) -> float:
-    # D = (e^g - e^-g)/(e^g + e^-g + 2d - 2) at the calibrated gamma;
-    # algebraically equal to L/M, computed here through gamma on purpose
-    # so the closed form is cross-checked rather than assumed
-    g = l1_gamma(d, M / L)
-    return (math.exp(g) - math.exp(-g)) / (math.exp(g) + math.exp(-g) + 2 * d - 2)
+    # (e^g - e^-g)/D at the calibrated gamma g, D the tilted law's
+    # normalizer; algebraically equal to L/M, computed here through gamma on
+    # purpose so the closed form is cross-checked rather than assumed
+    _, up, down, D = _l1_tilt(d, L, M)
+    return (up - down) / D
 
 
 def _dq_factor(d: int, q: float) -> float:
@@ -359,16 +359,14 @@ def empirical_testing_error(inst: TestingInstance, n: int, reps: int, rng) -> fl
     nu_draws = rng.integers(k, size=reps)
     errors = 0
     if inst.channel.has_pmf:
-        rows, _ = observation_rows(inst)
+        rows, atoms = observation_rows(inst)
         nz = rows > 0.0
         log_rows = np.zeros_like(rows)  # zero-prob cells handled by mask below
         log_rows[nz] = np.log(rows[nz])
         for rep in range(reps):
             v = int(nu_draws[rep])
-            p = rows[v] / rows[v].sum()
-            counts = np.bincount(
-                rng.choice(rows.shape[1], size=n, p=p), minlength=rows.shape[1]
-            )
+            law = DiscreteDist(atoms, rows[v] / rows[v].sum())
+            counts = np.bincount(law.sample_indices(rng, n), minlength=len(atoms))
             scores = log_rows @ counts
             scores[np.any((counts > 0) & ~nz, axis=1)] = -np.inf
             if int(np.argmax(scores)) != v:

@@ -24,10 +24,11 @@ noise to its real subgradient.  No draw is added, so the rng, the cursor
 and an owner list's exhaustion end as per step.  R-row queries answer
 per step.
 
-The refill also records whether the block is fixed: its data are points
-of the loss's own law (a population by its kind, an owner block when
-every row is a point of the law's support) and its theta lies in the
-loss's fixed region (losses._fixed_subgrad).  There each row's
+The refill records with the block whether its data are points of the
+loss's own law (PrivateGradStream._ready: a population by its kind, an
+owner block when every row is a point of the law's support), and the
+guess whether the block is fixed: on the law, with its theta in the
+loss's fixed region (losses._in_fixed_region).  There each row's
 subgradient is the same bits at every theta of the region, so a one-theta
 query of a fixed block whose own theta lies in the region returns its
 guessed row on that check alone, with no subgradient and no bit compare.
@@ -80,8 +81,7 @@ import numpy as np
 
 from . import information
 from .channels import Channel, dp_ratio_max
-from .losses import (DataDist, LossFn, _fixed_subgrad, _in_fixed_region, sample_datum,
-                     subgrad)
+from .losses import DataDist, LossFn, _in_fixed_region, _on_law, sample_datum, subgrad
 
 __all__ = [
     "PrivateGradStream",
@@ -108,12 +108,13 @@ class PrivateGradStream:
     loss: Optional[LossFn] = None
     channel: Optional[Channel] = None
     cursor: int = field(default=0, init=False)  # owners that have answered
-    # the block: data (rows, d), channel noise, next unread row
+    # the block: data (rows, d), channel noise, whether the data are points
+    # of the loss's own law; and the next unread row
     _block: tuple = field(default=(), init=False, repr=False)
     _next: int = field(default=0, init=False, repr=False)
     # the block's guess (see query): subgradients G and draws Z of its
     # leading rows at the refilling query's theta, and whether the block is
-    # fixed there (losses._fixed_subgrad of its data and that theta)
+    # fixed there (its data on the law, and that theta in the fixed region)
     _guess: tuple = field(default=_NO_GUESS, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -167,8 +168,10 @@ class PrivateGradStream:
         """Refill the block when fewer than m rows are left in it: the next
         min(_BLOCK_ROWS, owners left) rows of the owner list, or
         m * max(1, _BLOCK_ROWS // m) data drawn from the population with
-        sample_datum; then their channel noise from the stream rng.  Rows
-        left over in a population block (only when m changes) are dropped
+        sample_datum; then their channel noise from the stream rng, and
+        whether they are points of the loss's own law: a population by its
+        kind, owner rows by the law's support (losses._on_law).  Rows left
+        over in a population block (only when m changes) are dropped
         unserved.  True when it refilled; RuntimeError, with nothing moved,
         when every owner of the list has answered."""
         if self._block and self._next + m <= len(self._block[0]):
@@ -177,9 +180,11 @@ class PrivateGradStream:
             X = self.data[self.cursor:self.cursor + _BLOCK_ROWS]
             if len(X) == 0:
                 raise RuntimeError("single-pass stream exhausted")
+            on_law = _on_law(self.loss, X)
         else:
             X = sample_datum(self.population, self.rng, size=m * max(1, _BLOCK_ROWS // m))
-        self._block = (X, self.channel.noise(len(X), self.rng))
+            on_law = self.population.kind == self.loss.data_kind
+        self._block = (X, self.channel.noise(len(X), self.rng), on_law)
         self._next = 0
         self._guess = _NO_GUESS
         return True
@@ -211,7 +216,7 @@ def _answer(stream: PrivateGradStream, theta: np.ndarray, start: int, k: int) ->
     the subgradients: only the first query is answered, and raises here
     when it is refused; each later query is answered, or raises, at its
     real theta, as its step would."""
-    X, noise = stream._block
+    X, noise, _ = stream._block
     ch = stream.channel
     rows = theta.size // ch.d
     x = X[start:start + k * rows].reshape((k,) + theta.shape)
@@ -235,8 +240,9 @@ def query(stream: PrivateGradStream, theta) -> np.ndarray:
 
     A one-theta query that refills the block, of a population or of an
     owner list, also answers every row of the new block at its theta (the
-    guess), and records whether the block is fixed there
-    (losses._fixed_subgrad).  Each one-theta query of the block returns
+    guess), and records whether the block is fixed there: its data on
+    the loss's law (see _ready) and theta in the loss's fixed region
+    (losses._in_fixed_region).  Each one-theta query of the block returns
     its row's guessed answer when the block is fixed and its own theta lies
     in the loss's fixed region, or else when its own subgradient equals
     the guessed one bit for bit, and applies its row's noise to that
@@ -246,15 +252,14 @@ def query(stream: PrivateGradStream, theta) -> np.ndarray:
     m = stream._rows(theta)
     refilled = stream._ready(m)
     span = stream._take(m)
-    X, noise = stream._block
+    X, noise, on_law = stream._block
     if theta.ndim == 2:
         return stream.channel.apply(subgrad(stream.loss, X[span], theta),
                                     tuple([a[span] for a in noise]))
     i = span.start
     if refilled:
-        data = X if stream.population is None else stream.population
         stream._guess = (*_answer(stream, theta, i, len(X)),
-                         _fixed_subgrad(stream.loss, data, theta))
+                         on_law and _in_fixed_region(stream.loss, theta))
     G, Z, fixed = stream._guess
     if fixed and i < len(G) and _in_fixed_region(stream.loss, theta):
         return Z[i]
@@ -276,18 +281,18 @@ def _ahead(stream: PrivateGradStream, theta, most: int) -> tuple:
     really be asked at, keeps the answers up to the first whose
     subgradient at its theta differs from the guessed one in any bit, and
     consumes and returns their number m >= 1.  It keeps all j + 1 without
-    reading the data when the population is the loss's own law and theta
-    and every one of thetas lie in the loss's fixed region (see
-    losses._Loss), where every datum's subgradient is the same bits at
-    each theta; otherwise it recomputes the j subgradients in one call and
-    compares their bits."""
+    reading the data when the block's data are on the loss's own law (see
+    PrivateGradStream._ready) and theta and every one of thetas lie in the
+    loss's fixed region (see losses._Loss), where every datum's
+    subgradient is the same bits at each theta; otherwise it recomputes
+    the j subgradients in one call and compares their bits."""
     theta = np.asarray(theta, dtype=float)
     rows = stream._rows(theta)
     stream._ready(rows)  # the refill query would make now
     start = stream._take(rows).start  # query 0 is always kept
-    X = stream._block[0]
+    X, _, on_law = stream._block
     guess, z = _answer(stream, theta, start, min(most, (len(X) - start) // rows))
-    fixed = _fixed_subgrad(stream.loss, stream.population, theta)
+    fixed = on_law and _in_fixed_region(stream.loss, theta)
 
     def settle(thetas) -> int:
         j = len(thetas)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from privopt.losses import (
     sample_datum,
     separation,
     subgrad,
-    _fixed_subgrad,
+    _in_fixed_region,
     _in_open_box,
+    _on_law,
 )
 
 KINDS = ("median", "hinge", "linear")
@@ -88,26 +90,30 @@ def test_subgradient_kink_conventions():
     assert np.allclose(subgrad(hinge, e1, np.array([2.0, 0.0])), 0.0)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_hinge_margin_reads_an_infinite_theta_only_where_x_is_nonzero():
     # x = e_0 meets theta_1 = inf only through a zero of x, so the margin is
     # r - theta_0 = 0.4, not the NaN of 0 * inf: -L x on the one-pair and the
-    # row branch alike.  Where x is nonzero, a NaN theta_j gives no
+    # row branch alike, with no floating-point warning (0 * inf and inf - inf
+    # are invalid operations).  Where x is nonzero, a NaN theta_j gives no
     # subgradient and an infinite one a margin of -inf (none); a finite theta
     # gives the plain dot product's bits
     L = 1.5
     loss = make_loss("hinge", L=L, r=0.5)
     x = np.eye(4)[0]
     theta = np.array([0.1, np.inf, 0.0, 0.0])
-    assert subgrad(loss, x, theta).tobytes() == (-L * x).tobytes()
-    assert loss_value(loss, x, theta) == L * (loss.r - theta[0])
-    X = np.stack([x, -x, x, x, np.eye(4)[1], x])
+    X = np.stack([x, -x, x, x, np.eye(4)[1], x, np.r_[1.0, 1.0, 0.0, 0.0]])
     T = np.stack([theta, theta, np.r_[0.6, -np.inf, 0.0, 0.0], np.r_[np.nan, np.inf, 0.0, 0.0],
-                  theta, np.r_[0.1, 0.3, -0.2, 0.0]])
-    want = np.stack([-L * x, L * x, np.zeros(4), np.zeros(4), np.zeros(4), -L * x])
-    assert subgrad(loss, X, T).tobytes() == want.tobytes()
-    for xr, tr, w in zip(X, T, want):
-        assert subgrad(loss, xr, tr).tobytes() == w.tobytes()
+                  theta, np.r_[0.1, 0.3, -0.2, 0.0], np.r_[np.inf, -np.inf, 0.0, 0.0]])
+    want = np.stack([-L * x, L * x, np.zeros(4), np.zeros(4), np.zeros(4), -L * x, np.zeros(4)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert subgrad(loss, x, theta).tobytes() == (-L * x).tobytes()
+        pair = np.stack([x, x])
+        assert subgrad(loss, pair, np.stack([theta, theta])).tobytes() == (-L * pair).tobytes()
+        assert loss_value(loss, x, theta) == L * (loss.r - theta[0])
+        assert subgrad(loss, X, T).tobytes() == want.tobytes()
+        for xr, tr, w in zip(X, T, want):
+            assert subgrad(loss, xr, tr).tobytes() == w.tobytes()
 
 
 def test_median_subgradient_takes_paired_rows():
@@ -310,38 +316,47 @@ def test_subgradients_in_the_fixed_region_are_the_ones_at_zero(kind, law, d, r):
               np.resize([edge, -0.0, -edge, 0.0], d)]
     thetas += list(rng.uniform(-r, r, (20, d)))
     at_zero = subgrad(loss, pts, np.zeros_like(pts))
+    assert dist.kind == loss.data_kind and _on_law(loss, pts)
     for theta in thetas:
-        assert _fixed_subgrad(loss, dist, theta)
+        assert _in_fixed_region(loss, theta)
         rows = subgrad(loss, pts, np.broadcast_to(theta, pts.shape))
         assert rows.tobytes() == at_zero.tobytes()
         for x, g in zip(pts, at_zero):
             assert subgrad(loss, x, theta).tobytes() == g.tobytes()
-    assert _fixed_subgrad(loss, dist, np.array(thetas))
+    assert _in_fixed_region(loss, np.array(thetas))
 
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_fixed_region_is_open_and_only_on_the_own_law(d):
     # at |theta_1| = r some datum's median subgradient is 0, not -x_1, so
-    # the box is open; off the box, or off the loss's own law, no theta is
-    # fixed (the linear loss is fixed everywhere, on its law only)
+    # the box is open; off the box no theta is fixed, and off the loss's own
+    # law no data are (the linear loss is fixed everywhere, on its law only).
+    # A population is on the law by its kind, rows by the law's support: at
+    # d = 1 the basis points +-e_0 are the cube's two corners
     r = 1.0
     median = make_loss("median", r=r)
+    hinge = make_loss("hinge", r=r)
     cube = DataDist("cube_bernoulli", d, 0.5, (1,) + (0,) * (d - 1))
     basis = DataDist("coord_basis", d, 0.5, (1,) + (0,) * (d - 1))
     pts, _ = dist_support(cube)
+    basis_pts, _ = dist_support(basis)
+    assert _on_law(median, pts) and _on_law(hinge, basis_pts)
     for edge in (r, -r):
         theta = np.zeros(d)
         theta[0] = edge
-        assert not _fixed_subgrad(median, cube, theta)
-        assert not _fixed_subgrad(make_loss("hinge", r=r), basis, theta)
+        assert not _in_fixed_region(median, theta)
+        assert not _in_fixed_region(hinge, theta)
         moved = subgrad(median, pts, np.broadcast_to(theta, pts.shape))
         assert moved.tobytes() != subgrad(median, pts, np.zeros_like(pts)).tobytes()
-    assert not _fixed_subgrad(median, cube, np.full(d, np.nan))
-    assert not _fixed_subgrad(median, basis, np.zeros(d))
-    assert not _fixed_subgrad(make_loss("median", r=0.0), cube, np.zeros(d))
+    assert not _in_fixed_region(median, np.full(d, np.nan))
+    assert _in_fixed_region(median, np.zeros(d))
+    assert basis.kind != median.data_kind
+    assert _on_law(median, basis_pts) is (d == 1)
+    assert not _in_fixed_region(make_loss("median", r=0.0), np.zeros(d))
     linear = make_loss("linear")
-    assert _fixed_subgrad(linear, cube, np.full(d, 1e300))
-    assert not _fixed_subgrad(linear, basis, np.zeros(d))
+    assert _in_fixed_region(linear, np.full(d, 1e300)) and _on_law(linear, pts)
+    assert basis.kind != linear.data_kind
+    assert _on_law(linear, basis_pts) is (d == 1)
     # every row of the table has its region tested above
     assert {kind for kind, _ in PAIRS} == set(_LOSSES)
 

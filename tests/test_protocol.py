@@ -441,7 +441,6 @@ def test_fixed_blocks_keep_their_guess_on_theta_alone(case, owners, monkeypatch)
     _assert_replayed(stream, _Replay(other), got, thetas)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 @pytest.mark.parametrize("owners", [False, True], ids=["population", "owner-list"])
 @pytest.mark.parametrize("case", list(_FIXED_CASES))
 def test_thetas_off_the_open_box_compare_bits_in_a_fixed_block(case, owners, monkeypatch):
